@@ -483,9 +483,10 @@ func BenchmarkDataPath_Saturation10G(b *testing.B) {
 // BenchmarkMicro_SimEventsPerSec measures the simulator's event loop under a
 // steady wakeup load: 64 ticker processes sleeping 1ms each, 640 scheduled
 // events per iteration. With the event free list, recycled timers and the
-// buffered proc handoff, the steady-state loop must stay allocation-free —
-// allocs/op and B/op are gated at zero; events/op pins the deterministic
-// event count, and evts/s reports raw wall-clock throughput (ungated).
+// coroutine switch between scheduler and process, the steady-state loop
+// must stay allocation-free — allocs/op and B/op are gated at zero;
+// events/op pins the deterministic event count, and evts/s reports raw
+// wall-clock throughput (ungated).
 func BenchmarkMicro_SimEventsPerSec(b *testing.B) {
 	env := sim.NewEnv(1)
 	const tickers = 64

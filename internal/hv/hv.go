@@ -18,6 +18,7 @@ package hv
 
 import (
 	"fmt"
+	"sort"
 
 	"xoar/internal/evtchn"
 	"xoar/internal/grant"
@@ -244,14 +245,16 @@ func (h *Hypervisor) Domain(id xtypes.DomID) (*Domain, error) {
 	return d, nil
 }
 
-// Domains lists live domains in creation order.
+// Domains lists live domains in creation order, which is ID order: IDs are
+// allocated increasing and never reused.
 func (h *Hypervisor) Domains() []*Domain {
 	var out []*Domain
-	for id := xtypes.DomID(0); id < h.nextID; id++ {
-		if d, ok := h.domains[id]; ok && d.State != StateDead {
+	for _, d := range h.domains {
+		if d.State != StateDead {
 			out = append(out, d)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -429,12 +432,17 @@ func (h *Hypervisor) destroy(d *Domain, reason string) error {
 	// A dead guest's shard-client links would dangle: close each shard's
 	// exposure window over it exactly as an explicit unlink would, so the
 	// audit log's interval index does not report the dead domain as a
-	// dependent forever. Shards are visited in ID order for determinism.
-	for id := xtypes.DomID(0); id < h.nextID; id++ {
-		s, ok := h.domains[id]
-		if !ok || !s.Cfg.Shard || !s.clients[d.ID] {
-			continue
+	// dependent forever. Only live domains are scanned, so teardown cost
+	// does not grow with the IDs ever allocated; the few linked shards are
+	// unlinked in ID order for determinism.
+	var shards []*Domain
+	for _, s := range h.domains {
+		if s.Cfg.Shard && s.clients[d.ID] {
+			shards = append(shards, s)
 		}
+	}
+	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
+	for _, s := range shards {
 		delete(s.clients, d.ID)
 		h.emit("unlink-shard", s.ID, d.ID.String())
 	}

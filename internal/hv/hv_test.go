@@ -613,3 +613,63 @@ func TestCreateDomainRollsBackIDOnFailure(t *testing.T) {
 		t.Fatalf("id after failed create = %v", d.ID)
 	}
 }
+
+// Teardown walks only live domains, so it must keep ID order by sorting, not
+// by scanning every DomID ever allocated. After heavy churn, a guest linked
+// to three shards (in non-ID order) unlinks them in shard-ID order, and
+// Domains still lists live domains in creation order.
+func TestTeardownOrderAfterChurn(t *testing.T) {
+	_, h := newHV(true)
+	early := mkDom(t, h, "netback", true)
+	for i := 0; i < 10_000; i++ {
+		d := mkDom(t, h, "churn", false)
+		if err := h.DestroyDomain(SystemCaller, d.ID, "done"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := mkDom(t, h, "blkback", true)
+	late := mkDom(t, h, "xenstore", true)
+	want := []xtypes.DomID{early.ID, mid.ID, late.ID}
+
+	var unlinked []xtypes.DomID
+	h.Sink = func(e Event) {
+		if e.Kind == "unlink-shard" {
+			unlinked = append(unlinked, e.Dom)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		guest := mkDom(t, h, "guest", false)
+		for _, s := range []*Domain{late, early, mid} {
+			if err := h.LinkShardClient(SystemCaller, s.ID, guest.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unlinked = unlinked[:0]
+		if err := h.DestroyDomain(SystemCaller, guest.ID, "done"); err != nil {
+			t.Fatal(err)
+		}
+		if len(unlinked) != len(want) {
+			t.Fatalf("unlink-shard records %v, want %v", unlinked, want)
+		}
+		for j := range want {
+			if unlinked[j] != want[j] {
+				t.Fatalf("unlink-shard records %v, want shard-ID order %v", unlinked, want)
+			}
+		}
+	}
+
+	var created []xtypes.DomID
+	for _, name := range []string{"a", "b", "c"} {
+		created = append(created, mkDom(t, h, name, false).ID)
+	}
+	live := append(want, created...)
+	got := h.Domains()
+	if len(got) != len(live) {
+		t.Fatalf("Domains() lists %d domains, want %d", len(got), len(live))
+	}
+	for i, d := range got {
+		if d.ID != live[i] {
+			t.Fatalf("Domains()[%d] = %v, want creation order %v", i, d.ID, live)
+		}
+	}
+}

@@ -1,0 +1,51 @@
+//go:build go1.23
+
+package sim
+
+import "iter"
+
+// coro runs sim process bodies as an iter.Pull coroutine. The scheduler and
+// the process hand control back and forth with a direct coroutine switch —
+// Env.step resumes the process with next, Proc.block returns with yield —
+// so a resume never goes through the Go runtime's run queue.
+//
+// A coroutine outlives the process it runs. When the body returns, the
+// coroutine parks in its Env's free list, and the next Spawn hands it a new
+// process, so steady-state spawning starts no goroutine. Env.Shutdown stops
+// the parked coroutines.
+//
+// The file needs go1.23 for package iter. The build tag sets its language
+// version, so go.mod can stay at go 1.22: hostbench's module requires this
+// one, declares go 1.22 and builds with -mod=readonly, so a higher go line
+// here would break its build.
+type coro struct {
+	proc  *Proc // process to run on the next turn, nil while parked
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// newCoro returns an idle coroutine. Its body does not start until the
+// first next.
+func newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// loop is the coroutine body: one process per turn. After a process
+// terminates, the coroutine returns itself to the free list and yields;
+// Spawn assigns the next process and the scheduler's next resumes it here.
+// stop makes that yield report false, which ends the loop.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		p := c.proc
+		p.run()
+		c.proc, p.co = nil, nil
+		p.env.coros = append(p.env.coros, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}

@@ -1,12 +1,16 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel drives cooperative processes: each process is a goroutine, but
-// exactly one process runs at any moment. A process yields control by
-// sleeping, waiting on a synchronization primitive, or terminating; the
-// scheduler then advances the virtual clock to the next pending event and
-// resumes its owner. Because execution is serialized and the event queue is
-// ordered by (time, sequence), every run with the same seed is bit-for-bit
-// reproducible.
+// The kernel drives cooperative processes: each process runs as a coroutine
+// (coro.go), and exactly one process runs at any moment. A process yields
+// control by sleeping, waiting on a synchronization primitive, or
+// terminating; the scheduler then advances the virtual clock to the next
+// pending event and resumes its owner with a direct coroutine switch.
+// Because execution is serialized and the event queue is ordered by (time,
+// sequence), every run with the same seed is bit-for-bit reproducible.
+//
+// A panic in a process body unwinds that process and reaches the caller of
+// Run, RunFor or RunAll with its original value. The process is left
+// unfinished, so afterwards the Env should only be shut down.
 //
 // The rest of the repository models a virtualization platform on top of this
 // kernel: virtual machines, device backends, and workloads are all sim
@@ -107,15 +111,14 @@ func (q *eventQueue) Pop() any {
 // set of processes driven by them. An Env is not safe for concurrent use by
 // real OS threads; all model code runs inside sim processes.
 type Env struct {
-	now     Time
-	seq     uint64
-	queue   eventQueue
-	rng     *rand.Rand
-	procs   map[*Proc]struct{}
-	lastEv  string
-	trace   func(TraceEvent)
-	running *Proc // process currently executing, nil when scheduler runs
-	nextID  int
+	now    Time
+	seq    uint64
+	queue  eventQueue
+	rng    *rand.Rand
+	procs  map[*Proc]struct{}
+	lastEv string
+	trace  func(TraceEvent)
+	nextID int
 
 	// free holds recycled event structs for reuse by schedule.
 	free []*event
@@ -124,8 +127,9 @@ type Env struct {
 	stale       int
 	compactions int
 
-	// yield is signalled by the running process when it blocks or exits.
-	yield chan struct{}
+	// coros holds parked coroutines whose process terminated, for reuse by
+	// Spawn.
+	coros []*coro
 
 	stopped bool
 }
@@ -135,7 +139,6 @@ func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[*Proc]struct{}),
-		yield: make(chan struct{}),
 	}
 }
 
@@ -254,7 +257,8 @@ type Proc struct {
 	env    *Env
 	name   string
 	id     int
-	resume chan struct{}
+	body   func(p *Proc)
+	co     *coro // coroutine running the body, nil once terminated
 	done   bool
 	killed bool
 	// pending is the queued wakeup for this process, if any. A live process
@@ -269,40 +273,43 @@ type Proc struct {
 // virtual time, after the currently running process next yields.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{
-		env:  e,
-		name: name,
-		id:   e.nextID,
-		// A one-slot buffer lets the scheduler hand off without blocking on
-		// the resumed goroutine's wakeup; at most one resume is ever
-		// outstanding because a process has at most one pending event.
-		resume: make(chan struct{}, 1),
+	p := &Proc{env: e, name: name, id: e.nextID, body: fn}
+	if n := len(e.coros); n > 0 {
+		p.co = e.coros[n-1]
+		e.coros[n-1] = nil
+		e.coros = e.coros[:n-1]
+	} else {
+		p.co = newCoro()
 	}
+	p.co.proc = p
 	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	e.emitTrace("spawn", name)
-	go func() {
-		<-p.resume // wait for first scheduling
-		if !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(procKilled); ok {
-							return // normal termination via Kill
-						}
-						panic(r)
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.done = true
-		delete(e.procs, p)
-		p.doneSig.Broadcast()
-		e.yield <- struct{}{}
-	}()
 	e.schedule(e.now, p, nil)
 	return p
+}
+
+// run executes the process body on its coroutine and marks the process
+// terminated. A Kill unwinds the body through the procKilled panic, so its
+// deferred releases run; any other panic propagates to the scheduler.
+func (p *Proc) run() {
+	if !p.killed {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(procKilled); ok {
+						return // normal termination via Kill
+					}
+					panic(r)
+				}
+			}()
+			p.body(p)
+		}()
+	}
+	p.body = nil
+	p.done = true
+	delete(p.env.procs, p)
+	p.doneSig.Broadcast()
 }
 
 // procKilled is the panic payload used to unwind a killed process.
@@ -321,11 +328,11 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) Done() bool { return p.done }
 
 // block suspends the calling process until the scheduler resumes it.
-// Must only be called from within the process's own goroutine.
+// Must only be called from within the process's own body. A yield that
+// reports false means the coroutine was stopped; the body unwinds as if
+// killed.
 func (p *Proc) block() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.co.yield(struct{}{}) || p.killed {
 		panic(procKilled{})
 	}
 }
@@ -355,7 +362,7 @@ func (p *Proc) Kill() {
 		ev.canceled = true
 		p.env.stale++
 	}
-	// Schedule a resumption so the goroutine unwinds promptly.
+	// Schedule a resumption so the body unwinds promptly.
 	p.env.schedule(p.env.now, p, nil)
 	p.env.maybeCompact()
 }
@@ -415,10 +422,7 @@ func (e *Env) step() bool {
 	e.recycle(ev)
 	e.lastEv = p.name
 	e.emitTrace("resume", p.name)
-	e.running = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.running = nil
+	p.co.next()
 	return true
 }
 
@@ -451,16 +455,17 @@ func (e *Env) Run(until Time) Time {
 func (e *Env) RunFor(d Duration) Time { return e.Run(e.now.Add(d)) }
 
 // RunAll processes events until no more remain. Processes blocked forever on
-// empty channels are abandoned (their goroutines are killed).
+// empty channels stay blocked; Shutdown unwinds them.
 func (e *Env) RunAll() Time {
 	for e.step() {
 	}
 	return e.now
 }
 
-// Shutdown kills every live process so their goroutines exit. Call when a
-// simulation ends with processes still blocked (e.g. servers in accept
-// loops); it keeps long test runs from accumulating goroutines.
+// Shutdown kills every live process and stops the parked coroutines, so no
+// goroutine outlives the Env. Call when a simulation ends with processes
+// still blocked (e.g. servers in accept loops); it keeps long test runs from
+// accumulating goroutines.
 func (e *Env) Shutdown() {
 	// Kill in a stable order for determinism.
 	procs := make([]*Proc, 0, len(e.procs))
@@ -473,6 +478,10 @@ func (e *Env) Shutdown() {
 	}
 	for e.step() {
 	}
+	for _, c := range e.coros {
+		c.stop()
+	}
+	e.coros = nil
 	e.stopped = true
 }
 

@@ -410,3 +410,28 @@ func TestTraceHook(t *testing.T) {
 		t.Fatal("empty trace rendering")
 	}
 }
+
+// A queue that never drains (the netback rx inbox under load) must reuse the
+// slots its receiver has already consumed instead of growing with every
+// message ever sent.
+func TestChanBacklogReusesCapacity(t *testing.T) {
+	env := NewEnv(1)
+	c := NewChan[int](env)
+	c.Send(-1)
+	c.Send(-2)
+	for i := 0; i < 100_000; i++ {
+		c.Send(i)
+		if _, ok := c.TryRecv(); !ok {
+			t.Fatal("backlog drained")
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("backlog = %d, want 2", c.Len())
+	}
+	if n := cap(c.items); n > 8 {
+		t.Fatalf("backing array holds %d slots for a backlog of 2", n)
+	}
+	if v, _ := c.TryRecv(); v != 99_998 {
+		t.Fatalf("head = %d, want 99998 (FIFO order lost)", v)
+	}
+}

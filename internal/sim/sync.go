@@ -40,10 +40,11 @@ func (s *Signal) Broadcast() {
 // Receives block while the queue is empty; sends never block.
 //
 // Dequeues advance a head index instead of re-slicing items[1:], which would
-// permanently strand the popped element's capacity; whenever the queue
-// drains, the backing array is reset and reused, so a steady-state
-// send/receive cycle (the netback rx inbox, xenstore watch events) performs
-// no allocation.
+// permanently strand the popped element's capacity. The backing array is
+// reused when the queue drains, and when a send finds it full with at least
+// half its slots already dequeued, so a steady-state send/receive cycle
+// (the netback rx inbox, xenstore watch events) performs no allocation even
+// if the queue never drains.
 type Chan[T any] struct {
 	env    *Env
 	items  []T
@@ -63,7 +64,16 @@ func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	//xoarlint:allow(hotpath) queue growth is bounded by backlog; pop resets the backing array on drain so steady state reuses capacity
+	// Slide the live tail to the front rather than grow past dequeued
+	// slots. Waiting until half the array is dead keeps the copy amortized
+	// O(1) per send.
+	if len(c.items) == cap(c.items) && 2*c.head >= len(c.items) {
+		n := copy(c.items, c.items[c.head:])
+		clear(c.items[n:])
+		c.items = c.items[:n]
+		c.head = 0
+	}
+	//xoarlint:allow(hotpath) queue growth is bounded by backlog; dequeued slots are reused, so steady state reuses capacity
 	c.items = append(c.items, v)
 	c.sig.Broadcast()
 }

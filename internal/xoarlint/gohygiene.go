@@ -12,21 +12,21 @@ import "go/ast"
 // supervisor must be a sim.Proc, and this pass turns that from convention
 // into a build-time invariant.
 //
-// internal/sim itself is the designated wrapper (its scheduler runs each
-// Proc on a goroutine) and is exempt. Test files are exempt too: tests
-// legitimately hammer the thread-safe layers (telemetry, fault injection)
-// from real goroutines under -race.
+// internal/sim is covered too: its scheduler runs each Proc as an iter.Pull
+// coroutine and has no go statement of its own. Test files are exempt:
+// tests legitimately hammer the thread-safe layers (telemetry, fault
+// injection) from real goroutines under -race.
 
 func init() {
 	Register(&Analyzer{
 		Name: "gohygiene",
-		Doc:  "internal/ packages must spawn concurrency via sim.Env.Spawn, not bare go statements (internal/sim and _test.go files exempt)",
+		Doc:  "internal/ packages must spawn concurrency via sim.Env.Spawn, not bare go statements (_test.go files exempt)",
 		Run:  runGohygiene,
 	})
 }
 
 func runGohygiene(p *Package) []Diagnostic {
-	if !p.Internal() || p.Path == "xoar/internal/sim" {
+	if !p.Internal() {
 		return nil
 	}
 	var diags []Diagnostic

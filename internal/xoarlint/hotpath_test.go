@@ -303,3 +303,105 @@ func TestHotpathDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted: %v", diff)
 	}
 }
+
+// A func field stored by a multi-value assignment has no traceable value: a
+// hot call through it must fail closed, not pass as "never assigned".
+func TestHotpathTupleAssignedFieldUnresolved(t *testing.T) {
+	src := `package dev
+
+type Dev struct {
+	pump func()
+}
+
+func build() (func(), error) { return func() {}, nil }
+
+func (d *Dev) install() error {
+	var err error
+	d.pump, err = build()
+	return err
+}
+
+//xoarlint:hot
+func (d *Dev) Dispatch() {
+	d.pump()
+}
+`
+	p := loadSrc(t, "xoar/internal/dev", src)
+	wantDiags(t, diagsOf(t, "hotpath", p),
+		"cannot resolve call through function value xoar/internal/dev.Dev.pump")
+}
+
+const hotpathCoroSrc = `package sched
+
+import "iter"
+
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+func newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for yield(struct{}{}) {
+	}
+}
+
+// Resume and Block switch coroutines through iter.Pull's next and the
+// yield it passed in: both are allocation-free.
+//
+//xoarlint:hot
+func (c *coro) Resume() { c.next() }
+
+//xoarlint:hot
+func (c *coro) Block() bool { return c.yield(struct{}{}) }
+
+// Creating a coroutine is not a switch: iter.Pull starts a goroutine.
+//
+//xoarlint:hot
+func (c *coro) Restart() {
+	c.next, c.stop = iter.Pull(c.loop)
+}
+`
+
+func TestHotpathCoroutineSwitches(t *testing.T) {
+	p := loadSrc(t, "xoar/internal/sched", hotpathCoroSrc)
+	wantDiags(t, diagsOf(t, "hotpath", p), "cannot prove iter.Pull allocation-free")
+	reach := map[string][]string{}
+	for _, r := range BuildHotPath([]*Package{p}).Roots {
+		reach[r.Root] = r.Reachable
+	}
+	for root, want := range map[string]string{
+		"xoar/internal/sched.coro.Resume": "xoar/internal/sched.coro.next (func value)",
+		"xoar/internal/sched.coro.Block":  "xoar/internal/sched.coro.yield (func value)",
+	} {
+		if !strings.Contains(strings.Join(reach[root], "\n"), want) {
+			t.Errorf("%s reaches %v, want %q", root, reach[root], want)
+		}
+	}
+	// The switch does not walk into the sequence function: what runs on the
+	// other side is charged to its own roots.
+	if strings.Contains(strings.Join(reach["xoar/internal/sched.coro.Resume"], "\n"), "coro.loop") {
+		t.Errorf("Resume walked into the coroutine body: %v", reach["xoar/internal/sched.coro.Resume"])
+	}
+}
+
+// A sequence function that is also called directly may receive some other
+// yield, so the field it stores its yield in stays unresolved.
+func TestHotpathCoroutineYieldNeedsPullOnlySeq(t *testing.T) {
+	src := strings.Replace(hotpathCoroSrc, "\treturn c\n}", "\tc.loop(func(struct{}) bool { return false })\n\treturn c\n}", 1)
+	if src == hotpathCoroSrc {
+		t.Fatal("fixture edit did not apply")
+	}
+	p := loadSrc(t, "xoar/internal/sched", src)
+	wantDiags(t, diagsOf(t, "hotpath", p),
+		"cannot resolve call through function value yield",
+		"cannot resolve call through function value xoar/internal/sched.coro.yield",
+		"cannot prove iter.Pull allocation-free")
+}
