@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"xoar/internal/attack"
 	"xoar/internal/boot"
 	"xoar/internal/core"
 	"xoar/internal/experiments"
@@ -566,4 +567,32 @@ func BenchmarkMicro_RingBatchPop(b *testing.B) {
 			b.Fatalf("acked %d", got)
 		}
 	}
+}
+
+// BenchmarkMicro_AuditVerify re-verifies the audit hash chain of one
+// fuzz exec: a booted attack harness plus one generated hostile sequence,
+// close to the fuzz loop's mean of 87 records. The attack oracle re-hashes
+// the whole chain after every hypercall, so Verify must stay
+// allocation-free — allocs/op and B/op are gated at zero; records reports
+// the chain length (ungated).
+func BenchmarkMicro_AuditVerify(b *testing.B) {
+	ha, err := attack.NewHarness()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ha.Run(attack.Generate(1))
+	ha.Close()
+	log := ha.Log
+	if i := log.Verify(); i != -1 {
+		b.Fatalf("audit chain breaks at record %d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if log.Verify() != -1 {
+			b.Fatal("audit chain broke")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(log.Len()), "records")
 }

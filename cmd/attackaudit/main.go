@@ -14,7 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"xoar"
 	"xoar/internal/attack"
@@ -80,9 +82,7 @@ func main() {
 				f.Vuln.ID, f.Vuln.Vector, f.Vuln.Class, f.Outcome, extra)
 		}
 		fmt.Println("\nsummary:")
-		for o, n := range rep.ByOutcome {
-			fmt.Printf("  %-20s %d\n", o, n)
-		}
+		printSummary(os.Stdout, rep.ByOutcome)
 
 		// Dynamic capability probes: assume each control component is fully
 		// compromised and actually attempt hostile operations.
@@ -130,6 +130,19 @@ func main() {
 	}
 	fmt.Printf("total studied: %d; guest-sourced: %d; admin-network: %d; host-os (excluded): %d\n",
 		len(seceval.Registry()), bySrc[seceval.SrcGuest], bySrc[seceval.SrcAdminNet], bySrc[seceval.SrcHost])
+}
+
+// printSummary writes the per-outcome tally in seceval.Outcome order, so
+// the report reads the same on every run.
+func printSummary(w io.Writer, byOutcome map[seceval.Outcome]int) {
+	outcomes := make([]seceval.Outcome, 0, len(byOutcome))
+	for o := range byOutcome {
+		outcomes = append(outcomes, o)
+	}
+	slices.Sort(outcomes)
+	for _, o := range outcomes {
+		fmt.Fprintf(w, "  %-20s %d\n", o, byOutcome[o])
+	}
 }
 
 // runFuzz is the CLI face of the seeded generator: the same sequences the

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"xoar/internal/sim"
@@ -33,13 +34,37 @@ type Record struct {
 	Hash     string
 }
 
-func (r Record) hashInput() string {
-	return fmt.Sprintf("%s|%d|%d|%s|%v|%s", r.PrevHash, r.Seq, int64(r.Time), r.Kind, r.Dom, r.Arg)
+// appendHashInput appends the text a record's Hash covers to b:
+//
+//	PrevHash|Seq|Time|Kind|Dom|Arg
+//
+// with Seq and Time (nanoseconds) in signed decimal and Dom in its
+// xtypes.DomID text form ("dom7", "dom-none"). This layout is the chain's
+// stable format: saved logs carry only the resulting hashes, so changing a
+// byte of it would make every saved log fail to load.
+func (r *Record) appendHashInput(b []byte) []byte {
+	b = append(b, r.PrevHash...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(r.Seq), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(r.Time), 10)
+	b = append(b, '|')
+	b = append(b, r.Kind...)
+	b = append(b, '|')
+	b = r.Dom.AppendTo(b)
+	b = append(b, '|')
+	return append(b, r.Arg...)
 }
 
-func digest(s string) string {
-	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:])
+// hexSum returns the lowercase hex SHA-256 of the record's hash input. The
+// input is built in a stack buffer sized for typical records; only an
+// input longer than that (a long Kind or Arg) moves to the heap.
+func (r *Record) hexSum() [2 * sha256.Size]byte {
+	var in [256]byte
+	sum := sha256.Sum256(r.appendHashInput(in[:0]))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return out
 }
 
 // Log is the append-only audit store.
@@ -57,7 +82,8 @@ func (l *Log) Append(t sim.Time, kind string, dom xtypes.DomID, arg string) {
 		prev = l.records[n-1].Hash
 	}
 	r := Record{Seq: len(l.records), Time: t, Kind: kind, Dom: dom, Arg: arg, PrevHash: prev}
-	r.Hash = digest(r.hashInput())
+	sum := r.hexSum()
+	r.Hash = string(sum[:])
 	l.records = append(l.records, r)
 }
 
@@ -72,11 +98,16 @@ func (l *Log) Records() []Record {
 }
 
 // Verify checks the hash chain, returning the index of the first corrupted
-// record, or -1 if intact.
+// record, or -1 if intact. It re-hashes every record on every call and
+// allocates nothing for records whose hash input fits hexSum's buffer.
 func (l *Log) Verify() int {
 	prev := ""
-	for i, r := range l.records {
-		if r.PrevHash != prev || r.Hash != digest(r.hashInput()) || r.Seq != i {
+	for i := range l.records {
+		r := &l.records[i]
+		if r.Seq != i || r.PrevHash != prev {
+			return i
+		}
+		if sum := r.hexSum(); string(sum[:]) != r.Hash {
 			return i
 		}
 		prev = r.Hash

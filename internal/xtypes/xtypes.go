@@ -4,7 +4,10 @@
 // components can interoperate without import cycles.
 package xtypes
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // DomID identifies a domain (virtual machine). DomID 0 is reserved: in the
 // monolithic profile it is the control VM (Dom0); in Xoar no running domain
@@ -19,10 +22,18 @@ const DomIDNone DomID = 0x7FFFFFFF
 const Dom0 DomID = 0
 
 func (d DomID) String() string {
+	var buf [len("dom4294967295")]byte
+	return string(d.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the domain's text form to b and returns the extended
+// slice: "dom" and the decimal ID ("dom7"), or "dom-none" for DomIDNone.
+// String and the audit log's hash chain both use it.
+func (d DomID) AppendTo(b []byte) []byte {
 	if d == DomIDNone {
-		return "dom-none"
+		return append(b, "dom-none"...)
 	}
-	return fmt.Sprintf("dom%d", uint32(d))
+	return strconv.AppendUint(append(b, "dom"...), uint64(d), 10)
 }
 
 // GrantRef names an entry in a domain's grant table.

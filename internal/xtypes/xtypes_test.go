@@ -6,15 +6,20 @@ import (
 	"testing"
 )
 
+// TestDomIDString pins String and AppendTo to the fmt rendering the audit
+// chain's hashes were first computed over.
 func TestDomIDString(t *testing.T) {
-	if DomID(7).String() != "dom7" {
-		t.Fatalf("DomID(7) = %q", DomID(7).String())
-	}
-	if DomIDNone.String() != "dom-none" {
-		t.Fatalf("DomIDNone = %q", DomIDNone.String())
-	}
-	if Dom0.String() != "dom0" {
-		t.Fatalf("Dom0 = %q", Dom0.String())
+	for _, d := range []DomID{Dom0, 7, 4096, 0x7FFFFFFE, DomIDNone, 0xFFFFFFFF} {
+		want := "dom-none"
+		if d != DomIDNone {
+			want = fmt.Sprintf("dom%d", uint32(d))
+		}
+		if got := d.String(); got != want {
+			t.Errorf("DomID(%#x).String() = %q, want %q", uint32(d), got, want)
+		}
+		if got := string(d.AppendTo([]byte("id="))); got != "id="+want {
+			t.Errorf("DomID(%#x).AppendTo(\"id=\") = %q, want %q", uint32(d), got, "id="+want)
+		}
 	}
 }
 
