@@ -18,10 +18,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# lint runs the repo's own analyzers (internal/xoarlint): privilege-audit,
-# sim-determinism, shard-layering and error-wrapping invariants. The same
-# passes run inside `go test ./...` via xoarlint_test.go, so this target is
-# the fast, focused entry point.
+# lint runs the repo's own analyzers (internal/xoarlint, `xoarlint -list`
+# names them): privilege audits and privilege flow, audit logging, sim
+# determinism, goroutine hygiene, shard layering, error wrapping, metric
+# names and hot-path allocations. The same passes run inside
+# `go test ./...` via xoarlint_test.go, so this target is the fast, focused
+# entry point.
 lint:
 	$(GO) run ./cmd/xoarlint ./...
 

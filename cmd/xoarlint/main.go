@@ -18,6 +18,11 @@
 // hot-path allocation artifact built from //xoarlint:hot annotations (the
 // HOTPATH.json golden artifact).
 //
+// Packages are type-checked from source in import order, and code that
+// does not type-check is a load failure. The standard library is read from
+// the toolchain's export data, which needs the go command of the toolchain
+// that built xoarlint (found under its GOROOT); no network is used.
+//
 // Exit status: 0 clean, 1 violations, 2 load failure.
 package main
 

@@ -2,8 +2,10 @@ package xoarlint
 
 import (
 	"fmt"
-	"go/ast"
+	"go/constant"
+	"go/types"
 	"sort"
+	"strings"
 
 	"xoar/internal/capability"
 	"xoar/internal/xtypes"
@@ -17,7 +19,7 @@ import (
 //   - the declarative shard roles in internal/capability (which entry
 //     points each shard class invokes),
 //   - the §7.1 ring classification (internal/capability) and the Hyper*
-//     constant enumeration read from the internal/xtypes AST.
+//     constant enumeration read from the type-checked internal/xtypes.
 //
 // A shard's grant set is the union of privileges its declared operations
 // demand — plus the explicitly-rationalized non-hv grants — so the boot
@@ -188,65 +190,37 @@ func riskWeight(r capability.Ring) int {
 	return riskDeprivileged
 }
 
-// hyperConstants reads the Hypercall const block out of the internal/xtypes
-// AST: every identifier in the iota block typed Hypercall, mapped to its
-// value, excluding the NumHypercalls sentinel. Enumerating from source —
-// rather than hand-maintaining a parallel list — is what lets capgen fail
-// generation the moment a new constant lands without a ring classification.
+// hyperConstants reads the Hypercall constants of internal/xtypes from the
+// type checker: every package-level constant of type Hypercall declared in a
+// non-test file, mapped to its value, excluding the NumHypercalls sentinel.
+// Enumerating from source — rather than hand-maintaining a parallel list —
+// is what lets capgen fail generation the moment a new constant lands
+// without a ring classification.
 func hyperConstants(pkgs []*Package) (map[string]xtypes.Hypercall, error) {
 	for _, p := range pkgs {
-		if p.Path != xtypesPath {
+		if p.Path != xtypesPath || strings.HasSuffix(p.Name, "_test") {
 			continue
 		}
 		out := map[string]xtypes.Hypercall{}
-		for _, f := range p.Files {
-			if p.Test[f] {
+		for id, obj := range p.Info.Defs {
+			c, ok := obj.(*types.Const)
+			if !ok || id.Name == "NumHypercalls" || c.Parent() != c.Pkg().Scope() ||
+				types.TypeString(c.Type(), nil) != xtypesPath+".Hypercall" ||
+				strings.HasSuffix(p.Fset.Position(id.Pos()).Filename, "_test.go") {
 				continue
 			}
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok.String() != "const" {
-					continue
-				}
-				if !hypercallBlock(gd) {
-					continue
-				}
-				for i, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || len(vs.Names) != 1 {
-						continue
-					}
-					name := vs.Names[0].Name
-					if name == "NumHypercalls" {
-						continue
-					}
-					out[name] = xtypes.Hypercall(i)
-				}
-			}
+			v, _ := constant.Uint64Val(c.Val()) // exact: the checker fit it in a uint32
+			out[id.Name] = xtypes.Hypercall(v)
 		}
 		if len(out) == 0 {
-			return nil, fmt.Errorf("xoarlint: no Hypercall const block found in %s", xtypesPath)
+			return nil, fmt.Errorf("xoarlint: no Hypercall constants found in %s", xtypesPath)
 		}
-		// The AST enumeration and the compiled sentinel must agree, or the
-		// iota reconstruction above has drifted from the source layout.
+		// The source enumeration and the compiled sentinel must agree, or
+		// the analyzed source has drifted from the xtypes this binary holds.
 		if len(out) != int(xtypes.NumHypercalls) {
 			return nil, fmt.Errorf("xoarlint: enumerated %d Hypercall constants, compiled NumHypercalls is %d", len(out), xtypes.NumHypercalls)
 		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("xoarlint: %s not among the loaded packages", xtypesPath)
-}
-
-// hypercallBlock recognizes the const block whose first spec declares the
-// Hypercall type (`HyperSchedOp Hypercall = iota`).
-func hypercallBlock(gd *ast.GenDecl) bool {
-	if len(gd.Specs) == 0 {
-		return false
-	}
-	vs, ok := gd.Specs[0].(*ast.ValueSpec)
-	if !ok {
-		return false
-	}
-	id, ok := vs.Type.(*ast.Ident)
-	return ok && id.Name == "Hypercall"
 }

@@ -38,7 +38,7 @@ func runErrwrap(p *Package) []Diagnostic {
 				return true
 			}
 			x, ok := sel.X.(*ast.Ident)
-			if !ok || p.pkgPathOf(f, x) != "fmt" {
+			if !ok || p.pkgPathOf(x) != "fmt" {
 				return true
 			}
 			if len(call.Args) < 2 {
@@ -54,7 +54,7 @@ func runErrwrap(p *Package) []Diagnostic {
 			}
 			verbs := formatVerbs(format)
 			for i, arg := range call.Args[1:] {
-				name := sentinelName(p, f, arg)
+				name := sentinelName(p, arg)
 				if name == "" {
 					continue
 				}
@@ -75,13 +75,13 @@ func runErrwrap(p *Package) []Diagnostic {
 
 // sentinelName returns the Err* name if arg is a selector for an
 // xoar/internal/xtypes sentinel, else "".
-func sentinelName(p *Package, f *ast.File, arg ast.Expr) string {
+func sentinelName(p *Package, arg ast.Expr) string {
 	sel, ok := arg.(*ast.SelectorExpr)
 	if !ok || !strings.HasPrefix(sel.Sel.Name, "Err") {
 		return ""
 	}
 	x, ok := sel.X.(*ast.Ident)
-	if !ok || p.pkgPathOf(f, x) != "xoar/internal/xtypes" {
+	if !ok || p.pkgPathOf(x) != "xoar/internal/xtypes" {
 		return ""
 	}
 	return sel.Sel.Name

@@ -405,3 +405,92 @@ func TestHotpathCoroutineYieldNeedsPullOnlySeq(t *testing.T) {
 		"cannot resolve call through function value xoar/internal/sched.coro.yield",
 		"cannot prove iter.Pull allocation-free")
 }
+
+// reaches reports whether the root named root reached fn.
+func reaches(t *testing.T, p *Package, root, fn string) bool {
+	t.Helper()
+	for _, r := range BuildHotPath([]*Package{p}).Roots {
+		if r.Root == root {
+			return strings.Contains(strings.Join(r.Reachable, "\n"), fn)
+		}
+	}
+	t.Fatalf("root %s missing from artifact", root)
+	return false
+}
+
+// A func value redeclared in an inner block does not rebind the outer one:
+// the call after the block goes through d.fast, whose append is on the hot
+// path.
+func TestHotpathShadowedFuncValue(t *testing.T) {
+	src := `package dev
+
+type Dev struct {
+	x     bool
+	items []int
+}
+
+func (d *Dev) fast() { d.items = append(d.items, 1) }
+
+func (d *Dev) slow() {}
+
+//xoarlint:hot
+func (d *Dev) Run() {
+	f := d.fast
+	if d.x {
+		f := d.slow
+		_ = f
+	}
+	f()
+}
+`
+	p := loadSrc(t, "xoar/internal/dev", src)
+	wantDiags(t, diagsOf(t, "hotpath", p), "append may grow its backing array")
+	if !reaches(t, p, "xoar/internal/dev.Dev.Run", "xoar/internal/dev.Dev.fast") {
+		t.Error("Run did not reach Dev.fast through the outer f")
+	}
+}
+
+// A map declared under the same name in an inner block leaves the outer
+// slice alone: indexing the slice afterwards is not a map assignment.
+func TestHotpathShadowedSliceIsNotMap(t *testing.T) {
+	src := `package dev
+
+type Dev struct {
+	s []int
+	m map[int]int
+}
+
+//xoarlint:hot
+func (d *Dev) Put(k int) {
+	x := d.s
+	{
+		x := d.m
+		_ = x
+	}
+	x[k] = 1
+}
+`
+	p := loadSrc(t, "xoar/internal/dev", src)
+	wantDiags(t, diagsOf(t, "hotpath", p))
+}
+
+// A method promoted from an embedded struct resolves to the embedded
+// type's declaration, and its allocations are on the hot path.
+func TestHotpathPromotedMethod(t *testing.T) {
+	src := `package dev
+
+type base struct{ items []int }
+
+func (b *base) grow() { b.items = append(b.items, 1) }
+
+type Dev struct{ base }
+
+//xoarlint:hot
+func (d *Dev) Run() { d.grow() }
+`
+	p := loadSrc(t, "xoar/internal/dev", src)
+	wantDiags(t, diagsOf(t, "hotpath", p), "append may grow its backing array")
+	if !reaches(t, p, "xoar/internal/dev.Dev.Run", "xoar/internal/dev.base.grow") {
+		t.Error("Run did not reach the promoted base.grow")
+	}
+}

@@ -3,52 +3,37 @@ package xoarlint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // LoadModule walks the module rooted at (or above) dir and loads every
 // package under it. Vendored trees, testdata and dot-directories are skipped.
+// A type error anywhere in the module fails the load: no pass runs on
+// partial type information.
 func LoadModule(dir string) ([]*Package, error) {
-	root, modName, err := findModule(dir)
+	l, err := loadModuleTree(dir)
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor" || name == "node_modules") {
-			return filepath.SkipDir
-		}
-		units, err := loadDir(path, importPathFor(root, modName, path))
-		if err != nil {
-			return err
-		}
-		pkgs = append(pkgs, units...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pkgs, nil
+	return l.load(l.order...)
 }
 
 // LoadModuleDir loads the package units of a single directory, deriving the
-// import path from the enclosing module.
+// import path from the enclosing module. Its module imports are type-checked
+// from source, and a type error fails the load, as in LoadModule.
 func LoadModuleDir(dir string) ([]*Package, error) {
-	root, modName, err := findModule(dir)
+	l, err := loadModuleTree(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -56,14 +41,26 @@ func LoadModuleDir(dir string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadDir(dir, importPathFor(root, modName, abs))
+	path := importPathFor(l.root, l.module, abs)
+	if l.dirs[path] == nil {
+		if err := l.parseDir(abs, path); err != nil {
+			return nil, err
+		}
+	}
+	return l.load(path)
 }
 
 // LoadDir loads the package units in a single directory under the given
 // import path. The path override lets tests present synthetic sources as any
 // package identity ("xoar/internal/hv") without living in the module tree.
+// Standard-library imports resolve; any other import is an empty package,
+// and the type errors that follow are ignored.
 func LoadDir(dir, importPath string) ([]*Package, error) {
-	return loadDir(dir, importPath)
+	l := newLoader("", "")
+	if err := l.parseDir(dir, importPath); err != nil {
+		return nil, err
+	}
+	return l.load(importPath)
 }
 
 // findModule locates go.mod upward from dir and returns the module root and
@@ -98,22 +95,70 @@ func importPathFor(root, modName, dir string) string {
 	return modName + "/" + filepath.ToSlash(rel)
 }
 
-// loadDir parses the .go files of one directory into package units: the
-// package proper (with its in-package test files) and, when present, the
-// external _test package.
-func loadDir(dir, importPath string) ([]*Package, error) {
-	entries, err := os.ReadDir(dir)
+// loader parses package directories and type-checks them in import order.
+// It is the types.Importer of every check it runs: a parsed package is
+// checked from its non-test files on first import, the standard library
+// comes from the toolchain's export data, and anything else is an empty
+// package.
+type loader struct {
+	fset *token.FileSet
+	// module and root are empty when loading fixtures outside any module.
+	module, root string
+	// dirs holds the parsed units of each directory by import path, sorted
+	// by package name; order lists the import paths in walk order.
+	dirs  map[string][]*Package
+	order []string
+	// pkgs caches each imported package; nil marks a check in progress.
+	pkgs map[string]*types.Package
+	// exports maps each imported standard-library path to its export data.
+	exports map[string]string
+	std     types.Importer
+	// err is the first type error in a module package.
+	err error
+}
+
+func newLoader(module, root string) *loader {
+	return &loader{fset: token.NewFileSet(), module: module, root: root,
+		dirs: map[string][]*Package{}, pkgs: map[string]*types.Package{}}
+}
+
+// loadModuleTree parses every package directory of the module containing
+// dir.
+func loadModuleTree(dir string) (*loader, error) {
+	root, module, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	type unit struct {
-		files []*ast.File
-		test  map[*ast.File]bool
-		src   map[string][]byte
+	l := newLoader(module, root)
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor" || name == "node_modules") {
+			return filepath.SkipDir
+		}
+		return l.parseDir(path, importPathFor(root, module, path))
+	})
+	if err != nil {
+		return nil, err
 	}
-	units := map[string]*unit{} // by package name
-	var names []string
+	return l, nil
+}
+
+// parseDir parses the .go files of one directory into package units: the
+// package proper (with its in-package test files) and, when present, the
+// external _test package.
+func (l *loader) parseDir(dir, importPath string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	units := map[string]*Package{} // by package name
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -121,80 +166,196 @@ func loadDir(dir, importPath string) ([]*Package, error) {
 		fpath := filepath.Join(dir, e.Name())
 		src, err := os.ReadFile(fpath)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		f, err := parser.ParseFile(fset, fpath, src, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, fpath, src, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("xoarlint: %w", err)
+			return fmt.Errorf("xoarlint: %w", err)
 		}
-		name := f.Name.Name
-		u := units[name]
+		u := units[f.Name.Name]
 		if u == nil {
-			u = &unit{test: map[*ast.File]bool{}, src: map[string][]byte{}}
-			units[name] = u
-			names = append(names, name)
+			u = &Package{Name: f.Name.Name, Path: importPath, Dir: dir, Fset: l.fset,
+				Test: map[*ast.File]bool{}, Src: map[string][]byte{}}
+			units[f.Name.Name] = u
 		}
-		u.files = append(u.files, f)
-		u.src[fpath] = src
+		u.Files = append(u.Files, f)
+		u.Src[fpath] = src
 		if strings.HasSuffix(e.Name(), "_test.go") {
-			u.test[f] = true
+			u.Test[f] = true
 		}
 	}
-	sort.Strings(names)
-	var pkgs []*Package
-	for _, name := range names {
-		u := units[name]
-		p := typeCheck(fset, dir, importPath, name, u.files, u.test)
-		p.Src = u.src
-		pkgs = append(pkgs, p)
+	if len(units) == 0 {
+		return nil
 	}
-	return pkgs, nil
+	var pkgs []*Package
+	for _, u := range units {
+		pkgs = append(pkgs, u)
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Name < pkgs[j].Name })
+	l.dirs[importPath] = pkgs
+	l.order = append(l.order, importPath)
+	return nil
 }
 
-// typeCheck runs the go/types checker in best-effort mode: imports resolve to
-// empty stub packages and every error is swallowed. The point is not full
-// type safety (the compiler owns that) but the checker's name resolution —
-// Info.Uses distinguishes an identifier that names an imported package from
-// one shadowed by a local variable, which keeps the analyzers honest about
-// aliased and shadowed imports.
-func typeCheck(fset *token.FileSet, dir, importPath, name string, files []*ast.File, test map[*ast.File]bool) *Package {
-	info := &types.Info{
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+// load type-checks the units of the given import paths and returns them.
+func (l *loader) load(paths ...string) ([]*Package, error) {
+	if err := l.listStd(); err != nil {
+		return nil, err
 	}
-	conf := types.Config{
-		Importer:                 &stubImporter{pkgs: map[string]*types.Package{}},
-		Error:                    func(error) {}, // incomplete imports make errors inevitable
-		DisableUnusedImportCheck: true,
+	var out []*Package
+	for _, path := range paths {
+		for _, u := range l.dirs[path] {
+			l.checkUnit(u)
+			if l.err != nil {
+				return nil, l.err
+			}
+			out = append(out, u)
+		}
 	}
-	// The checked package's path must differ from any stub the importer hands
-	// back, so external test units keep their ".test" suffix internally.
-	checkPath := importPath
-	if strings.HasSuffix(name, "_test") {
+	return out, nil
+}
+
+// listStd finds the export data of every standard-library package the
+// parsed files import, with one `go list` run in GOROOT/src (where
+// go/importer runs its own per-package lookup), so no module path is ever
+// built.
+func (l *loader) listStd() error {
+	l.exports = map[string]string{}
+	seen := map[string]bool{}
+	var paths []string
+	for _, units := range l.dirs {
+		for _, u := range units {
+			for _, f := range u.Files {
+				for _, imp := range f.Imports {
+					path, err := strconv.Unquote(imp.Path.Value)
+					if err == nil && l.dirs[path] == nil && !seen[path] {
+						seen[path] = true
+						paths = append(paths, path)
+					}
+				}
+			}
+		}
+	}
+	if len(paths) == 0 {
+		return nil
+	}
+	sort.Strings(paths)
+	goroot := build.Default.GOROOT
+	cmd := exec.Command(filepath.Join(goroot, "bin", "go"), append([]string{"list", "-e", "-export",
+		"-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}"}, paths...)...)
+	cmd.Dir = filepath.Join(goroot, "src")
+	cmd.Env = append(os.Environ(), "PWD="+cmd.Dir, "GOROOT="+goroot)
+	out, err := cmd.Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
+			err = fmt.Errorf("%w: %s", err, ee.Stderr)
+		}
+		return fmt.Errorf("xoarlint: listing standard-library export data: %w", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, export, ok := strings.Cut(line, " "); ok {
+			l.exports[path] = export
+		}
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(l.exports[path])
+	})
+	return nil
+}
+
+// Import implements types.Importer for the checks the loader runs.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if l.dirs[path] != nil {
+		return l.importPkg(path)
+	}
+	if _, ok := l.exports[path]; ok {
+		return l.std.Import(path)
+	}
+	pkg := l.pkgs[path]
+	if pkg == nil {
+		pkg = types.NewPackage(path, path[strings.LastIndexByte(path, '/')+1:])
+		pkg.MarkComplete()
+		l.pkgs[path] = pkg
+	}
+	return pkg, nil
+}
+
+// importPkg checks the non-test files of a parsed package, once. When the
+// package has no in-package test files, the same check supplies its unit's
+// Info.
+func (l *loader) importPkg(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	var u *Package
+	for _, unit := range l.dirs[path] {
+		if !strings.HasSuffix(unit.Name, "_test") {
+			u = unit
+			break
+		}
+	}
+	if u == nil {
+		return nil, fmt.Errorf("%s has only test files", path)
+	}
+	l.pkgs[path] = nil
+	var files []*ast.File
+	for _, f := range u.Files {
+		if !u.Test[f] {
+			files = append(files, f)
+		}
+	}
+	var info *types.Info
+	if len(files) == len(u.Files) {
+		info = newInfo()
+		u.Info = info
+	}
+	pkg := l.check(path, files, info)
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// checkUnit gives a unit its Info: from the import check when the unit is
+// exactly the importable package, from a check of all its files otherwise.
+func (l *loader) checkUnit(u *Package) {
+	if u.Info == nil && len(u.Test) == 0 && !strings.HasSuffix(u.Name, "_test") {
+		_, _ = l.importPkg(u.Path) // cannot fail: u is importable, and no check is in progress
+	}
+	if u.Info != nil {
+		return
+	}
+	// An external test package is checked under its own path, so that the
+	// package under test it imports is a different package.
+	checkPath := u.Path
+	if strings.HasSuffix(u.Name, "_test") {
 		checkPath += ".test"
 	}
-	_, _ = conf.Check(checkPath, fset, files, info)
-	return &Package{Name: name, Path: importPath, Dir: dir, Fset: fset, Files: files, Test: test, Info: info}
+	u.Info = newInfo()
+	l.check(checkPath, u.Files, u.Info)
 }
 
-// stubImporter satisfies every import with an empty, complete package of the
-// right path and name. Member lookups against it fail (and are ignored), but
-// the qualifier identifier still resolves to a *types.PkgName.
-type stubImporter struct {
-	pkgs map[string]*types.Package
+// check type-checks one set of files. In a module the first error is kept
+// as the load error; fixtures outside a module import packages that do not
+// exist, so their errors are ignored.
+func (l *loader) check(path string, files []*ast.File, info *types.Info) *types.Package {
+	conf := types.Config{Importer: l}
+	if l.module == "" {
+		conf.Error = func(error) {}
+	}
+	pkg, err := conf.Check(path, l.fset, files, info)
+	if err != nil && l.module != "" && l.err == nil {
+		l.err = fmt.Errorf("xoarlint: %s does not type-check: %w", path, err)
+	}
+	return pkg
 }
 
-func (s *stubImporter) Import(path string) (*types.Package, error) {
-	if p, ok := s.pkgs[path]; ok {
-		return p, nil
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	name := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		name = path[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	s.pkgs[path] = p
-	return p, nil
 }

@@ -68,7 +68,7 @@ func runPrivcheck(p *Package) []Diagnostic {
 			if _, ok := privcheckAllowed[fn.Name.Name]; ok {
 				continue
 			}
-			domParams := domIDParams(p, f, fn)
+			domParams := domIDParams(p, fn)
 			if len(domParams) == 0 {
 				continue
 			}
@@ -108,13 +108,13 @@ func receiverName(fn *ast.FuncDecl, typeName string) string {
 }
 
 // domIDParams returns the names of parameters typed xtypes.DomID.
-func domIDParams(p *Package, f *ast.File, fn *ast.FuncDecl) map[string]bool {
-	return domIDFields(p, f, fn.Type.Params)
+func domIDParams(p *Package, fn *ast.FuncDecl) map[string]bool {
+	return domIDFields(p, fn.Type.Params)
 }
 
 // domIDFields is domIDParams over a bare parameter list — shared with
 // privflow's function-literal analysis, where there is no FuncDecl.
-func domIDFields(p *Package, f *ast.File, params *ast.FieldList) map[string]bool {
+func domIDFields(p *Package, params *ast.FieldList) map[string]bool {
 	out := map[string]bool{}
 	if params == nil {
 		return out
@@ -125,7 +125,7 @@ func domIDFields(p *Package, f *ast.File, params *ast.FieldList) map[string]bool
 			continue
 		}
 		x, ok := sel.X.(*ast.Ident)
-		if !ok || p.pkgPathOf(f, x) != "xoar/internal/xtypes" {
+		if !ok || p.pkgPathOf(x) != "xoar/internal/xtypes" {
 			continue
 		}
 		for _, n := range field.Names {

@@ -117,11 +117,10 @@ var domainStateFields = map[string]bool{
 	"ExitReason":    true,
 }
 
-// hvMethod is one method on *hv.Hypervisor, with the file it lives in (for
-// import resolution) and its xtypes.DomID parameters.
+// hvMethod is one method on *hv.Hypervisor, with its xtypes.DomID
+// parameters.
 type hvMethod struct {
 	fn   *ast.FuncDecl
-	file *ast.File
 	recv string
 	dom  map[string]bool
 }
@@ -143,7 +142,7 @@ func hypervisorMethods(p *Package) map[string]*hvMethod {
 			if recv == "" {
 				continue
 			}
-			out[fn.Name.Name] = &hvMethod{fn: fn, file: f, recv: recv, dom: domIDParams(p, f, fn)}
+			out[fn.Name.Name] = &hvMethod{fn: fn, recv: recv, dom: domIDParams(p, fn)}
 		}
 	}
 	return out
@@ -861,7 +860,7 @@ func (c *flow) hyperConst(fr *frame, e ast.Expr) string {
 		return ""
 	}
 	x, ok := sel.X.(*ast.Ident)
-	if !ok || c.p.pkgPathOf(fr.m.file, x) != "xoar/internal/xtypes" {
+	if !ok || c.p.pkgPathOf(x) != "xoar/internal/xtypes" {
 		return ""
 	}
 	if !strings.HasPrefix(sel.Sel.Name, "Hyper") {
@@ -955,7 +954,7 @@ func (c *flow) inlineLit(fr *frame, st *flowState, lit *ast.FuncLit, args []ast.
 	sub := c.litFrame(fr, lit)
 	i := 0
 	if lit.Type.Params != nil {
-		dom := domIDFields(c.p, fr.m.file, lit.Type.Params)
+		dom := domIDFields(c.p, lit.Type.Params)
 		for _, field := range lit.Type.Params.List {
 			for _, pname := range field.Names {
 				if i < len(args) {
@@ -997,7 +996,7 @@ func (c *flow) escapedLit(fr *frame, lit *ast.FuncLit) {
 	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
 
 	sub := c.litFrame(fr, lit)
-	for pn := range domIDFields(c.p, fr.m.file, lit.Type.Params) {
+	for pn := range domIDFields(c.p, lit.Type.Params) {
 		sub.binding[pn] = true
 	}
 	c.stmts(sub, newFlowState(), lit.Body.List)

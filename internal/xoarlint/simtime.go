@@ -66,7 +66,7 @@ func runSimtime(p *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			path := p.pkgPathOf(f, x)
+			path := p.pkgPathOf(x)
 			banned, ok := bannedCalls[path]
 			if !ok {
 				return true

@@ -49,7 +49,7 @@ func (d Diagnostic) String() string {
 }
 
 // Package is one loaded compilation unit: the files of a package (or of its
-// external _test package), parsed with comments and best-effort type-checked.
+// external _test package), parsed with comments and type-checked.
 type Package struct {
 	// Name is the package name as declared in source ("hv").
 	Name string
@@ -63,10 +63,11 @@ type Package struct {
 	Files []*ast.File
 	// Test marks files belonging to the test build (_test.go), keyed by file.
 	Test map[*ast.File]bool
-	// Info carries best-effort type information. Imports are resolved against
-	// stub packages, so cross-package object info is incomplete by design;
-	// analyzers use Info to resolve identifiers to imported package names and
-	// fall back to syntactic import tables when checking failed.
+	// Info carries the unit's type information: Types, Defs, Uses and
+	// Selections. Module imports are checked from source and the standard
+	// library comes from export data, so it is complete for module code,
+	// whose type errors fail the load. Fixtures loaded with LoadDir see
+	// their other imports as empty packages.
 	Info *types.Info
 	// Src holds the raw source by filename, used to classify suppression
 	// comments as standalone or trailing.
@@ -87,29 +88,10 @@ func (p *Package) Internal() bool {
 }
 
 // pkgPathOf resolves ident to the import path of the package it names, or ""
-// if it does not name a package. Type information is consulted first (which
-// also sees through shadowing); if checking failed for this file the syntactic
-// import table of the enclosing file is used.
-func (p *Package) pkgPathOf(file *ast.File, ident *ast.Ident) string {
-	if obj, ok := p.Info.Uses[ident]; ok {
-		if pn, ok := obj.(*types.PkgName); ok {
-			return pn.Imported().Path()
-		}
-		return "" // resolved to a non-package object (shadowed)
-	}
-	// Fallback: match against the file's import declarations.
-	for _, imp := range file.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path
-		if i := strings.LastIndexByte(path, '/'); i >= 0 {
-			name = path[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == ident.Name {
-			return path
-		}
+// if it does not name a package (including a local that shadows an import).
+func (p *Package) pkgPathOf(ident *ast.Ident) string {
+	if pn, ok := p.Info.Uses[ident].(*types.PkgName); ok {
+		return pn.Imported().Path()
 	}
 	return ""
 }

@@ -343,6 +343,32 @@ func TestLoadModuleFindsThisPackage(t *testing.T) {
 	}
 }
 
+// Module code that does not type-check fails the load, naming the first
+// type error's file and line, so no pass runs on partial type information.
+func TestLoadModuleFailsOnTypeError(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module broken\n\ngo 1.22\n",
+		"bad.go": "package broken\n\nvar n int = \"x\"\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, load := range map[string]func(string) ([]*Package, error){
+		"LoadModule": LoadModule, "LoadModuleDir": LoadModuleDir,
+	} {
+		pkgs, err := load(dir)
+		if err == nil {
+			t.Errorf("%s loaded %d units of a module that does not type-check", name, len(pkgs))
+			continue
+		}
+		if !strings.Contains(err.Error(), "bad.go:3:") {
+			t.Errorf("%s error %q does not name bad.go:3", name, err)
+		}
+	}
+}
+
 // --- gohygiene ---------------------------------------------------------------
 
 func TestGohygieneFlagsBareGoStatement(t *testing.T) {
