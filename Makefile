@@ -19,9 +19,10 @@ fmt:
 	fi
 
 # lint runs the repo's own analyzers (internal/xoarlint, `xoarlint -list`
-# names them): privilege audits and privilege flow, audit logging, sim
-# determinism, goroutine hygiene, shard layering, error wrapping, metric
-# names and hot-path allocations. The same passes run inside
+# names them): privilege flow (every hv entry point audits its caller, and
+# the audit dominates every mutation), audit logging, sim determinism,
+# goroutine hygiene, shard layering, error wrapping and denial counting,
+# metric names and hot-path allocations. The same passes run inside
 # `go test ./...` via xoarlint_test.go, so this target is the fast, focused
 # entry point.
 lint:

@@ -3,6 +3,8 @@ package attack
 import (
 	"reflect"
 	"testing"
+
+	"xoar/internal/xtypes"
 )
 
 // FuzzHypercallSequence is the native-fuzzing entry point: raw fuzz bytes
@@ -234,6 +236,55 @@ func TestOracleDetectsStockXen(t *testing.T) {
 		if escalations == 0 {
 			t.Errorf("case %d (%v): oracle raised no escalation against stock-Xen semantics; findings: %v",
 				i, seq.Persona, res.Findings)
+		}
+	}
+}
+
+// TestOracleCountsDenialsExactlyOnce is the denial oracle's sensitivity
+// check in both directions: a permission-class refusal that leaves
+// DeniedCalls alone is a silent denial, and a call that moves it by more
+// than its own refusal is a miscounted one.
+func TestOracleCountsDenialsExactlyOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		rig  func(ha *Harness)
+		seq  Sequence
+		kind string
+	}{
+		{
+			// An injected ErrPerm reaches the caller without passing deny.
+			name: "uncounted refusal",
+			rig: func(ha *Harness) {
+				ha.H.Fault = func(op string, caller, target xtypes.DomID) error {
+					if op == "domctl_create" {
+						return xtypes.ErrPerm
+					}
+					return nil
+				}
+			},
+			seq:  Sequence{Persona: PersonaBuilder, Calls: []Call{{Op: OpCreateDomain, Target: TSelf}}},
+			kind: KindSilentDenial,
+		},
+		{
+			// A teardown hook's refusal is charged to the destroy that ran it.
+			name: "hook refusal",
+			rig: func(ha *Harness) {
+				ha.H.OnDestroy(func(xtypes.DomID) { _ = ha.H.DebugOp(ha.Mallory) })
+			},
+			seq:  Sequence{Persona: PersonaToolstack, Calls: []Call{{Op: OpDestroyDomain, Target: TVictimA}}},
+			kind: KindMiscountedDenial,
+		},
+	}
+	for _, tc := range cases {
+		ha, err := NewHarness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.rig(ha)
+		res := ha.Run(tc.seq)
+		ha.Close()
+		if len(res.Findings) != 1 || res.Findings[0].Kind != tc.kind {
+			t.Errorf("%s: findings = %v, want one %s", tc.name, res.Findings, tc.kind)
 		}
 	}
 }

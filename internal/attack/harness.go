@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 
 	"xoar/internal/audit"
@@ -33,13 +32,14 @@ type Finding struct {
 
 // Finding kinds.
 const (
-	KindEscalation   = "escalation"     // success not covered by the manifest model
-	KindSilentDenial = "silent-denial"  // ErrPerm-class refusal without a DeniedCalls tick
-	KindMissingAudit = "missing-audit"  // topology change without its audit record
-	KindAuditChain   = "audit-chain"    // hash chain no longer verifies
-	KindHostCrash    = "host-crash"     // a persona took the whole host down
-	KindOrphanedTree = "orphan-subtree" // /local/domain/<id> survived its domain
-	KindPanic        = "panic"          // the hypervisor model panicked
+	KindEscalation       = "escalation"        // success not covered by the manifest model
+	KindSilentDenial     = "silent-denial"     // ErrPerm-class refusal without a DeniedCalls tick
+	KindMiscountedDenial = "miscounted-denial" // DeniedCalls moved by more than the call's own denial
+	KindMissingAudit     = "missing-audit"     // topology change without its audit record
+	KindAuditChain       = "audit-chain"       // hash chain no longer verifies
+	KindHostCrash        = "host-crash"        // a persona took the whole host down
+	KindOrphanedTree     = "orphan-subtree"    // /local/domain/<id> survived its domain
+	KindPanic            = "panic"             // the hypervisor model panicked
 )
 
 func (f Finding) String() string {
@@ -445,14 +445,6 @@ func (ha *Harness) Run(seq Sequence) Result {
 	return res
 }
 
-// isDenial classifies permission-class refusals, which the audit invariant
-// says must tick hv.DeniedCalls.
-func isDenial(err error) bool {
-	return errors.Is(err, xtypes.ErrPerm) ||
-		errors.Is(err, xtypes.ErrNotDelegated) ||
-		errors.Is(err, xtypes.ErrNotShard)
-}
-
 func (ha *Harness) exec(p *sim.Proc, m *model, idx int, c Call, res *Result) {
 	h := ha.H
 	target := ha.resolveTarget(m, c.Target)
@@ -567,14 +559,24 @@ func (ha *Harness) exec(p *sim.Proc, m *model, idx int, c Call, res *Result) {
 	}
 
 	res.Attempted++
-	if err != nil && isDenial(err) {
+	// An hv call moves DeniedCalls by exactly one when it is refused with a
+	// permission-class error and by zero otherwise, so a refusal counted
+	// twice, or one a teardown hook issues during the call, is a finding.
+	want := 0
+	if err != nil && xtypes.IsDenial(err) {
 		res.Denied++
-		if hvCall && h.DeniedCalls == deniedBefore {
-			res.Findings = append(res.Findings, Finding{
-				Index: idx, Call: c, Kind: KindSilentDenial,
-				Detail: fmt.Sprintf("refused with %v but DeniedCalls did not move", err),
-			})
-		}
+		want = 1
+	}
+	if moved := h.DeniedCalls - deniedBefore; hvCall && moved < want {
+		res.Findings = append(res.Findings, Finding{
+			Index: idx, Call: c, Kind: KindSilentDenial,
+			Detail: fmt.Sprintf("refused with %v but DeniedCalls did not move", err),
+		})
+	} else if hvCall && moved > want {
+		res.Findings = append(res.Findings, Finding{
+			Index: idx, Call: c, Kind: KindMiscountedDenial,
+			Detail: fmt.Sprintf("DeniedCalls moved by %d, want %d (err: %v)", moved, want, err),
+		})
 	}
 	if err == nil {
 		if claims && !allowed {

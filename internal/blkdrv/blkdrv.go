@@ -329,34 +329,6 @@ func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 	return nil
 }
 
-// WatchAndServe runs BlkBack's autonomous event loop, the blkback
-// counterpart of netback's (§4.5.1): it watches for frontend vbd
-// advertisements in XenStore and completes the handshake when one appears.
-func (b *Backend) WatchAndServe(p *sim.Proc) {
-	if err := b.XS.Watch("/local", "blkback-frontends"); err != nil {
-		return
-	}
-	for {
-		ev, ok := b.XS.WaitWatch(p)
-		if !ok {
-			return
-		}
-		var g uint32
-		var rest string
-		if n, _ := fmt.Sscanf(ev.Path, "/local/domain/%d/device/vbd/0/%s", &g, &rest); n != 2 || rest != "ring-ref" {
-			continue
-		}
-		guest := xtypes.DomID(g)
-		v, exists := b.vbds[guest]
-		if !exists || v.connected {
-			continue
-		}
-		if err := b.AcceptConnection(p, guest); err != nil {
-			continue
-		}
-	}
-}
-
 // startWorker spawns the per-queue request-service loops. Each drains its
 // ring in bursts: one batch charge plus a per-descriptor increment, disk
 // ops in order, and a completion pushed as each finishes so the frontend

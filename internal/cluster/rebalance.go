@@ -9,16 +9,6 @@ import (
 	"xoar/internal/toolstack"
 )
 
-// RebalanceConfig tunes the fleet rebalancer.
-type RebalanceConfig struct {
-	// Interval between rebalance scans. Default 5s.
-	Interval sim.Duration
-	// MinGapMB is the smallest free-memory gap between the fullest and
-	// emptiest host worth a migration; below it the fleet is considered
-	// balanced. Default 512.
-	MinGapMB int
-}
-
 // RebalanceOnce scans the fleet and, if the fullest and emptiest hosts differ
 // by at least minGapMB of free memory, live-migrates one guest from the hot
 // host to the cold one. It reports whether a migration was attempted.
@@ -102,22 +92,4 @@ func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	c.m.Histogram("cluster_migration_downtime_ms", telemetry.LatencyMSBuckets).
 		Observe(float64(res.Downtime) / float64(sim.Millisecond))
 	return nil
-}
-
-// StartRebalancer spawns the periodic rebalance loop; the returned proc runs
-// until killed or env shutdown.
-func (c *Cluster) StartRebalancer(cfg RebalanceConfig) *sim.Proc {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * sim.Second
-	}
-	return c.Env.Spawn("cluster-rebalancer", func(p *sim.Proc) {
-		for {
-			p.Sleep(cfg.Interval)
-			if _, err := c.RebalanceOnce(p, cfg.MinGapMB); err != nil {
-				// A lost race with guest churn (destroyed mid-selection) is
-				// normal under load; the next scan re-evaluates from scratch.
-				continue
-			}
-		}
-	})
 }

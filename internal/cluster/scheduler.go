@@ -64,12 +64,3 @@ func (Spread) Choose(loads []Load, memMB int) int {
 	}
 	return best
 }
-
-// PolicyByName maps a CLI flag value to a policy; unknown names fall back to
-// Spread.
-func PolicyByName(name string) Policy {
-	if name == "binpack" {
-		return BinPack{}
-	}
-	return Spread{}
-}

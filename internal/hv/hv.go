@@ -190,7 +190,7 @@ type Hypervisor struct {
 	// (e.g. the console VIRQ to Dom0 or the Console Manager, §5.8).
 	virqRoutes map[xtypes.VIRQ]xtypes.DomID
 
-	// Counters for experiments.
+	// Counters for experiments. Only deny writes DeniedCalls.
 	HypercallCount map[xtypes.Hypercall]int
 	DeniedCalls    int
 }
@@ -274,8 +274,39 @@ func (h *Hypervisor) check(caller xtypes.DomID, hc xtypes.Hypercall) (*Domain, e
 	if d.priv.ControlAll || d.priv.Hypercalls[hc] {
 		return d, nil
 	}
-	h.DeniedCalls++
-	return nil, fmt.Errorf("hv: %v by %v(%s): %w", hc, caller, d.Name, xtypes.ErrPerm)
+	return nil, h.deny(fmt.Errorf("hv: %v by %v(%s): %w", hc, caller, d.Name, xtypes.ErrPerm))
+}
+
+// deny is the one place refusals are counted: it bumps DeniedCalls when err
+// is a permission-class refusal (xtypes.IsDenial) and returns err unchanged.
+// The grant and event-channel tables' object-level refusals (someone else's
+// grant ref, a port reserved for another domain) pass through it too: left
+// uncounted, they let an attacker sweep both tables without a trace (found
+// by the hypercall-sequence fuzzer). A denial adds no audit record.
+func (h *Hypervisor) deny(err error) error {
+	// The nil test keeps the success path of every grant and notify to one
+	// comparison; IsDenial would make three errors.Is calls.
+	if err != nil && xtypes.IsDenial(err) {
+		h.DeniedCalls++
+	}
+	return err
+}
+
+// gate is the prologue of every management hypercall: caller must be
+// whitelisted for hc, target must be live, and caller must control it.
+// It returns the target domain.
+func (h *Hypervisor) gate(caller xtypes.DomID, hc xtypes.Hypercall, target xtypes.DomID) (*Domain, error) {
+	if _, err := h.check(caller, hc); err != nil {
+		return nil, err
+	}
+	d, err := h.Domain(target)
+	if err != nil {
+		return nil, err
+	}
+	if !h.controls(caller, d) {
+		return nil, h.deny(fmt.Errorf("hv: %v on %v by %v: %w", hc, target, caller, xtypes.ErrPerm))
+	}
+	return d, nil
 }
 
 // controls reports whether caller holds management rights over target:
@@ -353,16 +384,9 @@ func (h *Hypervisor) CreateDomain(caller xtypes.DomID, cfg DomainConfig) (*Domai
 
 // Unpause starts a created or paused domain.
 func (h *Hypervisor) Unpause(caller, target xtypes.DomID) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlUnpause); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.gate(caller, xtypes.HyperDomctlUnpause, target)
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unpause %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	d.State = StateRunning
 	h.emit("unpause", target, "")
@@ -371,16 +395,9 @@ func (h *Hypervisor) Unpause(caller, target xtypes.DomID) error {
 
 // Pause stops a running domain.
 func (h *Hypervisor) Pause(caller, target xtypes.DomID) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlPause); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.gate(caller, xtypes.HyperDomctlPause, target)
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: pause %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	d.State = StatePaused
 	h.emit("pause", target, "")
@@ -392,16 +409,9 @@ func (h *Hypervisor) Pause(caller, target xtypes.DomID) error {
 // to the free pool, and destroy hooks run. If the domain was Critical the
 // host crashes — the stock-Xen behaviour Xoar removes for its boot shards.
 func (h *Hypervisor) DestroyDomain(caller, target xtypes.DomID, reason string) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlDestroy); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.gate(caller, xtypes.HyperDomctlDestroy, target)
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: destroy %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	return h.destroy(d, reason)
 }
@@ -472,16 +482,8 @@ func (h *Hypervisor) SelfExit(caller xtypes.DomID) error {
 
 // SetMaxMem resizes a domain's reservation.
 func (h *Hypervisor) SetMaxMem(caller, target xtypes.DomID, memMB int) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlMaxMem); err != nil {
+	if _, err := h.gate(caller, xtypes.HyperDomctlMaxMem, target); err != nil {
 		return err
-	}
-	d, err := h.Domain(target)
-	if err != nil {
-		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: setmaxmem %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	return h.MM.SetMaxMem(target, memMB)
 }

@@ -1,7 +1,6 @@
 package hv
 
 import (
-	"errors"
 	"fmt"
 
 	"xoar/internal/grant"
@@ -37,8 +36,7 @@ func (h *Hypervisor) AssignPrivileges(caller, target xtypes.DomID, a Assignment)
 	// shard concept and Dom0 takes everything.
 	needsPriv := a.ControlAll || len(a.Hypercalls) > 0 || len(a.PCIDevices) > 0 || len(a.DelegateTo) > 0
 	if h.EnforceShardIVC && needsPriv && !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: privileges for non-shard %v(%s): %w", target, d.Name, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: privileges for non-shard %v(%s): %w", target, d.Name, xtypes.ErrNotShard))
 	}
 	for _, addr := range a.PCIDevices {
 		if err := h.Machine.Bus.Assign(addr, target); err != nil {
@@ -68,20 +66,12 @@ func (h *Hypervisor) AssignPrivileges(caller, target xtypes.DomID, a Assignment)
 // Delegate grants admin rights over shard to grantee at runtime; the caller
 // must itself control the shard. Requires HyperDelegateAdmin.
 func (h *Hypervisor) Delegate(caller, shard, grantee xtypes.DomID) error {
-	if _, err := h.check(caller, xtypes.HyperDelegateAdmin); err != nil {
-		return err
-	}
-	d, err := h.Domain(shard)
+	d, err := h.gate(caller, xtypes.HyperDelegateAdmin, shard)
 	if err != nil {
 		return err
 	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: delegate %v by %v: %w", shard, caller, xtypes.ErrPerm)
-	}
 	if !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: delegate non-shard %v: %w", shard, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: delegate non-shard %v: %w", shard, xtypes.ErrNotShard))
 	}
 	d.delegates[grantee] = true
 	h.emit("delegate", shard, grantee.String())
@@ -133,8 +123,7 @@ func (h *Hypervisor) LinkShardClient(caller, shard, guest xtypes.DomID) error {
 		return err
 	}
 	if h.EnforceShardIVC && !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: link client to non-shard %v: %w", shard, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: link client to non-shard %v: %w", shard, xtypes.ErrNotShard))
 	}
 	// A shard may not curate its own client list: controls() counts every
 	// domain as controlling itself, but link rights belong to an external
@@ -144,12 +133,10 @@ func (h *Hypervisor) LinkShardClient(caller, shard, guest xtypes.DomID) error {
 	// hypercall-sequence fuzzer. Only meaningful under the Xoar IVC policy:
 	// monolithic Dom0 is both toolstack and backend and links to itself.
 	if h.EnforceShardIVC && caller == shard && caller != SystemCaller {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: link %v->%v by the shard itself: %w", guest, shard, xtypes.ErrPerm)
+		return h.deny(fmt.Errorf("hv: link %v->%v by the shard itself: %w", guest, shard, xtypes.ErrPerm))
 	}
 	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: link %v->%v by %v: %w", guest, shard, caller, xtypes.ErrNotDelegated)
+		return h.deny(fmt.Errorf("hv: link %v->%v by %v: %w", guest, shard, caller, xtypes.ErrNotDelegated))
 	}
 	d.clients[guest] = true
 	h.emit("link-shard", shard, guest.String())
@@ -168,19 +155,16 @@ func (h *Hypervisor) UnlinkShardClient(caller, shard, guest xtypes.DomID) error 
 	// DependentsOf interval bookkeeping (found by the hypercall-sequence
 	// fuzzer).
 	if h.EnforceShardIVC && !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unlink client from non-shard %v: %w", shard, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: unlink client from non-shard %v: %w", shard, xtypes.ErrNotShard))
 	}
 	// Same self-control exclusion as LinkShardClient: a compromised shard
 	// unlinking its own clients would close their audit exposure windows,
 	// hiding the compromise interval from DependentsOf.
 	if h.EnforceShardIVC && caller == shard && caller != SystemCaller {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unlink %v->%v by the shard itself: %w", guest, shard, xtypes.ErrPerm)
+		return h.deny(fmt.Errorf("hv: unlink %v->%v by the shard itself: %w", guest, shard, xtypes.ErrPerm))
 	}
 	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unlink %v->%v by %v: %w", guest, shard, caller, xtypes.ErrPerm)
+		return h.deny(fmt.Errorf("hv: unlink %v->%v by %v: %w", guest, shard, caller, xtypes.ErrPerm))
 	}
 	delete(d.clients, guest)
 	// The log's interval index keys on this record to close the guest's
@@ -219,11 +203,9 @@ func (h *Hypervisor) ivcAllowed(a, b xtypes.DomID) error {
 		// Guest↔guest probes are denials too: leaving them uncounted let an
 		// adversarial guest sweep the IVC surface without a trace in the
 		// denial counter (found by the hypercall-sequence fuzzer).
-		h.DeniedCalls++
-		return fmt.Errorf("hv: ivc %v<->%v between non-shards: %w", a, b, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: ivc %v<->%v between non-shards: %w", a, b, xtypes.ErrNotShard))
 	}
-	h.DeniedCalls++
-	return fmt.Errorf("hv: ivc %v<->%v: %w", a, b, xtypes.ErrNotDelegated)
+	return h.deny(fmt.Errorf("hv: ivc %v<->%v: %w", a, b, xtypes.ErrNotDelegated))
 }
 
 // RevokeHypercall removes a previously permitted hypercall from target's
@@ -233,16 +215,9 @@ func (h *Hypervisor) ivcAllowed(a, b xtypes.DomID) error {
 // wins over the manifest: the whitelist consulted at dispatch time is the
 // domain's live privilege set, not the generated artifact.
 func (h *Hypervisor) RevokeHypercall(caller, target xtypes.DomID, hc xtypes.Hypercall) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlPriv); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.gate(caller, xtypes.HyperDomctlPriv, target)
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: revoke %v from %v by %v: %w", hc, target, caller, xtypes.ErrPerm)
 	}
 	delete(d.priv.Hypercalls, hc)
 	h.emit("revoke-hypercall", target, hc.String())
@@ -252,19 +227,6 @@ func (h *Hypervisor) RevokeHypercall(caller, target xtypes.DomID, hc xtypes.Hype
 // --- guarded grant operations ---------------------------------------------
 
 // Grant exports one of caller's pages to grantee, subject to the IVC policy.
-// countDenied mirrors a subsystem's object-level refusal (mapping someone
-// else's grant ref, binding a port reserved for another domain) into the
-// hypervisor's denial counter. Before this, such probes were invisible to
-// DeniedCalls — an attacker could sweep the grant table and event-channel
-// space without a trace in the denial metric (found by the
-// hypercall-sequence fuzzer).
-func (h *Hypervisor) countDenied(err error) error {
-	if err != nil && errors.Is(err, xtypes.ErrPerm) {
-		h.DeniedCalls++
-	}
-	return err
-}
-
 func (h *Hypervisor) Grant(caller, grantee xtypes.DomID, pfn xtypes.PFN, readOnly bool) (xtypes.GrantRef, error) {
 	if _, err := h.check(caller, xtypes.HyperGrantTableOp); err != nil {
 		return xtypes.GrantRefInvalid, err
@@ -273,7 +235,7 @@ func (h *Hypervisor) Grant(caller, grantee xtypes.DomID, pfn xtypes.PFN, readOnl
 		return xtypes.GrantRefInvalid, err
 	}
 	ref, err := h.Grants.Grant(caller, grantee, pfn, readOnly)
-	return ref, h.countDenied(err)
+	return ref, h.deny(err)
 }
 
 // GrantFor creates a grant on behalf of owner — the Builder's extra VM-build
@@ -296,7 +258,7 @@ func (h *Hypervisor) MapGrant(caller, owner xtypes.DomID, ref xtypes.GrantRef, w
 	}
 	m, err := h.Grants.Map(caller, owner, ref, write)
 	if err != nil {
-		return nil, h.countDenied(err)
+		return nil, h.deny(err)
 	}
 	if err := h.MM.MapForeign(caller, owner, m.Entry().PFN); err != nil {
 		m.Unmap()
@@ -336,7 +298,7 @@ func (h *Hypervisor) EvtchnAllocUnbound(caller, remote xtypes.DomID) (xtypes.Por
 		return xtypes.PortInvalid, err
 	}
 	port, err := h.Evtchn.AllocUnbound(caller, remote)
-	return port, h.countDenied(err)
+	return port, h.deny(err)
 }
 
 // EvtchnBind binds to a remote unbound port, subject to the IVC policy.
@@ -348,7 +310,7 @@ func (h *Hypervisor) EvtchnBind(caller, remoteDom xtypes.DomID, remotePort xtype
 		return xtypes.PortInvalid, err
 	}
 	port, err := h.Evtchn.BindInterdomain(caller, remoteDom, remotePort)
-	return port, h.countDenied(err)
+	return port, h.deny(err)
 }
 
 // EvtchnNotify signals through a bound port.
@@ -356,7 +318,7 @@ func (h *Hypervisor) EvtchnNotify(caller xtypes.DomID, port xtypes.Port) error {
 	if _, err := h.check(caller, xtypes.HyperEvtchnOp); err != nil {
 		return err
 	}
-	return h.countDenied(h.Evtchn.Notify(caller, port))
+	return h.deny(h.Evtchn.Notify(caller, port))
 }
 
 // --- foreign mapping ---------------------------------------------------------
@@ -365,16 +327,8 @@ func (h *Hypervisor) EvtchnNotify(caller xtypes.DomID, port xtypes.Port) error {
 // Dom0-style path; it requires HyperMapForeign plus control over the target.
 // Deprivileged components use grants instead.
 func (h *Hypervisor) MapForeign(caller, target xtypes.DomID, pfn xtypes.PFN) error {
-	if _, err := h.check(caller, xtypes.HyperMapForeign); err != nil {
+	if _, err := h.gate(caller, xtypes.HyperMapForeign, target); err != nil {
 		return err
-	}
-	d, err := h.Domain(target)
-	if err != nil {
-		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: map foreign %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	return h.MM.MapForeign(caller, target, pfn)
 }
@@ -382,7 +336,7 @@ func (h *Hypervisor) MapForeign(caller, target xtypes.DomID, pfn xtypes.PFN) err
 // UnmapForeign releases a privileged mapping. Like MapForeign it requires
 // HyperMapForeign: a domain that cannot map foreign memory has no business
 // tearing down someone else's mappings either (the asymmetry was a forgotten
-// audit, caught by privcheck).
+// audit, caught by xoarlint).
 func (h *Hypervisor) UnmapForeign(caller, target xtypes.DomID) error {
 	if _, err := h.check(caller, xtypes.HyperMapForeign); err != nil {
 		return err
@@ -420,16 +374,9 @@ func (h *Hypervisor) InjectHardwareVIRQ(virq xtypes.VIRQ) {
 // GrantIOPorts gives target access to a named I/O-port range. Requires
 // HyperIOPortAccess and control over target.
 func (h *Hypervisor) GrantIOPorts(caller, target xtypes.DomID, rangeName string) error {
-	if _, err := h.check(caller, xtypes.HyperIOPortAccess); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.gate(caller, xtypes.HyperIOPortAccess, target)
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: ioports %q to %v by %v: %w", rangeName, target, caller, xtypes.ErrPerm)
 	}
 	d.ioPorts[rangeName] = true
 	h.emit("grant-ioports", target, rangeName)
@@ -464,8 +411,7 @@ func (h *Hypervisor) VMSnapshot(caller xtypes.DomID) error {
 	// corrupted image, after which every microreboot faithfully restores
 	// the compromise — found by the hypercall-sequence fuzzer.
 	if d.Mem.Snapshot() != nil {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: re-snapshot of %v(%s): %w", caller, d.Name, xtypes.ErrPerm)
+		return h.deny(fmt.Errorf("hv: re-snapshot of %v(%s): %w", caller, d.Name, xtypes.ErrPerm))
 	}
 	d.Mem.TakeSnapshot()
 	h.emit("snapshot", caller, fmt.Sprintf("%d pages", d.Mem.Snapshot().Pages()))
@@ -475,16 +421,9 @@ func (h *Hypervisor) VMSnapshot(caller xtypes.DomID) error {
 // VMRollback rolls target back to its snapshot, returning the number of
 // restored pages. Requires HyperVMRollback and control over target.
 func (h *Hypervisor) VMRollback(caller, target xtypes.DomID) (int, error) {
-	if _, err := h.check(caller, xtypes.HyperVMRollback); err != nil {
-		return 0, err
-	}
-	d, err := h.Domain(target)
+	d, err := h.gate(caller, xtypes.HyperVMRollback, target)
 	if err != nil {
 		return 0, err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return 0, fmt.Errorf("hv: rollback %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	if err := h.injectFault("vm_rollback", caller, target); err != nil {
 		return 0, fmt.Errorf("hv: rollback %v: %w", target, err)
@@ -501,7 +440,7 @@ func (h *Hypervisor) VMRollback(caller, target xtypes.DomID) (int, error) {
 // survives rollback (§3.3). It is part of the snapshot protocol and requires
 // HyperVMSnapshot, the same whitelist entry as VMSnapshot itself — a domain
 // not enrolled in microreboots has no snapshot for a box to survive (this
-// audit was missing; caught by privcheck).
+// audit was missing; caught by xoarlint).
 func (h *Hypervisor) RegisterRecoveryBox(caller xtypes.DomID, start xtypes.PFN, count int) error {
 	d, err := h.check(caller, xtypes.HyperVMSnapshot)
 	if err != nil {

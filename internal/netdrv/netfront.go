@@ -160,23 +160,6 @@ func (f *Frontend) Recv(p *sim.Proc) (Packet, error) {
 	}
 }
 
-// TryRecv is Recv without blocking, scanning every queue once.
-func (f *Frontend) TryRecv(p *sim.Proc) (Packet, bool) {
-	if f.v == nil {
-		return Packet{}, false
-	}
-	for _, q := range f.v.queues {
-		if q.rx.Broken() {
-			return Packet{}, false
-		}
-		if pkt, ok := q.rx.TryPopRequest(); ok {
-			f.recvOne(p, q, pkt)
-			return pkt, true
-		}
-	}
-	return Packet{}, false
-}
-
 // Send transmits a packet on its flow's queue, blocking while that tx ring
 // is full and reaping acknowledgements. Returns an error on disconnect.
 func (f *Frontend) Send(p *sim.Proc, bytes int, seq int64) error {

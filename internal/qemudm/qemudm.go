@@ -95,18 +95,6 @@ func (q *QemuVM) DiskRead(p *sim.Proc, bytes int, sequential bool) error {
 	return q.Blk.Read(p, bytes, sequential)
 }
 
-// NetSend emulates a NIC transmit and forwards it through the PV net
-// frontend.
-func (q *QemuVM) NetSend(p *sim.Proc, bytes int, seq int64) error {
-	if err := q.emulate(p, q.Guest, bytes); err != nil {
-		return err
-	}
-	if q.Net == nil {
-		return fmt.Errorf("qemudm: no net path: %w", xtypes.ErrInvalid)
-	}
-	return q.Net.Send(p, bytes, seq)
-}
-
 // AttemptEscape models a compromised device model trying to use its DMA
 // privileges against a *different* guest. It must always fail with ErrPerm —
 // the assertion behind the device-emulation rows of §6.2.1. It returns the

@@ -129,12 +129,6 @@ type BuildConfig struct {
 	NFS bool
 }
 
-// DefaultBuild is a calibrated 2.6-series kernel build: ~330s locally on the
-// 2-vCPU guest.
-func DefaultBuild(nfs bool) BuildConfig {
-	return BuildConfig{Steps: 1650, Jobs: 2, NFS: nfs}
-}
-
 // Build-cost model.
 const (
 	kbCPUPerStep    = 400 * sim.Millisecond

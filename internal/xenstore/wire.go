@@ -83,7 +83,6 @@ type Server struct {
 	dom      xtypes.DomID // the serving (Logic) domain
 	cpu      Computer
 	Handled  int64
-	procs    []*sim.Proc
 	eventing bool
 }
 
@@ -110,7 +109,7 @@ func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Clie
 	conn := s.logic.Connect(client, privileged)
 
 	// Request pump: pop, charge CPU, dispatch, reply.
-	s.procs = append(s.procs, env.Spawn(fmt.Sprintf("xenstored-%v", client), func(p *sim.Proc) {
+	env.Spawn(fmt.Sprintf("xenstored-%v", client), func(p *sim.Proc) {
 		for {
 			req, err := tr.req.PopRequest(p)
 			if err != nil {
@@ -134,9 +133,9 @@ func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Clie
 					Observe(float64(p.Now().Sub(start)) / float64(sim.Microsecond))
 			}
 		}
-	}))
+	})
 	// Event pump: forward watch firings as unsolicited messages.
-	s.procs = append(s.procs, env.Spawn(fmt.Sprintf("xenstored-events-%v", client), func(p *sim.Proc) {
+	env.Spawn(fmt.Sprintf("xenstored-events-%v", client), func(p *sim.Proc) {
 		for {
 			ev, ok := conn.Events.Recv(p)
 			if !ok {
@@ -153,15 +152,8 @@ func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Clie
 				}
 			}
 		}
-	}))
+	})
 	return &Client{dom: client, tr: tr, env: env}
-}
-
-// Stop kills the server pumps (all connections).
-func (s *Server) Stop() {
-	for _, p := range s.procs {
-		p.Kill()
-	}
 }
 
 // dispatch executes one request against the connection.

@@ -3,6 +3,7 @@ package xoarlint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -16,22 +17,37 @@ import (
 // denial test starts passing for the wrong reason. errwrap flags any
 // fmt.Errorf call whose argument list contains an xtypes.Err* sentinel not
 // matched to a %w verb.
+//
+// Inside internal/hv it also keeps the denial counter honest: a fmt.Errorf
+// wrapping a denial sentinel (the set xtypes.IsDenial matches) must be the
+// direct argument of (*Hypervisor).deny, the one place DeniedCalls is
+// counted. A refusal built anywhere else is a silent denial.
 
 func init() {
 	Register(&Analyzer{
 		Name: "errwrap",
-		Doc:  "xtypes.Err* sentinels passed to fmt.Errorf must be wrapped with %w so errors.Is keeps working",
+		Doc:  "xtypes.Err* sentinels passed to fmt.Errorf must be wrapped with %w so errors.Is keeps working; in hv, denial wraps must go straight to h.deny",
 		Run:  runErrwrap,
 	})
 }
 
+// denialSentinels are the xtypes sentinels xtypes.IsDenial matches.
+var denialSentinels = map[string]bool{"ErrPerm": true, "ErrNotShard": true, "ErrNotDelegated": true}
+
 func runErrwrap(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
+		countsDenials := p.Path == hvPath && !p.Test[f]
+		denied := map[ast.Expr]bool{} // arguments of (*Hypervisor).deny calls
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
+			}
+			if countsDenials && isDenyCall(p, call) {
+				for _, a := range call.Args {
+					denied[a] = true
+				}
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok || sel.Sel.Name != "Errorf" {
@@ -65,12 +81,29 @@ func runErrwrap(p *Package) []Diagnostic {
 						Message: fmt.Sprintf("xtypes.%s must be wrapped with %%w (not %%%s) so errors.Is sees it",
 							name, verbAt(verbs, i)),
 					})
+				} else if countsDenials && denialSentinels[name] && !denied[call] {
+					diags = append(diags, Diagnostic{
+						Pos:      p.Fset.Position(call.Pos()),
+						Analyzer: "errwrap",
+						Message: fmt.Sprintf("hv refusal wrapping xtypes.%s must be the direct argument of h.deny, which counts it in DeniedCalls",
+							name),
+					})
 				}
 			}
 			return true
 		})
 	}
 	return diags
+}
+
+// isDenyCall reports whether call invokes (*hv.Hypervisor).deny.
+func isDenyCall(p *Package, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := p.Info.Selections[sel]
+	return s != nil && s.Kind() == types.MethodVal && s.Obj().(*types.Func).FullName() == "(*"+hvPath+".Hypervisor).deny"
 }
 
 // sentinelName returns the Err* name if arg is a selector for an

@@ -114,7 +114,8 @@ func (h *Hypervisor) MethodValueStored(caller, port xtypes.DomID) error {
 }
 
 // Audit-log wiring: calls through the func-typed Sink field are external
-// subscriber code, not hv state mutation — no audit demanded.
+// subscriber code, not hv state mutation, so dominance demands no audit;
+// the entry rule still flags a caller that is never audited.
 func (h *Hypervisor) Notify(caller xtypes.DomID) {
 	h.emit("notify", caller)
 }
@@ -146,13 +147,15 @@ func TestFuncflowStoredClosuresAndMethodValues(t *testing.T) {
 	p := loadSrc(t, "xoar/internal/hv", funcflowSrc)
 	diags := diagsOf(t, "privflow", p)
 	// Position order: the three method-value bugs all surface at reap's
-	// mutation (early in the file), then the closures in source order.
+	// mutation (early in the file), then the rest in source order. Notify
+	// mutates nothing but audits nothing either: the entry rule.
 	wantDiags(t, diags,
 		"hv.MethodValue: mutation of domains is not dominated",
 		"hv.MethodValueStored: mutation of domains is not dominated",
 		"hv.RegistryMethodValue: mutation of domains is not dominated",
 		"hv.EarlyClosure: mutation of domains is not dominated",
 		"hv.IIFE: mutation of domains is not dominated",
+		"hv.Notify takes a caller DomID but never audits it",
 		"hv.SneakyDeferred: mutation of domains is not dominated",
 	)
 	for i, want := range []string{
@@ -161,6 +164,7 @@ func TestFuncflowStoredClosuresAndMethodValues(t *testing.T) {
 		"reached via reap",                // RegistryMethodValue: escaped method value
 		"reached via func literal",        // EarlyClosure: bound literal, call site
 		"reached via func literal",        // IIFE
+		"",                                // Notify: no path
 		"reached via stored func literal", // SneakyDeferred
 	} {
 		if !strings.Contains(diags[i].Message, want) {

@@ -8,18 +8,22 @@ import (
 	"strings"
 )
 
-// privflow is the flow-sensitive successor to privcheck. Where privcheck
-// asks "does the method contain an audit call somewhere?", privflow asks the
-// question the §6.2 CVE study actually poses: does an *enforced* audit
-// dominate every mutation of hypervisor state reachable from the entry
-// point? An audit placed after the mutation, on only one branch, or whose
-// error is dropped on the floor passes privcheck and fails privflow.
+// privflow enforces the paper's core mechanism (§3, §5.6) on every hypercall
+// entry point: each exported *hv.Hypervisor method taking an xtypes.DomID.
+//
+//   - Entry rule: the method audits one of its own DomID parameters with
+//     h.check or h.controls, directly or through a helper like h.gate.
+//     Missing it is the §6.2 "forgotten audit"; exemptEntries lists the
+//     read-only and deliberately unprivileged methods.
+//   - Dominance rule: an *enforced* audit dominates every reachable mutation
+//     of hypervisor state. An audit after the mutation, on one branch only,
+//     or whose error is dropped fails it.
 //
 // The analysis is interprocedural over the *Hypervisor method graph: helper
 // calls are inlined under the caller's fact set (so a mutation buried in
 // h.destroy is checked against the audits its callers performed), and a
-// helper that performs and enforces an audit itself — a future
-// h.requirePriv — credits its callers once *they* enforce its result.
+// helper that performs and enforces an audit itself, like h.gate, credits
+// its callers once *they* enforce its result.
 //
 // Facts and enforcement. Calling h.check(caller, xtypes.HyperX) or
 // h.controls(caller, d) establishes nothing by itself: the result must be
@@ -60,7 +64,7 @@ import (
 func init() {
 	Register(&Analyzer{
 		Name: "privflow",
-		Doc:  "every hv state mutation must be dominated by an enforced h.check/h.controls audit on the caller (flow-sensitive, interprocedural)",
+		Doc:  "every hv entry point taking a DomID must audit the caller, and every hv state mutation must be dominated by an enforced h.check/h.controls audit on it (flow-sensitive, interprocedural)",
 		Run:  runPrivflow,
 	})
 }
@@ -73,8 +77,29 @@ func runPrivflow(p *Package) []Diagnostic {
 // hvPath is the one package whose exported surface is the hypercall ABI.
 const hvPath = "xoar/internal/hv"
 
+// exemptEntries are exported *Hypervisor methods that take a DomID but
+// legitimately skip the caller audit, with their rationale.
+var exemptEntries = map[string]string{
+	// Read-only queries: they reveal only what the caller could observe
+	// through its own hypercall results and mutate nothing.
+	"Domain":     "lookup; read-only",
+	"Domains":    "enumeration; read-only",
+	"VIRQRoute":  "route query; read-only",
+	"HasIOPorts": "port-range query; read-only",
+	// InjectHardwareVIRQ models the hardware interrupt source itself, not a
+	// domain-issued hypercall; it has no caller to audit.
+	"InjectHardwareVIRQ": "hardware source, no caller",
+	// Compute charges simulated CPU time; scheduling one's own work is the
+	// unprivileged baseline of any guest.
+	"Compute": "CPU accounting; unprivileged by design",
+	// SelfExit is the §5.8 hypervisor modification that lets boot-time
+	// components (Bootstrapper, PCIBack) destroy themselves: voluntary exit
+	// is deliberately unprivileged and only ever targets the caller.
+	"SelfExit": "voluntary exit; unprivileged by design (§5.8)",
+}
+
 // exemptCounterFields are *Hypervisor fields that exist purely for
-// experiment accounting; h.check itself bumps them before any verdict.
+// experiment accounting, bumped by h.check and h.deny.
 var exemptCounterFields = map[string]bool{
 	"HypercallCount": true,
 	"DeniedCalls":    true,
@@ -125,6 +150,50 @@ type hvMethod struct {
 	dom  map[string]bool
 }
 
+// receiverName returns the receiver identifier of a method on *typeName (or
+// typeName), or "" if the receiver is a different type or anonymous.
+func receiverName(fn *ast.FuncDecl, typeName string) string {
+	if len(fn.Recv.List) != 1 {
+		return ""
+	}
+	field := fn.Recv.List[0]
+	t := field.Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	id, ok := t.(*ast.Ident)
+	if !ok || id.Name != typeName {
+		return ""
+	}
+	if len(field.Names) != 1 {
+		return ""
+	}
+	return field.Names[0].Name
+}
+
+// domIDParams returns the names of the parameters in params typed
+// xtypes.DomID.
+func domIDParams(p *Package, params *ast.FieldList) map[string]bool {
+	out := map[string]bool{}
+	if params == nil {
+		return out
+	}
+	for _, field := range params.List {
+		sel, ok := field.Type.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "DomID" {
+			continue
+		}
+		x, ok := sel.X.(*ast.Ident)
+		if !ok || p.pkgPathOf(x) != "xoar/internal/xtypes" {
+			continue
+		}
+		for _, n := range field.Names {
+			out[n.Name] = true
+		}
+	}
+	return out
+}
+
 // hypervisorMethods collects every non-test *Hypervisor method of the
 // package, keyed by name — the node set of the privilege-flow call graph.
 func hypervisorMethods(p *Package) map[string]*hvMethod {
@@ -142,7 +211,7 @@ func hypervisorMethods(p *Package) map[string]*hvMethod {
 			if recv == "" {
 				continue
 			}
-			out[fn.Name.Name] = &hvMethod{fn: fn, recv: recv, dom: domIDParams(p, fn)}
+			out[fn.Name.Name] = &hvMethod{fn: fn, recv: recv, dom: domIDParams(p, fn.Type.Params)}
 		}
 	}
 	return out
@@ -150,9 +219,8 @@ func hypervisorMethods(p *Package) map[string]*hvMethod {
 
 // privflowPackage analyzes every hypercall entry point of the hv package,
 // returning the diagnostics and the privilege-matrix rows. Entry points are
-// exported *Hypervisor methods taking at least one caller DomID; the
-// privcheck allowlist (read-only queries, deliberately unprivileged
-// operations) carries over with its rationales.
+// exported *Hypervisor methods taking at least one caller DomID; the exempt
+// ones get a matrix row carrying their rationale and no analysis.
 func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 	if p.Path != hvPath {
 		return nil, nil
@@ -168,7 +236,7 @@ func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 	var diags []Diagnostic
 	var entries []PrivEntry
 	for _, name := range names {
-		if why, ok := privcheckAllowed[name]; ok {
+		if why, ok := exemptEntries[name]; ok {
 			entries = append(entries, PrivEntry{Method: name, Exempt: why})
 			continue
 		}
@@ -186,6 +254,10 @@ func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 			fr.binding[pn] = true
 		}
 		c.stmts(fr, newFlowState(), m.fn.Body.List)
+		if len(c.privs) == 0 && !c.controls {
+			c.report(m.fn.Name.Pos(), fmt.Sprintf("hv.%s takes a caller DomID but never audits it with %s.check or %s.controls",
+				name, m.recv, m.recv))
+		}
 		diags = append(diags, c.diags...)
 		entries = append(entries, PrivEntry{
 			Method:     name,
@@ -274,7 +346,7 @@ type evalRes struct {
 // frame is one (possibly inlined) method activation: binding maps the
 // method's DomID parameters to whether they carry an entry-point caller;
 // hc maps parameters through which the call site passed a specific
-// xtypes.Hyper* constant (so h.requirePriv(caller, xtypes.HyperX) audits
+// xtypes.Hyper* constant (so h.gate(caller, xtypes.HyperX, target) audits
 // a statically known privilege inside the helper too); fns maps local
 // variables bound to function values (literals or method values), so a
 // later f() is analyzed at its call site.
@@ -880,7 +952,7 @@ func (c *flow) domArg(fr *frame, e ast.Expr) (string, bool) {
 // checked under the caller's current facts (context sensitivity), and any
 // facts the helper itself establishes and enforces internally are handed
 // back as a pending audit for the caller to enforce — this is what credits
-// audit helpers like a future h.requirePriv.
+// audit helpers like h.gate.
 func (c *flow) inline(fr *frame, st *flowState, m *hvMethod, args []ast.Expr) *evalRes {
 	name := m.fn.Name.Name
 	for _, s := range c.stack {
@@ -954,7 +1026,7 @@ func (c *flow) inlineLit(fr *frame, st *flowState, lit *ast.FuncLit, args []ast.
 	sub := c.litFrame(fr, lit)
 	i := 0
 	if lit.Type.Params != nil {
-		dom := domIDFields(c.p, lit.Type.Params)
+		dom := domIDParams(c.p, lit.Type.Params)
 		for _, field := range lit.Type.Params.List {
 			for _, pname := range field.Names {
 				if i < len(args) {
@@ -996,7 +1068,7 @@ func (c *flow) escapedLit(fr *frame, lit *ast.FuncLit) {
 	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
 
 	sub := c.litFrame(fr, lit)
-	for pn := range domIDFields(c.p, lit.Type.Params) {
+	for pn := range domIDParams(c.p, lit.Type.Params) {
 		sub.binding[pn] = true
 	}
 	c.stmts(sub, newFlowState(), lit.Body.List)

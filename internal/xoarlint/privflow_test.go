@@ -6,11 +6,15 @@ import (
 )
 
 // privflowSrc exercises the dominance analysis: the clean idioms used by
-// internal/hv, plus the audit-ordering bugs that pass the syntactic
-// privcheck and must be caught here.
+// internal/hv, plus the audit-ordering bugs that contain an audit call and
+// are still wrong.
 const privflowSrc = `package hv
 
-import "xoar/internal/xtypes"
+import (
+	"errors"
+
+	"xoar/internal/xtypes"
+)
 
 type Domain struct {
 	State   int
@@ -33,6 +37,19 @@ func (h *Hypervisor) requirePriv(caller xtypes.DomID, hc xtypes.Hypercall) error
 		return err
 	}
 	return nil
+}
+
+// gate is h.gate's shape: whitelist, lookup and management rights in one
+// helper whose error the caller enforces.
+func (h *Hypervisor) gate(caller xtypes.DomID, hc xtypes.Hypercall, target xtypes.DomID) (*Domain, error) {
+	if _, err := h.check(caller, hc); err != nil {
+		return nil, err
+	}
+	d := h.domains[target]
+	if !h.controls(caller, d) {
+		return nil, errors.New("denied")
+	}
+	return d, nil
 }
 
 func (h *Hypervisor) reap(d *Domain) { d.State = 9 }
@@ -66,7 +83,18 @@ func (h *Hypervisor) ViaHelper(caller, target xtypes.DomID) error {
 	return nil
 }
 
-// Audit after the mutation: passes privcheck, caught by privflow.
+// Audit through the gate helper, enforced by the caller: clean, and both
+// the privilege and the management audit land in the matrix.
+func (h *Hypervisor) ViaGate(caller, target xtypes.DomID) error {
+	d, err := h.gate(caller, xtypes.HyperDomctlPause, target)
+	if err != nil {
+		return err
+	}
+	d.State = 5
+	return nil
+}
+
+// Audit after the mutation: flagged.
 func (h *Hypervisor) LateAudit(caller, target xtypes.DomID) error {
 	h.domains[target].State = 2
 	if _, err := h.check(caller, xtypes.HyperDomctlPause); err != nil {
@@ -75,7 +103,7 @@ func (h *Hypervisor) LateAudit(caller, target xtypes.DomID) error {
 	return nil
 }
 
-// Audit on one branch only: passes privcheck, caught by privflow.
+// Audit on one branch only: flagged.
 func (h *Hypervisor) BranchAudit(caller, target xtypes.DomID, hard bool) error {
 	if hard {
 		if _, err := h.check(caller, xtypes.HyperDomctlDestroy); err != nil {
@@ -86,20 +114,22 @@ func (h *Hypervisor) BranchAudit(caller, target xtypes.DomID, hard bool) error {
 	return nil
 }
 
-// Audit result dropped on the floor: never enforced, caught by privflow.
+// Audit result dropped on the floor: never enforced, flagged.
 func (h *Hypervisor) Dropped(caller, target xtypes.DomID) error {
 	_, _ = h.check(caller, xtypes.HyperDomctlPause)
 	h.domains[target].State = 4
 	return nil
 }
 
-// Mutation buried in an unaudited helper: caught, with the path reported.
+// Mutation buried in an unaudited helper: caught, with the path reported,
+// and no audit at all, so the entry rule fires too.
 func (h *Hypervisor) BadViaHelper(caller, target xtypes.DomID) error {
 	h.reap(h.domains[target])
 	return nil
 }
 
-// The privilege must be a specific constant, not a variable.
+// The privilege must be a specific constant, not a variable; a variable
+// audits nothing, so the entry rule fires too.
 func (h *Hypervisor) Dynamic(caller xtypes.DomID, hc xtypes.Hypercall) error {
 	if _, err := h.check(caller, hc); err != nil {
 		return err
@@ -119,6 +149,8 @@ func TestPrivflowDominance(t *testing.T) {
 		"hv.LateAudit: mutation of domains is not dominated",
 		"hv.BranchAudit: mutation of domains is not dominated",
 		"hv.Dropped: mutation of domains is not dominated",
+		"hv.BadViaHelper takes a caller DomID but never audits it",
+		"hv.Dynamic takes a caller DomID but never audits it",
 		"must name a specific xtypes.Hyper* constant",
 	)
 	if !strings.Contains(diags[0].Message, "reached via reap") {
@@ -126,21 +158,95 @@ func TestPrivflowDominance(t *testing.T) {
 	}
 }
 
-// TestPrivflowCatchesWhatPrivcheckMisses pins the acceptance criterion:
-// the ordering bugs (audit after mutation, audit on one branch, dropped
-// verdict) all contain an audit call and therefore pass the syntactic
-// pass. (privcheck is also blind in the other direction — it flags the
-// legitimately helper-audited ViaHelper — which is why privflow, not more
-// syntax, is the fix.)
-func TestPrivflowCatchesWhatPrivcheckMisses(t *testing.T) {
+// TestPrivflowCreditsAuditHelpers: an audit hoisted into a helper counts
+// for the entry point once the entry point enforces the helper's result,
+// both for a check-only helper and for a gate-shaped one.
+func TestPrivflowCreditsAuditHelpers(t *testing.T) {
 	p := loadSrc(t, "xoar/internal/hv", privflowSrc)
-	wantDiags(t, diagsOf(t, "privcheck", p), "hv.ViaHelper", "hv.BadViaHelper")
+	for _, d := range diagsOf(t, "privflow", p) {
+		if strings.Contains(d.Message, "hv.ViaHelper") || strings.Contains(d.Message, "hv.ViaGate") {
+			t.Errorf("helper-audited entry point flagged: %v", d)
+		}
+	}
+}
+
+// privflowEntrySrc exercises the entry rule: an exported method taking a
+// DomID must audit one of its own DomID parameters.
+const privflowEntrySrc = `package hv
+
+import "xoar/internal/xtypes"
+
+type Hypervisor struct{ DeniedCalls int }
+
+func (h *Hypervisor) check(caller xtypes.DomID, hc xtypes.Hypercall) (*int, error) { return nil, nil }
+func (h *Hypervisor) controls(caller xtypes.DomID, d *int) bool                    { return true }
+
+// Audited: fine.
+func (h *Hypervisor) Destroy(caller, target xtypes.DomID) error {
+	if _, err := h.check(caller, xtypes.HyperDomctlDestroy); err != nil {
+		return err
+	}
+	return nil
+}
+
+// Audited via controls: fine.
+func (h *Hypervisor) Link(caller, shard xtypes.DomID) error {
+	if !h.controls(caller, nil) {
+		return nil
+	}
+	return nil
+}
+
+// Forgotten audit: flagged.
+func (h *Hypervisor) UnmapEverything(caller, target xtypes.DomID) error {
+	return nil
+}
+
+// check called on a constant, not the caller parameter: still flagged.
+func (h *Hypervisor) Sneaky(caller xtypes.DomID) error {
+	_, err := h.check(0, xtypes.HyperDomctlPause)
+	return err
+}
+
+// Unexported: out of scope.
+func (h *Hypervisor) internalOp(caller xtypes.DomID) {}
+
+// No DomID parameter: out of scope.
+func (h *Hypervisor) Stats() int { return h.DeniedCalls }
+
+// Exempt read-only query.
+func (h *Hypervisor) HasIOPorts(dom xtypes.DomID, r string) bool { return false }
+`
+
+func TestPrivflowFlagsForgottenAudit(t *testing.T) {
+	p := loadSrc(t, "xoar/internal/hv", privflowEntrySrc)
+	wantDiags(t, diagsOf(t, "privflow", p),
+		"hv.UnmapEverything takes a caller DomID but never audits it with h.check or h.controls",
+		"hv.Sneaky takes a caller DomID but never audits it with h.check or h.controls",
+	)
+}
+
+func TestPrivflowEntrySuppression(t *testing.T) {
+	src := strings.Replace(privflowEntrySrc,
+		"// Forgotten audit: flagged.",
+		"//xoarlint:allow(privflow) verified audited by dispatcher in review", 1)
+	p := loadSrc(t, "xoar/internal/hv", src)
+	wantDiags(t, diagsOf(t, "privflow", p), "hv.Sneaky")
 }
 
 func TestPrivflowScopedToHV(t *testing.T) {
 	p := loadSrc(t, "xoar/internal/other", privflowSrc)
 	if diags := diagsOf(t, "privflow", p); len(diags) != 0 {
 		t.Fatalf("privflow fired outside internal/hv: %v", diags)
+	}
+}
+
+// TestPrivcheckScopedToHV: privcheck's forgotten-audit rule, now privflow's
+// entry rule, stays scoped to internal/hv.
+func TestPrivcheckScopedToHV(t *testing.T) {
+	p := loadSrc(t, "xoar/internal/other", privflowEntrySrc)
+	if diags := diagsOf(t, "privflow", p); len(diags) != 0 {
+		t.Fatalf("entry rule fired outside internal/hv: %v", diags)
 	}
 }
 
@@ -179,11 +285,14 @@ func TestPrivMatrixRows(t *testing.T) {
 	if got := rows["Pause"].Mutates; len(got) != 1 || got[0] != "domains" {
 		t.Errorf("Pause mutates = %v, want [domains]", got)
 	}
-	if rows["Compute"].Exempt == "" {
-		t.Errorf("Compute should carry its allowlist rationale")
+	if gate := rows["ViaGate"]; len(gate.Privileges) != 1 || gate.Privileges[0] != "HyperDomctlPause" || !gate.Controls {
+		t.Errorf("ViaGate row = %+v, want [HyperDomctlPause] and controls (credited through gate)", gate)
 	}
-	if len(rows) != 9 {
-		t.Errorf("matrix has %d rows, want 9: %v", len(rows), sortedMatrixMethods(m))
+	if rows["Compute"].Exempt == "" {
+		t.Errorf("Compute should carry its exemption rationale")
+	}
+	if len(rows) != 10 {
+		t.Errorf("matrix has %d rows, want 10: %v", len(rows), sortedMatrixMethods(m))
 	}
 }
 

@@ -1,10 +1,14 @@
 package xoarlint
 
 import (
+	"go/ast"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xoar/internal/xtypes"
 )
 
 // loadSrc writes src as a single-file package in a temp dir and loads it
@@ -53,75 +57,6 @@ func wantDiags(t *testing.T, diags []Diagnostic, substrs ...string) {
 			t.Errorf("diag %d = %q, want substring %q", i, diags[i].Message, want)
 		}
 	}
-}
-
-// --- privcheck ---------------------------------------------------------------
-
-const privcheckSrc = `package hv
-
-import "xoar/internal/xtypes"
-
-type Hypervisor struct{ DeniedCalls int }
-
-func (h *Hypervisor) check(caller xtypes.DomID, hc xtypes.Hypercall) (*int, error) { return nil, nil }
-func (h *Hypervisor) controls(caller xtypes.DomID, d *int) bool                    { return true }
-
-// Audited: fine.
-func (h *Hypervisor) Destroy(caller, target xtypes.DomID) error {
-	if _, err := h.check(caller, 0); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Audited via controls: fine.
-func (h *Hypervisor) Link(caller, shard xtypes.DomID) error {
-	if !h.controls(caller, nil) {
-		return nil
-	}
-	return nil
-}
-
-// Forgotten audit: flagged.
-func (h *Hypervisor) UnmapEverything(caller, target xtypes.DomID) error {
-	return nil
-}
-
-// check called on a constant, not the caller parameter: still flagged.
-func (h *Hypervisor) Sneaky(caller xtypes.DomID) error {
-	_, err := h.check(0, 0)
-	return err
-}
-
-// Unexported: out of scope.
-func (h *Hypervisor) internalOp(caller xtypes.DomID) {}
-
-// No DomID parameter: out of scope.
-func (h *Hypervisor) Stats() int { return h.DeniedCalls }
-
-// Allowlisted read-only query.
-func (h *Hypervisor) HasIOPorts(dom xtypes.DomID, r string) bool { return false }
-`
-
-func TestPrivcheckFlagsForgottenAudit(t *testing.T) {
-	p := loadSrc(t, "xoar/internal/hv", privcheckSrc)
-	diags := diagsOf(t, "privcheck", p)
-	wantDiags(t, diags, "hv.UnmapEverything", "hv.Sneaky")
-}
-
-func TestPrivcheckScopedToHV(t *testing.T) {
-	p := loadSrc(t, "xoar/internal/other", privcheckSrc)
-	if diags := diagsOf(t, "privcheck", p); len(diags) != 0 {
-		t.Fatalf("privcheck fired outside internal/hv: %v", diags)
-	}
-}
-
-func TestPrivcheckSuppression(t *testing.T) {
-	src := strings.Replace(privcheckSrc,
-		"// Forgotten audit: flagged.",
-		"//xoarlint:allow(privcheck) verified audited by dispatcher in review", 1)
-	p := loadSrc(t, "xoar/internal/hv", src)
-	wantDiags(t, diagsOf(t, "privcheck", p), "hv.Sneaky")
 }
 
 // --- simtime -----------------------------------------------------------------
@@ -285,6 +220,93 @@ func TestErrwrapSuppression(t *testing.T) {
 	wantDiags(t, diagsOf(t, "errwrap", p), "xtypes.ErrNotShard")
 }
 
+// errwrapHVSrc refuses with each denial sentinel twice, once bare and once
+// through h.deny, and fails a lookup with a sentinel that is no denial.
+const errwrapHVSrc = `package hv
+
+import (
+	"fmt"
+
+	"xoar/internal/xtypes"
+)
+
+type Hypervisor struct{ DeniedCalls int }
+
+func (h *Hypervisor) deny(err error) error {
+	h.DeniedCalls++
+	return err
+}
+
+func (h *Hypervisor) Refuse(caller, why int) error {
+	switch why {
+	case 0:
+		return fmt.Errorf("refused %d: %w", caller, xtypes.ErrPerm)
+	case 1:
+		return fmt.Errorf("refused %d: %w", caller, xtypes.ErrNotShard)
+	case 2:
+		return fmt.Errorf("refused %d: %w", caller, xtypes.ErrNotDelegated)
+	case 3:
+		return h.deny(fmt.Errorf("refused %d: %w", caller, xtypes.ErrPerm))
+	case 4:
+		return h.deny(fmt.Errorf("refused %d: %w", caller, xtypes.ErrNotShard))
+	case 5:
+		return h.deny(fmt.Errorf("refused %d: %w", caller, xtypes.ErrNotDelegated))
+	}
+	return fmt.Errorf("lookup %d: %w", caller, xtypes.ErrNoDomain)
+}
+`
+
+// TestErrwrapDenialsGoThroughDeny: in non-test hv code, a wrap of a denial
+// sentinel is flagged unless it goes straight into h.deny. Other sentinels,
+// other packages and test files are out of scope.
+func TestErrwrapDenialsGoThroughDeny(t *testing.T) {
+	p := loadSrc(t, "xoar/internal/hv", errwrapHVSrc)
+	wantDiags(t, diagsOf(t, "errwrap", p),
+		"hv refusal wrapping xtypes.ErrPerm must be the direct argument of h.deny",
+		"hv refusal wrapping xtypes.ErrNotShard must be the direct argument of h.deny",
+		"hv refusal wrapping xtypes.ErrNotDelegated must be the direct argument of h.deny",
+	)
+	wantDiags(t, diagsOf(t, "errwrap", loadSrc(t, "xoar/internal/other", errwrapHVSrc)))
+	wantDiags(t, diagsOf(t, "errwrap", loadSrcFile(t, "xoar/internal/hv", "refuse_test.go", errwrapHVSrc)))
+}
+
+// TestErrwrapDenialSetMatchesIsDenial: the static rule and the runtime
+// counter agree on which of xtypes' sentinels are denials.
+func TestErrwrapDenialSetMatchesIsDenial(t *testing.T) {
+	sentinels := map[string]error{
+		"ErrPerm": xtypes.ErrPerm, "ErrNoDomain": xtypes.ErrNoDomain, "ErrBadGrant": xtypes.ErrBadGrant,
+		"ErrBadPort": xtypes.ErrBadPort, "ErrInUse": xtypes.ErrInUse, "ErrNoMem": xtypes.ErrNoMem,
+		"ErrNotFound": xtypes.ErrNotFound, "ErrExists": xtypes.ErrExists, "ErrInvalid": xtypes.ErrInvalid,
+		"ErrAgain": xtypes.ErrAgain, "ErrShutdown": xtypes.ErrShutdown, "ErrConstraint": xtypes.ErrConstraint,
+		"ErrNotShard": xtypes.ErrNotShard, "ErrNotDelegated": xtypes.ErrNotDelegated, "ErrQuota": xtypes.ErrQuota,
+		"ErrNoMicroreboot": xtypes.ErrNoMicroreboot, "ErrBatchAborted": xtypes.ErrBatchAborted,
+	}
+	pkgs, err := LoadModuleDir("../xtypes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range pkgs[0].Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR || pkgs[0].Test[f] {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, n := range spec.(*ast.ValueSpec).Names {
+					if _, ok := sentinels[n.Name]; strings.HasPrefix(n.Name, "Err") && !ok {
+						t.Errorf("xtypes.%s is missing from this test's sentinel table", n.Name)
+					}
+				}
+			}
+		}
+	}
+	for name, err := range sentinels {
+		if xtypes.IsDenial(err) != denialSentinels[name] {
+			t.Errorf("xtypes.%s: IsDenial = %v, but errwrap's denial set says %v", name, xtypes.IsDenial(err), denialSentinels[name])
+		}
+	}
+}
+
 // --- suppression policy ------------------------------------------------------
 
 func TestSuppressionRequiresJustification(t *testing.T) {
@@ -312,9 +334,8 @@ func TestSuppressionRejectsUnknownAnalyzer(t *testing.T) {
 
 func TestRegisteredAnalyzers(t *testing.T) {
 	want := map[string]bool{
-		"privcheck": true, "simtime": true, "layering": true, "errwrap": true,
-		"gohygiene": true, "privflow": true, "auditlog": true, "metricnames": true,
-		"hotpath": true,
+		"simtime": true, "layering": true, "errwrap": true, "gohygiene": true,
+		"privflow": true, "auditlog": true, "metricnames": true, "hotpath": true,
 	}
 	for _, a := range Analyzers() {
 		delete(want, a.Name)

@@ -72,3 +72,10 @@ var (
 	// itself carries its own error (ErrPerm, ErrNotFound, ...).
 	ErrBatchAborted = errors.New("xoar: build batch aborted by invalid sibling request")
 )
+
+// IsDenial reports whether err is a permission-class refusal: ErrPerm,
+// ErrNotDelegated or ErrNotShard. The hypervisor counts exactly these in its
+// denial counter, and the attack oracle checks each is counted once.
+func IsDenial(err error) bool {
+	return errors.Is(err, ErrPerm) || errors.Is(err, ErrNotDelegated) || errors.Is(err, ErrNotShard)
+}

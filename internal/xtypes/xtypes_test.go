@@ -92,3 +92,16 @@ func TestErrorsAreDistinct(t *testing.T) {
 		}
 	}
 }
+
+func TestIsDenial(t *testing.T) {
+	for _, err := range []error{ErrPerm, ErrNotDelegated, ErrNotShard} {
+		if !IsDenial(err) || !IsDenial(fmt.Errorf("hv: ctx: %w", err)) {
+			t.Errorf("IsDenial(%v) = false, want true (bare and wrapped)", err)
+		}
+	}
+	for _, err := range []error{nil, ErrNoDomain, ErrInvalid, ErrBadGrant, ErrBadPort, fmt.Errorf("ctx: %v", ErrPerm)} {
+		if IsDenial(err) {
+			t.Errorf("IsDenial(%v) = true, want false", err)
+		}
+	}
+}
