@@ -15,15 +15,12 @@ import (
 	"testing"
 
 	"xoar/internal/attack"
-	"xoar/internal/boot"
 	"xoar/internal/core"
 	"xoar/internal/experiments"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
-	"xoar/internal/osimage"
 	"xoar/internal/ring"
 	"xoar/internal/sim"
-	"xoar/internal/snapshot"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
@@ -223,114 +220,23 @@ func BenchmarkSec_AttackTaxonomy(b *testing.B) {
 
 // --- Ablation benchmarks ------------------------------------------------------
 
-// BenchmarkAblation_XenStoreSplit measures the XenStore-Logic microreboot:
-// because contents live in XenStore-State, a Logic restart costs microseconds
-// — the design rationale for the Logic/State split (§5.1).
-func BenchmarkAblation_XenStoreSplit(b *testing.B) {
-	env := sim.NewEnv(1)
-	logic := xenstore.NewLogic(env, xenstore.NewState())
-	c := logic.Connect(0, true)
-	for i := 0; i < 500; i++ {
-		c.Write(xenstore.TxNone, "/local/domain/7/key", "value")
-	}
-	b.ResetTimer()
+// BenchmarkAblations regenerates the design-choice ablations DESIGN.md calls
+// out: parallel vs serialized boot (Table 6.2), PCIBack self-destruction
+// (§5.3), recovery-box vs renegotiating NetBack restarts (Figure 6.3) and
+// the XenStore Logic/State split (§5.1).
+func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		logic.Restart()
-		if _, err := c.Read(xenstore.TxNone, "/local/domain/7/key"); err != nil {
-			b.Fatal("state lost across Logic restart")
-		}
-	}
-	b.ReportMetric(float64(logic.Restarts()), "restarts")
-}
-
-// BenchmarkAblation_FastVsSlowRestart isolates the recovery-box optimization:
-// the downtime difference between renegotiating vif state via XenStore and
-// restoring it from the recovery box (Figure 6.3's two curves).
-func BenchmarkAblation_FastVsSlowRestart(b *testing.B) {
-	measure := func(fast bool) float64 {
-		rig, err := experiments.BootRig(experiments.Xoar, 1)
+		t, err := experiments.Ablations()
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer rig.Close()
-		if _, err := rig.NewGuest("g"); err != nil {
-			b.Fatal(err)
-		}
-		eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-		if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-			Kind: snapshot.PolicyTimer, Interval: sim.Second, Fast: fast,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		rig.Env.RunFor(10 * sim.Second)
-		st, _ := eng.Stats(rig.PL.NetBacks[0].Dom)
-		if st.Restarts == 0 {
-			b.Fatal("no restarts")
-		}
-		return st.TotalDowntime.Seconds() / float64(st.Restarts) * 1000
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(measure(false), "ms-slow")
-		b.ReportMetric(measure(true), "ms-fast")
-	}
-}
-
-// BenchmarkAblation_PCIBackDestroy compares the privileged-component count
-// with PCIBack resident versus destroyed after boot (§5.3).
-func BenchmarkAblation_PCIBackDestroy(b *testing.B) {
-	count := func(destroy bool) float64 {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var n float64
-		done := false
-		env.Spawn("boot", func(p *sim.Proc) {
-			pl, err := boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{DestroyPCIBack: destroy})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			// Count resident control-plane components: with PCIBack
-			// destroyed the steady-state platform runs one fewer domain
-			// (and no config-space owner at all).
-			n = float64(len(h.Domains()))
-			_ = pl
-			done = true
-		})
-		env.RunFor(200 * sim.Second)
-		env.Shutdown()
-		if !done {
-			b.Fatal("boot incomplete")
-		}
-		return n
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(count(false), "components-resident")
-		b.ReportMetric(count(true), "components-destroyed")
-	}
-}
-
-// BenchmarkAblation_SerializedBoot isolates the parallel-boot win behind
-// Table 6.2.
-func BenchmarkAblation_SerializedBoot(b *testing.B) {
-	bootTime := func(serialize bool) float64 {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var secs float64
-		env.Spawn("boot", func(p *sim.Proc) {
-			pl, err := boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{Serialize: serialize})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			secs = pl.Timings.Done.Seconds()
-		})
-		env.RunFor(300 * sim.Second)
-		env.Shutdown()
-		return secs
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(bootTime(false), "s-parallel")
-		b.ReportMetric(bootTime(true), "s-serialized")
+		b.ReportMetric(findRow(b, t, "full boot, parallel (Bootstrapper)").Measured, "s-parallel")
+		b.ReportMetric(findRow(b, t, "full boot, serialized (ablated)").Measured, "s-serialized")
+		b.ReportMetric(findRow(b, t, "control domains, PCIBack resident").Measured, "components-resident")
+		b.ReportMetric(findRow(b, t, "control domains, PCIBack destroyed (§5.3)").Measured, "components-destroyed")
+		b.ReportMetric(findRow(b, t, "NetBack restart downtime, renegotiate (slow)").Measured, "ms-slow")
+		b.ReportMetric(findRow(b, t, "NetBack restart downtime, recovery box (fast)").Measured, "ms-fast")
+		b.ReportMetric(findRow(b, t, "XenStore-Logic microreboots survived").Measured, "xs-restarts")
 	}
 }
 
