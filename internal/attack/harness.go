@@ -56,8 +56,9 @@ type Result struct {
 
 // Harness is a freshly booted Xoar platform wired for attack replay: full
 // shard fleet, two victim guests and the adversarial guest "mallory", an
-// audit log on the hypervisor sink, and a restart engine managing the first
-// netback so sequences can race calls against a live microreboot.
+// audit log on the hypervisor sink, and the Builder's restart engine
+// managing the first netback and blkback so sequences can race calls
+// against a live microreboot.
 type Harness struct {
 	Env    *sim.Env
 	PL     *boot.Platform
@@ -109,18 +110,12 @@ func NewHarness() (*Harness, error) {
 	ha.VictimA = ha.Guests[0].Dom
 	ha.VictimB = ha.Guests[1].Dom
 	ha.Mallory = ha.Guests[2].Dom
-	ha.Engine = snapshot.NewEngine(h, ha.PL.BuilderDom)
-	if err := ha.Engine.Manage(ha.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-		Kind: snapshot.PolicyPerRequest,
-	}); err != nil {
-		env.Shutdown()
-		return nil, err
-	}
-	if err := ha.Engine.Manage(ha.PL.BlkBacks[0].AsRestartable(), snapshot.Policy{
-		Kind: snapshot.PolicyPerRequest,
-	}); err != nil {
-		env.Shutdown()
-		return nil, err
+	ha.Engine = ha.PL.Engine
+	for _, r := range []snapshot.Restartable{ha.PL.NetBacks[0], ha.PL.BlkBacks[0]} {
+		if err := ha.PL.Builder.SetRestartPolicy(r, snapshot.Policy{Kind: snapshot.PolicyPerRequest}); err != nil {
+			env.Shutdown()
+			return nil, err
+		}
 	}
 	// The probe connection audits XenStore state after the run; it uses the
 	// hypervisor's own identity so no component connection is disturbed.

@@ -21,6 +21,7 @@ import (
 	"xoar/internal/hv"
 	"xoar/internal/ring"
 	"xoar/internal/sim"
+	"xoar/internal/snapshot"
 	"xoar/internal/telemetry"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
@@ -194,6 +195,9 @@ func (b *Backend) Start(p *sim.Proc) {
 
 // Name implements snapshot.Restartable.
 func (b *Backend) Name() string { return "blkback" }
+
+// DomID implements snapshot.Restartable.
+func (b *Backend) DomID() xtypes.DomID { return b.Dom }
 
 func (b *Backend) backendPath() string {
 	return fmt.Sprintf("/local/domain/%d/backend/vbd", b.Dom)
@@ -390,7 +394,7 @@ func (b *Backend) runWorker(q *vbdQueue, p *sim.Proc, buf []Req) {
 	}
 }
 
-// Restart implements the microreboot recovery path, mirroring NetBack's.
+// Restart implements snapshot.Restartable: the microreboot recovery path.
 func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
 	b.serving.Reset()
@@ -404,12 +408,7 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 		}
 		v.connected = false
 	}
-	p.Sleep(60 * sim.Millisecond) // re-attach to controller state
-	if fast {
-		p.Sleep(80 * sim.Millisecond)
-	} else {
-		p.Sleep(200 * sim.Millisecond)
-	}
+	snapshot.Reconnect(p, fast)
 	for _, v := range b.vbds {
 		for _, q := range v.queues {
 			q.ring.Reset()
@@ -418,21 +417,6 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 		b.startWorker(v)
 	}
 	b.serving.Open()
-}
-
-// restartableAdapter adapts Backend to snapshot.Restartable.
-type restartableAdapter struct{ *Backend }
-
-// Dom implements snapshot.Restartable.
-func (a restartableAdapter) Dom() xtypes.DomID { return a.Backend.Dom }
-
-// AsRestartable returns the snapshot.Restartable view of the backend.
-func (b *Backend) AsRestartable() interface {
-	Dom() xtypes.DomID
-	Name() string
-	Restart(p *sim.Proc, fast bool)
-} {
-	return restartableAdapter{b}
 }
 
 // --- frontend ---------------------------------------------------------------

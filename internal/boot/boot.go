@@ -86,7 +86,7 @@ type Platform struct {
 	NetBacks      []*netdrv.Backend
 	BlkBacks      []*blkdrv.Backend
 	Toolstacks    []*toolstack.Toolstack
-	Engine        *snapshot.Engine
+	Engine        *snapshot.Engine // the Builder's restart engine (Xoar profile only)
 
 	// Domain IDs of the control-plane components, for the security graph.
 	BootstrapperDom xtypes.DomID
@@ -253,8 +253,7 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	pl.Builder.Authorize(bs.ID)
 	pl.Builder.SetMetrics(opts.Telemetry)
 	h.Env.Spawn("builder-serve", pl.Builder.Serve)
-	pl.Engine = snapshot.NewEngine(h, pl.BuilderDom)
-	pl.Engine.SetMetrics(opts.Telemetry)
+	pl.Engine = pl.Builder.Engine()
 
 	// --- PCIBack: hardware init and enumeration. ----------------------------
 	pl.PCIBackDom, err = bootShardDirect(p, h, bs.ID, cat, "pciback", osimage.ImgPCIBack, shardAssignment(capability.RolePCIBack))

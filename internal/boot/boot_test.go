@@ -308,7 +308,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 
 	// Microreboot NetBack; the surviving guest must renegotiate and move
 	// traffic, reap noise notwithstanding.
-	if merr := pl.Engine.Manage(nb.AsRestartable(), snapshot.Policy{Kind: snapshot.PolicyPerRequest}); merr != nil {
+	if merr := pl.Builder.SetRestartPolicy(nb, snapshot.Policy{Kind: snapshot.PolicyPerRequest}); merr != nil {
 		t.Fatal(merr)
 	}
 	var res guest.FetchResult

@@ -224,7 +224,7 @@ type fakeComp struct {
 	restarts int
 }
 
-func (c *fakeComp) Dom() xtypes.DomID              { return c.dom }
+func (c *fakeComp) DomID() xtypes.DomID            { return c.dom }
 func (c *fakeComp) Name() string                   { return "fake" }
 func (c *fakeComp) Restart(p *sim.Proc, fast bool) { c.restarts++ }
 

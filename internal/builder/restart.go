@@ -1,7 +1,8 @@
-// Shard administration: the Builder hosts the microreboot engine (§3.3).
-// Driver shards are delegated to it at boot; from then on it may roll them
-// back to their boot-time snapshot or, when the domain is gone entirely,
-// rebuild them from the recorded request.
+// Shard administration: the Builder hosts the host's one microreboot engine
+// (§3.3). Driver shards are delegated to it at boot; from then on it may put
+// them under a restart policy, roll them back to their boot-time snapshot
+// or, when the domain is gone entirely, rebuild them from the recorded
+// request.
 
 package builder
 
@@ -46,18 +47,26 @@ func (b *Builder) holds(hc xtypes.Hypercall) bool {
 }
 
 // SetRestartPolicy places a delegated shard under the Builder's microreboot
-// engine, or updates its policy if already managed.
+// engine, updates its policy if already managed, or with PolicyNone releases
+// it (and its accounting). It is the only way onto the engine, so every
+// policy change is checked against the Builder's HyperSetRestartPolicy
+// whitelist and its standing over the shard.
 func (b *Builder) SetRestartPolicy(comp snapshot.Restartable, pol snapshot.Policy) error {
+	dom := comp.DomID()
 	if !b.holds(xtypes.HyperSetRestartPolicy) {
 		b.Denied++
 		return fmt.Errorf("builder: set_restart_policy not whitelisted for %v: %w", b.dom, xtypes.ErrPerm)
 	}
-	if !b.Administers(comp.Dom()) {
+	if !b.Administers(dom) {
 		b.Denied++
-		return fmt.Errorf("builder: shard %v not delegated to the Builder: %w", comp.Dom(), xtypes.ErrPerm)
+		return fmt.Errorf("builder: shard %v not delegated to the Builder: %w", dom, xtypes.ErrPerm)
 	}
-	if _, ok := b.eng.Stats(comp.Dom()); ok {
-		return b.eng.SetPolicy(comp.Dom(), pol)
+	if pol.Kind == snapshot.PolicyNone {
+		b.eng.Unmanage(dom)
+		return nil
+	}
+	if _, ok := b.eng.Stats(dom); ok {
+		return b.eng.SetPolicy(dom, pol)
 	}
 	return b.eng.Manage(comp, pol)
 }
@@ -66,6 +75,11 @@ func (b *Builder) SetRestartPolicy(comp snapshot.Restartable, pol snapshot.Polic
 func (b *Builder) RestartStats(dom xtypes.DomID) (snapshot.Stats, bool) {
 	return b.eng.Stats(dom)
 }
+
+// Engine returns the host's microreboot engine, for reading its accounting
+// and requesting immediate restarts of managed shards. Shards get onto it
+// only through SetRestartPolicy.
+func (b *Builder) Engine() *snapshot.Engine { return b.eng }
 
 // shardClass names the shard for restart-metric labels: the live domain's
 // name, the recorded request's name when the domain is already gone, or
@@ -101,12 +115,10 @@ func (b *Builder) Rollback(p *sim.Proc, dom xtypes.DomID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	dirty := d.Mem.DirtyPages()
-	restored, err := b.hv.VMRollback(b.dom, dom)
+	restored, err := b.eng.Rollback(p, d)
 	if err != nil {
 		return 0, err
 	}
-	p.Sleep(sim.Duration(dirty+1) * sim.Microsecond)
 	b.observeRestart(b.tel.Histogram("restart_rollback_ms", telemetry.LatencyMSBuckets, telemetry.L("class", class)), p.Now().Sub(start))
 	return restored, nil
 }

@@ -268,7 +268,7 @@ func TestRestartStormRespectsFleetCap(t *testing.T) {
 	// Every backend kept restarting — the cap throttles, it must not starve.
 	for _, h := range c.Hosts {
 		for _, nb := range h.PL.NetBacks {
-			st, ok := h.PL.Engine.Stats(nb.AsRestartable().Dom())
+			st, ok := h.PL.Builder.RestartStats(nb.Dom)
 			if !ok || st.Restarts == 0 {
 				t.Fatalf("%s netback never restarted", h.Name)
 			}

@@ -81,7 +81,6 @@ type Platform struct {
 	Boot    *boot.Platform
 	Log     *audit.Log
 
-	engine *snapshot.Engine
 	guests map[xtypes.DomID]*Guest
 }
 
@@ -145,7 +144,6 @@ func newPlatform(env *sim.Env, profile Profile, cfg Config) (*Platform, error) {
 	if !done {
 		return nil, fmt.Errorf("core: boot did not complete")
 	}
-	pl.engine = snapshot.NewEngine(h, pl.Boot.BuilderDom)
 	return pl, nil
 }
 
@@ -247,7 +245,7 @@ func (pl *Platform) DestroyGuest(g *Guest) error {
 // SetNetBackRestartPolicy configures microreboots for every NetBack.
 func (pl *Platform) SetNetBackRestartPolicy(policy RestartPolicy) error {
 	for _, nb := range pl.Boot.NetBacks {
-		if err := pl.manage(nb.AsRestartable(), policy); err != nil {
+		if err := pl.manage(nb, policy); err != nil {
 			return err
 		}
 	}
@@ -257,37 +255,29 @@ func (pl *Platform) SetNetBackRestartPolicy(policy RestartPolicy) error {
 // SetBlkBackRestartPolicy configures microreboots for every BlkBack.
 func (pl *Platform) SetBlkBackRestartPolicy(policy RestartPolicy) error {
 	for _, bb := range pl.Boot.BlkBacks {
-		if err := pl.manage(bb.AsRestartable(), policy); err != nil {
+		if err := pl.manage(bb, policy); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// manage hands c to the Builder's restart engine under policy; a zero
+// interval takes it off again.
 func (pl *Platform) manage(c snapshot.Restartable, policy RestartPolicy) error {
 	if pl.Profile == MonolithicDom0 {
 		return fmt.Errorf("core: microreboots need the shard architecture: %w", xtypes.ErrInvalid)
 	}
-	if _, ok := pl.engine.Stats(c.Dom()); ok {
-		if policy.Interval <= 0 {
-			pl.engine.Unmanage(c.Dom())
-			return nil
-		}
-		return pl.engine.SetPolicy(c.Dom(), snapshot.Policy{
-			Kind: snapshot.PolicyTimer, Interval: policy.Interval, Fast: policy.Fast,
-		})
-	}
+	pol := snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: policy.Interval, Fast: policy.Fast}
 	if policy.Interval <= 0 {
-		return nil
+		pol = snapshot.Policy{Kind: snapshot.PolicyNone}
 	}
-	return pl.engine.Manage(c, snapshot.Policy{
-		Kind: snapshot.PolicyTimer, Interval: policy.Interval, Fast: policy.Fast,
-	})
+	return pl.Boot.Builder.SetRestartPolicy(c, pol)
 }
 
 // RestartStats reports microreboot accounting for a component domain.
 func (pl *Platform) RestartStats(dom xtypes.DomID) (snapshot.Stats, bool) {
-	return pl.engine.Stats(dom)
+	return pl.Boot.Builder.RestartStats(dom)
 }
 
 // Advance runs the virtual clock forward by d.

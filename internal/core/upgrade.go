@@ -1,24 +1,21 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
-	"xoar/internal/builder"
-	"xoar/internal/hv"
 	"xoar/internal/netdrv"
-	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
 	"xoar/internal/xtypes"
 )
 
-// UpgradeNetBack performs an in-place driver upgrade (§6.2): the old NetBack
-// shard is destroyed, the Builder instantiates a fresh one — the new driver
-// release — which takes over the NIC, and every guest's vif is renegotiated
-// against the new backend. Guests observe a disconnect/reconnect, the same
-// recovery path microreboots exercise; nothing else on the host is
-// disturbed. Returns the new shard's domain ID.
+// UpgradeNetBack performs an in-place driver upgrade (§6.2): the Builder
+// rebuilds the NetBack shard from its recorded boot request — the new
+// driver release, on the same NIC and with the same manifest grants — and
+// every guest's vif is renegotiated against the new backend. Guests observe
+// a disconnect/reconnect, the same recovery path microreboots exercise;
+// nothing else on the host is disturbed. Any restart policy on the old shard
+// goes with it. Returns the new shard's domain ID.
 //
 // This is the scenario the paper contrasts with a monolithic control VM,
 // where "buggy, outdated and vulnerable device drivers often continue to be
@@ -32,8 +29,6 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 		return xtypes.DomIDNone, fmt.Errorf("core: netback %d: %w", index, xtypes.ErrNotFound)
 	}
 	old := pl.Boot.NetBacks[index]
-	nic := old.NIC
-	oldDom := old.Dom
 
 	// Collect the guests currently wired to this backend so we can
 	// reattach them afterwards.
@@ -44,43 +39,22 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 		}
 	}
 
-	// Any restart policy on the old shard dies with it.
-	pl.engine.Unmanage(oldDom)
-
 	var newDom xtypes.DomID
 	var err error
 	done := false
 	pl.Env.Spawn("upgrade-netback", func(p *sim.Proc) {
 		defer func() { done = true }()
-		// Tear the old shard down: vifs break, the NIC is released.
+		// Tear the old shard down: vifs break, the NIC is released. The old
+		// shard may already be dead — the crash-recovery case; Rebuild then
+		// only builds.
 		for _, g := range clients {
 			old.RemoveVif(g.Dom)
 		}
-		// The old shard may already be dead — the crash-recovery case; an
-		// upgrade then degenerates to a rebuild.
-		if err = pl.HV.DestroyDomain(pl.Boot.BuilderDom, oldDom, "driver upgrade"); err != nil {
-			if !errors.Is(err, xtypes.ErrNoDomain) {
-				return
-			}
-			err = nil
-		}
-		// Build the replacement with the same privileges.
-		newDom, err = pl.Boot.Builder.BuildDirect(p, builder.Request{
-			Requester: pl.Boot.BuilderDom,
-			Name:      "netback",
-			Image:     osimage.ImgNetBack,
-			Shard:     true,
-			Privileges: hv.Assignment{
-				PCIDevices: []xtypes.PCIAddr{nic.Addr()},
-				Hypercalls: []xtypes.Hypercall{xtypes.HyperVMSnapshot},
-			},
-		})
-		if err != nil {
+		if newDom, err = pl.Boot.Builder.Rebuild(p, old.Dom); err != nil {
 			return
 		}
-		nb := netdrv.NewBackend(pl.HV, newDom, nic, pl.Boot.XenStoreLogic.Connect(newDom, false))
+		nb := netdrv.NewBackend(pl.HV, newDom, old.NIC, pl.Boot.XenStoreLogic.Connect(newDom, false))
 		nb.Start(p) // NIC hardware stays initialized: this is quick
-		pl.HV.VMSnapshot(newDom)
 		pl.Boot.NetBacks[index] = nb
 
 		// Every toolstack that held the old shard gets the new one; their

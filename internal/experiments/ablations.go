@@ -7,7 +7,6 @@ import (
 	"xoar/internal/osimage"
 	"xoar/internal/seceval"
 	"xoar/internal/sim"
-	"xoar/internal/snapshot"
 	"xoar/internal/xenstore"
 )
 
@@ -85,14 +84,11 @@ func Ablations() (Table, error) {
 		if _, err := rig.NewGuest("g"); err != nil {
 			return 0, err
 		}
-		eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-		if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-			Kind: snapshot.PolicyTimer, Interval: sim.Second, Fast: fast,
-		}); err != nil {
+		if err := rig.restartNetBack(sim.Second, fast); err != nil {
 			return 0, err
 		}
 		rig.Env.RunFor(10 * sim.Second)
-		st, _ := eng.Stats(rig.PL.NetBacks[0].Dom)
+		st, _ := rig.PL.Builder.RestartStats(rig.PL.NetBacks[0].Dom)
 		if st.Restarts == 0 {
 			return 0, nil
 		}

@@ -15,6 +15,7 @@ import (
 	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
+	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
 )
 
@@ -118,6 +119,14 @@ func (r *Rig) NewGuest(name string) (*guest.VM, error) {
 		return nil, fmt.Errorf("experiments: guest creation did not complete")
 	}
 	return vm, nil
+}
+
+// restartNetBack puts the first NetBack under a timer restart policy
+// through the Builder, the host's one restart engine.
+func (r *Rig) restartNetBack(every sim.Duration, fast bool) error {
+	return r.PL.Builder.SetRestartPolicy(r.PL.NetBacks[0], snapshot.Policy{
+		Kind: snapshot.PolicyTimer, Interval: every, Fast: fast,
+	})
 }
 
 // Go runs fn in a sim process and advances virtual time until it finishes

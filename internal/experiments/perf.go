@@ -9,7 +9,6 @@ import (
 	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
-	"xoar/internal/snapshot"
 	"xoar/internal/workload"
 )
 
@@ -282,10 +281,7 @@ func oneRestartRun(bytes int64, intervalSec int, fast bool) (float64, error) {
 		return 0, err
 	}
 	if intervalSec > 0 {
-		eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-		if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-			Kind: snapshot.PolicyTimer, Interval: sim.Duration(intervalSec) * sim.Second, Fast: fast,
-		}); err != nil {
+		if err := rig.restartNetBack(sim.Duration(intervalSec)*sim.Second, fast); err != nil {
 			return 0, err
 		}
 	}
@@ -316,10 +312,7 @@ func KernelBuild(scale Scale) (Table, error) {
 			return 0, err
 		}
 		if restartSec > 0 {
-			eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-			if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-				Kind: snapshot.PolicyTimer, Interval: sim.Duration(restartSec) * sim.Second,
-			}); err != nil {
+			if err := rig.restartNetBack(sim.Duration(restartSec)*sim.Second, false); err != nil {
 				return 0, err
 			}
 		}
@@ -377,10 +370,7 @@ func Apache(scale Scale) (Table, error) {
 			return guest.HTTPBenchResult{}, err
 		}
 		if restartSec > 0 {
-			eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-			if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-				Kind: snapshot.PolicyTimer, Interval: sim.Duration(restartSec) * sim.Second,
-			}); err != nil {
+			if err := rig.restartNetBack(sim.Duration(restartSec)*sim.Second, false); err != nil {
 				return guest.HTTPBenchResult{}, err
 			}
 		}

@@ -81,8 +81,7 @@ func TestFetchToDiskBoundByDisk(t *testing.T) {
 func TestFetchAcrossRestartsLosesThroughput(t *testing.T) {
 	env, pl, vm := platform(t)
 	nb := pl.NetBacks[0]
-	eng := snapshot.NewEngine(pl.HV, hv.SystemCaller)
-	if err := eng.Manage(nb.AsRestartable(), snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: sim.Second}); err != nil {
+	if err := pl.Builder.SetRestartPolicy(nb, snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: sim.Second}); err != nil {
 		t.Fatal(err)
 	}
 	var res FetchResult
@@ -129,8 +128,9 @@ func TestHTTPBenchBaseline(t *testing.T) {
 
 func TestHTTPBenchWithRestartsShowsTails(t *testing.T) {
 	env, pl, vm := platform(t)
-	eng := snapshot.NewEngine(pl.HV, hv.SystemCaller)
-	eng.Manage(pl.NetBacks[0].AsRestartable(), snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: 2 * sim.Second})
+	if err := pl.Builder.SetRestartPolicy(pl.NetBacks[0], snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: 2 * sim.Second}); err != nil {
+		t.Fatal(err)
+	}
 	var res HTTPBenchResult
 	env.Spawn("ab", func(p *sim.Proc) {
 		srv := vm.StartHTTPServer(11 * 1024)

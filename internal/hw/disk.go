@@ -23,9 +23,8 @@ type Disk struct {
 
 	arm *sim.Resource
 
-	initialized    bool
-	initTime       sim.Duration
-	fastReinitTime sim.Duration
+	initialized bool
+	initTime    sim.Duration
 
 	// Counters.
 	ReadBytes  int64
@@ -44,19 +43,18 @@ type DiskModel struct {
 	SeekTime sim.Duration
 	// PerOp is controller/command overhead applied to every operation.
 	PerOp sim.Duration
-	// InitTime and FastReinitTime are the bring-up costs.
-	InitTime       sim.Duration
-	FastReinitTime sim.Duration
+	// InitTime is the bring-up cost.
+	InitTime sim.Duration
 }
 
 var (
 	// DiskModelSATA7200 is the paper testbed's 7200RPM SATA disk.
 	DiskModelSATA7200 = DiskModel{Driver: "sata", Bandwidth: 110e6, SeekTime: 8 * sim.Millisecond,
-		PerOp: 60 * sim.Microsecond, InitTime: 2500 * sim.Millisecond, FastReinitTime: 25 * sim.Millisecond}
+		PerOp: 60 * sim.Microsecond, InitTime: 2500 * sim.Millisecond}
 	// DiskModelNVMe is a datacenter NVMe SSD: no rotational seek, a small
 	// flash-translation penalty for random access, microsecond command cost.
 	DiskModelNVMe = DiskModel{Driver: "nvme", Bandwidth: 3.2e9, SeekTime: 20 * sim.Microsecond,
-		PerOp: 10 * sim.Microsecond, InitTime: 400 * sim.Millisecond, FastReinitTime: 10 * sim.Millisecond}
+		PerOp: 10 * sim.Microsecond, InitTime: 400 * sim.Millisecond}
 )
 
 // NewDisk returns a 7200RPM disk model at addr.
@@ -70,15 +68,14 @@ func NewDiskModel(env *sim.Env, name string, addr xtypes.PCIAddr, m DiskModel) *
 		m = DiskModelSATA7200
 	}
 	return &Disk{
-		env:            env,
-		name:           name,
-		addr:           addr,
-		Bandwidth:      m.Bandwidth,
-		SeekTime:       m.SeekTime,
-		PerOp:          m.PerOp,
-		arm:            sim.NewResource(env, 1),
-		initTime:       m.InitTime,
-		fastReinitTime: m.FastReinitTime,
+		env:       env,
+		name:      name,
+		addr:      addr,
+		Bandwidth: m.Bandwidth,
+		SeekTime:  m.SeekTime,
+		PerOp:     m.PerOp,
+		arm:       sim.NewResource(env, 1),
+		initTime:  m.InitTime,
 	}
 }
 
@@ -94,19 +91,10 @@ func (d *Disk) Name() string { return d.name }
 // InitTime implements Device.
 func (d *Disk) InitTime() sim.Duration { return d.initTime }
 
-// FastReinitTime implements Device.
-func (d *Disk) FastReinitTime() sim.Duration { return d.fastReinitTime }
-
 // Reset implements Device.
 func (d *Disk) Reset(p *sim.Proc) {
 	d.initialized = false
 	p.Sleep(d.initTime)
-	d.initialized = true
-}
-
-// FastReinit re-attaches without a controller reset.
-func (d *Disk) FastReinit(p *sim.Proc) {
-	p.Sleep(d.fastReinitTime)
 	d.initialized = true
 }
 

@@ -22,9 +22,6 @@ type Device interface {
 	Name() string
 	// InitTime is the full hardware bring-up cost (probe, reset, negotiate).
 	InitTime() sim.Duration
-	// FastReinitTime is the cost of re-attaching to already-initialized
-	// hardware, used by "fast" microreboots that leave device state intact.
-	FastReinitTime() sim.Duration
 	// Reset models a full device reset; it costs InitTime.
 	Reset(p *sim.Proc)
 }

@@ -25,8 +25,7 @@ type NIC struct {
 
 	initialized bool
 	// PHY autonegotiation plus driver probe dominates full bring-up.
-	initTime       sim.Duration
-	fastReinitTime sim.Duration
+	initTime sim.Duration
 
 	// Counters for tests and experiment output.
 	TxBytes int64
@@ -42,9 +41,8 @@ type NICModel struct {
 	LineRate float64
 	// LANLatency is one-way propagation to the directly attached peer.
 	LANLatency sim.Duration
-	// InitTime and FastReinitTime are the bring-up costs.
-	InitTime       sim.Duration
-	FastReinitTime sim.Duration
+	// InitTime is the bring-up cost.
+	InitTime sim.Duration
 }
 
 // NIC generations. Line rates are payload throughput after framing overhead
@@ -53,16 +51,16 @@ type NICModel struct {
 var (
 	// NICModel1G is the paper testbed's Tigon 3 Gigabit NIC.
 	NICModel1G = NICModel{Driver: "tg3", LineRate: 117e6, LANLatency: 50 * sim.Microsecond,
-		InitTime: 3500 * sim.Millisecond, FastReinitTime: 30 * sim.Millisecond}
+		InitTime: 3500 * sim.Millisecond}
 	// NICModel10G is an Intel 82599-class 10GbE NIC.
 	NICModel10G = NICModel{Driver: "ixgbe", LineRate: 1.17e9, LANLatency: 20 * sim.Microsecond,
-		InitTime: 2000 * sim.Millisecond, FastReinitTime: 30 * sim.Millisecond}
+		InitTime: 2000 * sim.Millisecond}
 	// NICModel25G is a ConnectX-4-class 25GbE NIC.
 	NICModel25G = NICModel{Driver: "mlx5", LineRate: 2.9e9, LANLatency: 10 * sim.Microsecond,
-		InitTime: 1500 * sim.Millisecond, FastReinitTime: 25 * sim.Millisecond}
+		InitTime: 1500 * sim.Millisecond}
 	// NICModel100G is a ConnectX-5-class 100GbE NIC.
 	NICModel100G = NICModel{Driver: "mlx5-100g", LineRate: 11.7e9, LANLatency: 5 * sim.Microsecond,
-		InitTime: 1500 * sim.Millisecond, FastReinitTime: 25 * sim.Millisecond}
+		InitTime: 1500 * sim.Millisecond}
 )
 
 // NewNIC returns a Gigabit NIC at addr.
@@ -76,15 +74,14 @@ func NewNICModel(env *sim.Env, name string, addr xtypes.PCIAddr, m NICModel) *NI
 		m = NICModel1G
 	}
 	return &NIC{
-		env:            env,
-		name:           name,
-		addr:           addr,
-		LineRate:       m.LineRate,
-		LANLatency:     m.LANLatency,
-		tx:             sim.NewResource(env, 1),
-		rx:             sim.NewResource(env, 1),
-		initTime:       m.InitTime,
-		fastReinitTime: m.FastReinitTime,
+		env:        env,
+		name:       name,
+		addr:       addr,
+		LineRate:   m.LineRate,
+		LANLatency: m.LANLatency,
+		tx:         sim.NewResource(env, 1),
+		rx:         sim.NewResource(env, 1),
+		initTime:   m.InitTime,
 	}
 }
 
@@ -100,19 +97,10 @@ func (n *NIC) Name() string { return n.name }
 // InitTime implements Device.
 func (n *NIC) InitTime() sim.Duration { return n.initTime }
 
-// FastReinitTime implements Device.
-func (n *NIC) FastReinitTime() sim.Duration { return n.fastReinitTime }
-
 // Reset implements Device: full reinitialization, costing InitTime.
 func (n *NIC) Reset(p *sim.Proc) {
 	n.initialized = false
 	p.Sleep(n.initTime)
-	n.initialized = true
-}
-
-// FastReinit re-attaches to live hardware without a PHY renegotiation.
-func (n *NIC) FastReinit(p *sim.Proc) {
-	p.Sleep(n.fastReinitTime)
 	n.initialized = true
 }
 

@@ -141,8 +141,8 @@ type stubShard struct {
 	restarts int
 }
 
-func (s *stubShard) Dom() xtypes.DomID { return s.dom }
-func (s *stubShard) Name() string      { return "netback-stub" }
+func (s *stubShard) DomID() xtypes.DomID { return s.dom }
+func (s *stubShard) Name() string        { return "netback-stub" }
 func (s *stubShard) Restart(p *sim.Proc, fast bool) {
 	s.restarts++
 	p.Sleep(50 * sim.Millisecond)

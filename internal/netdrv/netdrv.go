@@ -29,6 +29,7 @@ import (
 	"xoar/internal/hv"
 	"xoar/internal/ring"
 	"xoar/internal/sim"
+	"xoar/internal/snapshot"
 	"xoar/internal/telemetry"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
@@ -60,16 +61,6 @@ const (
 	perDescCPU  = 12 * sim.Microsecond
 	// frontChunkCPU is frontend CPU per chunk.
 	frontChunkCPU = 12 * sim.Microsecond
-
-	// reattachTime re-binds the snapshot image to live device state after a
-	// rollback (interrupts, DMA rings). Paid by every restart flavour.
-	reattachTime = 60 * sim.Millisecond
-	// renegotiateTime is the XenStore round of re-publishing backend state
-	// and re-validating every frontend's ring-refs ("slow" restarts).
-	renegotiateTime = 200 * sim.Millisecond
-	// recoveryBoxRestoreTime re-installs persisted vif configuration from
-	// the recovery box ("fast" restarts), replacing renegotiation.
-	recoveryBoxRestoreTime = 80 * sim.Millisecond
 )
 
 // vifQueue is one ring pair of a vif. Single-queue vifs (the default) have
@@ -229,8 +220,8 @@ func (b *Backend) Start(p *sim.Proc) {
 // Name implements snapshot.Restartable.
 func (b *Backend) Name() string { return "netback" }
 
-// DomID implements snapshot.Restartable (method name Dom is taken by field).
-func (b *Backend) domID() xtypes.DomID { return b.Dom }
+// DomID implements snapshot.Restartable.
+func (b *Backend) DomID() xtypes.DomID { return b.Dom }
 
 func (b *Backend) backendPath() string {
 	return fmt.Sprintf("/local/domain/%d/backend/vif", b.Dom)
@@ -564,15 +555,9 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 		v.rxSig.Broadcast()
 		b.XS.Write(xenstore.TxNone, b.vifPath(v.guest)+"/state", "init")
 	}
-	// Re-attach to live hardware (device state was left intact).
-	p.Sleep(reattachTime)
-	if fast {
-		// Negotiated vif configuration survives in the recovery box.
-		p.Sleep(recoveryBoxRestoreTime)
-	} else {
-		// Full XenStore renegotiation with every frontend.
-		p.Sleep(renegotiateTime)
-	}
+	// Re-attach to live hardware (device state was left intact), then
+	// restore vif configuration from the recovery box or renegotiate it.
+	snapshot.Reconnect(p, fast)
 	for _, v := range b.vifs {
 		for _, q := range v.queues {
 			q.rx.Reset()
@@ -584,20 +569,4 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	}
 	b.XS.Write(xenstore.TxNone, b.backendPath()+"/state", "connected")
 	b.serving.Open()
-}
-
-// restartableAdapter lets Backend satisfy snapshot.Restartable without
-// renaming its exported Dom field.
-type restartableAdapter struct{ *Backend }
-
-// Dom implements snapshot.Restartable.
-func (a restartableAdapter) Dom() xtypes.DomID { return a.domID() }
-
-// AsRestartable returns the snapshot.Restartable view of the backend.
-func (b *Backend) AsRestartable() interface {
-	Dom() xtypes.DomID
-	Name() string
-	Restart(p *sim.Proc, fast bool)
-} {
-	return restartableAdapter{b}
 }

@@ -297,7 +297,7 @@ func TestBackendIsRestartable(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := snapshot.NewEngine(hn.h, hv.SystemCaller)
-	if err := eng.Manage(hn.back.AsRestartable(), snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: sim.Second}); err != nil {
+	if err := eng.Manage(hn.back, snapshot.Policy{Kind: snapshot.PolicyTimer, Interval: sim.Second}); err != nil {
 		t.Fatal(err)
 	}
 	hn.env.RunFor(3500 * sim.Millisecond)

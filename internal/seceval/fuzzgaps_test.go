@@ -212,8 +212,8 @@ func TestProbeMidMicroreboot(t *testing.T) {
 	env, pl, guests := bootPlatform(t, false)
 	defer env.Shutdown()
 	nb := pl.NetBacks[0].Dom
-	eng := snapshot.NewEngine(pl.HV, pl.BuilderDom)
-	if err := eng.Manage(pl.NetBacks[0].AsRestartable(), snapshot.Policy{Kind: snapshot.PolicyPerRequest}); err != nil {
+	eng := pl.Engine
+	if err := pl.Builder.SetRestartPolicy(pl.NetBacks[0], snapshot.Policy{Kind: snapshot.PolicyPerRequest}); err != nil {
 		t.Fatal(err)
 	}
 	env.Spawn("mr", func(p *sim.Proc) {

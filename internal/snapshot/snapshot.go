@@ -6,7 +6,9 @@
 // The engine separates mechanism from component knowledge: each restartable
 // component implements Restartable and performs its own device reinit and
 // ring renegotiation inside Restart; the engine drives the schedule, issues
-// the hypervisor rollback, and accounts downtime.
+// the hypervisor rollback, and accounts downtime. A host has one engine, the
+// Builder's (§3.3 places the restart controller there), and every
+// registration goes through the Builder's whitelist check.
 package snapshot
 
 import (
@@ -41,10 +43,33 @@ type Policy struct {
 	Fast bool
 }
 
+// Driver-shard recovery costs: the one timing model behind NetBack's and
+// BlkBack's Restart (Figure 6.3). Every restart re-binds the rolled-back
+// image to live device state (interrupts, DMA rings); a fast restart then
+// re-installs the negotiated configuration from the recovery box, a slow one
+// re-publishes backend state and re-validates every frontend's ring-refs
+// over XenStore.
+const (
+	reattachTime           = 60 * sim.Millisecond
+	recoveryBoxRestoreTime = 80 * sim.Millisecond
+	renegotiateTime        = 200 * sim.Millisecond
+)
+
+// Reconnect charges a driver shard's recovery after rollback: reattach, then
+// the recovery box (fast) or full renegotiation (slow).
+func Reconnect(p *sim.Proc, fast bool) {
+	p.Sleep(reattachTime)
+	if fast {
+		p.Sleep(recoveryBoxRestoreTime)
+	} else {
+		p.Sleep(renegotiateTime)
+	}
+}
+
 // Restartable is a component the engine can microreboot.
 type Restartable interface {
-	// Dom is the domain the component runs in.
-	Dom() xtypes.DomID
+	// DomID is the domain the component runs in.
+	DomID() xtypes.DomID
 	// Name identifies the component in stats and logs.
 	Name() string
 	// Restart performs the component's rollback-and-recover sequence. The
@@ -66,8 +91,8 @@ type Stats struct {
 }
 
 // Engine is the restart controller. It runs with Builder-level privileges
-// (it must invoke VMRollback on other domains), which is why it lives beside
-// the Builder in the trust analysis.
+// (it must invoke VMRollback on other domains), which is why the Builder
+// owns it and it counts toward the Builder in the trust analysis.
 type Engine struct {
 	hv     *hv.Hypervisor
 	caller xtypes.DomID // domain identity the engine acts as
@@ -97,16 +122,16 @@ func NewEngine(h *hv.Hypervisor, caller xtypes.DomID) *Engine {
 // Manage registers a component under a policy. With PolicyTimer a timer
 // process is spawned immediately.
 func (e *Engine) Manage(c Restartable, policy Policy) error {
-	if _, ok := e.entries[c.Dom()]; ok {
-		return fmt.Errorf("snapshot: %v already managed: %w", c.Dom(), xtypes.ErrExists)
+	if _, ok := e.entries[c.DomID()]; ok {
+		return fmt.Errorf("snapshot: %v already managed: %w", c.DomID(), xtypes.ErrExists)
 	}
 	ent := &entry{comp: c, policy: policy}
-	e.entries[c.Dom()] = ent
+	e.entries[c.DomID()] = ent
 	if policy.Kind == PolicyTimer {
 		ent.timer = e.hv.Env.Spawn("restart-timer-"+c.Name(), func(p *sim.Proc) {
 			for {
 				p.Sleep(policy.Interval)
-				if _, ok := e.entries[c.Dom()]; !ok {
+				if _, ok := e.entries[c.DomID()]; !ok {
 					return
 				}
 				e.restart(p, ent)
@@ -168,20 +193,16 @@ func (e *Engine) restart(p *sim.Proc, ent *entry) {
 	defer func() { ent.restarting = false }()
 
 	start := p.Now()
-	// Rollback cost: proportional to the dirty page set, at copy-on-write
-	// restore speed (~1µs per 4K page: a memcpy at memory bandwidth).
-	dom, err := e.hv.Domain(ent.comp.Dom())
+	dom, err := e.hv.Domain(ent.comp.DomID())
 	if err != nil {
 		return
 	}
-	dirty := dom.Mem.DirtyPages()
-	restored, err := e.hv.VMRollback(e.caller, ent.comp.Dom())
+	restored, err := e.Rollback(p, dom)
 	if err != nil {
 		ent.stats.Errors++
 		e.tel.Counter("restart_errors_total", telemetry.L("comp", ent.comp.Name())).Inc()
 		return
 	}
-	p.Sleep(sim.Duration(dirty+1) * sim.Microsecond)
 	ent.comp.Restart(p, ent.policy.Fast)
 	ent.stats.Restarts++
 	ent.stats.PagesRestored += restored
@@ -189,6 +210,22 @@ func (e *Engine) restart(p *sim.Proc, ent *entry) {
 	ent.stats.TotalDowntime += ent.stats.LastDowntime
 	e.tel.Histogram("restart_downtime_ms", telemetry.LatencyMSBuckets,
 		telemetry.L("comp", ent.comp.Name())).Observe(ent.stats.LastDowntime.Milliseconds())
+}
+
+// Rollback restores d to its snapshot: the memory half of a microreboot,
+// shared by the restart cycle and the Builder's one-shot rollback. The
+// hypervisor audits the call against the engine's identity; the calling
+// process then pays the restore time, proportional to the dirty page set at
+// copy-on-write restore speed (~1µs per 4K page: a memcpy at memory
+// bandwidth).
+func (e *Engine) Rollback(p *sim.Proc, d *hv.Domain) (int, error) {
+	dirty := d.Mem.DirtyPages()
+	restored, err := e.hv.VMRollback(e.caller, d.ID)
+	if err != nil {
+		return 0, err
+	}
+	p.Sleep(sim.Duration(dirty+1) * sim.Microsecond)
+	return restored, nil
 }
 
 // Stats reports a component's accumulated restart accounting.

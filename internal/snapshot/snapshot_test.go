@@ -20,8 +20,8 @@ type fakeComp struct {
 	lastFast bool
 }
 
-func (f *fakeComp) Dom() xtypes.DomID { return f.dom.ID }
-func (f *fakeComp) Name() string      { return f.dom.Name }
+func (f *fakeComp) DomID() xtypes.DomID { return f.dom.ID }
+func (f *fakeComp) Name() string        { return f.dom.Name }
 func (f *fakeComp) Restart(p *sim.Proc, fast bool) {
 	f.restarts++
 	f.lastFast = fast
@@ -59,7 +59,7 @@ func TestTimerPolicyRestarts(t *testing.T) {
 	if comp.restarts != 5 {
 		t.Fatalf("restarts = %d, want 5", comp.restarts)
 	}
-	st, ok := eng.Stats(comp.Dom())
+	st, ok := eng.Stats(comp.DomID())
 	if !ok || st.Restarts != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -91,7 +91,7 @@ func TestPerRequestPolicy(t *testing.T) {
 			// serve a request...
 			p.Sleep(10 * sim.Millisecond)
 			// ...then restart ourselves.
-			if err := eng.RequestRestart(p, comp.Dom()); err != nil {
+			if err := eng.RequestRestart(p, comp.DomID()); err != nil {
 				t.Error(err)
 			}
 		}
@@ -116,10 +116,10 @@ func TestSetPolicyPreservesStats(t *testing.T) {
 	env, _, eng, comp := setup(t)
 	eng.Manage(comp, Policy{Kind: PolicyTimer, Interval: sim.Second})
 	env.Run(sim.Time(2500 * sim.Millisecond))
-	if err := eng.SetPolicy(comp.Dom(), Policy{Kind: PolicyTimer, Interval: 10 * sim.Second}); err != nil {
+	if err := eng.SetPolicy(comp.DomID(), Policy{Kind: PolicyTimer, Interval: 10 * sim.Second}); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := eng.Stats(comp.Dom())
+	st, _ := eng.Stats(comp.DomID())
 	if st.Restarts != 2 {
 		t.Fatalf("stats lost on policy change: %+v", st)
 	}
@@ -130,7 +130,7 @@ func TestUnmanageStopsTimer(t *testing.T) {
 	env, _, eng, comp := setup(t)
 	eng.Manage(comp, Policy{Kind: PolicyTimer, Interval: sim.Second})
 	env.Run(sim.Time(1500 * sim.Millisecond))
-	eng.Unmanage(comp.Dom())
+	eng.Unmanage(comp.DomID())
 	env.Run(sim.Time(10 * sim.Second))
 	env.Shutdown()
 	if comp.restarts != 1 {
@@ -157,7 +157,7 @@ func TestDowntimeMeasurement(t *testing.T) {
 	eng.Manage(comp, Policy{Kind: PolicyTimer, Interval: 2 * sim.Second})
 	env.Run(sim.Time(2500 * sim.Millisecond))
 	env.Shutdown()
-	st, _ := eng.Stats(comp.Dom())
+	st, _ := eng.Stats(comp.DomID())
 	if st.LastDowntime < 260*sim.Millisecond || st.LastDowntime > 300*sim.Millisecond {
 		t.Fatalf("downtime = %v, want ~260ms", st.LastDowntime)
 	}

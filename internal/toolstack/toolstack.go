@@ -438,28 +438,3 @@ func (ts *Toolstack) Pause(dom xtypes.DomID) error { return ts.H.Pause(ts.Dom, d
 
 // Unpause resumes a managed guest.
 func (ts *Toolstack) Unpause(dom xtypes.DomID) error { return ts.H.Unpause(ts.Dom, dom) }
-
-// Name implements snapshot.Restartable.
-func (ts *Toolstack) Name() string { return "toolstack" }
-
-// Restart implements snapshot.Restartable: the Toolstack's own microreboot.
-// Guest records live in XenStore (modelled by keeping the map — its state is
-// reconstructible), so the restart is brief.
-func (ts *Toolstack) Restart(p *sim.Proc, fast bool) {
-	p.Sleep(20 * sim.Millisecond)
-}
-
-// restartableAdapter adapts Toolstack to snapshot.Restartable.
-type restartableAdapter struct{ *Toolstack }
-
-// Dom implements snapshot.Restartable.
-func (a restartableAdapter) Dom() xtypes.DomID { return a.Toolstack.Dom }
-
-// AsRestartable returns the snapshot.Restartable view.
-func (ts *Toolstack) AsRestartable() interface {
-	Dom() xtypes.DomID
-	Name() string
-	Restart(p *sim.Proc, fast bool)
-} {
-	return restartableAdapter{ts}
-}
