@@ -26,9 +26,11 @@ func main() {
 	demoMB := flag.Int("demo-mb", 64, "per-guest demo transfer size in MB")
 	flag.Parse()
 
-	profile := xoar.XoarShards
-	if *profileName == "dom0" {
-		profile = xoar.MonolithicDom0
+	profile, err := parseProfile(*profileName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xoar:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	pl, err := xoar.New(profile, xoar.Config{Seed: 1})
@@ -102,11 +104,15 @@ func main() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// parseProfile maps the -profile flag to a platform profile.
+func parseProfile(name string) (xoar.Profile, error) {
+	switch name {
+	case "xoar":
+		return xoar.XoarShards, nil
+	case "dom0":
+		return xoar.MonolithicDom0, nil
 	}
-	return b
+	return 0, fmt.Errorf("unknown profile %q (want xoar or dom0)", name)
 }
 
 func fatal(err error) {

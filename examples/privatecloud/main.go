@@ -57,14 +57,10 @@ func main() {
 	// Isolation of management rights: user 1's toolstack cannot destroy a
 	// VM owned by user 0 — the hypervisor audits the parent-toolstack flag.
 	var attackErr error
-	done := false
-	pl.Env.Spawn("cross-tenant-attack", func(p *sim.Proc) {
+	if err := pl.RunWorkload(xoar.Second, func(p *sim.Proc) {
 		attackErr = pl.Boot.Toolstacks[1].DestroyVM(p, u0.Dom)
-		done = true
-	})
-	pl.Advance(xoar.Second)
-	if !done {
-		log.Fatal("attack did not run")
+	}); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("user 1 toolstack attacking user 0's VM:", attackErr)
 

@@ -15,8 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 
 	"xoar"
+	"xoar/internal/seceval"
 )
 
 func main() {
@@ -74,7 +76,12 @@ func main() {
 	// And what would each registry CVE have yielded the attacker?
 	rep := pl.SecurityReport(a1.Dom)
 	fmt.Println("containment summary for a compromise originating in", a1.Dom, ":")
-	for outcome, n := range rep.ByOutcome {
-		fmt.Printf("  %-20v %d CVEs\n", outcome, n)
+	outcomes := make([]seceval.Outcome, 0, len(rep.ByOutcome))
+	for o := range rep.ByOutcome {
+		outcomes = append(outcomes, o)
+	}
+	slices.Sort(outcomes) // Outcome order, so every run prints the same lines
+	for _, o := range outcomes {
+		fmt.Printf("  %-20v %d CVEs\n", o, rep.ByOutcome[o])
 	}
 }

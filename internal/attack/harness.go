@@ -84,14 +84,15 @@ func NewHarness() (*Harness, error) {
 	ha := &Harness{Env: env, H: h, Log: log}
 	h.OnDestroy(func(id xtypes.DomID) { ha.destroyed = append(ha.destroyed, id) })
 
-	var err error
-	env.Spawn("attack-setup", func(p *sim.Proc) {
-		ha.PL, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		if err != nil {
-			return
-		}
+	pl, err := boot.Run(h, false, boot.Options{})
+	if err != nil {
+		env.Shutdown()
+		return nil, fmt.Errorf("attack: boot: %w", err)
+	}
+	ha.PL = pl
+	if !env.Await("attack-setup", 120*sim.Second, func(p *sim.Proc) {
 		for _, name := range []string{"victimA", "victimB", "mallory"} {
-			g, cerr := ha.PL.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
+			g, cerr := pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 				Name: name, Image: osimage.ImgGuestPV, MemMB: 256,
 				Net: true, Disk: true,
 			})
@@ -101,11 +102,12 @@ func NewHarness() (*Harness, error) {
 			}
 			ha.Guests = append(ha.Guests, g)
 		}
-	})
-	env.RunFor(300 * sim.Second)
+	}) {
+		err = fmt.Errorf("guest setup did not complete")
+	}
 	if err != nil {
 		env.Shutdown()
-		return nil, fmt.Errorf("attack: boot: %w", err)
+		return nil, fmt.Errorf("attack: setup: %w", err)
 	}
 	ha.VictimA = ha.Guests[0].Dom
 	ha.VictimB = ha.Guests[1].Dom

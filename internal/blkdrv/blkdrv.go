@@ -142,16 +142,6 @@ func (b *Backend) DataPathStats() DataPathStats {
 	return s
 }
 
-// SetAlwaysNotify switches every vbd ring between suppressed (default) and
-// notify-per-push operation, for the per-descriptor ablation baseline.
-func (b *Backend) SetAlwaysNotify(on bool) {
-	for _, v := range b.vbds {
-		for _, q := range v.queues {
-			q.ring.AlwaysNotify = on
-		}
-	}
-}
-
 // SetMetrics attaches a telemetry registry (nil = disabled). The ring
 // round-trip histograms measure, per request, the time from its batch being
 // popped off the vbd ring to pushing its completion; the batch-size
@@ -229,15 +219,6 @@ func (b *Backend) DeleteImage(name string) error {
 	}
 	delete(b.images, name)
 	return nil
-}
-
-// Images lists image names (unordered).
-func (b *Backend) Images() []string {
-	out := make([]string, 0, len(b.images))
-	for n := range b.images {
-		out = append(out, n)
-	}
-	return out
 }
 
 // --- vbd lifecycle ----------------------------------------------------------

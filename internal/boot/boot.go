@@ -11,6 +11,9 @@
 //   - BootDom0: the stock sequence. Xen creates a single monolithic control
 //     VM that initializes hardware, starts every service in order, and
 //     holds full privilege over the system.
+//
+// Run is the one way code outside the simulation boots a host: it runs
+// either sequence on the host's clock and returns once boot is complete.
 package boot
 
 import (
@@ -137,6 +140,29 @@ func shardAssignment(role string) hv.Assignment {
 		Hypercalls: capability.Hypercalls(role),
 		IOPorts:    capability.IOPorts(role),
 	}
+}
+
+// runLimit bounds a boot in modeled time. Both profiles finish well inside
+// it, serialized Xoar included.
+const runLimit = 300 * sim.Second
+
+// Run boots h in the chosen profile from the default image catalog,
+// advancing h's clock until boot completes (sim.Env.Await). The caller
+// builds h, so an audit sink or OnDestroy hook is in place before the first
+// domain exists. A failed boot returns a nil Platform.
+func Run(h *hv.Hypervisor, monolithic bool, opts Options) (*Platform, error) {
+	bootFn := BootXoar
+	if monolithic {
+		bootFn = BootDom0
+	}
+	var pl *Platform
+	var err error
+	if !h.Env.Await("boot", runLimit, func(p *sim.Proc) {
+		pl, err = bootFn(p, h, osimage.DefaultCatalog(), opts)
+	}) {
+		return nil, fmt.Errorf("boot: did not complete within %v", runLimit)
+	}
+	return pl, err
 }
 
 // BootXoar boots the disaggregated platform. Call from a sim process.

@@ -18,40 +18,38 @@ import (
 
 func bootXoar(t *testing.T, opts Options) (*sim.Env, *hv.Hypervisor, *Platform) {
 	t.Helper()
-	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *Platform
-	var err error
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = BootXoar(p, h, osimage.DefaultCatalog(), opts)
-	})
-	env.RunFor(120 * sim.Second)
-	if err != nil {
-		t.Fatalf("xoar boot: %v", err)
-	}
-	if pl == nil {
-		t.Fatal("boot did not finish in 120s")
-	}
-	return env, h, pl
+	return bootOn(t, false, opts)
 }
 
 func bootDom0(t *testing.T) (*sim.Env, *hv.Hypervisor, *Platform) {
 	t.Helper()
+	return bootOn(t, true, Options{})
+}
+
+func bootOn(t *testing.T, monolithic bool, opts Options) (*sim.Env, *hv.Hypervisor, *Platform) {
+	t.Helper()
 	env := sim.NewEnv(1)
 	h := hv.New(env, hw.NewMachine(env))
-	var pl *Platform
-	var err error
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = BootDom0(p, h, osimage.DefaultCatalog(), Options{})
-	})
-	env.RunFor(120 * sim.Second)
+	pl, err := Run(h, monolithic, opts)
 	if err != nil {
-		t.Fatalf("dom0 boot: %v", err)
-	}
-	if pl == nil {
-		t.Fatal("boot did not finish")
+		t.Fatalf("boot (monolithic=%v): %v", monolithic, err)
 	}
 	return env, h, pl
+}
+
+func TestRunOnTooSmallMachineFailsWithNoMem(t *testing.T) {
+	for _, monolithic := range []bool{false, true} {
+		env := sim.NewEnv(1)
+		h := hv.New(env, hw.NewMachineWith(env, hw.MachineConfig{RAMMB: 512, NICs: 1, Disks: 1}))
+		pl, err := Run(h, monolithic, Options{})
+		if !errors.Is(err, xtypes.ErrNoMem) {
+			t.Errorf("monolithic=%v: err = %v, want ErrNoMem", monolithic, err)
+		}
+		if pl != nil {
+			t.Errorf("monolithic=%v: failed boot returned a platform", monolithic)
+		}
+		env.Shutdown()
+	}
 }
 
 func TestXoarBootBringsUpAllComponents(t *testing.T) {

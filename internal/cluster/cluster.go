@@ -93,9 +93,6 @@ type Guest struct {
 	gone      bool
 }
 
-// Host returns the host currently running the guest.
-func (g *Guest) Host() *Host { return g.host }
-
 // Cluster is a fleet of hosts under one scheduler.
 type Cluster struct {
 	Env   *sim.Env
@@ -133,11 +130,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.HeadroomMB <= 0 {
 		cfg.HeadroomMB = 64
 	}
-	mcfg := cfg.Machine
-	if mcfg == (hw.MachineConfig{}) {
-		mcfg = hw.DefaultMachineConfig()
-	}
-
 	env := sim.NewEnv(cfg.Seed)
 	c := &Cluster{
 		Env:     env,
@@ -149,29 +141,17 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host-%d", i)
-		h := hv.New(env, hw.NewMachineWith(env, mcfg))
-		host := &Host{Index: i, Name: name, HV: h, guests: make(map[xtypes.DomID]*Guest)}
-
-		var bootErr error
-		done := false
-		env.Spawn("boot-"+name, func(p *sim.Proc) {
-			host.PL, bootErr = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{
-				Toolstacks: 1,
-				NoConsole:  true,
-				Telemetry:  cfg.Fleet.Host(name),
-				GuestQuota: cfg.GuestQuota,
-			})
-			done = true
+		h := hv.New(env, hw.NewMachineWith(env, cfg.Machine))
+		pl, err := boot.Run(h, false, boot.Options{
+			Toolstacks: 1,
+			NoConsole:  true,
+			Telemetry:  cfg.Fleet.Host(name),
+			GuestQuota: cfg.GuestQuota,
 		})
-		for t := 0; t < 300 && !done; t++ {
-			env.RunFor(sim.Second)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}
-		if bootErr != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", name, bootErr)
-		}
-		if !done {
-			return nil, fmt.Errorf("cluster: %s did not finish booting", name)
-		}
+		host := &Host{Index: i, Name: name, HV: h, PL: pl, guests: make(map[xtypes.DomID]*Guest)}
 		host.capacityMB = h.MM.FreeMB() - cfg.HeadroomMB
 		c.Hosts = append(c.Hosts, host)
 	}

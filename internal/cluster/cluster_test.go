@@ -12,15 +12,7 @@ import (
 // run drives env until fn (spawned as a proc) finishes, failing on timeout.
 func run(t *testing.T, c *Cluster, name string, fn func(p *sim.Proc)) {
 	t.Helper()
-	done := false
-	c.Env.Spawn(name, func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	for i := 0; i < 600 && !done; i++ {
-		c.Env.RunFor(sim.Second)
-	}
-	if !done {
+	if !c.Env.Await(name, 600*sim.Second, fn) {
 		t.Fatalf("%s did not finish", name)
 	}
 }

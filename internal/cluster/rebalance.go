@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"fmt"
-
-	"xoar/internal/migrate"
 	"xoar/internal/sim"
 	"xoar/internal/telemetry"
-	"xoar/internal/toolstack"
 )
 
 // RebalanceOnce scans the fleet and, if the fullest and emptiest hosts differ
@@ -48,11 +44,9 @@ func (c *Cluster) RebalanceOnce(p *sim.Proc, minGapMB int) (bool, error) {
 	return true, c.migrateGuest(p, victim, dst)
 }
 
-// migrateGuest moves g to dst with the standard orchestration: the source
-// toolstack drives the pre-copy, the destination Builder constructs the
-// receiving shell, and the destination toolstack adopts the result. The
-// guest record is updated in place so the caller's destroy closure follows
-// the guest to its new host.
+// migrateGuest moves g to dst through the source toolstack's MigrateTo.
+// The guest record is updated in place so the caller's destroy closure
+// follows the guest to its new host.
 func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	src := g.host
 	g.migrating = true
@@ -63,30 +57,21 @@ func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	}()
 
 	srcTS := src.PL.Toolstacks[0]
-	dstTS := dst.PL.Toolstacks[0]
-	newDom, res, err := migrate.LiveMigrate(
-		p, src.HV, srcTS.Dom, g.Dom,
-		dst.HV, dst.PL.BuilderDom,
-		c.link, migrate.DefaultOptions())
-	if err != nil {
+	rec, res, err := srcTS.MigrateTo(p, g.Dom, dst.PL.Toolstacks[0], c.link)
+	if srcTS.Manages(g.Dom) { // the pre-copy failed; the guest never left
 		dst.committedMB -= g.MemMB
 		c.MigrationFailures++
 		c.m.Counter("cluster_migration_failures_total").Inc()
 		return err
 	}
-	srcTS.Forget(g.Dom)
 	delete(src.guests, g.Dom)
 	src.committedMB -= g.MemMB
-
-	if err := dst.HV.SetParentTool(dst.PL.BuilderDom, newDom, dstTS.Dom); err != nil {
-		return fmt.Errorf("cluster: handoff of migrated %q: %w", g.Name, err)
+	if err != nil {
+		return err // the hand-off failed after the guest left
 	}
-	if _, err := dstTS.Adopt(p, newDom, toolstack.GuestConfig{Name: g.Name, MemMB: g.MemMB}); err != nil {
-		return fmt.Errorf("cluster: adopt of migrated %q: %w", g.Name, err)
-	}
-	g.Dom = newDom
+	g.Dom = rec.Dom
 	g.host = dst
-	dst.guests[newDom] = g
+	dst.guests[rec.Dom] = g
 	c.Migrations++
 	c.m.Counter("cluster_migrations_total").Inc()
 	c.m.Histogram("cluster_migration_downtime_ms", telemetry.LatencyMSBuckets).

@@ -26,6 +26,7 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 	"xoar/internal/xtypes"
 )
 
@@ -115,36 +116,16 @@ func NewCluster(profile Profile, cfg Config, n int) ([]*Platform, error) {
 }
 
 func newPlatform(env *sim.Env, profile Profile, cfg Config) (*Platform, error) {
-	mcfg := cfg.Machine
-	if mcfg == (hw.MachineConfig{}) {
-		mcfg = hw.DefaultMachineConfig()
-	}
-	h := hv.New(env, hw.NewMachineWith(env, mcfg))
+	h := hv.New(env, hw.NewMachineWith(env, cfg.Machine))
 	log := audit.NewLog()
 	h.Sink = func(e hv.Event) { log.Append(e.Time, e.Kind, e.Dom, e.Arg) }
-
-	pl := &Platform{Profile: profile, Env: env, HV: h, Log: log, guests: make(map[xtypes.DomID]*Guest)}
-	var bootErr error
-	done := false
-	env.Spawn("boot", func(p *sim.Proc) {
-		opts := boot.Options{Toolstacks: cfg.Toolstacks, DestroyPCIBack: cfg.DestroyPCIBack, NoConsole: cfg.NoConsole}
-		if profile == MonolithicDom0 {
-			pl.Boot, bootErr = boot.BootDom0(p, h, osimage.DefaultCatalog(), opts)
-		} else {
-			pl.Boot, bootErr = boot.BootXoar(p, h, osimage.DefaultCatalog(), opts)
-		}
-		done = true
+	bp, err := boot.Run(h, profile == MonolithicDom0, boot.Options{
+		Toolstacks: cfg.Toolstacks, DestroyPCIBack: cfg.DestroyPCIBack, NoConsole: cfg.NoConsole,
 	})
-	for i := 0; i < 300 && !done; i++ {
-		env.RunFor(sim.Second)
+	if err != nil {
+		return nil, err
 	}
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	if !done {
-		return nil, fmt.Errorf("core: boot did not complete")
-	}
-	return pl, nil
+	return &Platform{Profile: profile, Env: env, HV: h, Boot: bp, Log: log, guests: make(map[xtypes.DomID]*Guest)}, nil
 }
 
 // GuestSpec describes a guest to create.
@@ -187,8 +168,7 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 	ts := pl.Boot.Toolstacks[spec.Toolstack]
 	var rec *toolstack.Guest
 	var err error
-	done := false
-	pl.Env.Spawn("create-"+spec.Name, func(p *sim.Proc) {
+	if !pl.Env.Await("create-"+spec.Name, 120*sim.Second, func(p *sim.Proc) {
 		rec, err = ts.CreateVM(p, toolstack.GuestConfig{
 			Name: spec.Name, Image: spec.Image, CustomKernel: spec.CustomKernel,
 			MemMB: spec.MemMB, VCPUs: spec.VCPUs, DiskMB: spec.DiskMB,
@@ -196,24 +176,13 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 			NetQueues: spec.NetQueues, DiskQueues: spec.DiskQueues,
 			HVM: spec.HVM,
 		})
-		done = true
-	})
-	for i := 0; i < 120 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
+	}) {
+		return nil, fmt.Errorf("core: guest creation did not complete")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if !done {
-		return nil, fmt.Errorf("core: guest creation did not complete")
-	}
-	g := &Guest{
-		Name: spec.Name,
-		Dom:  rec.Dom,
-		VM:   &guest.VM{H: pl.HV, Dom: rec.Dom, Net: rec.Net, Blk: rec.Blk, NetB: rec.NetB, BlkB: rec.BlkB},
-		rec:  rec,
-		pl:   pl,
-	}
+	g := &Guest{Name: spec.Name, Dom: rec.Dom, VM: workload.VMOf(pl.HV, rec), rec: rec, pl: pl}
 	pl.guests[rec.Dom] = g
 	return g, nil
 }
@@ -221,19 +190,13 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 // DestroyGuest tears a guest down through its managing toolstack.
 func (pl *Platform) DestroyGuest(g *Guest) error {
 	var err error
-	done := false
-	pl.Env.Spawn("destroy-"+g.Name, func(p *sim.Proc) {
+	if !pl.Env.Await("destroy-"+g.Name, 30*sim.Second, func(p *sim.Proc) {
 		for _, ts := range pl.Boot.Toolstacks {
 			if err = ts.DestroyVM(p, g.Dom); err == nil {
 				break
 			}
 		}
-		done = true
-	})
-	for i := 0; i < 30 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !done {
+	}) {
 		return fmt.Errorf("core: destroy did not complete")
 	}
 	if err == nil {
@@ -289,16 +252,7 @@ func (pl *Platform) Now() sim.Time { return pl.Env.Now() }
 // RunWorkload executes fn inside a sim process and advances time until it
 // returns (bounded by limit).
 func (pl *Platform) RunWorkload(limit sim.Duration, fn func(p *sim.Proc)) error {
-	finished := false
-	pl.Env.Spawn("workload", func(p *sim.Proc) {
-		fn(p)
-		finished = true
-	})
-	deadline := pl.Env.Now().Add(limit)
-	for !finished && pl.Env.Now() < deadline {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !finished {
+	if !pl.Env.Await("workload", limit, fn) {
 		return fmt.Errorf("core: workload exceeded %v", limit)
 	}
 	return nil

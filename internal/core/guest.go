@@ -4,18 +4,11 @@ import (
 	"fmt"
 
 	"xoar/internal/guest"
-	"xoar/internal/hv"
 	"xoar/internal/qemudm"
 	"xoar/internal/sim"
-	"xoar/internal/toolstack"
 	"xoar/internal/workload"
 	"xoar/internal/xtypes"
 )
-
-// newVMFromRecord wires a workload endpoint from a toolstack record.
-func newVMFromRecord(h *hv.Hypervisor, rec *toolstack.Guest) *guest.VM {
-	return &guest.VM{H: h, Dom: rec.Dom, Net: rec.Net, Blk: rec.Blk, NetB: rec.NetB, BlkB: rec.BlkB}
-}
 
 // Fetch downloads bytes from the LAN peer into the guest (wget), advancing
 // virtual time until the transfer completes.

@@ -6,6 +6,7 @@ import (
 	"xoar/internal/migrate"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 	"xoar/internal/xtypes"
 )
 
@@ -32,58 +33,21 @@ func (pl *Platform) MigrateGuest(g *Guest, dst *Platform) (*MigrationResult, err
 		return nil, fmt.Errorf("core: %v not managed here: %w", g.Dom, xtypes.ErrNotFound)
 	}
 	srcTS := pl.Boot.Toolstacks[0]
-	dstTS := dst.Boot.Toolstacks[0]
-
+	var rec *toolstack.Guest
 	var res MigrationResult
 	var err error
-	done := false
-	pl.Env.Spawn("migrate-"+g.Name, func(p *sim.Proc) {
-		defer func() { done = true }()
-		var newDom xtypes.DomID
-		newDom, res.Stats, err = migrate.LiveMigrate(
-			p, pl.HV, srcTS.Dom, g.Dom,
-			dst.HV, dst.Boot.BuilderDom,
-			migrate.DefaultLink(), migrate.DefaultOptions())
-		if err != nil {
-			return
-		}
-		// Source-side bookkeeping: the toolstack's record, the shard links
-		// and the disk image go through the normal detach path (the domain
-		// itself is already gone).
-		srcTS.Forget(g.Dom)
-		delete(pl.guests, g.Dom)
-
-		// Destination: hand the domain to the toolstack and re-wire devices.
-		if err = dst.HV.SetParentTool(dst.Boot.BuilderDom, newDom, dstTS.Dom); err != nil {
-			return
-		}
-		var rec *toolstack.Guest
-		rec, err = dstTS.Adopt(p, newDom, toolstack.GuestConfig{
-			Name: g.Name, MemMB: g.rec.Cfg.MemMB,
-			Net: g.rec.Cfg.Net, Disk: g.rec.Cfg.Disk,
-			DiskMB: g.rec.Cfg.DiskMB, ConstraintTag: g.rec.Cfg.ConstraintTag,
-		})
-		if err != nil {
-			return
-		}
-		ng := &Guest{
-			Name: g.Name,
-			Dom:  newDom,
-			VM:   newVMFromRecord(dst.HV, rec),
-			rec:  rec,
-			pl:   dst,
-		}
-		dst.guests[newDom] = ng
-		res.Guest = ng
-	})
-	for i := 0; i < 600 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !done {
+	if !pl.Env.Await("migrate-"+g.Name, 600*sim.Second, func(p *sim.Proc) {
+		rec, res.Stats, err = srcTS.MigrateTo(p, g.Dom, dst.Boot.Toolstacks[0], migrate.DefaultLink())
+	}) {
 		return nil, fmt.Errorf("core: migration did not complete")
+	}
+	if _, gone := pl.HV.Domain(g.Dom); gone != nil {
+		delete(pl.guests, g.Dom) // it left, even if the hand-off then failed
 	}
 	if err != nil {
 		return nil, err
 	}
+	res.Guest = &Guest{Name: g.Name, Dom: rec.Dom, VM: workload.VMOf(dst.HV, rec), rec: rec, pl: dst}
+	dst.guests[rec.Dom] = res.Guest
 	return &res, nil
 }

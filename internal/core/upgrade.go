@@ -5,7 +5,6 @@ import (
 
 	"xoar/internal/netdrv"
 	"xoar/internal/sim"
-	"xoar/internal/toolstack"
 	"xoar/internal/xtypes"
 )
 
@@ -41,9 +40,7 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 
 	var newDom xtypes.DomID
 	var err error
-	done := false
-	pl.Env.Spawn("upgrade-netback", func(p *sim.Proc) {
-		defer func() { done = true }()
+	if !pl.Env.Await("upgrade-netback", 120*sim.Second, func(p *sim.Proc) {
 		// Tear the old shard down: vifs break, the NIC is released. The old
 		// shard may already be dead — the crash-recovery case; Rebuild then
 		// only builds.
@@ -69,7 +66,7 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 		for _, g := range clients {
 			ts := pl.Boot.Toolstacks[0]
 			for _, cand := range pl.Boot.Toolstacks {
-				if tsManages(cand, g.Dom) {
+				if cand.Manages(g.Dom) {
 					ts = cand
 					break
 				}
@@ -90,25 +87,11 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 			g.rec.Net = fe
 			g.VM.Net = fe
 		}
-	})
-	for i := 0; i < 120 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !done {
+	}) {
 		return xtypes.DomIDNone, fmt.Errorf("core: upgrade did not complete")
 	}
 	if err != nil {
 		return xtypes.DomIDNone, err
 	}
 	return newDom, nil
-}
-
-// tsManages reports whether ts manages dom.
-func tsManages(ts *toolstack.Toolstack, dom xtypes.DomID) bool {
-	for _, g := range ts.Guests() {
-		if g.Dom == dom {
-			return true
-		}
-	}
-	return false
 }

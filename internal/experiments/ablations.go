@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"xoar/internal/boot"
-	"xoar/internal/hv"
-	"xoar/internal/hw"
-	"xoar/internal/osimage"
 	"xoar/internal/seceval"
 	"xoar/internal/sim"
 	"xoar/internal/xenstore"
@@ -17,27 +14,23 @@ import (
 func Ablations() (Table, error) {
 	t := Table{ID: "ablations", Title: "Design-choice ablations"}
 
-	// 1. Parallel vs serialized boot (the Table 6.2 mechanism).
-	bootTime := func(serialize bool) (float64, error) {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var pl *boot.Platform
-		var err error
-		env.Spawn("boot", func(p *sim.Proc) {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{Serialize: serialize})
-		})
-		env.RunFor(300 * sim.Second)
-		defer env.Shutdown()
+	// measure reads one number off a freshly booted Xoar rig.
+	measure := func(opts boot.Options, read func(*Rig) float64) (float64, error) {
+		rig, err := BootRigOpts(Xoar, 1, opts)
 		if err != nil {
 			return 0, err
 		}
-		return pl.Timings.Done.Seconds(), nil
+		defer rig.Close()
+		return read(rig), nil
 	}
-	par, err := bootTime(false)
+
+	// 1. Parallel vs serialized boot (the Table 6.2 mechanism).
+	doneAt := func(r *Rig) float64 { return r.PL.Timings.Done.Seconds() }
+	par, err := measure(boot.Options{}, doneAt)
 	if err != nil {
 		return t, err
 	}
-	ser, err := bootTime(true)
+	ser, err := measure(boot.Options{Serialize: true}, doneAt)
 	if err != nil {
 		return t, err
 	}
@@ -47,25 +40,12 @@ func Ablations() (Table, error) {
 	)
 
 	// 2. PCIBack destruction: resident control-plane domains at steady state.
-	countDomains := func(destroy bool) (float64, error) {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var err error
-		env.Spawn("boot", func(p *sim.Proc) {
-			_, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{DestroyPCIBack: destroy})
-		})
-		env.RunFor(300 * sim.Second)
-		defer env.Shutdown()
-		if err != nil {
-			return 0, err
-		}
-		return float64(len(h.Domains())), nil
-	}
-	resident, err := countDomains(false)
+	domains := func(r *Rig) float64 { return float64(len(r.HV.Domains())) }
+	resident, err := measure(boot.Options{}, domains)
 	if err != nil {
 		return t, err
 	}
-	destroyed, err := countDomains(true)
+	destroyed, err := measure(boot.Options{DestroyPCIBack: true}, domains)
 	if err != nil {
 		return t, err
 	}

@@ -58,19 +58,14 @@ func ClusterChurn(cfg ClusterChurnConfig) (Table, error) {
 		return t, err
 	}
 	var st workload.ChurnStats
-	done := false
-	c.Env.Spawn("churn", func(p *sim.Proc) {
+	done := c.Env.Await("churn", 900*sim.Second, func(p *sim.Proc) {
 		st = workload.ServerlessChurn(p, c, workload.ChurnConfig{
 			ArrivalsPerSec: cfg.ArrivalsPerSec,
 			Total:          cfg.Guests,
 			MeanLifetime:   150 * sim.Millisecond,
 			MemMB:          64,
 		})
-		done = true
 	})
-	for i := 0; i < 900 && !done; i++ {
-		c.Env.RunFor(sim.Second)
-	}
 	c.Env.Shutdown()
 	if !done {
 		return t, fmt.Errorf("experiments: churn did not complete")
@@ -100,9 +95,7 @@ func ClusterChurn(cfg ClusterChurnConfig) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	done = false
-	rb.Env.Spawn("rebalance", func(p *sim.Proc) {
-		defer func() { done = true }()
+	done = rb.Env.Await("rebalance", 300*sim.Second, func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			if _, err := rb.Launch(p, "svc-"+string(rune('a'+i)), 256); err != nil {
 				return
@@ -116,9 +109,6 @@ func ClusterChurn(cfg ClusterChurnConfig) (Table, error) {
 			}
 		}
 	})
-	for i := 0; i < 300 && !done; i++ {
-		rb.Env.RunFor(sim.Second)
-	}
 	rb.Env.Shutdown()
 	if !done {
 		return t, fmt.Errorf("experiments: rebalance phase did not complete")

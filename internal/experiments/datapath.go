@@ -5,39 +5,10 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/guest"
-	"xoar/internal/hv"
 	"xoar/internal/hw"
 	"xoar/internal/netdrv"
-	"xoar/internal/osimage"
 	"xoar/internal/sim"
 )
-
-// BootRigMachine boots a profile on an explicitly configured machine —
-// the hook for running the evaluation on faster hardware generations than
-// the paper's Gigabit testbed.
-func BootRigMachine(profile Profile, seed int64, mcfg hw.MachineConfig, opts boot.Options) (*Rig, error) {
-	env := sim.NewEnv(seed)
-	h := hv.New(env, hw.NewMachineWith(env, mcfg))
-	var pl *boot.Platform
-	var err error
-	done := false
-	env.Spawn("boot", func(p *sim.Proc) {
-		if profile == Dom0 {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), opts)
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), opts)
-		}
-		done = true
-	})
-	env.RunFor(200 * sim.Second)
-	if err != nil {
-		return nil, err
-	}
-	if !done {
-		return nil, fmt.Errorf("experiments: boot did not complete")
-	}
-	return &Rig{Env: env, HV: h, PL: pl}, nil
-}
 
 // --- Figure 6.1/6.2-style saturation sweep across NIC generations -----------
 

@@ -17,6 +17,7 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 )
 
 // Profile selects the platform under test.
@@ -62,31 +63,26 @@ type Rig struct {
 
 // BootRig boots a profile on a fresh machine with default options.
 func BootRig(profile Profile, seed int64) (*Rig, error) {
-	return BootRigOpts(profile, seed, boot.Options{})
+	return BootRigMachine(profile, seed, hw.MachineConfig{}, boot.Options{})
 }
 
 // BootRigOpts boots a profile with explicit boot options — the hook for
 // wiring a telemetry registry (or any other boot knob) into an experiment.
 func BootRigOpts(profile Profile, seed int64, opts boot.Options) (*Rig, error) {
+	return BootRigMachine(profile, seed, hw.MachineConfig{}, opts)
+}
+
+// BootRigMachine boots a profile on an explicitly configured machine (the
+// zero config is the paper's testbed) — the hook for running the evaluation
+// on faster hardware generations than the paper's Gigabit testbed, or on
+// hosts big enough for fleets of large guests.
+func BootRigMachine(profile Profile, seed int64, mcfg hw.MachineConfig, opts boot.Options) (*Rig, error) {
 	env := sim.NewEnv(seed)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
-	var err error
-	done := false
-	env.Spawn("boot", func(p *sim.Proc) {
-		if profile == Dom0 {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), opts)
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), opts)
-		}
-		done = true
-	})
-	env.RunFor(200 * sim.Second)
+	h := hv.New(env, hw.NewMachineWith(env, mcfg))
+	pl, err := boot.Run(h, profile == Dom0, opts)
 	if err != nil {
+		env.Shutdown()
 		return nil, err
-	}
-	if !done {
-		return nil, fmt.Errorf("experiments: boot did not complete")
 	}
 	return &Rig{Env: env, HV: h, PL: pl}, nil
 }
@@ -97,28 +93,20 @@ func (r *Rig) Close() { r.Env.Shutdown() }
 // NewGuest creates a standard benchmark guest: 2 vCPUs, 1GB, net + 15GB disk
 // (the §6.1 guest configuration).
 func (r *Rig) NewGuest(name string) (*guest.VM, error) {
-	var vm *guest.VM
+	var g *toolstack.Guest
 	var err error
-	done := false
-	r.Env.Spawn("mkguest", func(p *sim.Proc) {
-		var g *toolstack.Guest
+	if !r.Env.Await("mkguest", 60*sim.Second, func(p *sim.Proc) {
 		g, err = r.PL.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 			Name: name, Image: osimage.ImgGuestPV, MemMB: 1024, VCPUs: 2,
 			Net: true, Disk: true, DiskMB: 15 * 1024,
 		})
-		if err == nil {
-			vm = &guest.VM{H: r.HV, Dom: g.Dom, Net: g.Net, Blk: g.Blk, NetB: g.NetB, BlkB: g.BlkB}
-		}
-		done = true
-	})
-	r.Env.RunFor(60 * sim.Second)
+	}) {
+		return nil, fmt.Errorf("experiments: guest creation did not complete")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if !done {
-		return nil, fmt.Errorf("experiments: guest creation did not complete")
-	}
-	return vm, nil
+	return workload.VMOf(r.HV, g), nil
 }
 
 // restartNetBack puts the first NetBack under a timer restart policy
@@ -132,16 +120,7 @@ func (r *Rig) restartNetBack(every sim.Duration, fast bool) error {
 // Go runs fn in a sim process and advances virtual time until it finishes
 // (bounded by limit to keep broken models from spinning forever).
 func (r *Rig) Go(limit sim.Duration, fn func(p *sim.Proc)) error {
-	done := false
-	r.Env.Spawn("exp", func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	deadline := r.Env.Now().Add(limit)
-	for !done && r.Env.Now() < deadline {
-		r.Env.RunFor(10 * sim.Second)
-	}
-	if !done {
+	if !r.Env.Await("exp", limit, fn) {
 		return fmt.Errorf("experiments: workload did not complete within %v", limit)
 	}
 	return nil

@@ -5,9 +5,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/guest"
-	"xoar/internal/hv"
-	"xoar/internal/hw"
-	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/workload"
 )
@@ -57,24 +54,18 @@ func MemoryOverhead() (Table, error) {
 	t.Rows = append(t.Rows, Row{Label: "total (full config)", Measured: total, Paper: 896, Unit: "MB"})
 
 	// The minimal hosting configuration: no console, PCIBack destroyed.
-	envMin := sim.NewEnv(1)
-	hMin := hv.New(envMin, hw.NewMachine(envMin))
-	var plMin *boot.Platform
-	var errMin error
-	envMin.Spawn("boot", func(p *sim.Proc) {
-		plMin, errMin = boot.BootXoar(p, hMin, osimage.DefaultCatalog(), boot.Options{NoConsole: true, DestroyPCIBack: true})
-	})
-	envMin.RunFor(200 * sim.Second)
-	if errMin == nil && plMin != nil {
-		minTotal := 0.0
-		for _, d := range hMin.Domains() {
-			if d.IsShard() {
-				minTotal += float64(d.Mem.MaxMB())
-			}
-		}
-		t.Rows = append(t.Rows, Row{Label: "total (minimal config)", Measured: minTotal, Paper: 512, Unit: "MB"})
+	rigMin, err := BootRigOpts(Xoar, 1, boot.Options{NoConsole: true, DestroyPCIBack: true})
+	if err != nil {
+		return t, err
 	}
-	envMin.Shutdown()
+	defer rigMin.Close()
+	minTotal := 0.0
+	for _, d := range rigMin.HV.Domains() {
+		if d.IsShard() {
+			minTotal += float64(d.Mem.MaxMB())
+		}
+	}
+	t.Rows = append(t.Rows, Row{Label: "total (minimal config)", Measured: minTotal, Paper: 512, Unit: "MB"})
 
 	t.Rows = append(t.Rows, Row{Label: "dom0 default (XenServer)", Measured: 750, Paper: 750, Unit: "MB"})
 	t.Notes = append(t.Notes,
@@ -110,21 +101,16 @@ func BootTime() (Table, error) {
 	)
 
 	// Ablation: serialized Xoar boot (no Bootstrapper parallelism).
-	envS := sim.NewEnv(1)
-	hS := hv.New(envS, hw.NewMachine(envS))
-	var plS *boot.Platform
-	envS.Spawn("boot", func(p *sim.Proc) {
-		plS, err = boot.BootXoar(p, hS, osimage.DefaultCatalog(), boot.Options{Serialize: true})
-	})
-	envS.RunFor(300 * sim.Second)
-	if err == nil && plS != nil {
-		// Console comes up first either way; the parallelism win shows in
-		// the full-platform boot time.
-		t.Rows = append(t.Rows,
-			Row{Label: "xoar full boot (parallel)", Measured: rigX.PL.Timings.Done.Seconds(), Unit: "s"},
-			Row{Label: "xoar full boot (serialized, ablation)", Measured: plS.Timings.Done.Seconds(), Unit: "s"})
+	rigS, err := BootRigOpts(Xoar, 1, boot.Options{Serialize: true})
+	if err != nil {
+		return t, err
 	}
-	envS.Shutdown()
+	defer rigS.Close()
+	// Console comes up first either way; the parallelism win shows in the
+	// full-platform boot time.
+	t.Rows = append(t.Rows,
+		Row{Label: "xoar full boot (parallel)", Measured: x.Done.Seconds(), Unit: "s"},
+		Row{Label: "xoar full boot (serialized, ablation)", Measured: rigS.PL.Timings.Done.Seconds(), Unit: "s"})
 	return t, nil
 }
 

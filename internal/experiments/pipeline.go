@@ -12,7 +12,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/builder"
-	"xoar/internal/hv"
 	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
@@ -24,28 +23,6 @@ import (
 // worth overlapping — the same reason the paper's boot numbers are taken
 // on full-size guests.
 const pipelineGuestMB = 4096
-
-// bootXoarMachine boots the Xoar profile on an explicitly-sized machine —
-// fleets of 4GB guests do not fit the default 4GB testbed.
-func bootXoarMachine(seed int64, cfg hw.MachineConfig, opts boot.Options) (*Rig, error) {
-	env := sim.NewEnv(seed)
-	h := hv.New(env, hw.NewMachineWith(env, cfg))
-	var pl *boot.Platform
-	var err error
-	done := false
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), opts)
-		done = true
-	})
-	env.RunFor(200 * sim.Second)
-	if err != nil {
-		return nil, err
-	}
-	if !done {
-		return nil, fmt.Errorf("experiments: boot did not complete")
-	}
-	return &Rig{Env: env, HV: h, PL: pl}, nil
-}
 
 // pipelineFleet returns the n build requests for the benchmark fleet,
 // issued by the rig's first toolstack.
@@ -70,7 +47,7 @@ func BootPipelineMakespans(n int) (serial, pipelined sim.Duration, err error) {
 	limit := sim.Duration(n+4) * 20 * sim.Second
 
 	run := func(fn func(p *sim.Proc, r *Rig) (sim.Duration, error)) (sim.Duration, error) {
-		r, rerr := bootXoarMachine(42, cfg, boot.Options{})
+		r, rerr := BootRigMachine(Xoar, 42, cfg, boot.Options{})
 		if rerr != nil {
 			return 0, rerr
 		}

@@ -31,9 +31,6 @@ type Entry struct {
 // Active reports the number of live mappings of the entry.
 func (e *Entry) Active() int { return e.active }
 
-// Revoked reports whether the owner has ended access.
-func (e *Entry) Revoked() bool { return e.revoked }
-
 type domainTable struct {
 	entries map[xtypes.GrantRef]*Entry
 	nextRef xtypes.GrantRef

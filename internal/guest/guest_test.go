@@ -17,31 +17,22 @@ func platform(t *testing.T) (*sim.Env, *boot.Platform, *VM) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
-	var vm *VM
-	var err error
-	env.Spawn("setup", func(p *sim.Proc) {
-		pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		if err != nil {
-			return
-		}
-		var g *toolstack.Guest
-		g, err = pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
-			Name: "guest", Image: osimage.ImgGuestPV, VCPUs: 2, Net: true, Disk: true,
-		})
-		if err != nil {
-			return
-		}
-		vm = &VM{H: h, Dom: g.Dom, Net: g.Net, Blk: g.Blk, NetB: g.NetB, BlkB: g.BlkB}
-	})
-	env.RunFor(200 * sim.Second)
+	pl, err := boot.Run(h, false, boot.Options{})
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	if vm == nil {
+	var g *toolstack.Guest
+	if !env.Await("setup", 120*sim.Second, func(p *sim.Proc) {
+		g, err = pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
+			Name: "guest", Image: osimage.ImgGuestPV, VCPUs: 2, Net: true, Disk: true,
+		})
+	}) {
 		t.Fatal("setup incomplete")
 	}
-	return env, pl, vm
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
+	return env, pl, &VM{H: h, Dom: g.Dom, Net: g.Net, Blk: g.Blk, NetB: g.NetB, BlkB: g.BlkB}
 }
 
 func TestFetchToNullNearLineRate(t *testing.T) {

@@ -57,11 +57,6 @@ var (
 		PerOp: 10 * sim.Microsecond, InitTime: 400 * sim.Millisecond}
 )
 
-// NewDisk returns a 7200RPM disk model at addr.
-func NewDisk(env *sim.Env, name string, addr xtypes.PCIAddr) *Disk {
-	return NewDiskModel(env, name, addr, DiskModelSATA7200)
-}
-
 // NewDiskModel returns a disk at addr built from a model preset.
 func NewDiskModel(env *sim.Env, name string, addr xtypes.PCIAddr, m DiskModel) *Disk {
 	if m == (DiskModel{}) {

@@ -59,10 +59,14 @@ func NewMachine(env *sim.Env) *Machine {
 	return NewMachineWith(env, DefaultMachineConfig())
 }
 
-// NewMachineWith builds a machine from cfg. Hosts with several network or
-// disk controllers get one driver-domain shard per controller at boot
-// (Table 6.1's note on multiple NetBack/BlkBack instances).
+// NewMachineWith builds a machine from cfg; the zero MachineConfig is the
+// testbed. Hosts with several network or disk controllers get one
+// driver-domain shard per controller at boot (Table 6.1's note on multiple
+// NetBack/BlkBack instances).
 func NewMachineWith(env *sim.Env, cfg MachineConfig) *Machine {
+	if cfg == (MachineConfig{}) {
+		cfg = DefaultMachineConfig()
+	}
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = 4
 	}
@@ -166,15 +170,6 @@ func less(a, b xtypes.PCIAddr) bool {
 		return a.Bus < b.Bus
 	}
 	return a.Slot < b.Slot
-}
-
-// Lookup finds a device by address.
-func (b *PCIBus) Lookup(addr xtypes.PCIAddr) (Device, error) {
-	d, ok := b.devices[addr]
-	if !ok {
-		return nil, fmt.Errorf("pci: %v: %w", addr, xtypes.ErrNotFound)
-	}
-	return d, nil
 }
 
 // ClaimConfigSpace makes dom the single multiplexer of config-space access.

@@ -233,7 +233,10 @@ func TestMachineConfigModels(t *testing.T) {
 		t.Fatalf("disk = %s bw %.0f", disk.Name(), disk.Bandwidth)
 	}
 	// The zero-valued config still builds the paper testbed.
-	def := NewMachineWith(sim.NewEnv(1), DefaultMachineConfig())
+	def := NewMachineWith(sim.NewEnv(1), MachineConfig{})
+	if len(def.CPUs) != 4 || def.RAMMB != 4096 || len(def.NICs()) != 1 || len(def.Disks()) != 1 {
+		t.Fatalf("zero config: %d CPUs, %dMB, %d NICs, %d disks", len(def.CPUs), def.RAMMB, len(def.NICs()), len(def.Disks()))
+	}
 	if def.NICs()[0].Name() != "tg3-0" || def.Disks()[0].Name() != "sata-0" {
 		t.Fatalf("default models changed: %s %s", def.NICs()[0].Name(), def.Disks()[0].Name())
 	}

@@ -63,11 +63,6 @@ var (
 		InitTime: 1500 * sim.Millisecond}
 )
 
-// NewNIC returns a Gigabit NIC at addr.
-func NewNIC(env *sim.Env, name string, addr xtypes.PCIAddr) *NIC {
-	return NewNICModel(env, name, addr, NICModel1G)
-}
-
 // NewNICModel returns a NIC at addr built from a model preset.
 func NewNICModel(env *sim.Env, name string, addr xtypes.PCIAddr, m NICModel) *NIC {
 	if m == (NICModel{}) {

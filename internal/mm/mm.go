@@ -99,9 +99,6 @@ func NewManager(totalMB int) *Manager {
 	}
 }
 
-// TotalMB reports total machine memory.
-func (m *Manager) TotalMB() int { return m.totalPages * xtypes.PageSize / (1 << 20) }
-
 // FreeMB reports unreserved machine memory.
 func (m *Manager) FreeMB() int { return m.freePages * xtypes.PageSize / (1 << 20) }
 
@@ -248,9 +245,6 @@ func (dm *DomainMem) validPFN(pfn xtypes.PFN) bool {
 	return pfn < xtypes.PFN(dm.maxPages)
 }
 
-// ID returns the owning domain's ID.
-func (dm *DomainMem) ID() xtypes.DomID { return dm.id }
-
 // MaxMB reports the reservation size.
 func (dm *DomainMem) MaxMB() int { return dm.maxPages * xtypes.PageSize / (1 << 20) }
 
@@ -317,9 +311,6 @@ func (dm *DomainMem) RegisterRecoveryBox(r Region) error {
 	dm.recovery = append(dm.recovery, r)
 	return nil
 }
-
-// RecoveryBoxes returns the registered recovery regions.
-func (dm *DomainMem) RecoveryBoxes() []Region { return dm.recovery }
 
 func (dm *DomainMem) inRecoveryBox(pfn xtypes.PFN) bool {
 	for _, r := range dm.recovery {

@@ -456,8 +456,8 @@ func (b *Backend) runRxPump(v *vif, q *vifQueue, p *sim.Proc, buf []Packet) {
 		v.rxSig.Broadcast()
 		b.ForwardedRx += int64(n)
 		b.rttRx.Observe(float64(p.Now().Sub(start)) / float64(sim.Microsecond))
-		// The ring's notify hook models the event-channel signal; the
-		// hypercall itself is charged above.
+		// The guest wakes on the ring's own signal; the ring counted the
+		// notify decision (read above) and perBatchCPU priced the upcall.
 	}
 }
 

@@ -103,6 +103,3 @@ func (pb *PCIBack) SelfDestruct(p *sim.Proc) error {
 	pb.Bus.ReleaseConfigSpace(pb.Dom)
 	return pb.H.SelfExit(pb.Dom)
 }
-
-// Destroyed reports whether PCIBack has self-destructed.
-func (pb *PCIBack) Destroyed() bool { return pb.destroyed }

@@ -1,7 +1,8 @@
 // Package ring implements Xen-style shared-memory I/O rings (§4.3): a
 // bounded, bi-directional channel on which a frontend places requests and a
-// backend places responses into the same slot pool, with event-channel
-// notifications for wakeups.
+// backend places responses into the same slot pool. Blocked parties wake on
+// the ring's own signals; each push also makes Xen's notify decision, which
+// Stats counts.
 //
 // As in Xen, all policy lives with the users of the ring: the ring itself
 // moves opaque messages and enforces only the slot discipline (a slot is
@@ -11,11 +12,11 @@
 //
 // # Notification suppression
 //
-// The ring carries Xen's req_event/rsp_event idiom: a producer only fires
-// its notify hook when the consumer has asked to be woken. Consumers arm
-// the threshold with the RING_FINAL_CHECK_FOR_REQUESTS dance — set the
-// event index to cons+1, then re-check for work before sleeping, so a
-// racing push is never missed. A consumer that keeps draining (a busy pump
+// The ring carries Xen's req_event/rsp_event idiom: a producer only
+// notifies when the consumer has asked to be woken. Consumers arm the
+// threshold with the RING_FINAL_CHECK_FOR_REQUESTS dance — set the event
+// index to cons+1, then re-check for work before sleeping, so a racing push
+// is never missed. A consumer that keeps draining (a busy pump
 // servicing batches) therefore never re-arms, and the producer's pushes are
 // suppressed down to one notify per sleep/wake cycle instead of one per
 // descriptor. Stats() exposes the sent/suppressed split so drivers can
@@ -79,9 +80,10 @@ type Ring[Req, Resp any] struct {
 	spaceSig *sim.Signal // slot freed
 
 	// NotifyBack and NotifyFront, when set, are invoked after a push that
-	// crosses the peer's event threshold; drivers wire them to event-channel
-	// notifies so the signalling hop is visible to the security graph and
-	// costs virtual time in the drivers.
+	// crosses the peer's event threshold. No driver sets them: blocked
+	// parties wake on the ring's own signals, the notify decision is counted
+	// in Stats, and drivers price the upcall in their per-batch CPU charge.
+	// They are where an explicit event-channel hop would attach.
 	NotifyBack  func()
 	NotifyFront func()
 
@@ -469,9 +471,3 @@ func (r *Ring[Req, Resp]) PopResponseBatch(p *sim.Proc, buf []Resp) (int, error)
 		r.respSig.Wait(p)
 	}
 }
-
-// PendingRequests reports queued, un-popped requests.
-func (r *Ring[Req, Resp]) PendingRequests() int { return int(r.reqProd - r.reqCons) }
-
-// PendingResponses reports queued, un-popped responses.
-func (r *Ring[Req, Resp]) PendingResponses() int { return int(r.respProd - r.respCons) }

@@ -15,13 +15,8 @@ import (
 // computes how much of the surface a split hypervisor would move out of
 // ring 0.
 
-// RingRequirement classifies one hypercall's hardware-privilege need.
-type RingRequirement = capability.Ring
-
-const (
-	Ring0        = capability.Ring0
-	Deprivileged = capability.Deprivileged
-)
+// Ring0 marks a hypercall that needs the hardware's most privileged ring.
+const Ring0 = capability.Ring0
 
 // HVSplitReport summarizes the split.
 type HVSplitReport struct {

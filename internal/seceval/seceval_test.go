@@ -64,18 +64,12 @@ func bootPlatform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, []xt
 	t.Helper()
 	env := sim.NewEnv(1)
 	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
+	pl, err := boot.Run(h, monolithic, boot.Options{})
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
 	var guests []xtypes.DomID
-	var err error
-	env.Spawn("setup", func(p *sim.Proc) {
-		if monolithic {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), boot.Options{})
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		}
-		if err != nil {
-			return
-		}
+	if !env.Await("setup", 120*sim.Second, func(p *sim.Proc) {
 		for _, name := range []string{"victimA", "victimB"} {
 			g, cerr := pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 				Name: name, Image: osimage.ImgGuestPV, Net: true, Disk: true,
@@ -86,8 +80,9 @@ func bootPlatform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, []xt
 			}
 			guests = append(guests, g.Dom)
 		}
-	})
-	env.RunFor(300 * sim.Second)
+	}) {
+		t.Fatal("guest setup did not complete")
+	}
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}

@@ -454,6 +454,24 @@ func (e *Env) Run(until Time) Time {
 // RunFor processes events for up to duration d of virtual time from now.
 func (e *Env) RunFor(d Duration) Time { return e.Run(e.now.Add(d)) }
 
+// Await runs fn in a new process and advances the clock in one-second steps
+// until fn returns or limit has elapsed, reporting whether fn returned. The
+// clock always stops on a step boundary: at start + k seconds for the
+// smallest k by which fn has returned, or at start + limit. This is how code
+// outside the simulation waits on an operation inside it.
+func (e *Env) Await(name string, limit Duration, fn func(p *Proc)) bool {
+	done := false
+	e.Spawn(name, func(p *Proc) {
+		fn(p)
+		done = true
+	})
+	deadline := e.now.Add(limit)
+	for !done && e.now < deadline {
+		e.Run(min(e.now.Add(Second), deadline))
+	}
+	return done
+}
+
 // RunAll processes events until no more remain. Processes blocked forever on
 // empty channels stay blocked; Shutdown unwinds them.
 func (e *Env) RunAll() Time {

@@ -97,6 +97,48 @@ func TestRunUntilStopsClock(t *testing.T) {
 	}
 }
 
+func TestAwaitStopsOnFirstStepAfterReturn(t *testing.T) {
+	for _, tc := range []struct {
+		work Duration // how long fn runs
+		want Duration // clock advance when Await returns
+	}{
+		{0, Second},
+		{Second, Second},
+		{2500 * Millisecond, 3 * Second},
+		{3 * Second, 3 * Second},
+	} {
+		env := NewEnv(1)
+		env.RunFor(300 * Millisecond) // start off a step boundary
+		start := env.Now()
+		if !env.Await("work", 10*Second, func(p *Proc) { p.Sleep(tc.work) }) {
+			t.Fatalf("work %v: Await reported a timeout", tc.work)
+		}
+		if got := env.Now().Sub(start); got != tc.want {
+			t.Fatalf("work %v: clock advanced %v, want %v", tc.work, got, tc.want)
+		}
+		env.Shutdown()
+	}
+}
+
+func TestAwaitTimesOutAtLimit(t *testing.T) {
+	for _, limit := range []Duration{0, 2 * Second, 2500 * Millisecond} {
+		env := NewEnv(1)
+		env.RunFor(300 * Millisecond)
+		start := env.Now()
+		block := NewGate(env)
+		if env.Await("stuck", limit, func(p *Proc) { block.Wait(p) }) {
+			t.Fatalf("limit %v: Await reported completion of a blocked process", limit)
+		}
+		if got := env.Now().Sub(start); got != limit {
+			t.Fatalf("limit %v: clock advanced %v, want the limit", limit, got)
+		}
+		env.Shutdown()
+		if env.LiveProcs() != 0 {
+			t.Fatalf("limit %v: leaked %d procs", limit, env.LiveProcs())
+		}
+	}
+}
+
 func TestKillUnwindsProcess(t *testing.T) {
 	env := NewEnv(1)
 	reached := false

@@ -41,16 +41,6 @@ func (f *Fleet) Host(name string) *Registry {
 	return r
 }
 
-// HostNames returns the registered host names in registration order.
-func (f *Fleet) HostNames() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.names...)
-}
-
 // withHostLabel rewrites a canonical metric ID (`name` or `name{k=v,...}`,
 // labels sorted by key) to include host=<host>, preserving the sort.
 func withHostLabel(id, host string) string {

@@ -21,6 +21,7 @@ import (
 	//xoarlint:allow(layering) control plane wires guest consoles through the delegated Console Manager handle
 	"xoar/internal/consolemgr"
 	"xoar/internal/hv"
+	"xoar/internal/migrate"
 	//xoarlint:allow(layering) control plane holds delegated NetBack handles; attach paths ride hv-audited IVC
 	"xoar/internal/netdrv"
 	//xoarlint:allow(layering) control plane launches a per-HVM-guest QemuVM and keeps its handle for teardown
@@ -131,6 +132,12 @@ func (ts *Toolstack) Guests() []*Guest {
 		}
 	}
 	return out
+}
+
+// Manages reports whether dom is a guest this toolstack manages.
+func (ts *Toolstack) Manages(dom xtypes.DomID) bool {
+	_, ok := ts.guests[dom]
+	return ok
 }
 
 // pickShard selects a delegated shard compatible with the guest's constraint
@@ -431,6 +438,34 @@ func (ts *Toolstack) Forget(dom xtypes.DomID) {
 	}
 	ts.usedMB -= memMB
 	delete(ts.guests, dom)
+}
+
+// MigrateTo live-migrates dom, a guest this toolstack manages, to the host
+// dst runs on and hands it over. This toolstack drives the pre-copy (the
+// hypervisor audits its foreign-mapping rights over exactly this guest);
+// dst's Builder constructs the receiving domain and makes dst its parent
+// toolstack; dst then adopts it with the guest's recorded config, re-wiring
+// its devices through dst's own driver shards. If the pre-copy fails the
+// guest stays here. Once the domain has moved, its record here is released
+// (Forget) even if the hand-off then fails.
+func (ts *Toolstack) MigrateTo(p *sim.Proc, dom xtypes.DomID, dst *Toolstack, link migrate.Link) (*Guest, migrate.Result, error) {
+	g, ok := ts.guests[dom]
+	if !ok {
+		return nil, migrate.Result{}, fmt.Errorf("toolstack: %v not managed here: %w", dom, xtypes.ErrPerm)
+	}
+	newDom, res, err := migrate.LiveMigrate(p, ts.H, ts.Dom, dom, dst.H, dst.Builder.Dom(), link, migrate.DefaultOptions())
+	if err != nil {
+		return nil, res, err
+	}
+	ts.Forget(dom)
+	if err := dst.H.SetParentTool(dst.Builder.Dom(), newDom, dst.Dom); err != nil {
+		return nil, res, fmt.Errorf("toolstack: hand-off of migrated %q: %w", g.Cfg.Name, err)
+	}
+	rec, err := dst.Adopt(p, newDom, g.Cfg)
+	if err != nil {
+		return nil, res, fmt.Errorf("toolstack: adopt of migrated %q: %w", g.Cfg.Name, err)
+	}
+	return rec, res, nil
 }
 
 // Pause pauses a managed guest.

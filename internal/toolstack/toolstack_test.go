@@ -7,6 +7,7 @@ import (
 	"xoar/internal/boot"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
+	"xoar/internal/migrate"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
@@ -26,13 +27,8 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
-	var err error
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-	})
-	env.RunFor(120 * sim.Second)
-	if err != nil || pl == nil {
+	pl, err := boot.Run(h, false, boot.Options{})
+	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
 	return &rig{env: env, h: h, pl: pl, ts: pl.Toolstacks[0]}
@@ -42,13 +38,7 @@ func (r *rig) create(t *testing.T, cfg toolstack.GuestConfig) (*toolstack.Guest,
 	t.Helper()
 	var g *toolstack.Guest
 	var err error
-	done := false
-	r.env.Spawn("create", func(p *sim.Proc) {
-		g, err = r.ts.CreateVM(p, cfg)
-		done = true
-	})
-	r.env.RunFor(120 * sim.Second)
-	if !done {
+	if !r.env.Await("create", 120*sim.Second, func(p *sim.Proc) { g, err = r.ts.CreateVM(p, cfg) }) {
 		t.Fatal("create did not complete")
 	}
 	return g, err
@@ -57,13 +47,7 @@ func (r *rig) create(t *testing.T, cfg toolstack.GuestConfig) (*toolstack.Guest,
 func (r *rig) destroy(t *testing.T, dom xtypes.DomID) error {
 	t.Helper()
 	var err error
-	done := false
-	r.env.Spawn("destroy", func(p *sim.Proc) {
-		err = r.ts.DestroyVM(p, dom)
-		done = true
-	})
-	r.env.RunFor(30 * sim.Second)
-	if !done {
+	if !r.env.Await("destroy", 30*sim.Second, func(p *sim.Proc) { err = r.ts.DestroyVM(p, dom) }) {
 		t.Fatal("destroy did not complete")
 	}
 	return err
@@ -290,6 +274,63 @@ func TestForgetReleasesWithoutDestroy(t *testing.T) {
 	// tenant can use the shards and the image name immediately.
 	if _, err := r.create(t, toolstack.GuestConfig{Name: "m", Image: osimage.ImgGuestPV, Net: true, Disk: true, ConstraintTag: "Y"}); err != nil {
 		t.Fatalf("resources not released by Forget: %v", err)
+	}
+}
+
+// TestMigrateToHandsOverOrStays pins MigrateTo's contract: a pre-copy that
+// fails leaves the guest with the source toolstack; one that succeeds leaves
+// it managed by the destination only, with its recorded config and its
+// devices re-wired there.
+func TestMigrateToHandsOverOrStays(t *testing.T) {
+	r := newRig(t)
+	defer r.env.Shutdown()
+	h2 := hv.New(r.env, hw.NewMachine(r.env))
+	pl2, err := boot.Run(h2, false, boot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := pl2.Toolstacks[0]
+	g, err := r.create(t, toolstack.GuestConfig{Name: "roamer", Image: osimage.ImgGuestPV, MemMB: 512, Net: true, Disk: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	move := func() (*toolstack.Guest, error) {
+		var rec *toolstack.Guest
+		var err error
+		if !r.env.Await("migrate", 600*sim.Second, func(p *sim.Proc) {
+			rec, _, err = r.ts.MigrateTo(p, g.Dom, dst, migrate.DefaultLink())
+		}) {
+			t.Fatal("migration did not complete")
+		}
+		return rec, err
+	}
+
+	hog, err := h2.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: "hog", MemMB: h2.MM.FreeMB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := move(); !errors.Is(err, xtypes.ErrNoMem) {
+		t.Fatalf("migration to a full host: %v", err)
+	}
+	if !r.ts.Manages(g.Dom) || len(dst.Guests()) != 0 {
+		t.Fatal("failed pre-copy moved the guest's record")
+	}
+
+	if err := h2.DestroyDomain(hv.SystemCaller, hog.ID, "make room"); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := move()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ts.Manages(g.Dom) || !dst.Manages(rec.Dom) {
+		t.Fatal("guest not handed over")
+	}
+	if rec.Cfg != g.Cfg {
+		t.Fatalf("adopted config %+v, recorded %+v", rec.Cfg, g.Cfg)
+	}
+	if rec.Net == nil || !rec.Net.Connected() || rec.Blk == nil || !rec.Blk.Connected() {
+		t.Fatal("migrated guest's devices not re-wired")
 	}
 }
 

@@ -17,32 +17,22 @@ func platform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, *guest.V
 	t.Helper()
 	env := sim.NewEnv(1)
 	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
-	var vm *guest.VM
-	var err error
-	env.Spawn("setup", func(p *sim.Proc) {
-		if monolithic {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), boot.Options{})
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		}
-		if err != nil {
-			return
-		}
-		var g *toolstack.Guest
+	pl, err := boot.Run(h, monolithic, boot.Options{})
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
+	var g *toolstack.Guest
+	if !env.Await("setup", 120*sim.Second, func(p *sim.Proc) {
 		g, err = pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 			Name: "guest", Image: osimage.ImgGuestPV, VCPUs: 2, Net: true, Disk: true,
 		})
-		if err != nil {
-			return
-		}
-		vm = VMOf(h, g)
-	})
-	env.RunFor(200 * sim.Second)
-	if err != nil || vm == nil {
+	}) {
+		t.Fatal("setup incomplete")
+	}
+	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	return env, pl, vm
+	return env, pl, VMOf(h, g)
 }
 
 func runPostmark(t *testing.T, monolithic bool, cfg PostmarkConfig) PostmarkResult {

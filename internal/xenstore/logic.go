@@ -40,12 +40,6 @@ type Conn struct {
 	Events *sim.Chan[WatchEvent]
 }
 
-// Dom returns the connection's domain.
-func (c *Conn) Dom() xtypes.DomID { return c.dom }
-
-// Privileged reports whether the connection bypasses node permissions.
-func (c *Conn) Privileged() bool { return c.privileged }
-
 // tx is an in-flight transaction: an overlay of uncommitted writes plus the
 // set of paths read, for conflict detection at commit.
 type tx struct {
