@@ -19,8 +19,10 @@ import (
 	"xoar/internal/experiments"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
+	"xoar/internal/osimage"
 	"xoar/internal/ring"
 	"xoar/internal/sim"
+	"xoar/internal/toolstack"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
@@ -271,6 +273,41 @@ func BenchmarkMicro_GrantMap(b *testing.B) {
 		}
 		m.Unmap()
 	}
+}
+
+// BenchmarkMicro_GuestLifecycle measures one micro guest's create and
+// destroy through the Toolstack on a booted Xoar host: the Builder queue,
+// domain construction, XenStore registration and the whole teardown, which
+// is the per-guest cost of the fleet-churn workload. allocs/op and B/op are
+// gated exactly in BENCH_baseline.json; the warm-up cycles grow every map
+// and free list first, so the gate holds at -benchtime=1x.
+func BenchmarkMicro_GuestLifecycle(b *testing.B) {
+	rig, err := experiments.BootRig(experiments.Xoar, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rig.Close()
+	ts := rig.PL.Toolstacks[0]
+	cfg := toolstack.GuestConfig{Name: "micro", Image: osimage.ImgGuestMicro, MemMB: 64}
+	cycles := func(n int) {
+		if err := rig.Go(sim.Duration(n)*sim.Second, func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				g, err := ts.CreateVM(p, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ts.DestroyVM(p, g.Dom); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycles(300)
+	b.ReportAllocs()
+	b.ResetTimer()
+	cycles(b.N)
 }
 
 // BenchmarkMicro_XenStoreWrite measures the XenStore write path including
