@@ -106,8 +106,9 @@ type Platform struct {
 	Timings Timings
 }
 
-// bootShardDirect creates and boots a component domain directly (the
-// Bootstrapper's own privilege path, before the Builder serves).
+// bootShardDirect creates and boots a component domain directly on caller's
+// privilege: Xen's for the Bootstrapper, the Bootstrapper's own for the
+// shards it starts before the Builder serves.
 func bootShardDirect(p *sim.Proc, h *hv.Hypervisor, caller xtypes.DomID, cat *osimage.Catalog,
 	name, image string, priv hv.Assignment) (xtypes.DomID, error) {
 	img, err := cat.Lookup(image)
@@ -181,31 +182,18 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	// Xen creates the Bootstrapper. It is Critical in stock Xen terms, but
 	// Xoar modifies the hypervisor to let it exit (§5.8) — SelfExit encodes
 	// that, so Critical stays false here.
-	bootImg, err := cat.Lookup(osimage.ImgBootstrapper)
+	bs, err := bootShardDirect(p, h, hv.SystemCaller, cat, "bootstrapper", osimage.ImgBootstrapper, shardAssignment(capability.RoleBootstrapper))
 	if err != nil {
 		return nil, err
 	}
-	bs, err := h.CreateDomain(hv.SystemCaller, hv.DomainConfig{
-		Name: "bootstrapper", MemMB: bootImg.MemMB, Shard: true, OSImage: bootImg.Name,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := h.AssignPrivileges(hv.SystemCaller, bs.ID, shardAssignment(capability.RoleBootstrapper)); err != nil {
-		return nil, err
-	}
-	if err := h.Unpause(hv.SystemCaller, bs.ID); err != nil {
-		return nil, err
-	}
-	pl.BootstrapperDom = bs.ID
-	p.Sleep(bootImg.BootTime())
+	pl.BootstrapperDom = bs
 
 	// --- XenStore first: everything else depends on it (§5.2). -------------
-	pl.XSStateDom, err = bootShardDirect(p, h, bs.ID, cat, "xenstore-state", osimage.ImgXenStoreS, hv.Assignment{})
+	pl.XSStateDom, err = bootShardDirect(p, h, bs, cat, "xenstore-state", osimage.ImgXenStoreS, hv.Assignment{})
 	if err != nil {
 		return nil, err
 	}
-	pl.XSLogicDom, err = bootShardDirect(p, h, bs.ID, cat, "xenstore-logic", osimage.ImgXenStoreL, hv.Assignment{})
+	pl.XSLogicDom, err = bootShardDirect(p, h, bs, cat, "xenstore-logic", osimage.ImgXenStoreL, hv.Assignment{})
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +230,7 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		consoleDone.Open()
 	}
 	bootConsole := func(cp *sim.Proc) {
-		dom, cerr := bootShardDirect(cp, h, bs.ID, cat, "console", osimage.ImgConsole, shardAssignment(capability.RoleConsole))
+		dom, cerr := bootShardDirect(cp, h, bs, cat, "console", osimage.ImgConsole, shardAssignment(capability.RoleConsole))
 		if cerr != nil {
 			err = cerr
 			consoleDone.Open()
@@ -270,19 +258,19 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	}
 
 	// --- Builder. -----------------------------------------------------------
-	pl.BuilderDom, err = bootShardDirect(p, h, bs.ID, cat, "builder", osimage.ImgBuilder, shardAssignment(capability.RoleBuilder))
+	pl.BuilderDom, err = bootShardDirect(p, h, bs, cat, "builder", osimage.ImgBuilder, shardAssignment(capability.RoleBuilder))
 	if err != nil {
 		return nil, err
 	}
 	pl.Builder = builder.New(h, pl.BuilderDom, cat, pl.XenStoreLogic.Connect(pl.BuilderDom, true))
 	pl.Builder.XenStoreDom = pl.XSLogicDom
-	pl.Builder.Authorize(bs.ID)
+	pl.Builder.Authorize(bs)
 	pl.Builder.SetMetrics(opts.Telemetry)
 	h.Env.Spawn("builder-serve", pl.Builder.Serve)
 	pl.Engine = pl.Builder.Engine()
 
 	// --- PCIBack: hardware init and enumeration. ----------------------------
-	pl.PCIBackDom, err = bootShardDirect(p, h, bs.ID, cat, "pciback", osimage.ImgPCIBack, shardAssignment(capability.RolePCIBack))
+	pl.PCIBackDom, err = bootShardDirect(p, h, bs, cat, "pciback", osimage.ImgPCIBack, shardAssignment(capability.RolePCIBack))
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +295,7 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		priv := shardAssignment(role)
 		priv.PCIDevices = []xtypes.PCIAddr{dev.Addr()}
 		return builder.Request{
-			Requester:  bs.ID,
+			Requester:  bs,
 			Name:       name,
 			Image:      image,
 			Shard:      true,
@@ -371,14 +359,14 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 			pl.NetBacks = append(pl.NetBacks, res.nb)
 			// The Builder (which hosts the restart engine) administers the
 			// driver shards: it must be able to roll them back.
-			if err := h.Delegate(bs.ID, res.nb.Dom, pl.BuilderDom); err != nil {
+			if err := h.Delegate(bs, res.nb.Dom, pl.BuilderDom); err != nil {
 				return nil, err
 			}
 		}
 		if res.bb != nil {
 			res.bb.SetMetrics(opts.Telemetry)
 			pl.BlkBacks = append(pl.BlkBacks, res.bb)
-			if err := h.Delegate(bs.ID, res.bb.Dom, pl.BuilderDom); err != nil {
+			if err := h.Delegate(bs, res.bb.Dom, pl.BuilderDom); err != nil {
 				return nil, err
 			}
 		}
@@ -389,7 +377,7 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	tsReqs := make([]builder.Request, opts.Toolstacks)
 	for i := range tsReqs {
 		tsReqs[i] = builder.Request{
-			Requester:  bs.ID,
+			Requester:  bs,
 			Name:       fmt.Sprintf("toolstack-%d", i),
 			Image:      osimage.ImgToolstack,
 			Shard:      true,
@@ -426,11 +414,11 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		// cloud scenario, §3.4.2).
 		if i == 0 {
 			for _, nb := range pl.NetBacks {
-				h.Delegate(bs.ID, nb.Dom, dom)
+				h.Delegate(bs, nb.Dom, dom)
 				ts.NetBacks = append(ts.NetBacks, nb)
 			}
 			for _, bb := range pl.BlkBacks {
-				h.Delegate(bs.ID, bb.Dom, dom)
+				h.Delegate(bs, bb.Dom, dom)
 				ts.BlkBacks = append(ts.BlkBacks, bb)
 			}
 		}
@@ -452,7 +440,7 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	}
 
 	// --- Steady state: shrink the TCB (§5.2, §5.3). --------------------------
-	pl.Builder.Revoke(bs.ID)
+	pl.Builder.Revoke(bs)
 	// The Builder itself remains authorized to rebuild shards: in-place
 	// driver upgrades replace a dead driver domain with a fresh one.
 	pl.Builder.Authorize(pl.BuilderDom)
@@ -462,7 +450,7 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		}
 	}
 	if !opts.KeepBootstrapper {
-		if err := h.SelfExit(bs.ID); err != nil {
+		if err := h.SelfExit(bs); err != nil {
 			return nil, err
 		}
 	}

@@ -112,57 +112,38 @@ type Builder struct {
 	// authorized lists principals allowed privileged builds (the
 	// Bootstrapper during boot; the Builder itself afterwards).
 	authorized map[xtypes.DomID]bool
-	// records remembers each build so a failed shard can be reconstructed.
-	records map[xtypes.DomID]record
-}
-
-type record struct {
-	req  Request
-	boot sim.Duration
+	// records remembers each build's resolved request so a failed shard
+	// can be reconstructed.
+	records map[xtypes.DomID]Request
 }
 
 // builderMetrics are the Builder's pre-resolved telemetry handles; all nil
 // when telemetry is disabled (every method no-ops on nil).
 type builderMetrics struct {
-	queueDepth    *telemetry.Histogram // depth seen by each Submit at enqueue
-	queueWait     *telemetry.Histogram // ms a job waited before service
-	buildMS       *telemetry.Histogram // ms from service start to booted
-	builds        *telemetry.Counter
-	denied        *telemetry.Counter
-	batches       *telemetry.Counter   // SubmitAll batches served
-	batchSize     *telemetry.Histogram // requests per batch
-	batchMakespan *telemetry.Histogram // ms from batch service start to last boot
+	queueDepth *telemetry.Histogram // depth seen by each job at enqueue
+	queueWait  *telemetry.Histogram // ms a job waited before service
+	buildMS    *telemetry.Histogram // ms from service start to the job's last boot
+	batchSize  *telemetry.Histogram // requests per job
+	builds     *telemetry.Counter
+	denied     *telemetry.Counter
 }
 
-// job is one queue entry: either a single request (req/reply) or a whole
-// SubmitAll batch (batch/batchReply). Exactly one of the two reply channels
-// is set.
+// job is one queue entry: the requests of one Submit, SubmitAll or Rebuild
+// call, served as a unit. A single request's slot lives in one, so a
+// single build allocates no slice.
 type job struct {
-	req   Request
-	reply *sim.Chan[jobResult]
-
-	batch      []Request
-	batchReply *sim.Chan[batchResult]
-
-	enq sim.Time // when Submit/SubmitAll enqueued the job
+	slots []slot
+	one   [1]slot
+	done  *sim.Gate // opened once every slot carries its outcome
+	enq   sim.Time  // when the job was enqueued
 }
 
-type jobResult struct {
+// slot is one request of a job and its outcome: the new domain, or the
+// error (dom is then DomIDNone).
+type slot struct {
+	req Request
 	dom xtypes.DomID
 	err error
-}
-
-// batchResult carries per-slot outcomes for a SubmitAll batch; doms and errs
-// are index-aligned with the submitted requests.
-type batchResult struct {
-	doms []xtypes.DomID
-	errs []error
-}
-
-// bootJob hands a freshly constructed domain to the batch boot supervisor.
-type bootJob struct {
-	name string
-	boot sim.Duration
 }
 
 // New returns a Builder bound to the given domain. xs must be a privileged
@@ -177,7 +158,7 @@ func New(h *hv.Hypervisor, dom xtypes.DomID, cat *osimage.Catalog, xs *xenstore.
 		queue:       sim.NewChan[*job](h.Env),
 		eng:         snapshot.NewEngine(h, dom),
 		authorized:  make(map[xtypes.DomID]bool),
-		records:     make(map[xtypes.DomID]record),
+		records:     make(map[xtypes.DomID]Request),
 	}
 }
 
@@ -193,12 +174,9 @@ func (b *Builder) SetMetrics(reg *telemetry.Registry) {
 		queueDepth: reg.Histogram("builder_queue_depth", telemetry.DepthBuckets),
 		queueWait:  reg.Histogram("builder_queue_wait_ms", telemetry.LatencyMSBuckets),
 		buildMS:    reg.Histogram("builder_build_latency_ms", telemetry.LatencyMSBuckets),
+		batchSize:  reg.Histogram("builder_batch_size", telemetry.DepthBuckets),
 		builds:     reg.Counter("builder_builds_total"),
 		denied:     reg.Counter("builder_denied_total"),
-
-		batches:       reg.Counter("builder_batches_total"),
-		batchSize:     reg.Histogram("builder_batch_size", telemetry.DepthBuckets),
-		batchMakespan: reg.Histogram("builder_batch_makespan_ms", telemetry.LatencyMSBuckets),
 	}
 }
 
@@ -210,8 +188,8 @@ func (b *Builder) Authorize(dom xtypes.DomID) { b.authorized[dom] = true }
 // Bootstrapper is dropped from the trust set once boot completes (§5.2).
 func (b *Builder) Revoke(dom xtypes.DomID) { delete(b.authorized, dom) }
 
-// Serve processes build requests one at a time. Serialization is part of
-// the security argument — every privileged hypercall the Builder issues is
+// Serve processes jobs one at a time. Serialization is part of the
+// security argument — every privileged hypercall the Builder issues is
 // attributable to exactly one validated request — and part of the paper's
 // boot-time story: domains built through the Builder come up one after
 // another, which is why Xoar's ping-ready speedup (1.15x, through the
@@ -224,139 +202,90 @@ func (b *Builder) Serve(p *sim.Proc) {
 			return
 		}
 		b.m.queueWait.Observe(p.Now().Sub(j.enq).Milliseconds())
-		if j.batch != nil {
-			b.serveBatch(p, j)
-			continue
-		}
-		start := p.Now()
-		sp := b.tel.StartSpan("builder", "build:"+j.req.Name, start)
-		csp := sp.StartChild("construct", start)
-		dom, boot, err := b.build(p, j.req)
-		csp.EndAt(p.Now())
-		if err == nil {
-			// The Builder supervises the newcomer's bring-up before
-			// acknowledging the request.
-			bsp := sp.StartChild("boot", p.Now())
-			p.Sleep(boot)
-			bsp.EndAt(p.Now())
-			b.m.buildMS.Observe(p.Now().Sub(start).Milliseconds())
-		}
-		sp.EndAt(p.Now())
-		j.reply.Send(jobResult{dom: dom, err: err})
+		b.buildAll(p, j.slots)
+		j.done.Open()
 	}
 }
 
-// serveBatch runs one SubmitAll batch as a two-stage pipeline.
+// buildAll serves one job, the only path to construct.
 //
-// Stage 0 (validation, hoisted): every request is resolved before the first
-// page is scrubbed. A malformed or unprivileged request rejects the whole
-// batch — its slot carries the resolve error, every other slot carries
-// xtypes.ErrBatchAborted — and no build compute is consumed. Hoisting keeps
-// the fail-fast property of Submit while making the batch atomic: callers
-// never receive a half-built fleet because request k was misauthorized.
+// Every request is resolved before the first page is scrubbed. A malformed
+// or unprivileged request rejects the whole job — its slot carries the
+// resolve error, every other slot xtypes.ErrBatchAborted — and no build
+// compute is consumed, so callers never receive a half-built fleet because
+// request k was misauthorized.
 //
-// Stage 1/2 (construct ∥ boot): construction stays on the Builder's vCPU,
-// one domain at a time, exactly as the single-request path — every
-// privileged hypercall remains attributable to one validated request. But
-// supervised boots move to a dedicated supervisor process, so while domain
-// i sleeps through bring-up the Builder is already computing page tables
-// and scrubbing pages for domain i+1. Boots themselves stay strictly
-// serialized (the supervisor sleeps them one after another, in FIFO
-// order), preserving the paper's one-at-a-time bring-up through the
-// Builder (Table 6.2): the pipeline overlaps scrub cost with boot latency,
-// it does not parallelize boots.
-//
-// The batch occupies the serve loop until its last boot completes, so
-// concurrent Submit callers keep the FIFO guarantees they had before.
-func (b *Builder) serveBatch(p *sim.Proc, j *job) {
-	n := len(j.batch)
-	doms := make([]xtypes.DomID, n)
-	errs := make([]error, n)
-	imgs := make([]osimage.Image, n)
-	resolved := make([]Request, n)
-	for i := range doms {
-		doms[i] = xtypes.DomIDNone
-	}
-
-	// Stage 0: validate everything up front; no compute spent on failure.
+// Construction then runs on the Builder's vCPU, one domain at a time, so
+// every privileged hypercall stays attributable to one validated request.
+// The Builder supervises each newcomer's boot, strictly one after another
+// in slot order (Table 6.2): a boot starts once its own construction and
+// the previous boot have both finished, so scrubbing domain i+1 overlaps
+// the boot of domain i, but boots never overlap each other. Boot ends are
+// computed rather than slept one by one; the serve loop sleeps once, to the
+// last boot end, so the job holds the Builder until its last domain is up
+// and concurrent callers keep their FIFO order.
+func (b *Builder) buildAll(p *sim.Proc, slots []slot) {
 	invalid := false
-	for i, req := range j.batch {
-		img, rr, err := b.resolve(req)
-		if err != nil {
-			errs[i] = err
+	for i := range slots {
+		s := &slots[i]
+		s.dom = xtypes.DomIDNone
+		if s.req, s.err = b.resolve(s.req); s.err != nil {
 			invalid = true
 			b.Denied++
 			b.m.denied.Inc()
-			continue
 		}
-		imgs[i], resolved[i] = img, rr
 	}
 	if invalid {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = fmt.Errorf("builder: request %q: %w", j.batch[i].Name, xtypes.ErrBatchAborted)
+		for i := range slots {
+			if slots[i].err == nil {
+				slots[i].err = fmt.Errorf("builder: request %q: %w", slots[i].req.Name, xtypes.ErrBatchAborted)
 			}
 		}
-		j.batchReply.Send(batchResult{doms: doms, errs: errs})
 		return
 	}
 
 	start := p.Now()
-	sp := b.tel.StartSpan("builder", fmt.Sprintf("build-batch[%d]", n), start)
-	b.m.batches.Inc()
-	b.m.batchSize.Observe(float64(n))
-
-	// The boot supervisor serializes bring-up off the Builder's vCPU.
-	bootQ := sim.NewChan[bootJob](b.hv.Env)
-	bootsDone := sim.NewChan[struct{}](b.hv.Env)
-	b.hv.Env.Spawn("builder-batch-boot", func(bp *sim.Proc) {
-		for {
-			bj, ok := bootQ.Recv(bp)
-			if !ok {
-				break
-			}
-			bsp := sp.StartChild("boot:"+bj.name, bp.Now())
-			bp.Sleep(bj.boot)
-			bsp.EndAt(bp.Now())
+	b.m.batchSize.Observe(float64(len(slots)))
+	// Span names are built only when a tracer records them: this path
+	// carries every guest build.
+	var sp *telemetry.Span
+	if tr := b.tel.Tracer(); tr != nil {
+		sp = tr.Start("builder", fmt.Sprintf("build-batch[%d]", len(slots)), start)
+	}
+	lastBoot := start
+	for i := range slots {
+		s := &slots[i]
+		cstart := p.Now()
+		var boot sim.Duration
+		s.dom, boot, s.err = b.construct(p, s.req)
+		if sp != nil {
+			sp.StartChild("construct:"+s.req.Name, cstart).EndAt(p.Now())
 		}
-		bootsDone.Send(struct{}{})
-	})
-
-	for i := range resolved {
-		csp := sp.StartChild("construct:"+resolved[i].Name, p.Now())
-		dom, boot, err := b.construct(p, imgs[i], resolved[i])
-		csp.EndAt(p.Now())
-		if err != nil {
-			errs[i] = err
+		if s.err != nil {
 			continue
 		}
-		doms[i] = dom
-		bootQ.Send(bootJob{name: resolved[i].Name, boot: boot})
+		bootStart := max(p.Now(), lastBoot)
+		lastBoot = bootStart.Add(boot)
+		if sp != nil {
+			sp.StartChild("boot:"+s.req.Name, bootStart).EndAt(lastBoot)
+		}
 	}
-	bootQ.Close()
-	if _, ok := bootsDone.Recv(p); !ok {
-		return
+	if wait := lastBoot.Sub(p.Now()); wait > 0 {
+		p.Sleep(wait)
 	}
 	sp.EndAt(p.Now())
-	b.m.batchMakespan.Observe(p.Now().Sub(start).Milliseconds())
-	j.batchReply.Send(batchResult{doms: doms, errs: errs})
+	b.m.buildMS.Observe(p.Now().Sub(start).Milliseconds())
 }
 
 // Submit enqueues a request and waits until the new domain is built and
 // booted. Safe to call from any process except the Builder's own serve
-// loop (which would deadlock — internal callers use BuildDirect).
+// loop, which would deadlock.
 func (b *Builder) Submit(p *sim.Proc, req Request) (xtypes.DomID, error) {
-	j := &job{req: req, reply: sim.NewChan[jobResult](b.hv.Env), enq: b.hv.Env.Now()}
-	b.queue.Send(j)
-	b.m.queueDepth.Observe(float64(b.queue.Len()))
-	res, ok := j.reply.Recv(p)
-	if !ok {
-		return xtypes.DomIDNone, fmt.Errorf("builder: %w", xtypes.ErrShutdown)
-	}
-	if res.err != nil {
-		return xtypes.DomIDNone, res.err
-	}
-	return res.dom, nil
+	j := &job{}
+	j.one[0].req = req
+	j.slots = j.one[:]
+	b.await(p, j)
+	return j.one[0].dom, j.one[0].err
 }
 
 // SubmitAll enqueues a batch of requests as one unit of Builder work and
@@ -366,47 +295,35 @@ func (b *Builder) Submit(p *sim.Proc, req Request) (xtypes.DomID, error) {
 //
 // The batch is validated in full before any build compute is spent; one
 // invalid request fails the whole batch, with the remaining slots carrying
-// xtypes.ErrBatchAborted. Valid batches run as a two-stage pipeline (see
-// serveBatch): scrubbing of domain i+1 overlaps the supervised boot of
-// domain i, so the batch makespan is strictly below the serial Submit sum
-// while boots — and the FIFO order seen by concurrent Submit callers —
-// remain exactly as serialized as before.
+// xtypes.ErrBatchAborted. Scrubbing of domain i+1 overlaps the supervised
+// boot of domain i (see buildAll), so the batch makespan is strictly below
+// the serial Submit sum while boots — and the FIFO order seen by
+// concurrent Submit callers — stay serialized.
 func (b *Builder) SubmitAll(p *sim.Proc, reqs []Request) ([]xtypes.DomID, []error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	batch := make([]Request, len(reqs))
-	copy(batch, reqs)
-	j := &job{batch: batch, batchReply: sim.NewChan[batchResult](b.hv.Env), enq: b.hv.Env.Now()}
-	b.queue.Send(j)
-	b.m.queueDepth.Observe(float64(b.queue.Len()))
-	res, ok := j.batchReply.Recv(p)
-	if !ok {
-		doms := make([]xtypes.DomID, len(reqs))
-		errs := make([]error, len(reqs))
-		for i := range errs {
-			doms[i] = xtypes.DomIDNone
-			errs[i] = fmt.Errorf("builder: %w", xtypes.ErrShutdown)
-		}
-		return doms, errs
+	j := &job{slots: make([]slot, len(reqs))}
+	for i, req := range reqs {
+		j.slots[i].req = req
 	}
-	return res.doms, res.errs
+	b.await(p, j)
+	doms := make([]xtypes.DomID, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, s := range j.slots {
+		doms[i], errs[i] = s.dom, s.err
+	}
+	return doms, errs
 }
 
-// BuildDirect performs a build synchronously in the caller's process,
-// bypassing the queue. Used by the rolling-upgrade path, which runs with
-// the Builder's own identity and must not deadlock the serve loop.
-func (b *Builder) BuildDirect(p *sim.Proc, req Request) (xtypes.DomID, error) {
-	start := p.Now()
-	sp := b.tel.StartSpan("builder", "build-direct:"+req.Name, start)
-	defer func() { sp.EndAt(p.Now()) }()
-	dom, boot, err := b.build(p, req)
-	if err != nil {
-		return xtypes.DomIDNone, err
-	}
-	p.Sleep(boot)
-	b.m.buildMS.Observe(p.Now().Sub(start).Milliseconds())
-	return dom, nil
+// await queues j behind every job already submitted and blocks p until the
+// serve loop has filled in its slots.
+func (b *Builder) await(p *sim.Proc, j *job) {
+	j.done = sim.NewGate(b.hv.Env)
+	j.enq = b.hv.Env.Now()
+	b.queue.Send(j)
+	b.m.queueDepth.Observe(float64(b.queue.Len()))
+	j.done.Wait(p)
 }
 
 // trusted reports whether dom may request privileged builds: the Builder
@@ -417,23 +334,23 @@ func (b *Builder) trusted(dom xtypes.DomID) bool {
 
 // resolve validates req against the requester's standing and pins down the
 // image and privilege block to apply. It returns the (possibly rewritten)
-// request alongside the image.
-func (b *Builder) resolve(req Request) (osimage.Image, Request, error) {
+// request; every image it names is in the catalog.
+func (b *Builder) resolve(req Request) (Request, error) {
 	// The requester must be a live domain, or a principal on the
 	// authorized list (the Bootstrapper exists only during boot).
 	if !b.trusted(req.Requester) {
 		if _, err := b.hv.Domain(req.Requester); err != nil {
-			return osimage.Image{}, req, fmt.Errorf("builder: requester %v unknown: %w", req.Requester, xtypes.ErrPerm)
+			return req, fmt.Errorf("builder: requester %v unknown: %w", req.Requester, xtypes.ErrPerm)
 		}
 	}
 
 	if req.qemu() {
 		target, err := b.hv.Domain(req.QemuFor)
 		if err != nil {
-			return osimage.Image{}, req, fmt.Errorf("builder: qemu target %v: %w", req.QemuFor, err)
+			return req, fmt.Errorf("builder: qemu target %v: %w", req.QemuFor, err)
 		}
 		if !b.trusted(req.Requester) && target.ParentTool() != req.Requester {
-			return osimage.Image{}, req, fmt.Errorf("builder: qemu for foreign guest %v requested by %v: %w",
+			return req, fmt.Errorf("builder: qemu for foreign guest %v requested by %v: %w",
 				req.QemuFor, req.Requester, xtypes.ErrPerm)
 		}
 		// Device-model builds carry a fixed image and privilege block: a
@@ -441,26 +358,26 @@ func (b *Builder) resolve(req Request) (osimage.Image, Request, error) {
 		// (§5.6). The requester has no say in either.
 		img, err := b.cat.Lookup(osimage.ImgQemu)
 		if err != nil {
-			return osimage.Image{}, req, err
+			return req, err
 		}
 		req.Image = img.Name
 		req.CustomKernel = false
 		req.Shard = true
 		req.Privileges = hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperMapForeign}}
-		return img, req, nil
+		return req, nil
 	}
 
 	// Shards and privilege assignments are reserved for authorized
 	// principals; a toolstack may only ask for plain guests.
 	if (req.Shard || !assignmentEmpty(req.Privileges)) && !b.trusted(req.Requester) {
-		return osimage.Image{}, req, fmt.Errorf("builder: privileged build %q by %v: %w",
+		return req, fmt.Errorf("builder: privileged build %q by %v: %w",
 			req.Name, req.Requester, xtypes.ErrPerm)
 	}
 
 	if req.CustomKernel {
 		img, err := b.cat.Lookup(osimage.ImgBootloader)
 		if err != nil {
-			return osimage.Image{}, req, err
+			return req, err
 		}
 		if req.MemMB <= 0 {
 			// The bootloader's own footprint is not the guest's: default
@@ -470,32 +387,22 @@ func (b *Builder) resolve(req Request) (osimage.Image, Request, error) {
 			}
 		}
 		req.Image = img.Name
-		return img, req, nil
+		return req, nil
 	}
 
+	if _, err := b.cat.Lookup(req.Image); err != nil {
+		return req, fmt.Errorf("builder: image %q: %w", req.Image, err)
+	}
+	return req, nil
+}
+
+// construct spends the build compute and creates one domain from a
+// resolved request, returning its ID and the boot time to supervise.
+func (b *Builder) construct(p *sim.Proc, req Request) (xtypes.DomID, sim.Duration, error) {
 	img, err := b.cat.Lookup(req.Image)
 	if err != nil {
-		return osimage.Image{}, req, fmt.Errorf("builder: image %q: %w", req.Image, err)
+		return xtypes.DomIDNone, 0, fmt.Errorf("builder: image %q: %w", req.Image, err)
 	}
-	return img, req, nil
-}
-
-// build validates, constructs and releases one domain, returning its ID and
-// the boot time the caller should charge.
-func (b *Builder) build(p *sim.Proc, req Request) (xtypes.DomID, sim.Duration, error) {
-	img, req, err := b.resolve(req)
-	if err != nil {
-		b.Denied++
-		b.m.denied.Inc()
-		return xtypes.DomIDNone, 0, err
-	}
-	return b.construct(p, img, req)
-}
-
-// construct spends the build compute and creates one domain from an
-// already-resolved request. Split from build so serveBatch can validate a
-// whole batch before the first page is scrubbed.
-func (b *Builder) construct(p *sim.Proc, img osimage.Image, req Request) (xtypes.DomID, sim.Duration, error) {
 	memMB := req.MemMB
 	if memMB <= 0 {
 		memMB = img.MemMB
@@ -517,7 +424,7 @@ func (b *Builder) construct(p *sim.Proc, img osimage.Image, req Request) (xtypes
 	}
 	b.Builds++
 	b.m.builds.Inc()
-	b.records[d.ID] = record{req: req, boot: img.BootTime()}
+	b.records[d.ID] = req
 	return d.ID, img.BootTime(), nil
 }
 

@@ -89,8 +89,8 @@ func (b *Builder) shardClass(dom xtypes.DomID) string {
 	if d, err := b.hv.Domain(dom); err == nil && d.Name != "" {
 		return d.Name
 	}
-	if rec, ok := b.records[dom]; ok && rec.req.Name != "" {
-		return rec.req.Name
+	if req, ok := b.records[dom]; ok && req.Name != "" {
+		return req.Name
 	}
 	return "unknown"
 }
@@ -125,9 +125,11 @@ func (b *Builder) Rollback(p *sim.Proc, dom xtypes.DomID) (int, error) {
 
 // Rebuild replaces a shard with a fresh build of its recorded request —
 // the recovery path when the domain is dead or its snapshot unusable, and
-// the mechanism behind in-place driver upgrades. The replacement is the
-// Builder's own ward (it becomes the parent) and is re-snapshotted so it
-// can microreboot in turn.
+// the mechanism behind in-place driver upgrades. The replacement is built
+// through the queue like every other domain, so it waits for the job being
+// served; it is the Builder's own ward (it becomes the parent) and is
+// re-snapshotted so it can microreboot in turn. Like Submit, Rebuild must
+// not be called from the serve loop.
 func (b *Builder) Rebuild(p *sim.Proc, dom xtypes.DomID) (xtypes.DomID, error) {
 	if b.Monolithic {
 		return xtypes.DomIDNone, fmt.Errorf("builder: rebuild of %v: %w", dom, xtypes.ErrNoMicroreboot)
@@ -144,9 +146,9 @@ func (b *Builder) Rebuild(p *sim.Proc, dom xtypes.DomID) (xtypes.DomID, error) {
 	b.eng.Unmanage(dom)
 	delete(b.records, dom)
 
-	req := rec.req
+	req := rec
 	req.Requester = b.dom
-	newDom, err := b.BuildDirect(p, req)
+	newDom, err := b.Submit(p, req)
 	if err != nil {
 		// Keep the record: the old domain is gone, but a later Rebuild of
 		// the same shard (e.g. once an injected fault clears) must still

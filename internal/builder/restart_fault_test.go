@@ -146,6 +146,41 @@ func TestRecoverDestroysRecordlessHalfRecoveredShard(t *testing.T) {
 	}
 }
 
+// Rebuild goes through the queue like every other build: issued while a
+// guest job is being served, it returns only after that job's boot ends,
+// never by overtaking it.
+func TestRebuildWaitsForJobInService(t *testing.T) {
+	env, h, b := newRig(t)
+	defer env.Shutdown()
+	bs := newShard(t, h, "bootstrap", xtypes.HyperDelegateAdmin)
+	b.Authorize(bs)
+	shard := buildManagedShard(t, env, h, b, bs, "netback")
+	ts := newShard(t, h, "ts")
+
+	var guestDone, rebuildDone sim.Time
+	env.Spawn("guest", func(p *sim.Proc) {
+		if _, err := b.Submit(p, builder.Request{Requester: ts, Name: "guest", Image: osimage.ImgGuestPV}); err != nil {
+			t.Errorf("guest build: %v", err)
+		}
+		guestDone = p.Now()
+	})
+	env.Spawn("rebuild", func(p *sim.Proc) {
+		// The guest's 13s boot is under way by now.
+		p.Sleep(sim.Second)
+		if _, err := b.Rebuild(p, shard); err != nil {
+			t.Errorf("rebuild: %v", err)
+		}
+		rebuildDone = p.Now()
+	})
+	env.RunFor(60 * sim.Second)
+	if guestDone == 0 || rebuildDone == 0 {
+		t.Fatalf("builds incomplete: guest at %v, rebuild at %v", guestDone, rebuildDone)
+	}
+	if rebuildDone <= guestDone {
+		t.Fatalf("rebuild returned at %v, before the job in service ended at %v", rebuildDone, guestDone)
+	}
+}
+
 func TestMonolithicProfileRefusesMicroreboots(t *testing.T) {
 	env, h, b := newRig(t)
 	defer env.Shutdown()

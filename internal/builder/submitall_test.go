@@ -1,18 +1,23 @@
 // SubmitAll edge cases: empty batches, hoisted whole-batch validation,
 // pipelined makespan vs serial Submit, FIFO fairness against concurrent
-// Submit callers, and restart-engine rebuilds of batch-built shards.
+// Submit callers, the job telemetry Submit and SubmitAll share, and
+// restart-engine rebuilds of batch-built shards.
 
 package builder_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"xoar/internal/builder"
 	"xoar/internal/hv"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
+	"xoar/internal/telemetry"
 	"xoar/internal/xtypes"
 )
 
@@ -214,6 +219,75 @@ func TestSubmitAllInterleavedWithSubmitFIFO(t *testing.T) {
 	}
 	if b.Builds != n+2 {
 		t.Fatalf("builds = %d, want %d", b.Builds, n+2)
+	}
+}
+
+// Submit is a one-slot job and SubmitAll an n-slot one, served by the same
+// routine: each job records one build-latency and one batch-size
+// observation and one build-batch[n] root span. Under the root, the boot
+// children run back to back, and none starts before its own construction
+// ends.
+func TestSubmitAndSubmitAllShareJobTelemetry(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		env, h, b := newRig(t)
+		reg := telemetry.New()
+		b.SetMetrics(reg)
+		ts := newShard(t, h, "ts")
+		reqs := make([]builder.Request, n)
+		for i := range reqs {
+			reqs[i] = builder.Request{Requester: ts, Name: fmt.Sprintf("g-%d", i), Image: osimage.ImgQemu}
+		}
+		run(t, env, 60*sim.Second, func(p *sim.Proc) {
+			if n == 1 {
+				if _, err := b.Submit(p, reqs[0]); err != nil {
+					t.Errorf("submit: %v", err)
+				}
+				return
+			}
+			_, errs := b.SubmitAll(p, reqs)
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("batch slot %d: %v", i, err)
+				}
+			}
+		})
+		env.Shutdown()
+
+		if got := reg.Histogram("builder_build_latency_ms", telemetry.LatencyMSBuckets).Count(); got != 1 {
+			t.Errorf("n=%d: %d build-latency observations, want 1", n, got)
+		}
+		if got := reg.Histogram("builder_batch_size", telemetry.DepthBuckets).Count(); got != 1 {
+			t.Errorf("n=%d: %d batch-size observations, want 1", n, got)
+		}
+		roots := reg.Tracer().Tree("builder")
+		if want := fmt.Sprintf("build-batch[%d]", n); len(roots) != 1 || roots[0].Name != want {
+			t.Fatalf("n=%d: %d builder root spans, want one %q", n, len(roots), want)
+		}
+		constructed := make(map[string]sim.Time)
+		var boots []*telemetry.SpanNode
+		for _, c := range roots[0].Children {
+			if name, ok := strings.CutPrefix(c.Name, "construct:"); ok {
+				constructed[name] = c.End
+			} else if strings.HasPrefix(c.Name, "boot:") {
+				boots = append(boots, c)
+			}
+		}
+		if len(constructed) != n || len(boots) != n {
+			t.Fatalf("n=%d: %d construct and %d boot children", n, len(constructed), len(boots))
+		}
+		slices.SortFunc(boots, func(x, y *telemetry.SpanNode) int { return cmp.Compare(x.Start, y.Start) })
+		for i, bt := range boots {
+			end, ok := constructed[strings.TrimPrefix(bt.Name, "boot:")]
+			if !ok || bt.Start < end {
+				t.Errorf("n=%d: %s starts at %v, before its construction ended at %v", n, bt.Name, bt.Start, end)
+			}
+			if i > 0 && bt.Start != boots[i-1].End {
+				t.Errorf("n=%d: %s starts at %v, not when %s ended at %v", n, bt.Name, bt.Start, boots[i-1].Name, boots[i-1].End)
+			}
+		}
+		if roots[0].End != boots[n-1].End {
+			t.Errorf("n=%d: job span ends at %v, last boot at %v", n, roots[0].End, boots[n-1].End)
+		}
 	}
 }
 

@@ -39,6 +39,9 @@ type VM struct {
 	Blk  *blkdrv.Frontend
 	NetB *netdrv.Backend
 	BlkB *blkdrv.Backend
+
+	// rpcs counts this VM's NetRPC exchanges, which number their flows.
+	rpcs int64
 }
 
 // FetchResult reports a bulk transfer's outcome.
@@ -162,16 +165,14 @@ func chunkWire(vm *VM, chunk int) sim.Duration {
 	return sim.Duration(float64(chunk) / vm.NetB.NIC.LineRate * float64(sim.Second))
 }
 
-// rpcSeq numbers NetRPC exchanges per VM.
-var rpcSeqBase int64 = 1 << 40
-
 // NetRPC performs one request/response exchange with a LAN server (an NFS
 // call, say): send the request through the vif, charge server think time,
 // then receive the response off the wire. It returns false on loss — the
 // caller owns retransmission policy.
 func (vm *VM) NetRPC(p *sim.Proc, sendBytes, recvBytes int, serverTime sim.Duration) bool {
-	rpcSeqBase++
-	seq := rpcSeqBase
+	// Flow numbers start at 1<<40, clear of Fetch's segment numbers.
+	vm.rpcs++
+	seq := 1<<40 + vm.rpcs
 	if err := vm.Net.Send(p, sendBytes, seq); err != nil {
 		return false
 	}

@@ -1,15 +1,18 @@
 package guest
 
 import (
+	"slices"
 	"testing"
 
 	"xoar/internal/boot"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
+	"xoar/internal/netdrv"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
+	"xoar/internal/xtypes"
 )
 
 // platform boots Xoar and creates one PV guest with net+disk.
@@ -154,5 +157,36 @@ func TestNetRPC(t *testing.T) {
 	}
 	if elapsed < 250*sim.Microsecond || elapsed > 5*sim.Millisecond {
 		t.Fatalf("rpc latency = %v", elapsed)
+	}
+}
+
+// NetRPC numbers its flows per VM: the flow keys a VM's calls carry, which
+// pick the ring on a multi-queue vif, must not depend on the NetRPCs that
+// other VMs ran earlier in the same process. Two identical rigs therefore
+// put identical sequence numbers on the wire.
+func TestNetRPCSeqPerVM(t *testing.T) {
+	const calls = 3
+	wireSeqs := func() []int64 {
+		env, _, vm := platform(t)
+		defer env.Shutdown()
+		var seqs []int64
+		vm.NetB.TxSink = func(g xtypes.DomID, pkt netdrv.Packet) {
+			if g == vm.Dom {
+				seqs = append(seqs, pkt.Seq)
+			}
+		}
+		env.Spawn("rpc", func(p *sim.Proc) {
+			for i := 0; i < calls; i++ {
+				if !vm.NetRPC(p, 256, 1024, 100*sim.Microsecond) {
+					t.Errorf("rpc %d failed on idle platform", i)
+				}
+			}
+		})
+		env.RunFor(10 * sim.Second)
+		return seqs
+	}
+	first, second := wireSeqs(), wireSeqs()
+	if len(first) != calls || !slices.Equal(first, second) {
+		t.Fatalf("identical rigs put different flows on the wire: %v vs %v", first, second)
 	}
 }

@@ -172,40 +172,50 @@ func (ts *Toolstack) releaseShard(d xtypes.DomID) {
 	}
 }
 
-// CreateVM builds and wires a guest.
-func (ts *Toolstack) CreateVM(p *sim.Proc, cfg GuestConfig) (*Guest, error) {
+// mem is the memory cfg charges against the toolstack's quota.
+func (cfg GuestConfig) mem() int {
+	if cfg.MemMB == 0 {
+		return 1024
+	}
+	return cfg.MemMB
+}
+
+// admit checks a new guest against the quota and reserves the driver shards
+// its devices need, so constraint failures never leave half-built VMs. The
+// returned record holds the reservations; on error nothing stays reserved.
+func (ts *Toolstack) admit(cfg GuestConfig) (*Guest, error) {
 	if len(ts.guests) >= ts.quota.MaxVMs {
 		return nil, fmt.Errorf("toolstack: VM quota %d: %w", ts.quota.MaxVMs, xtypes.ErrQuota)
 	}
-	memMB := cfg.MemMB
-	if memMB == 0 {
-		memMB = 1024
-	}
-	if ts.usedMB+memMB > ts.quota.MaxMemMB {
+	if ts.usedMB+cfg.mem() > ts.quota.MaxMemMB {
 		return nil, fmt.Errorf("toolstack: memory quota: %w", xtypes.ErrQuota)
 	}
-
-	// Select shards first so constraint failures don't leave half-built VMs.
-	var nb *netdrv.Backend
-	var bb *blkdrv.Backend
+	g := &Guest{Cfg: cfg}
 	var err error
 	if cfg.Net {
-		nb, err = pickShard(ts, ts.NetBacks, func(b *netdrv.Backend) xtypes.DomID { return b.Dom }, cfg.ConstraintTag)
+		g.NetB, err = pickShard(ts, ts.NetBacks, func(b *netdrv.Backend) xtypes.DomID { return b.Dom }, cfg.ConstraintTag)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if cfg.Disk {
-		bb, err = pickShard(ts, ts.BlkBacks, func(b *blkdrv.Backend) xtypes.DomID { return b.Dom }, cfg.ConstraintTag)
+		g.BlkB, err = pickShard(ts, ts.BlkBacks, func(b *blkdrv.Backend) xtypes.DomID { return b.Dom }, cfg.ConstraintTag)
 		if err != nil {
-			if nb != nil {
-				ts.releaseShard(nb.Dom)
-			}
+			ts.unreserve(g)
 			return nil, err
 		}
 	}
+	return g, nil
+}
 
-	dom, err := ts.Builder.Submit(p, builder.Request{
+// CreateVM builds and wires a guest. A failure after the build destroys
+// the new domains and releases everything the call took.
+func (ts *Toolstack) CreateVM(p *sim.Proc, cfg GuestConfig) (*Guest, error) {
+	g, err := ts.admit(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.Dom, err = ts.Builder.Submit(p, builder.Request{
 		Requester:    ts.Dom,
 		Name:         cfg.Name,
 		Image:        cfg.Image,
@@ -214,44 +224,38 @@ func (ts *Toolstack) CreateVM(p *sim.Proc, cfg GuestConfig) (*Guest, error) {
 		VCPUs:        cfg.VCPUs,
 	})
 	if err != nil {
-		if nb != nil {
-			ts.releaseShard(nb.Dom)
-		}
-		if bb != nil {
-			ts.releaseShard(bb.Dom)
-		}
+		ts.unreserve(g)
 		return nil, err
 	}
-
-	g := &Guest{Dom: dom, Cfg: cfg, NetB: nb, BlkB: bb}
 
 	if cfg.HVM {
 		// Build the per-guest device model; the Builder fixes its image and
 		// privileges and checks we are the guest's parent toolstack.
-		qdom, qerr := ts.Builder.Submit(p, builder.Request{
-			Requester: ts.Dom, Name: cfg.Name + "-qemu", QemuFor: dom,
+		g.QemuDom, err = ts.Builder.Submit(p, builder.Request{
+			Requester: ts.Dom, Name: cfg.Name + "-qemu", QemuFor: g.Dom,
 		})
-		if qerr != nil {
-			return nil, qerr
+		if err == nil {
+			g.Qemu = qemudm.New(ts.H, g.QemuDom, g.Dom)
+			// The QemuVM — not the guest — is the driver shards' client; its
+			// PV frontends carry the emulated I/O.
+			wired := &Guest{Dom: g.QemuDom, Cfg: GuestConfig{Name: cfg.Name + "-qemu", Net: cfg.Net, Disk: cfg.Disk, DiskMB: cfg.DiskMB}, NetB: g.NetB, BlkB: g.BlkB}
+			err = ts.wireDevices(p, wired)
+			g.Qemu.Net = wired.Net
+			g.Qemu.Blk = wired.Blk
 		}
-		g.QemuDom = qdom
-		g.Qemu = qemudm.New(ts.H, qdom, dom)
-		// The QemuVM — not the guest — is the driver shards' client; its PV
-		// frontends carry the emulated I/O.
-		wired := &Guest{Dom: qdom, Cfg: GuestConfig{Name: cfg.Name + "-qemu", Net: cfg.Net, Disk: cfg.Disk, DiskMB: cfg.DiskMB}, NetB: nb, BlkB: bb}
-		if err := ts.wireDevices(p, wired); err != nil {
-			return nil, err
-		}
-		g.Qemu.Net = wired.Net
-		g.Qemu.Blk = wired.Blk
 	} else {
-		if err := ts.wireDevices(p, g); err != nil {
-			return nil, err
-		}
+		err = ts.wireDevices(p, g)
+	}
+	if err != nil {
+		// The domains go first, so the hypervisor closes exactly the client
+		// links this call opened; release returns the rest.
+		ts.destroy(g)
+		ts.release(g)
+		return nil, err
 	}
 
-	ts.guests[dom] = g
-	ts.usedMB += memMB
+	ts.guests[g.Dom] = g
+	ts.usedMB += cfg.mem()
 	ts.Created++
 	return g, nil
 }
@@ -290,6 +294,10 @@ func (ts *Toolstack) wireDevices(p *sim.Proc, g *Guest) error {
 		if err := g.BlkB.CreateImage(imgName, diskMB); err != nil {
 			return err
 		}
+		// The frontend is recorded as soon as the image is this guest's:
+		// release deletes the image only for a record that holds one, so a
+		// name collision never takes another guest's disk.
+		g.Blk = blkdrv.NewFrontend(ts.H, dom, guestXS)
 		dq := cfg.DiskQueues
 		if dq < 1 {
 			dq = 1
@@ -297,7 +305,6 @@ func (ts *Toolstack) wireDevices(p *sim.Proc, g *Guest) error {
 		if err := g.BlkB.CreateVbdQueues(dom, imgName, dq); err != nil {
 			return err
 		}
-		g.Blk = blkdrv.NewFrontend(ts.H, dom, guestXS)
 		if err := g.Blk.Connect(p, g.BlkB); err != nil {
 			return err
 		}
@@ -316,51 +323,31 @@ func (ts *Toolstack) Adopt(p *sim.Proc, dom xtypes.DomID, cfg GuestConfig) (*Gue
 	if _, ok := ts.guests[dom]; ok {
 		return nil, fmt.Errorf("toolstack: adopt %v: %w", dom, xtypes.ErrExists)
 	}
-	if len(ts.guests) >= ts.quota.MaxVMs {
-		return nil, fmt.Errorf("toolstack: VM quota %d: %w", ts.quota.MaxVMs, xtypes.ErrQuota)
+	g, err := ts.admit(cfg)
+	if err != nil {
+		return nil, err
 	}
-	memMB := cfg.MemMB
-	if memMB == 0 {
-		memMB = 1024
-	}
-	if ts.usedMB+memMB > ts.quota.MaxMemMB {
-		return nil, fmt.Errorf("toolstack: memory quota: %w", xtypes.ErrQuota)
-	}
+	g.Dom = dom
 	// Register the newcomer in this host's XenStore: the Builder does this
 	// for domains it builds, but a migrated domain arrives without a local
 	// subtree. Toolstacks are privileged XenStore clients, as in xenstored.
 	admin := ts.XS.Connect(ts.Dom, true)
 	base := fmt.Sprintf("/local/domain/%d", dom)
 	if err := admin.Mkdir(xenstore.TxNone, base); err != nil {
+		ts.unreserve(g)
 		return nil, err
 	}
 	admin.Write(xenstore.TxNone, base+"/name", cfg.Name)
 	if err := admin.SetPerms(base, xenstore.Perms{Owner: dom, Read: []xtypes.DomID{xtypes.DomIDNone}}); err != nil {
+		ts.unreserve(g)
 		return nil, err
 	}
-
-	g := &Guest{Dom: dom, Cfg: cfg}
-	var err error
-	if cfg.Net {
-		g.NetB, err = pickShard(ts, ts.NetBacks, func(b *netdrv.Backend) xtypes.DomID { return b.Dom }, cfg.ConstraintTag)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Disk {
-		g.BlkB, err = pickShard(ts, ts.BlkBacks, func(b *blkdrv.Backend) xtypes.DomID { return b.Dom }, cfg.ConstraintTag)
-		if err != nil {
-			if g.NetB != nil {
-				ts.releaseShard(g.NetB.Dom)
-			}
-			return nil, err
-		}
-	}
 	if err := ts.wireDevices(p, g); err != nil {
+		ts.release(g)
 		return nil, err
 	}
 	ts.guests[dom] = g
-	ts.usedMB += memMB
+	ts.usedMB += cfg.mem()
 	return g, nil
 }
 
@@ -371,73 +358,87 @@ func (ts *Toolstack) DestroyVM(p *sim.Proc, dom xtypes.DomID) error {
 	if !ok {
 		return fmt.Errorf("toolstack: %v not managed here: %w", dom, xtypes.ErrPerm)
 	}
-	// HVM guests attach their devices through the QemuVM: detach there.
-	devDom, imgName := dom, fmt.Sprintf("%s-disk", g.Cfg.Name)
-	if g.Qemu != nil {
-		devDom = g.QemuDom
-		imgName = fmt.Sprintf("%s-qemu-disk", g.Cfg.Name)
-	}
-	if g.NetB != nil {
-		g.NetB.RemoveVif(devDom)
-		ts.H.UnlinkShardClient(ts.Dom, g.NetB.Dom, devDom)
-		ts.releaseShard(g.NetB.Dom)
-	}
-	if g.BlkB != nil {
-		g.BlkB.RemoveVbd(devDom)
-		ts.H.UnlinkShardClient(ts.Dom, g.BlkB.Dom, devDom)
-		ts.releaseShard(g.BlkB.Dom)
-		g.BlkB.DeleteImage(imgName)
-	}
-	if ts.Console != nil {
-		ts.Console.RemoveConsole(dom)
-	}
-	if err := ts.H.DestroyDomain(ts.Dom, dom, "destroyed by toolstack"); err != nil {
+	ts.release(g)
+	if err := ts.destroy(g); err != nil {
 		return err
 	}
-	// The device model dies with its guest (Table 5.1: lifetime = guest VM).
-	if g.Qemu != nil {
-		if err := ts.H.DestroyDomain(ts.Dom, g.QemuDom, "guest destroyed"); err != nil {
-			return err
-		}
-		ts.XS.Disconnect(g.QemuDom)
-	}
-	ts.XS.Disconnect(dom)
-	memMB := g.Cfg.MemMB
-	if memMB == 0 {
-		memMB = 1024
-	}
-	ts.usedMB -= memMB
+	ts.usedMB -= g.Cfg.mem()
 	delete(ts.guests, dom)
 	ts.Destroyed++
 	return nil
 }
 
 // Forget drops a guest record whose domain is already gone — it migrated
-// away. Shard reservations, the vif/vbd and the local disk image are
-// released, but no destroy is issued against the (nonexistent) domain.
+// away. Everything the record holds on this host is released, but no
+// destroy is issued against the (nonexistent) domain.
 func (ts *Toolstack) Forget(dom xtypes.DomID) {
 	g, ok := ts.guests[dom]
 	if !ok {
 		return
 	}
+	ts.release(g)
+	ts.usedMB -= g.Cfg.mem()
+	delete(ts.guests, dom)
+}
+
+// destroy destroys g's domain and, for an HVM guest, the device model that
+// dies with it (Table 5.1: lifetime = guest VM).
+func (ts *Toolstack) destroy(g *Guest) error {
+	if err := ts.H.DestroyDomain(ts.Dom, g.Dom, "destroyed by toolstack"); err != nil {
+		return err
+	}
+	if g.Qemu != nil {
+		if err := ts.H.DestroyDomain(ts.Dom, g.QemuDom, "guest destroyed"); err != nil {
+			return err
+		}
+		ts.XS.Disconnect(g.QemuDom)
+	}
+	ts.XS.Disconnect(g.Dom)
+	return nil
+}
+
+// release gives back what g holds on this host: its vif and vbd with their
+// shard-client links, its disk image, its console and its shard
+// reservations. It serves DestroyVM, Forget and the failure exits of
+// CreateVM and Adopt, so it takes only what the record shows was taken.
+func (ts *Toolstack) release(g *Guest) {
+	// An HVM guest's devices hang off its QemuVM.
+	devDom, devName, blk := g.Dom, g.Cfg.Name, g.Blk
+	if g.Qemu != nil {
+		devDom, devName, blk = g.QemuDom, g.Cfg.Name+"-qemu", g.Qemu.Blk
+	}
+	// A domain that is already gone took its client links with it.
+	_, err := ts.H.Domain(devDom)
+	linked := err == nil
 	if g.NetB != nil {
-		g.NetB.RemoveVif(dom)
+		g.NetB.RemoveVif(devDom)
+		if linked {
+			ts.H.UnlinkShardClient(ts.Dom, g.NetB.Dom, devDom)
+		}
+	}
+	if g.BlkB != nil {
+		g.BlkB.RemoveVbd(devDom)
+		if linked {
+			ts.H.UnlinkShardClient(ts.Dom, g.BlkB.Dom, devDom)
+		}
+		if blk != nil {
+			g.BlkB.DeleteImage(devName + "-disk")
+		}
+	}
+	if ts.Console != nil {
+		ts.Console.RemoveConsole(g.Dom)
+	}
+	ts.unreserve(g)
+}
+
+// unreserve returns g's shard reservations.
+func (ts *Toolstack) unreserve(g *Guest) {
+	if g.NetB != nil {
 		ts.releaseShard(g.NetB.Dom)
 	}
 	if g.BlkB != nil {
-		g.BlkB.RemoveVbd(dom)
 		ts.releaseShard(g.BlkB.Dom)
-		g.BlkB.DeleteImage(fmt.Sprintf("%s-disk", g.Cfg.Name))
 	}
-	if ts.Console != nil {
-		ts.Console.RemoveConsole(dom)
-	}
-	memMB := g.Cfg.MemMB
-	if memMB == 0 {
-		memMB = 1024
-	}
-	ts.usedMB -= memMB
-	delete(ts.guests, dom)
 }
 
 // MigrateTo live-migrates dom, a guest this toolstack manages, to the host

@@ -188,6 +188,53 @@ func TestConstraintFailureLeavesNoDebris(t *testing.T) {
 	}
 }
 
+// A CreateVM that fails after the Builder returned the guest releases what
+// the call took, and only that. A second guest under a live guest's name
+// collides on the disk image; afterwards the host has its earlier domains,
+// NetBack its earlier clients and the toolstack its earlier guests, while
+// the first guest keeps its vif and its disk.
+func TestFailedCreateReleasesWhatItTook(t *testing.T) {
+	r := newRig(t)
+	defer r.env.Shutdown()
+	cfg := toolstack.GuestConfig{Name: "g", Image: osimage.ImgGuestPV, Net: true, Disk: true}
+	first, err := r.create(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := r.h.Domain(first.NetB.Dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains, clients, guests := len(r.h.Domains()), len(nb.Clients()), len(r.ts.Guests())
+
+	if _, err := r.create(t, cfg); !errors.Is(err, xtypes.ErrExists) {
+		t.Fatalf("duplicate-name create: %v", err)
+	}
+	if got := len(r.h.Domains()); got != domains {
+		t.Errorf("domains: %d -> %d", domains, got)
+	}
+	if got := len(nb.Clients()); got != clients {
+		t.Errorf("netback clients: %d -> %d", clients, got)
+	}
+	if got := len(r.ts.Guests()); got != guests {
+		t.Errorf("toolstack guests: %d -> %d", guests, got)
+	}
+	if !first.Net.Connected() || !first.Blk.Connected() {
+		t.Errorf("first guest lost its devices: vif %v, vbd %v", first.Net.Connected(), first.Blk.Connected())
+	}
+
+	// An image nobody has mounted is not the failed call's either.
+	if err := first.BlkB.CreateImage("staged-disk", 1024); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.create(t, toolstack.GuestConfig{Name: "staged", Image: osimage.ImgGuestPV, Disk: true}); !errors.Is(err, xtypes.ErrExists) {
+		t.Fatalf("create over a staged image: %v", err)
+	}
+	if err := first.BlkB.CreateImage("staged-disk", 1024); !errors.Is(err, xtypes.ErrExists) {
+		t.Errorf("failed create deleted the staged image: %v", err)
+	}
+}
+
 func TestPauseUnpause(t *testing.T) {
 	r := newRig(t)
 	defer r.env.Shutdown()

@@ -8,9 +8,9 @@ import "go/ast"
 // statement. A raw goroutine runs on the wall-clock scheduler — it races
 // the sim's single-runner invariant, is invisible to Env.Shutdown, and
 // makes event ordering (and therefore every measured table) depend on the
-// host. The pipelined Builder made this rule load-bearing: its batch boot
-// supervisor must be a sim.Proc, and this pass turns that from convention
-// into a build-time invariant.
+// host. Every long-lived worker on the platform — the Builder's serve loop,
+// the driver pumps, the restart engine's timers — is a sim.Proc, and
+// this pass turns that from convention into a build-time invariant.
 //
 // internal/sim is covered too: its scheduler runs each Proc as an iter.Pull
 // coroutine and has no go statement of its own. Test files are exempt:
