@@ -464,6 +464,49 @@ func BenchmarkMicro_SimEventsPerSec(b *testing.B) {
 	env.Shutdown()
 }
 
+// BenchmarkMicro_SimWakeups measures the event loop under same-instant
+// wakeups, the shape Signal.Broadcast gives the data path: 8 groups, each a
+// ticker that sleeps 1ms and then broadcasts to 7 waiters, so 56 of every 64
+// events are due at the instant they are scheduled. Like SimEventsPerSec it
+// gates allocs/op and B/op at zero and pins events/op (640); evts/s reports
+// raw wall-clock throughput (ungated).
+func BenchmarkMicro_SimWakeups(b *testing.B) {
+	env := sim.NewEnv(1)
+	const groups, waiters = 8, 7
+	events := 0
+	for g := 0; g < groups; g++ {
+		sig := sim.NewSignal(env)
+		for w := 0; w < waiters; w++ {
+			env.Spawn("waiter", func(p *sim.Proc) {
+				for {
+					sig.Wait(p)
+					events++
+				}
+			})
+		}
+		env.Spawn("tick", func(p *sim.Proc) {
+			for {
+				p.Sleep(sim.Millisecond)
+				events++
+				sig.Broadcast()
+			}
+		})
+	}
+	env.RunFor(100 * sim.Millisecond)
+	events = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.RunFor(10 * sim.Millisecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(events)/secs, "evts/s")
+	}
+	env.Shutdown()
+}
+
 // BenchmarkClusterChurn runs the cluster serverless-churn artifact at full
 // scale: an 8-host fleet, 5000 micro guests at 1000 arrivals/s. Cold-start
 // percentiles, failure and migration counts, and placement spread are all
