@@ -266,6 +266,7 @@ func TestHotpathStdlibPolicy(t *testing.T) {
 	src := `package dev
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -273,12 +274,15 @@ import (
 
 var n atomic.Int64
 
+var q heap.Interface
+
 //xoarlint:hot
 func Mixed(xs []float64, v float64) {
 	n.Add(1)                     // sync/atomic: free
 	_ = sort.SearchFloat64s(xs, v) // sort.Search*: free
 	fmt.Println(v)               // fmt: flagged
 	sort.Float64s(xs)            // unproven stdlib: flagged as unprovable
+	heap.Push(q, &v)             // no special case: unprovable like sort
 }
 `
 	p := loadSrc(t, "xoar/internal/dev", src)
@@ -286,6 +290,7 @@ func Mixed(xs []float64, v float64) {
 	wantDiags(t, diags,
 		"call into fmt allocates",
 		"cannot prove sort.Float64s allocation-free",
+		"cannot prove container/heap.Push allocation-free",
 	)
 }
 
