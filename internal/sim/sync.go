@@ -21,10 +21,12 @@ func (s *Signal) Wait(p *Proc) {
 }
 
 // Broadcast wakes every process currently waiting. The wakeups are scheduled
-// at the current instant in FIFO order. The waiter slice's capacity is
-// retained (entries are nilled for GC) so the Wait/Broadcast cycle is
-// allocation-free in steady state. No user code runs during the loop — the
-// scheduler only enqueues wakeups — so truncating before iterating is safe.
+// at the current instant in FIFO order, so they go on the Env's same-instant
+// lane and run after every event already queued for this instant, without
+// passing through the heap. The waiter slice's capacity is retained (entries
+// are nilled for GC) so the Wait/Broadcast cycle is allocation-free in
+// steady state. No user code runs during the loop — the scheduler only
+// enqueues wakeups — so truncating before iterating is safe.
 func (s *Signal) Broadcast() {
 	ws := s.waiters
 	s.waiters = s.waiters[:0]
