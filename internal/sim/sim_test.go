@@ -425,6 +425,27 @@ func TestRunRespectsDeadlineWithCanceledRoot(t *testing.T) {
 	}
 }
 
+// A deadline behind the clock must not move it back: the same-instant lane
+// holds events due at the current instant only, so a clock that stepped
+// back under a pending Post would dispatch later work first.
+func TestRunPastDeadlineKeepsClock(t *testing.T) {
+	env := NewEnv(1)
+	env.RunFor(10 * Millisecond)
+	var order []int
+	env.Post(func() { order = append(order, 1) })
+	if got := env.Run(Time(5 * Millisecond)); got != Time(10*Millisecond) {
+		t.Fatalf("Run(5ms) at 10ms returned %v", got.Seconds())
+	}
+	env.Post(func() { order = append(order, 2) })
+	env.RunAll()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("dispatch order %v, want [1 2]", order)
+	}
+	if env.Now() != Time(10*Millisecond) {
+		t.Fatalf("clock at %v, want 10ms", env.Now().Seconds())
+	}
+}
+
 func TestTraceHook(t *testing.T) {
 	env := NewEnv(1)
 	var got []TraceEvent
