@@ -260,9 +260,8 @@ func TestUnknownImageRejectedWithoutCustomFlag(t *testing.T) {
 }
 
 // TestDestroyReapsXenStoreTree exercises the OnDestroy reaping hook:
-// destroying a guest removes its /local/domain/<id> subtree, and the watch
-// events the reap fires at NetBack's autonomous hotplug loop do not perturb
-// a later microreboot-and-reconnect of the surviving guest.
+// destroying a guest removes its /local/domain/<id> subtree, and the reap
+// does not perturb a later microreboot-and-reconnect of the surviving guest.
 func TestDestroyReapsXenStoreTree(t *testing.T) {
 	env, h, pl := bootXoar(t, Options{})
 	defer env.Shutdown()
@@ -286,10 +285,6 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 		t.Fatalf("guests: %v", err)
 	}
 
-	// The hotplug loop watches all of /local: the reap below fires deletion
-	// events straight at it.
-	env.Spawn("netback-hotplug", nb.WatchAndServe)
-
 	base := fmt.Sprintf("/local/domain/%d", g1.Dom)
 	admin := pl.XenStoreLogic.Connect(pl.XSLogicDom, true)
 	if _, rerr := admin.Read(xenstore.TxNone, base+"/name"); rerr != nil {
@@ -305,7 +300,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 	}
 
 	// Microreboot NetBack; the surviving guest must renegotiate and move
-	// traffic, reap noise notwithstanding.
+	// traffic.
 	if merr := pl.Builder.SetRestartPolicy(nb, snapshot.Policy{Kind: snapshot.PolicyPerRequest}); merr != nil {
 		t.Fatal(merr)
 	}

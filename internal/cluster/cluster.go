@@ -5,10 +5,8 @@
 // The paper's security argument (§2.3 blast radius, §5 microreboot exposure
 // windows) is made per host; this layer is where it becomes
 // production-relevant: guest specs are placed across hosts by a pluggable
-// policy, hot hosts shed load through live migration over a modeled
-// management network (reusing internal/migrate), and per-host shard
-// microreboots are coordinated fleet-wide so restart storms never take down
-// more than a configured fraction of netback/blkback capacity at once.
+// policy, and hot hosts shed load through live migration over a modeled
+// management network (reusing internal/migrate).
 //
 // Determinism model: all hosts share one virtual clock and one seeded random
 // source. Hosts boot sequentially; every scheduler decision iterates hosts in
@@ -22,10 +20,8 @@ import (
 	"xoar/internal/boot"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
-	"xoar/internal/migrate"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
-	"xoar/internal/telemetry"
 	"xoar/internal/toolstack"
 	"xoar/internal/xtypes"
 )
@@ -36,25 +32,19 @@ type Config struct {
 	Hosts int
 	// Seed seeds the shared simulation environment.
 	Seed int64
-	// Machine configures each host's hardware; the zero value uses the
-	// default testbed machine.
-	Machine hw.MachineConfig
 	// Policy places incoming guests; nil defaults to Spread.
 	Policy Policy
-	// Link models the inter-host management network migrations ride on; the
-	// zero value uses migrate.DefaultLink (dedicated GigE).
-	Link migrate.Link
-	// Fleet, when non-nil, gives every host its own telemetry registry
-	// (merged with host labels at export) plus a "cluster" registry for
-	// scheduler-level metrics.
-	Fleet *telemetry.Fleet
-	// GuestQuota is each host toolstack's MaxVMs; 0 defaults to 1024, far
-	// above the per-host residency a churn workload reaches.
-	GuestQuota int
-	// HeadroomMB is per-host memory the scheduler refuses to commit,
-	// covering transient build-time allocations. Default 64.
-	HeadroomMB int
 }
+
+// Every host is the default testbed machine, booted with these limits.
+const (
+	// guestQuota is each host toolstack's MaxVMs, far above the per-host
+	// residency a churn workload reaches.
+	guestQuota = 1024
+	// headroomMB is per-host memory the scheduler refuses to commit,
+	// covering transient build-time allocations.
+	headroomMB = 64
+)
 
 // Host is one machine of the fleet.
 type Host struct {
@@ -98,11 +88,8 @@ type Cluster struct {
 	Env   *sim.Env
 	Hosts []*Host
 
-	cfg     Config
 	policy  Policy
-	link    migrate.Link
-	m       *telemetry.Registry // cluster-level scheduler metrics
-	migDone *sim.Signal         // broadcast after each migration completes
+	migDone *sim.Signal // broadcast after each migration completes
 
 	// Scheduler counters, all deterministic.
 	Placements        int
@@ -121,38 +108,25 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = Spread{}
 	}
-	if cfg.Link == (migrate.Link{}) {
-		cfg.Link = migrate.DefaultLink()
-	}
-	if cfg.GuestQuota <= 0 {
-		cfg.GuestQuota = 1024
-	}
-	if cfg.HeadroomMB <= 0 {
-		cfg.HeadroomMB = 64
-	}
 	env := sim.NewEnv(cfg.Seed)
 	c := &Cluster{
 		Env:     env,
-		cfg:     cfg,
 		policy:  cfg.Policy,
-		link:    cfg.Link,
-		m:       cfg.Fleet.Host("cluster"),
 		migDone: sim.NewSignal(env),
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host-%d", i)
-		h := hv.New(env, hw.NewMachineWith(env, cfg.Machine))
+		h := hv.New(env, hw.NewMachine(env))
 		pl, err := boot.Run(h, false, boot.Options{
 			Toolstacks: 1,
 			NoConsole:  true,
-			Telemetry:  cfg.Fleet.Host(name),
-			GuestQuota: cfg.GuestQuota,
+			GuestQuota: guestQuota,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}
 		host := &Host{Index: i, Name: name, HV: h, PL: pl, guests: make(map[xtypes.DomID]*Guest)}
-		host.capacityMB = h.MM.FreeMB() - cfg.HeadroomMB
+		host.capacityMB = h.MM.FreeMB() - headroomMB
 		c.Hosts = append(c.Hosts, host)
 	}
 	return c, nil
@@ -188,7 +162,6 @@ func (c *Cluster) Launch(p *sim.Proc, name string, memMB int) (destroy func(*sim
 	host := c.place(memMB)
 	if host == nil {
 		c.PlacementFailures++
-		c.m.Counter("cluster_placement_failures_total").Inc()
 		return nil, fmt.Errorf("cluster: no host fits %dMB guest %q: %w", memMB, name, xtypes.ErrNoMem)
 	}
 	ts := host.PL.Toolstacks[0]
@@ -198,14 +171,12 @@ func (c *Cluster) Launch(p *sim.Proc, name string, memMB int) (destroy func(*sim
 	if cerr != nil {
 		host.committedMB -= memMB
 		c.PlacementFailures++
-		c.m.Counter("cluster_placement_failures_total").Inc()
 		return nil, cerr
 	}
 	g := &Guest{Name: name, Dom: rec.Dom, MemMB: memMB, host: host}
 	host.guests[g.Dom] = g
 	host.Placed++
 	c.Placements++
-	c.m.Counter("cluster_placements_total", telemetry.L("policy", c.policy.Name())).Inc()
 	return func(p *sim.Proc) error { return c.destroy(p, g) }, nil
 }
 

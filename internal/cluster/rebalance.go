@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"xoar/internal/migrate"
 	"xoar/internal/sim"
-	"xoar/internal/telemetry"
 )
 
 // RebalanceOnce scans the fleet and, if the fullest and emptiest hosts differ
@@ -44,7 +44,8 @@ func (c *Cluster) RebalanceOnce(p *sim.Proc, minGapMB int) (bool, error) {
 	return true, c.migrateGuest(p, victim, dst)
 }
 
-// migrateGuest moves g to dst through the source toolstack's MigrateTo.
+// migrateGuest moves g to dst through the source toolstack's MigrateTo,
+// over the default management link (migrate.DefaultLink).
 // The guest record is updated in place so the caller's destroy closure
 // follows the guest to its new host.
 func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
@@ -57,11 +58,10 @@ func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	}()
 
 	srcTS := src.PL.Toolstacks[0]
-	rec, res, err := srcTS.MigrateTo(p, g.Dom, dst.PL.Toolstacks[0], c.link)
+	rec, _, err := srcTS.MigrateTo(p, g.Dom, dst.PL.Toolstacks[0], migrate.DefaultLink())
 	if srcTS.Manages(g.Dom) { // the pre-copy failed; the guest never left
 		dst.committedMB -= g.MemMB
 		c.MigrationFailures++
-		c.m.Counter("cluster_migration_failures_total").Inc()
 		return err
 	}
 	delete(src.guests, g.Dom)
@@ -73,8 +73,5 @@ func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	g.host = dst
 	dst.guests[rec.Dom] = g
 	c.Migrations++
-	c.m.Counter("cluster_migrations_total").Inc()
-	c.m.Histogram("cluster_migration_downtime_ms", telemetry.LatencyMSBuckets).
-		Observe(float64(res.Downtime) / float64(sim.Millisecond))
 	return nil
 }

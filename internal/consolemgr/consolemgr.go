@@ -29,8 +29,6 @@ type vconsole struct {
 	lines  *sim.Chan[string]
 	buffer []string
 	pump   *sim.Proc
-	// input queues operator keystrokes routed to this guest.
-	input *sim.Chan[string]
 }
 
 // Manager is the Console Manager component.
@@ -43,12 +41,7 @@ type Manager struct {
 	consoles map[xtypes.DomID]*vconsole
 	serving  *sim.Gate
 
-	// attached selects which guest's console receives physical input, like
-	// xenconsole's active session.
-	attached xtypes.DomID
-
 	LinesHandled int64
-	InputLines   int64
 }
 
 // New constructs the Console Manager in domain dom.
@@ -85,7 +78,7 @@ func (m *Manager) CreateConsole(guest xtypes.DomID) {
 	if _, ok := m.consoles[guest]; ok {
 		return
 	}
-	vc := &vconsole{guest: guest, lines: sim.NewChan[string](m.H.Env), input: sim.NewChan[string](m.H.Env)}
+	vc := &vconsole{guest: guest, lines: sim.NewChan[string](m.H.Env)}
 	m.consoles[guest] = vc
 	vc.pump = m.H.Env.Spawn(fmt.Sprintf("console-%v", guest), func(p *sim.Proc) {
 		for {
@@ -138,44 +131,3 @@ func (m *Manager) Buffer(guest xtypes.DomID) []string {
 
 // Consoles reports the number of live virtual consoles.
 func (m *Manager) Consoles() int { return len(m.consoles) }
-
-// Attach directs physical console input to guest's virtual console —
-// xenconsole's session switch. The Console Manager must hold the console
-// VIRQ route for input to reach it at all.
-func (m *Manager) Attach(guest xtypes.DomID) error {
-	if _, ok := m.consoles[guest]; !ok {
-		return fmt.Errorf("consolemgr: attach %v: %w", guest, xtypes.ErrNotFound)
-	}
-	m.attached = guest
-	return nil
-}
-
-// InjectInput models operator keystrokes arriving on the physical serial
-// port: the hardware raises the console VIRQ, and — if it is routed to this
-// manager — the line lands in the attached guest's input queue.
-func (m *Manager) InjectInput(line string) error {
-	if m.serving.Closed() {
-		return fmt.Errorf("consolemgr: not serving: %w", xtypes.ErrShutdown)
-	}
-	if route, ok := m.H.VIRQRoute(xtypes.VIRQConsole); !ok || route != m.Dom {
-		return fmt.Errorf("consolemgr: console VIRQ not routed here: %w", xtypes.ErrPerm)
-	}
-	m.H.InjectHardwareVIRQ(xtypes.VIRQConsole)
-	vc, ok := m.consoles[m.attached]
-	if !ok {
-		return fmt.Errorf("consolemgr: no attached console: %w", xtypes.ErrNotFound)
-	}
-	vc.input.Send(line)
-	m.InputLines++
-	return nil
-}
-
-// GuestReadInput blocks the guest process until an input line arrives on its
-// virtual console.
-func (m *Manager) GuestReadInput(p *sim.Proc, guest xtypes.DomID) (string, bool) {
-	vc, ok := m.consoles[guest]
-	if !ok {
-		return "", false
-	}
-	return vc.input.Recv(p)
-}

@@ -108,63 +108,3 @@ func TestRemoveConsole(t *testing.T) {
 	env.RunFor(sim.Second)
 	env.Shutdown()
 }
-
-func TestConsoleInputPath(t *testing.T) {
-	env, h, m, guest := setup(t, true)
-	// Route the console VIRQ to the manager, as the Bootstrapper does.
-	h.AssignPrivileges(hv.SystemCaller, m.Dom, hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperSetVIRQ}})
-	env.Spawn("flow", func(p *sim.Proc) {
-		h.RouteHardwareVIRQ(m.Dom, xtypes.VIRQConsole, m.Dom)
-		if err := m.Start(p); err != nil {
-			t.Error(err)
-			return
-		}
-		m.CreateConsole(guest.ID)
-		if err := m.Attach(guest.ID); err != nil {
-			t.Error(err)
-			return
-		}
-		if err := m.InjectInput("root"); err != nil {
-			t.Error(err)
-			return
-		}
-		line, ok := m.GuestReadInput(p, guest.ID)
-		if !ok || line != "root" {
-			t.Errorf("guest read = %q, %v", line, ok)
-		}
-		_ = line
-	})
-	env.RunFor(sim.Second)
-	env.Shutdown()
-	if m.InputLines != 1 {
-		t.Fatalf("input lines = %d", m.InputLines)
-	}
-}
-
-func TestInputWithoutVIRQRouteDenied(t *testing.T) {
-	env, _, m, guest := setup(t, true)
-	env.Spawn("flow", func(p *sim.Proc) {
-		m.Start(p)
-		m.CreateConsole(guest.ID)
-		m.Attach(guest.ID)
-		// The hypervisor never routed VIRQConsole here (§5.8's hard-coded
-		// Dom0 assumption, unfixed): input must be refused.
-		if err := m.InjectInput("x"); !errors.Is(err, xtypes.ErrPerm) {
-			t.Errorf("input without route: %v", err)
-		}
-	})
-	env.RunFor(sim.Second)
-	env.Shutdown()
-}
-
-func TestAttachUnknownConsole(t *testing.T) {
-	env, _, m, _ := setup(t, true)
-	env.Spawn("flow", func(p *sim.Proc) {
-		m.Start(p)
-		if err := m.Attach(99); !errors.Is(err, xtypes.ErrNotFound) {
-			t.Errorf("attach unknown: %v", err)
-		}
-	})
-	env.RunFor(sim.Second)
-	env.Shutdown()
-}

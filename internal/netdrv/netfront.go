@@ -89,21 +89,6 @@ func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
 	return nil
 }
 
-// Advertise performs only the frontend's half of the handshake and then
-// waits for the backend's autonomous event loop (Backend.WatchAndServe) to
-// pick the advertisement up and flip the vif to connected, as the real
-// hotplug flow works. It fails after timeout if no backend reacts.
-func (f *Frontend) Advertise(p *sim.Proc, back *Backend, timeout sim.Duration) error {
-	if err := f.advertise(back); err != nil {
-		return err
-	}
-	if !f.WaitReconnect(p, timeout) {
-		return fmt.Errorf("netfront: no backend reacted to advertisement: %w", xtypes.ErrShutdown)
-	}
-	f.XS.Write(xenstore.TxNone, frontPath(f.Guest)+"/state", "connected")
-	return nil
-}
-
 // Connected reports whether the vif is currently usable.
 func (f *Frontend) Connected() bool {
 	return f.v != nil && f.v.connected && !f.v.queues[0].rx.Broken()

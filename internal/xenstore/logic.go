@@ -70,14 +70,15 @@ type Logic struct {
 
 	restarts int
 
-	// tel is the telemetry registry (nil = disabled); ops holds one
-	// pre-resolved counter per operation kind so the per-request cost is a
-	// map lookup plus an atomic add.
-	tel *telemetry.Registry
+	// ops holds one pre-resolved counter per operation kind (nil =
+	// telemetry disabled) so the per-request cost is a map lookup plus an
+	// atomic add.
 	ops map[string]*telemetry.Counter
 }
 
 // opKinds is the fixed operation vocabulary for xenstore_requests_total.
+// "get-perms" has no Conn method; it stays, always zero, so the exported
+// series are those of the full XenStore protocol.
 var opKinds = []string{
 	"read", "write", "mkdir", "rm", "directory",
 	"get-perms", "set-perms", "watch", "unwatch", "tx-start", "tx-end",
@@ -86,7 +87,6 @@ var opKinds = []string{
 // SetMetrics attaches a telemetry registry (nil = disabled) and resolves
 // the per-operation request counters.
 func (l *Logic) SetMetrics(reg *telemetry.Registry) {
-	l.tel = reg
 	if reg == nil {
 		l.ops = nil
 		return
@@ -482,32 +482,6 @@ func (c *Conn) Directory(id TxID, path string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// GetPerms returns the permissions of the node at path.
-func (c *Conn) GetPerms(path string) (Perms, error) {
-	c.logic.countOp("get-perms")
-	parts, err := SplitPath(path)
-	if err != nil {
-		return Perms{}, err
-	}
-	n := c.logic.state.lookup(parts)
-	if n == nil {
-		return Perms{}, fmt.Errorf("xenstore: getperms %s: %w", path, xtypes.ErrNotFound)
-	}
-	if !c.canRead(n) {
-		return Perms{}, fmt.Errorf("xenstore: getperms %s by %v: %w", path, c.dom, xtypes.ErrPerm)
-	}
-	p := Perms{Owner: n.owner}
-	for d := range n.readACL {
-		p.Read = append(p.Read, d)
-	}
-	for d := range n.writeACL {
-		p.Write = append(p.Write, d)
-	}
-	sort.Slice(p.Read, func(i, j int) bool { return p.Read[i] < p.Read[j] })
-	sort.Slice(p.Write, func(i, j int) bool { return p.Write[i] < p.Write[j] })
-	return p, nil
 }
 
 // SetPerms replaces the permissions of the node at path. Only the owner or a

@@ -19,7 +19,6 @@ package xenstore
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"xoar/internal/xtypes"
@@ -200,26 +199,3 @@ func (s *State) WatchCount(dom xtypes.DomID) int {
 
 // Mutations reports the number of committed writes since creation.
 func (s *State) Mutations() int { return s.mutations }
-
-// Dump returns all paths and values in sorted order. The XenStore-State
-// shard uses this to hand contents back to a rebooted Logic, and tests use
-// it to compare trees.
-func (s *State) Dump() []struct{ Path, Value string } {
-	var out []struct{ Path, Value string }
-	var walk func(prefix string, n *node)
-	walk = func(prefix string, n *node) {
-		if prefix != "" {
-			out = append(out, struct{ Path, Value string }{prefix, string(n.value)})
-		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			walk(prefix+"/"+name, n.children[name])
-		}
-	}
-	walk("", s.root)
-	return out
-}

@@ -296,6 +296,64 @@ func TestLogicRestartAbortsTransactionsKeepsData(t *testing.T) {
 	}
 }
 
+func TestPerRequestRestartPolicy(t *testing.T) {
+	env := sim.NewEnv(1)
+	l := NewLogic(env, NewState())
+	l.RestartPerRequest = true
+	c := l.Connect(0, true)
+	c.Watch("/svc", "tok")
+	for i := 0; i < 5; i++ {
+		if err := c.Write(TxNone, "/svc/key", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Restarts() != 5 {
+		t.Fatalf("restarts = %d, want one per mutation", l.Restarts())
+	}
+	// Contents and watches survive every restart.
+	if v, err := c.Read(TxNone, "/svc/key"); err != nil || v != "v" {
+		t.Fatalf("read = %q, %v", v, err)
+	}
+	if l.State().WatchCount(0) != 1 {
+		t.Fatal("watch lost")
+	}
+	// Rm also triggers a restart.
+	if err := c.Rm(TxNone, "/svc/key"); err != nil {
+		t.Fatal(err)
+	}
+	if l.Restarts() != 6 {
+		t.Fatalf("restarts after rm = %d", l.Restarts())
+	}
+}
+
+func TestPerRequestRestartDeferredDuringTransactions(t *testing.T) {
+	env := sim.NewEnv(1)
+	l := NewLogic(env, NewState())
+	l.RestartPerRequest = true
+	c := l.Connect(0, true)
+	id, err := c.TxStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A concurrent non-transactional write must not restart the Logic while
+	// the transaction is open — that would abort it spuriously.
+	if err := c.Write(TxNone, "/other", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if l.Restarts() != 0 {
+		t.Fatal("restarted with a transaction in flight")
+	}
+	c.Write(id, "/tx/key", "v")
+	if err := c.TxEnd(id, true); err != nil {
+		t.Fatal(err)
+	}
+	// The next standalone mutation restarts as usual.
+	c.Write(TxNone, "/after", "x")
+	if l.Restarts() != 1 {
+		t.Fatalf("restarts = %d", l.Restarts())
+	}
+}
+
 func TestQuotas(t *testing.T) {
 	_, l := newLogic()
 	l.SetQuota(Quota{MaxNodes: 3, MaxWatches: 1, MaxTransactions: 1})
@@ -389,20 +447,6 @@ func TestWaitValueTimeout(t *testing.T) {
 	env.RunAll()
 	if ok {
 		t.Fatal("WaitValueTimeout should have timed out")
-	}
-}
-
-func TestDump(t *testing.T) {
-	_, l := newLogic()
-	c := l.Connect(0, true)
-	c.Write(TxNone, "/b", "2")
-	c.Write(TxNone, "/a/x", "1")
-	d := l.State().Dump()
-	if len(d) != 3 {
-		t.Fatalf("dump = %v", d)
-	}
-	if d[0].Path != "/a" || d[1].Path != "/a/x" || d[1].Value != "1" || d[2].Path != "/b" {
-		t.Fatalf("dump order = %v", d)
 	}
 }
 
