@@ -12,8 +12,6 @@ type Load struct {
 
 // Policy chooses a host for an incoming guest.
 type Policy interface {
-	// Name identifies the policy in metrics and reports.
-	Name() string
 	// Choose returns the index of the host to place a memMB guest on, or -1
 	// when no host fits. Implementations must be pure functions of their
 	// arguments: placement is on the simulation's hot path and replay
@@ -25,9 +23,6 @@ type Policy interface {
 // hosts stay empty (the policy an operator uses to power down spare
 // capacity). Ties break toward the lowest index.
 type BinPack struct{}
-
-// Name implements Policy.
-func (BinPack) Name() string { return "binpack" }
 
 // Choose implements Policy.
 func (BinPack) Choose(loads []Load, memMB int) int {
@@ -47,9 +42,6 @@ func (BinPack) Choose(loads []Load, memMB int) int {
 // least-contended Builder queue (the policy that minimizes cold-start tails).
 // Ties break toward the lowest index.
 type Spread struct{}
-
-// Name implements Policy.
-func (Spread) Name() string { return "spread" }
 
 // Choose implements Policy.
 func (Spread) Choose(loads []Load, memMB int) int {

@@ -358,12 +358,6 @@ func (h *Hypervisor) RouteHardwareVIRQ(caller xtypes.DomID, virq xtypes.VIRQ, do
 	return nil
 }
 
-// VIRQRoute reports the recipient of a hardware VIRQ.
-func (h *Hypervisor) VIRQRoute(virq xtypes.VIRQ) (xtypes.DomID, bool) {
-	d, ok := h.virqRoutes[virq]
-	return d, ok
-}
-
 // InjectHardwareVIRQ delivers a hardware interrupt along its route.
 func (h *Hypervisor) InjectHardwareVIRQ(virq xtypes.VIRQ) {
 	if dom, ok := h.virqRoutes[virq]; ok {

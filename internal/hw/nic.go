@@ -55,12 +55,6 @@ var (
 	// NICModel10G is an Intel 82599-class 10GbE NIC.
 	NICModel10G = NICModel{Driver: "ixgbe", LineRate: 1.17e9, LANLatency: 20 * sim.Microsecond,
 		InitTime: 2000 * sim.Millisecond}
-	// NICModel25G is a ConnectX-4-class 25GbE NIC.
-	NICModel25G = NICModel{Driver: "mlx5", LineRate: 2.9e9, LANLatency: 10 * sim.Microsecond,
-		InitTime: 1500 * sim.Millisecond}
-	// NICModel100G is a ConnectX-5-class 100GbE NIC.
-	NICModel100G = NICModel{Driver: "mlx5-100g", LineRate: 11.7e9, LANLatency: 5 * sim.Microsecond,
-		InitTime: 1500 * sim.Millisecond}
 )
 
 // NewNICModel returns a NIC at addr built from a model preset.

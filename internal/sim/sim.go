@@ -428,9 +428,6 @@ func (p *Proc) run() {
 // procKilled is the panic payload used to unwind a killed process.
 type procKilled struct{}
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
 

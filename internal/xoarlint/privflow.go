@@ -84,7 +84,6 @@ var exemptEntries = map[string]string{
 	// through its own hypercall results and mutate nothing.
 	"Domain":     "lookup; read-only",
 	"Domains":    "enumeration; read-only",
-	"VIRQRoute":  "route query; read-only",
 	"HasIOPorts": "port-range query; read-only",
 	// InjectHardwareVIRQ models the hardware interrupt source itself, not a
 	// domain-issued hypercall; it has no caller to audit.

@@ -205,7 +205,6 @@ const (
 	DevNIC DeviceClass = iota
 	DevDisk
 	DevSerial
-	DevOther
 )
 
 func (c DeviceClass) String() string {
