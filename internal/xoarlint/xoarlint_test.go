@@ -336,6 +336,7 @@ func TestRegisteredAnalyzers(t *testing.T) {
 	want := map[string]bool{
 		"simtime": true, "layering": true, "errwrap": true, "gohygiene": true,
 		"privflow": true, "auditlog": true, "metricnames": true, "hotpath": true,
+		"unused": true,
 	}
 	for _, a := range Analyzers() {
 		delete(want, a.Name)
