@@ -291,21 +291,33 @@ func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 	if !ok {
 		return fmt.Errorf("blkback: no vbd for %v: %w", guest, xtypes.ErrNotFound)
 	}
+	// A failure in any queue unmaps the ring pages of every queue mapped
+	// so far. Ports bound by earlier queues stay bound: hv has no
+	// event-channel close hypercall.
+	var maps []*hv.GrantMapping
+	fail := func(err error) error {
+		for _, m := range maps {
+			m.Unmap()
+		}
+		return err
+	}
 	for _, q := range v.queues {
 		refStr, err := b.XS.Read(xenstore.TxNone, queueRefPath(guest, q.id))
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		var ref xtypes.GrantRef
 		var port xtypes.Port
 		if _, err := fmt.Sscanf(refStr, "%d/%d", &ref, &port); err != nil {
-			return fmt.Errorf("blkback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid)
+			return fail(fmt.Errorf("blkback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid))
 		}
-		if _, err := b.H.MapGrant(b.Dom, guest, ref, true); err != nil {
-			return err
+		m, err := b.H.MapGrant(b.Dom, guest, ref, true)
+		if err != nil {
+			return fail(err)
 		}
+		maps = append(maps, m)
 		if _, err := b.H.EvtchnBind(b.Dom, guest, port); err != nil {
-			return err
+			return fail(err)
 		}
 	}
 	v.connected = true

@@ -2,6 +2,7 @@ package blkdrv
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"xoar/internal/hv"
@@ -103,6 +104,40 @@ func TestImageSingleMount(t *testing.T) {
 		t.Fatalf("double mount: %v", err)
 	}
 	hn.env.Shutdown()
+}
+
+// A handshake that fails after the ring grant is mapped must unmap it: a
+// valid grant advertised with a port the guest never allocated makes
+// EvtchnBind fail, and the backend must not be left mapping the guest.
+func TestFailedHandshakeUnmapsRing(t *testing.T) {
+	hn := newHarness(t)
+	var acceptErr error
+	hn.env.Spawn("boot", func(p *sim.Proc) {
+		hn.back.Start(p)
+		if err := hn.back.CreateImage("guest-disk", 1024); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := hn.back.CreateVbd(hn.guest.ID, "guest-disk"); err != nil {
+			t.Error(err)
+			return
+		}
+		ref, err := hn.h.Grant(hn.guest.ID, hn.back.Dom, 12, false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		hn.front.XS.Write(xenstore.TxNone, queueRefPath(hn.guest.ID, 0), fmt.Sprintf("%d/4242", ref))
+		acceptErr = hn.back.AcceptConnection(p, hn.guest.ID)
+	})
+	hn.env.RunFor(10 * sim.Second)
+	hn.env.Shutdown()
+	if acceptErr == nil {
+		t.Fatal("handshake with an unallocated port succeeded")
+	}
+	if mappers := hn.h.MM.MappersOf(hn.guest.ID); len(mappers) != 0 {
+		t.Fatalf("failed handshake left the guest mapped by %v", mappers)
+	}
 }
 
 func TestSequentialWriteBandwidth(t *testing.T) {
