@@ -13,7 +13,7 @@ import (
 )
 
 // platform boots the requested profile and creates one PV guest.
-func platform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, *guest.VM) {
+func platform(t *testing.T, monolithic bool) (*sim.Env, *guest.VM) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	h := hv.New(env, hw.NewMachine(env))
@@ -32,12 +32,12 @@ func platform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, *guest.V
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}
-	return env, pl, VMOf(h, g)
+	return env, VMOf(h, g)
 }
 
 func runPostmark(t *testing.T, monolithic bool, cfg PostmarkConfig) PostmarkResult {
 	t.Helper()
-	env, _, vm := platform(t, monolithic)
+	env, vm := platform(t, monolithic)
 	defer env.Shutdown()
 	var res PostmarkResult
 	var err error
@@ -92,7 +92,7 @@ func TestPostmarkSubdirsHelp(t *testing.T) {
 
 func runBuild(t *testing.T, monolithic bool, cfg BuildConfig) BuildResult {
 	t.Helper()
-	env, _, vm := platform(t, monolithic)
+	env, vm := platform(t, monolithic)
 	defer env.Shutdown()
 	var res BuildResult
 	var err error
@@ -140,7 +140,7 @@ func TestKernelBuildDom0VsXoarParity(t *testing.T) {
 }
 
 func TestVMOfWiresEverything(t *testing.T) {
-	env, _, vm := platform(t, false)
+	env, vm := platform(t, false)
 	defer env.Shutdown()
 	if vm.Net == nil || vm.Blk == nil || vm.NetB == nil || vm.BlkB == nil {
 		t.Fatal("VMOf left fields nil")
