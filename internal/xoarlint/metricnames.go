@@ -16,8 +16,9 @@ import (
 // end in _total, and labels stay bounded — keys are literals and values
 // never come from fmt.Sprintf/strconv, the two ways per-domain identifiers
 // leak into label values and blow up registry cardinality. The "host" label
-// key is reserved for the fleet exporter (telemetry.Fleet), which injects it
-// at export time; instrumentation sites must stay host-unaware.
+// key is reserved: each booted host records into its own registry, so a
+// series' host is the registry it lands in, and instrumentation sites must
+// stay host-unaware.
 //
 // Names must also be literal at the call site: a variable name means the
 // series set is no longer knowable at wiring time, which defeats both this
@@ -141,7 +142,7 @@ func checkLabelArg(report func(token.Pos, string, ...interface{}), arg ast.Expr)
 	} else if !metricLabelKeyRE.MatchString(key) {
 		report(call.Args[0].Pos(), "label key %q is not a short lowercase identifier (DESIGN.md §8)", key)
 	} else if key == "host" {
-		report(call.Args[0].Pos(), "label key \"host\" is reserved: telemetry.Fleet injects it at export so fleet metrics don't collide across hosts — instrumentation sites stay host-unaware (DESIGN.md §8)")
+		report(call.Args[0].Pos(), "label key \"host\" is reserved: each host records into its own registry, so a series' host is its registry — instrumentation sites stay host-unaware (DESIGN.md §8)")
 	}
 	if vc, ok := call.Args[1].(*ast.CallExpr); ok {
 		if vs, ok := vc.Fun.(*ast.SelectorExpr); ok {
