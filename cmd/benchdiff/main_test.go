@@ -1,6 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,5 +86,43 @@ func TestCheckDirections(t *testing.T) {
 		if (msg != "") != c.fail {
 			t.Errorf("%s: check = %q, want fail=%v", c.name, msg, c.fail)
 		}
+	}
+}
+
+// With every gated metric at its baseline value, -update must leave the
+// checked-in baseline byte-identical, so a refresh shows only what moved.
+func TestUpdateRoundTripsBaseline(t *testing.T) {
+	want, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(want, &base); err != nil {
+		t.Fatal(err)
+	}
+	var bench strings.Builder
+	for _, g := range base.Metrics {
+		fmt.Fprintf(&bench, "%s\t1\t%s %s\n", g.Bench, strconv.FormatFloat(g.Value, 'g', -1, 64), g.Metric)
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-baseline", path, "-update"}, strings.NewReader(bench.String()), &stdout, &stderr); code != 0 {
+		t.Fatalf("benchdiff -update exited %d: %s%s", code, stdout.String(), stderr.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range wantLines {
+		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("-update rewrote line %d: %q", i+1, wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("-update wrote %d lines, want %d", len(gotLines), len(wantLines))
 	}
 }
