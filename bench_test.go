@@ -282,13 +282,26 @@ func BenchmarkMicro_GrantMap(b *testing.B) {
 // gated exactly in BENCH_baseline.json; the warm-up cycles grow every map
 // and free list first, so the gate holds at -benchtime=1x.
 func BenchmarkMicro_GuestLifecycle(b *testing.B) {
+	benchGuestLifecycle(b, toolstack.GuestConfig{Name: "micro", Image: osimage.ImgGuestMicro, MemMB: 64})
+}
+
+// BenchmarkMicro_DeviceLifecycle is the guest lifecycle with a vif and a
+// vbd attached: one op adds a vif handshake, a vbd handshake and their
+// teardown to the micro guest's create and destroy. allocs/op and B/op are
+// gated exactly, like the lifecycle without devices.
+func BenchmarkMicro_DeviceLifecycle(b *testing.B) {
+	benchGuestLifecycle(b, toolstack.GuestConfig{Name: "micro", Image: osimage.ImgGuestMicro, MemMB: 64, Net: true, Disk: true, DiskMB: 64})
+}
+
+// benchGuestLifecycle creates and destroys a guest of cfg once per op, after
+// 300 warm-up cycles, on a warmed-up Xoar host.
+func benchGuestLifecycle(b *testing.B, cfg toolstack.GuestConfig) {
 	rig, err := experiments.BootRig(experiments.Xoar, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer rig.Close()
 	ts := rig.PL.Toolstacks[0]
-	cfg := toolstack.GuestConfig{Name: "micro", Image: osimage.ImgGuestMicro, MemMB: 64}
 	cycles := func(n int) {
 		if err := rig.Go(sim.Duration(n)*sim.Second, func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
