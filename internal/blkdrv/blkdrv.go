@@ -1,7 +1,8 @@
 // Package blkdrv implements the paravirtualized split block driver (§4.5.1,
 // §5.4): BlkBack, a driver domain owning a physical disk controller and
 // exposing virtual block devices (vbds) to guests, and BlkFront, the
-// guest-side disk.
+// guest-side disk. The connection handshake, the ring-page mappings and the
+// XenStore states are xenbus's; a vbd's queue advertises one ring page.
 //
 // The request path batches the way real blkback does: the worker drains
 // whole bursts of descriptors per wakeup under one batch charge plus a
@@ -23,6 +24,7 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/telemetry"
+	"xoar/internal/xenbus"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 
@@ -80,24 +82,24 @@ type vbdQueue struct {
 	proc *sim.Proc
 }
 
+// vbdClass lays each vbd queue's ring page out from pfn 12 of the guest's
+// space, above the vif rings' pfns 10 and 11.
+var vbdClass = xenbus.Class{Name: "vbd", Pages: 1, FirstPFN: 12}
+
 // vbd is one guest's virtual block device.
 type vbd struct {
-	guest     xtypes.DomID
-	queues    []*vbdQueue
-	image     string
-	connected bool
+	xenbus.Device
+	queues []*vbdQueue
+	image  string
 }
 
 // Backend is BlkBack: one per physical disk controller.
 type Backend struct {
-	H    *hv.Hypervisor
-	Dom  xtypes.DomID
+	xenbus.Backend
 	Disk *hwpkg.Disk
-	XS   *xenstore.Conn
 
-	vbds    map[xtypes.DomID]*vbd
-	images  map[string]*Image
-	serving *sim.Gate
+	vbds   map[xtypes.DomID]*vbd
+	images map[string]*Image
 
 	// CoLocated marks a backend sharing its domain with other busy services
 	// (monolithic Dom0). Scheduling jitter between co-located services
@@ -164,13 +166,10 @@ const coLocationJitter = 0.005
 // NewBackend constructs BlkBack in domain dom, driving disk.
 func NewBackend(h *hv.Hypervisor, dom xtypes.DomID, disk *hwpkg.Disk, xs *xenstore.Conn) *Backend {
 	return &Backend{
-		H:       h,
-		Dom:     dom,
+		Backend: xenbus.NewBackend(h, dom, xs, &vbdClass),
 		Disk:    disk,
-		XS:      xs,
 		vbds:    make(map[xtypes.DomID]*vbd),
 		images:  make(map[string]*Image),
-		serving: sim.NewGate(h.Env),
 	}
 }
 
@@ -179,22 +178,11 @@ func (b *Backend) Start(p *sim.Proc) {
 	if !b.Disk.Initialized() {
 		b.Disk.Reset(p)
 	}
-	b.XS.Write(xenstore.TxNone, b.backendPath()+"/state", "connected")
-	b.serving.Open()
+	b.Ready()
 }
 
 // Name implements snapshot.Restartable.
 func (b *Backend) Name() string { return "blkback" }
-
-// DomID implements snapshot.Restartable.
-func (b *Backend) DomID() xtypes.DomID { return b.Dom }
-
-func (b *Backend) backendPath() string {
-	return fmt.Sprintf("/local/domain/%d/backend/vbd", b.Dom)
-}
-
-// Serving reports whether the backend is accepting requests.
-func (b *Backend) Serving() bool { return !b.serving.Closed() }
 
 // --- image proxy daemon (§5.4) ---------------------------------------------
 
@@ -240,11 +228,10 @@ func (b *Backend) CreateVbdQueues(guest xtypes.DomID, image string, n int) error
 	if img.InUse {
 		return fmt.Errorf("blkback: image %q: %w", image, xtypes.ErrInUse)
 	}
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	img.InUse = true
-	v := &vbd{guest: guest, image: image}
+	v := &vbd{image: image}
+	b.Init(&v.Device, guest, n)
 	for qi := 0; qi < n; qi++ {
 		v.queues = append(v.queues, &vbdQueue{
 			id:   qi,
@@ -252,11 +239,11 @@ func (b *Backend) CreateVbdQueues(guest xtypes.DomID, image string, n int) error
 		})
 	}
 	b.vbds[guest] = v
-	b.XS.Write(xenstore.TxNone, fmt.Sprintf("%s/%d/state", b.backendPath(), guest), "init")
 	return nil
 }
 
-// RemoveVbd detaches a guest's vbd and releases its image.
+// RemoveVbd detaches a guest's vbd, unmaps its ring pages and releases its
+// image.
 func (b *Backend) RemoveVbd(guest xtypes.DomID) {
 	v, ok := b.vbds[guest]
 	if !ok {
@@ -272,58 +259,7 @@ func (b *Backend) RemoveVbd(guest xtypes.DomID) {
 		img.InUse = false
 	}
 	delete(b.vbds, guest)
-	b.XS.Rm(xenstore.TxNone, fmt.Sprintf("%s/%d", b.backendPath(), guest))
-}
-
-// queueRefPath is the advertisement key for queue qi; queue 0 keeps the
-// legacy single-ring key.
-func queueRefPath(guest xtypes.DomID, qi int) string {
-	base := fmt.Sprintf("/local/domain/%d/device/vbd/0", guest)
-	if qi == 0 {
-		return base + "/ring-ref"
-	}
-	return fmt.Sprintf("%s/ring-ref-%d", base, qi)
-}
-
-// AcceptConnection completes the backend half of the handshake.
-func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
-	v, ok := b.vbds[guest]
-	if !ok {
-		return fmt.Errorf("blkback: no vbd for %v: %w", guest, xtypes.ErrNotFound)
-	}
-	// A failure in any queue unmaps the ring pages of every queue mapped
-	// so far. Ports bound by earlier queues stay bound: hv has no
-	// event-channel close hypercall.
-	var maps []*hv.GrantMapping
-	fail := func(err error) error {
-		for _, m := range maps {
-			m.Unmap()
-		}
-		return err
-	}
-	for _, q := range v.queues {
-		refStr, err := b.XS.Read(xenstore.TxNone, queueRefPath(guest, q.id))
-		if err != nil {
-			return fail(err)
-		}
-		var ref xtypes.GrantRef
-		var port xtypes.Port
-		if _, err := fmt.Sscanf(refStr, "%d/%d", &ref, &port); err != nil {
-			return fail(fmt.Errorf("blkback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid))
-		}
-		m, err := b.H.MapGrant(b.Dom, guest, ref, true)
-		if err != nil {
-			return fail(err)
-		}
-		maps = append(maps, m)
-		if _, err := b.H.EvtchnBind(b.Dom, guest, port); err != nil {
-			return fail(err)
-		}
-	}
-	v.connected = true
-	b.XS.Write(xenstore.TxNone, fmt.Sprintf("%s/%d/state", b.backendPath(), guest), "connected")
-	b.startWorker(v)
-	return nil
+	v.Remove()
 }
 
 // startWorker spawns the per-queue request-service loops. Each drains its
@@ -334,7 +270,7 @@ func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 func (b *Backend) startWorker(v *vbd) {
 	for _, q := range v.queues {
 		q := q
-		q.proc = b.H.Env.Spawn(fmt.Sprintf("blkback-%v-q%d", v.guest, q.id), func(p *sim.Proc) {
+		q.proc = b.H.Env.Spawn(fmt.Sprintf("blkback-%v-q%d", v.Guest, q.id), func(p *sim.Proc) {
 			b.runWorker(q, p, make([]Req, ring.DefaultSlots))
 		})
 	}
@@ -390,7 +326,7 @@ func (b *Backend) runWorker(q *vbdQueue, p *sim.Proc, buf []Req) {
 // Restart implements snapshot.Restartable: the microreboot recovery path.
 func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
-	b.serving.Reset()
+	b.Gate.Reset()
 	for _, v := range b.vbds {
 		for _, q := range v.queues {
 			if q.proc != nil {
@@ -399,17 +335,17 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 			}
 			q.ring.Break()
 		}
-		v.connected = false
+		v.Disconnect()
 	}
 	snapshot.Reconnect(p, fast)
 	for _, v := range b.vbds {
 		for _, q := range v.queues {
 			q.ring.Reset()
 		}
-		v.connected = true
+		v.Reconnect()
 		b.startWorker(v)
 	}
-	b.serving.Open()
+	b.Ready()
 }
 
 // --- frontend ---------------------------------------------------------------
@@ -420,7 +356,6 @@ type Frontend struct {
 	Guest xtypes.DomID
 	XS    *xenstore.Conn
 
-	back   *Backend
 	v      *vbd
 	nextID int64
 
@@ -433,47 +368,24 @@ func NewFrontend(h *hv.Hypervisor, guest xtypes.DomID, xs *xenstore.Conn) *Front
 	return &Frontend{H: h, Guest: guest, XS: xs}
 }
 
-// Connect performs the frontend half of the handshake: one ring page and
-// event channel per queue, advertised in XenStore with the legacy key last.
+// Connect performs the frontend half of the handshake against back (see
+// xenbus) and starts the vbd's workers once the backend has accepted.
 func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
-	f.back = back
 	v, ok := back.vbds[f.Guest]
 	if !ok {
 		return fmt.Errorf("blkfront: backend has no vbd for %v: %w", f.Guest, xtypes.ErrNotFound)
 	}
 	f.v = v
-	type adv struct{ path, val string }
-	advs := make([]adv, 0, len(v.queues))
-	for qi := range v.queues {
-		// Ring pages from pfn 12 up (pfns 10/11 belong to the vif rings).
-		ref, err := f.H.Grant(f.Guest, back.Dom, 12+xtypes.PFN(qi), false)
-		if err != nil {
-			return err
-		}
-		port, err := f.H.EvtchnAllocUnbound(f.Guest, back.Dom)
-		if err != nil {
-			return err
-		}
-		advs = append(advs, adv{queueRefPath(f.Guest, qi), fmt.Sprintf("%d/%d", ref, port)})
-	}
-	for i := len(advs) - 1; i >= 0; i-- {
-		if err := f.XS.Write(xenstore.TxNone, advs[i].path, advs[i].val); err != nil {
-			return err
-		}
-		if err := f.XS.SetPerms(advs[i].path, xenstore.Perms{Owner: f.Guest, Read: []xtypes.DomID{back.Dom}}); err != nil {
-			return err
-		}
-	}
-	if err := back.AcceptConnection(p, f.Guest); err != nil {
+	if err := v.Connect(f.XS); err != nil {
 		return err
 	}
-	f.XS.Write(xenstore.TxNone, fmt.Sprintf("/local/domain/%d/device/vbd/0/state", f.Guest), "connected")
+	back.startWorker(v)
 	return nil
 }
 
 // Connected reports whether the vbd is usable.
 func (f *Frontend) Connected() bool {
-	return f.v != nil && f.v.connected && !f.v.queues[0].ring.Broken()
+	return f.v != nil && f.v.Connected && !f.v.queues[0].ring.Broken()
 }
 
 // Queues reports the vbd's ring count.
@@ -579,15 +491,8 @@ func (f *Frontend) Write(p *sim.Proc, bytes int, sequential bool) error {
 // Flush issues a write barrier.
 func (f *Frontend) Flush(p *sim.Proc) error { return f.io(p, OpFlush, 0, false) }
 
-// WaitReconnect blocks until the backend finishes a microreboot, with the
-// same polling model as netfront.
+// WaitReconnect blocks until the backend finishes a microreboot and the vbd
+// is connected again, or the timeout expires (xenbus.WaitReconnect).
 func (f *Frontend) WaitReconnect(p *sim.Proc, timeout sim.Duration) bool {
-	deadline := f.H.Env.Now().Add(timeout)
-	for f.H.Env.Now() < deadline {
-		if f.Connected() {
-			return true
-		}
-		p.Sleep(5 * sim.Millisecond)
-	}
-	return f.Connected()
+	return xenbus.WaitReconnect(p, timeout, f.Connected)
 }

@@ -127,8 +127,9 @@ func TestFailedHandshakeUnmapsRing(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		hn.front.XS.Write(xenstore.TxNone, queueRefPath(hn.guest.ID, 0), fmt.Sprintf("%d/4242", ref))
-		acceptErr = hn.back.AcceptConnection(p, hn.guest.ID)
+		v := hn.back.vbds[hn.guest.ID]
+		hn.front.XS.Write(xenstore.TxNone, v.RingRefPath(0), fmt.Sprintf("%d/4242", ref))
+		acceptErr = v.Accept()
 	})
 	hn.env.RunFor(10 * sim.Second)
 	hn.env.Shutdown()
@@ -137,6 +138,46 @@ func TestFailedHandshakeUnmapsRing(t *testing.T) {
 	}
 	if mappers := hn.h.MM.MappersOf(hn.guest.ID); len(mappers) != 0 {
 		t.Fatalf("failed handshake left the guest mapped by %v", mappers)
+	}
+}
+
+// A vbd queue advertises one ring page and a port, nothing more. A
+// vif-shaped tuple under the vbd key must fail with ErrInvalid before any
+// page is mapped, not map its first ref and bind its second as a port.
+func TestTrailingRingRefRejected(t *testing.T) {
+	hn := newHarness(t)
+	var acceptErr error
+	hn.env.Spawn("boot", func(p *sim.Proc) {
+		hn.back.Start(p)
+		if err := hn.back.CreateImage("guest-disk", 1024); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := hn.back.CreateVbd(hn.guest.ID, "guest-disk"); err != nil {
+			t.Error(err)
+			return
+		}
+		ref, err := hn.h.Grant(hn.guest.ID, hn.back.Dom, 12, false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		port, err := hn.h.EvtchnAllocUnbound(hn.guest.ID, hn.back.Dom)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		v := hn.back.vbds[hn.guest.ID]
+		hn.front.XS.Write(xenstore.TxNone, v.RingRefPath(0), fmt.Sprintf("%d/%d/99", ref, port))
+		acceptErr = v.Accept()
+	})
+	hn.env.RunFor(10 * sim.Second)
+	hn.env.Shutdown()
+	if !errors.Is(acceptErr, xtypes.ErrInvalid) {
+		t.Fatalf("accept of ref/port/99 = %v, want ErrInvalid", acceptErr)
+	}
+	if n := hn.h.MM.ForeignMapCount(hn.back.Dom, hn.guest.ID); n != 0 {
+		t.Fatalf("malformed advertisement left %d ring pages mapped", n)
 	}
 }
 
@@ -217,6 +258,40 @@ func TestRestartBreaksAndRecovers(t *testing.T) {
 	}
 }
 
+// A microreboot republishes the vbd's backend state: init while the
+// backend is down, connected once it is back.
+func TestRestartRepublishesVbdState(t *testing.T) {
+	hn := newHarness(t)
+	hn.boot(t)
+	path := fmt.Sprintf("/local/domain/%d/backend/vbd/%d/state", hn.back.Dom, hn.guest.ID)
+	var during string
+	hn.env.Spawn("restarter", func(p *sim.Proc) { hn.back.Restart(p, false) })
+	hn.env.Spawn("observer", func(p *sim.Proc) {
+		p.Sleep(100 * sim.Millisecond) // inside the 260ms slow restart
+		during, _ = hn.back.XS.Read(xenstore.TxNone, path)
+	})
+	hn.env.RunFor(sim.Second)
+	hn.env.Shutdown()
+	after, _ := hn.back.XS.Read(xenstore.TxNone, path)
+	if during != "init" || after != "connected" {
+		t.Fatalf("vbd state = %q during the restart, %q after; want init, connected", during, after)
+	}
+}
+
+// The rings survive a microreboot, so the backend keeps exactly the ring
+// page it mapped at connect time.
+func TestRestartKeepsRingsMapped(t *testing.T) {
+	hn := newHarness(t)
+	hn.boot(t)
+	before := hn.h.MM.ForeignMapCount(hn.back.Dom, hn.guest.ID)
+	hn.env.Spawn("restarter", func(p *sim.Proc) { hn.back.Restart(p, false) })
+	hn.env.RunFor(sim.Second)
+	hn.env.Shutdown()
+	if after := hn.h.MM.ForeignMapCount(hn.back.Dom, hn.guest.ID); after != before || before == 0 {
+		t.Fatalf("ring pages mapped: %d before the restart, %d after", before, after)
+	}
+}
+
 func TestFlushBarrier(t *testing.T) {
 	hn := newHarness(t)
 	hn.boot(t)
@@ -229,6 +304,26 @@ func TestFlushBarrier(t *testing.T) {
 	hn.env.Shutdown()
 	if hn.back.CompletedReqs != 1 {
 		t.Fatalf("completed = %d", hn.back.CompletedReqs)
+	}
+}
+
+// Removing a live guest's vbd unmaps its ring page: the backend must not
+// keep mapping the guest's memory once the device is gone.
+func TestRemoveVbdUnmapsRing(t *testing.T) {
+	hn := newHarness(t)
+	hn.boot(t)
+	if n := hn.h.MM.ForeignMapCount(hn.back.Dom, hn.guest.ID); n != 1 {
+		t.Fatalf("connected vbd maps %d ring pages, want 1", n)
+	}
+	hn.back.RemoveVbd(hn.guest.ID)
+	hn.env.Shutdown()
+	if n := hn.h.MM.ForeignMapCount(hn.back.Dom, hn.guest.ID); n != 0 {
+		t.Fatalf("removed vbd left %d ring pages mapped", n)
+	}
+	for _, m := range hn.h.MM.MappersOf(hn.guest.ID) {
+		if m == hn.back.Dom {
+			t.Fatal("blkback still maps the guest after RemoveVbd")
+		}
 	}
 }
 

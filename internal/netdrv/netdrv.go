@@ -1,14 +1,8 @@
 // Package netdrv implements the paravirtualized split network driver (§4.5.1,
 // §5.4): NetBack, a driver domain owning a physical NIC and exposing virtual
 // interfaces (vifs) to guests, and NetFront, the guest-side virtual device.
-//
-// The connection handshake follows Xen's: the frontend allocates ring pages,
-// grants them to the backend, allocates an unbound event channel, and
-// advertises (ring-ref, event-channel) in XenStore; the backend reads the
-// entries, maps the grants, binds the channel and flips its state to
-// connected. Data then flows directly between the two over the rings — the
-// toolstack and XenStore are out of the data path, which is why
-// disaggregation costs so little throughput (§6.1.4).
+// The connection handshake, the ring-page mappings and the XenStore states
+// are xenbus's; a vif's queue advertises two ring pages, rx then tx.
 //
 // The data path amortizes the way real netback does: pumps drain whole
 // bursts of descriptors per wakeup (one fixed batch charge plus a
@@ -31,6 +25,7 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/telemetry"
+	"xoar/internal/xenbus"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 
@@ -77,25 +72,22 @@ type vifQueue struct {
 	// inbox queues packets demuxed off the wire for this queue.
 	inbox *sim.Chan[Packet]
 
-	// Grant references and event-channel ports from the handshake; retained
-	// for auditability (the security graph reads the tables, not these).
-	rxRef, txRef xtypes.GrantRef
-	backPort     xtypes.Port
-
 	rxPump, txPump *sim.Proc
 }
 
+// vifClass lays each vif queue's two ring pages, rx then tx, out from pfn
+// 10 of the guest's space.
+var vifClass = xenbus.Class{Name: "vif", Pages: 2, FirstPFN: 10}
+
 // vif is one guest's virtual interface, shared between back and front.
 type vif struct {
-	guest  xtypes.DomID
+	xenbus.Device
 	queues []*vifQueue
 
 	// rxSig wakes the frontend's multi-queue receive path whenever any
 	// queue's rx ring gains a packet or breaks. (A single-queue frontend
 	// blocks directly on its ring instead, which also arms rsp/req events.)
 	rxSig *sim.Signal
-
-	connected bool
 }
 
 // queueFor hashes a flow id onto one of the vif's queues. Fibonacci
@@ -110,13 +102,10 @@ func (v *vif) queueFor(seq int64) *vifQueue {
 
 // Backend is NetBack: one per physical NIC (§5.4).
 type Backend struct {
-	H   *hv.Hypervisor
-	Dom xtypes.DomID
+	xenbus.Backend
 	NIC *hwpkg.NIC
-	XS  *xenstore.Conn
 
-	vifs    map[xtypes.DomID]*vif
-	serving *sim.Gate
+	vifs map[xtypes.DomID]*vif
 
 	// TxSink, when set, receives every packet after it leaves the wire —
 	// the workload models use it to route guest responses back to their
@@ -195,15 +184,11 @@ func (b *Backend) SetMetrics(reg *telemetry.Registry) {
 
 // NewBackend constructs NetBack in domain dom, driving nic.
 func NewBackend(h *hv.Hypervisor, dom xtypes.DomID, nic *hwpkg.NIC, xs *xenstore.Conn) *Backend {
-	b := &Backend{
-		H:       h,
-		Dom:     dom,
+	return &Backend{
+		Backend: xenbus.NewBackend(h, dom, xs, &vifClass),
 		NIC:     nic,
-		XS:      xs,
 		vifs:    make(map[xtypes.DomID]*vif),
-		serving: sim.NewGate(h.Env),
 	}
-	return b
 }
 
 // Start initializes the physical NIC and opens for service. Run inside a sim
@@ -212,92 +197,11 @@ func (b *Backend) Start(p *sim.Proc) {
 	if !b.NIC.Initialized() {
 		b.NIC.Reset(p)
 	}
-	b.XS.Write(xenstore.TxNone, b.backendPath(), "")
-	b.XS.Write(xenstore.TxNone, b.backendPath()+"/state", "connected")
-	b.serving.Open()
+	b.Ready()
 }
 
 // Name implements snapshot.Restartable.
 func (b *Backend) Name() string { return "netback" }
-
-// DomID implements snapshot.Restartable.
-func (b *Backend) DomID() xtypes.DomID { return b.Dom }
-
-func (b *Backend) backendPath() string {
-	return fmt.Sprintf("/local/domain/%d/backend/vif", b.Dom)
-}
-
-func (b *Backend) vifPath(guest xtypes.DomID) string {
-	return fmt.Sprintf("%s/%d", b.backendPath(), guest)
-}
-
-func frontPath(guest xtypes.DomID) string {
-	return fmt.Sprintf("/local/domain/%d/device/vif/0", guest)
-}
-
-// queueRefPath is the advertisement key for queue qi. Queue 0 keeps the
-// legacy single-queue key so pre-multi-queue backends and watches still
-// match; extra queues get suffixed keys, like xen-netback's queue-N dirs.
-func queueRefPath(guest xtypes.DomID, qi int) string {
-	if qi == 0 {
-		return frontPath(guest) + "/ring-ref"
-	}
-	return fmt.Sprintf("%s/ring-ref-%d", frontPath(guest), qi)
-}
-
-// Serving reports whether the backend is accepting traffic.
-func (b *Backend) Serving() bool { return !b.serving.Closed() }
-
-// AcceptConnection completes the backend half of the split-driver handshake
-// for guest: map the granted ring pages of every queue, bind the event
-// channels, mark the vif connected, and start the pumps. Frontend.Connect
-// calls it once the frontend's XenStore entries are written.
-func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
-	v, ok := b.vifs[guest]
-	if !ok {
-		return fmt.Errorf("netback: no vif for %v: %w", guest, xtypes.ErrNotFound)
-	}
-	// A failure in any queue unmaps the ring pages of every queue mapped
-	// so far. Ports bound by earlier queues stay bound: hv has no
-	// event-channel close hypercall.
-	var maps []*hv.GrantMapping
-	fail := func(err error) error {
-		for _, m := range maps {
-			m.Unmap()
-		}
-		return err
-	}
-	for _, q := range v.queues {
-		// Read the frontend's advertised ring grants and event channel.
-		refStr, err := b.XS.Read(xenstore.TxNone, queueRefPath(guest, q.id))
-		if err != nil {
-			return fail(err)
-		}
-		var rxRef, txRef xtypes.GrantRef
-		var port xtypes.Port
-		if _, err := fmt.Sscanf(refStr, "%d/%d/%d", &rxRef, &txRef, &port); err != nil {
-			return fail(fmt.Errorf("netback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid))
-		}
-		// Map the ring pages through the grant mechanism: this is where the
-		// IVC policy bites if the guest was never linked to this shard.
-		for _, ref := range [2]xtypes.GrantRef{rxRef, txRef} {
-			m, err := b.H.MapGrant(b.Dom, guest, ref, true)
-			if err != nil {
-				return fail(err)
-			}
-			maps = append(maps, m)
-		}
-		backPort, err := b.H.EvtchnBind(b.Dom, guest, port)
-		if err != nil {
-			return fail(err)
-		}
-		q.rxRef, q.txRef, q.backPort = rxRef, txRef, backPort
-	}
-	v.connected = true
-	b.XS.Write(xenstore.TxNone, b.vifPath(guest)+"/state", "connected")
-	b.startPumps(v)
-	return nil
-}
 
 // CreateVif provisions a single-queue vif for guest. The toolstack calls
 // this (through its XenStore writes) when attaching a network device.
@@ -309,13 +213,9 @@ func (b *Backend) CreateVif(guest xtypes.DomID) *vif {
 // across the queues; each queue gets its own pump pair, so a multi-queue
 // vif scales past a single ring's slot count at 10G+ line rates.
 func (b *Backend) CreateVifQueues(guest xtypes.DomID, n int) *vif {
-	if n < 1 {
-		n = 1
-	}
-	v := &vif{
-		guest: guest,
-		rxSig: sim.NewSignal(b.H.Env),
-	}
+	n = max(n, 1)
+	v := &vif{rxSig: sim.NewSignal(b.H.Env)}
+	b.Init(&v.Device, guest, n)
 	for qi := 0; qi < n; qi++ {
 		v.queues = append(v.queues, &vifQueue{
 			id:    qi,
@@ -325,11 +225,11 @@ func (b *Backend) CreateVifQueues(guest xtypes.DomID, n int) *vif {
 		})
 	}
 	b.vifs[guest] = v
-	b.XS.Write(xenstore.TxNone, b.vifPath(guest)+"/state", "init")
 	return v
 }
 
-// RemoveVif tears down a guest's vif (guest destroyed or detached).
+// RemoveVif tears down a guest's vif (guest destroyed or detached) and
+// unmaps its ring pages.
 func (b *Backend) RemoveVif(guest xtypes.DomID) {
 	v, ok := b.vifs[guest]
 	if !ok {
@@ -342,7 +242,7 @@ func (b *Backend) RemoveVif(guest xtypes.DomID) {
 	}
 	v.rxSig.Broadcast()
 	delete(b.vifs, guest)
-	b.XS.Rm(xenstore.TxNone, b.vifPath(guest))
+	v.Remove()
 }
 
 // startPumps spawns the per-queue forwarding processes. The descriptor
@@ -352,11 +252,11 @@ func (b *Backend) startPumps(v *vif) {
 	for _, q := range v.queues {
 		q := q
 		// rxPump: wire inbox -> rx ring, a burst per wakeup.
-		q.rxPump = b.H.Env.Spawn(fmt.Sprintf("netback-rx-%v-q%d", v.guest, q.id), func(p *sim.Proc) {
+		q.rxPump = b.H.Env.Spawn(fmt.Sprintf("netback-rx-%v-q%d", v.Guest, q.id), func(p *sim.Proc) {
 			b.runRxPump(v, q, p, make([]Packet, ring.DefaultSlots))
 		})
 		// txPump: tx ring -> wire, draining the ring per wakeup.
-		q.txPump = b.H.Env.Spawn(fmt.Sprintf("netback-tx-%v-q%d", v.guest, q.id), func(p *sim.Proc) {
+		q.txPump = b.H.Env.Spawn(fmt.Sprintf("netback-tx-%v-q%d", v.Guest, q.id), func(p *sim.Proc) {
 			b.runTxPump(v, q, p, make([]Packet, ring.DefaultSlots), make([]ack, ring.DefaultSlots))
 		})
 	}
@@ -457,7 +357,7 @@ func (b *Backend) runTxPump(v *vif, q *vifQueue, p *sim.Proc, buf []Packet, acks
 		b.rttTx.Observe(float64(p.Now().Sub(start)) / float64(sim.Microsecond))
 		if b.TxSink != nil {
 			for i := 0; i < n; i++ {
-				b.TxSink(v.guest, buf[i])
+				b.TxSink(v.Guest, buf[i])
 			}
 		}
 	}
@@ -485,12 +385,12 @@ func (b *Backend) stopPumps(v *vif) {
 //xoarlint:hot
 func (b *Backend) WireDeliver(p *sim.Proc, guest xtypes.DomID, bytes int, seq int64) bool {
 	b.NIC.Receive(p, bytes)
-	if b.serving.Closed() {
+	if b.Gate.Closed() {
 		b.DroppedPackets++
 		return false
 	}
 	v, ok := b.vifs[guest]
-	if !ok || !v.connected {
+	if !ok || !v.Connected {
 		b.DroppedPackets++
 		return false
 	}
@@ -503,7 +403,7 @@ func (b *Backend) WireDeliver(p *sim.Proc, guest xtypes.DomID, bytes int, seq in
 // re-establishes every vif.
 func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
-	b.serving.Reset()
+	b.Gate.Reset()
 	// Break every ring: frontends observe the disconnect.
 	for _, v := range b.vifs {
 		b.stopPumps(v)
@@ -517,9 +417,8 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 				}
 			}
 		}
-		v.connected = false
+		v.Disconnect()
 		v.rxSig.Broadcast()
-		b.XS.Write(xenstore.TxNone, b.vifPath(v.guest)+"/state", "init")
 	}
 	// Re-attach to live hardware (device state was left intact), then
 	// restore vif configuration from the recovery box or renegotiate it.
@@ -529,10 +428,8 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 			q.rx.Reset()
 			q.tx.Reset()
 		}
-		v.connected = true
-		b.XS.Write(xenstore.TxNone, b.vifPath(v.guest)+"/state", "connected")
+		v.Reconnect()
 		b.startPumps(v)
 	}
-	b.XS.Write(xenstore.TxNone, b.backendPath()+"/state", "connected")
-	b.serving.Open()
+	b.Ready()
 }

@@ -330,6 +330,40 @@ func TestRemoveVif(t *testing.T) {
 	}
 }
 
+// Removing a live guest's vif unmaps both of its ring pages: the backend
+// must not keep mapping the guest's memory once the device is gone.
+func TestRemoveVifUnmapsRings(t *testing.T) {
+	hn := newHarness(t, true)
+	hn.startAndConnect(t)
+	if n := hn.h.MM.ForeignMapCount(hn.nb.ID, hn.guest.ID); n != 2 {
+		t.Fatalf("connected vif maps %d ring pages, want 2", n)
+	}
+	hn.back.RemoveVif(hn.guest.ID)
+	hn.env.Shutdown()
+	if n := hn.h.MM.ForeignMapCount(hn.nb.ID, hn.guest.ID); n != 0 {
+		t.Fatalf("removed vif left %d ring pages mapped", n)
+	}
+	for _, m := range hn.h.MM.MappersOf(hn.guest.ID) {
+		if m == hn.nb.ID {
+			t.Fatal("netback still maps the guest after RemoveVif")
+		}
+	}
+}
+
+// The rings survive a microreboot, so the backend keeps exactly the ring
+// pages it mapped at connect time.
+func TestRestartKeepsRingsMapped(t *testing.T) {
+	hn := newHarness(t, true)
+	hn.startAndConnect(t)
+	before := hn.h.MM.ForeignMapCount(hn.nb.ID, hn.guest.ID)
+	hn.env.Spawn("restarter", func(p *sim.Proc) { hn.back.Restart(p, false) })
+	hn.env.RunFor(sim.Second)
+	hn.env.Shutdown()
+	if after := hn.h.MM.ForeignMapCount(hn.nb.ID, hn.guest.ID); after != before || before == 0 {
+		t.Fatalf("ring pages mapped: %d before the restart, %d after", before, after)
+	}
+}
+
 // Without a vif provisioned by the toolstack the guest is not attached to
 // this backend, so Connect must refuse with ErrNotFound.
 func TestConnectWithoutVifNotFound(t *testing.T) {
@@ -357,12 +391,12 @@ func TestFailedQueueHandshakeUnmapsEarlierQueues(t *testing.T) {
 	var acceptErr error
 	hn.env.Spawn("boot", func(p *sim.Proc) {
 		hn.back.Start(p)
-		hn.back.CreateVifQueues(hn.guest.ID, 2)
-		if err := hn.front.advertise(hn.back); err != nil {
+		v := hn.back.CreateVifQueues(hn.guest.ID, 2)
+		if err := v.Advertise(hn.front.XS); err != nil {
 			t.Error(err)
 			return
 		}
-		path := queueRefPath(hn.guest.ID, 1)
+		path := v.RingRefPath(1)
 		adv, err := hn.front.XS.Read(xenstore.TxNone, path)
 		if err != nil {
 			t.Error(err)
@@ -370,7 +404,7 @@ func TestFailedQueueHandshakeUnmapsEarlierQueues(t *testing.T) {
 		}
 		// Keep queue 1's grants and replace its port.
 		hn.front.XS.Write(xenstore.TxNone, path, adv[:strings.LastIndexByte(adv, '/')]+"/4242")
-		acceptErr = hn.back.AcceptConnection(p, hn.guest.ID)
+		acceptErr = v.Accept()
 	})
 	hn.env.RunFor(10 * sim.Second)
 	hn.env.Shutdown()

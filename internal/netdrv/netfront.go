@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xoar/internal/sim"
+	"xoar/internal/xenbus"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 
@@ -16,8 +17,7 @@ type Frontend struct {
 	Guest xtypes.DomID
 	XS    *xenstore.Conn
 
-	back *Backend
-	v    *vif
+	v *vif
 
 	// ReceivedBytes counts payload delivered to the guest.
 	ReceivedBytes int64
@@ -29,69 +29,24 @@ func NewFrontend(h *hvpkg.Hypervisor, guest xtypes.DomID, xs *xenstore.Conn) *Fr
 	return &Frontend{H: h, Guest: guest, XS: xs}
 }
 
-// advertise grants every queue's ring pages, allocates the event channels,
-// and publishes the per-queue (ring-refs, port) tuples in XenStore. Extra
-// queues are written before the legacy queue-0 key so a backend triggered
-// by the legacy key always sees a complete advertisement.
-func (f *Frontend) advertise(back *Backend) error {
+// Connect performs the frontend half of the handshake against back (see
+// xenbus) and starts the vif's pumps once the backend has accepted.
+func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
 	v, ok := back.vifs[f.Guest]
 	if !ok {
 		return fmt.Errorf("netfront: backend has no vif for %v: %w", f.Guest, xtypes.ErrNotFound)
 	}
-	f.back = back
 	f.v = v
-	type adv struct {
-		path, val string
-	}
-	advs := make([]adv, 0, len(v.queues))
-	for qi := range v.queues {
-		// Two ring pages per queue (rx then tx), laid out from pfn 10 of
-		// the guest's space.
-		rxRef, err := f.H.Grant(f.Guest, back.Dom, 10+2*xtypes.PFN(qi), false)
-		if err != nil {
-			return err
-		}
-		txRef, err := f.H.Grant(f.Guest, back.Dom, 11+2*xtypes.PFN(qi), false)
-		if err != nil {
-			return err
-		}
-		port, err := f.H.EvtchnAllocUnbound(f.Guest, back.Dom)
-		if err != nil {
-			return err
-		}
-		advs = append(advs, adv{queueRefPath(f.Guest, qi), fmt.Sprintf("%d/%d/%d", rxRef, txRef, port)})
-	}
-	// Publish in reverse so the legacy queue-0 key lands last.
-	for i := len(advs) - 1; i >= 0; i-- {
-		if err := f.XS.Write(xenstore.TxNone, advs[i].path, advs[i].val); err != nil {
-			return err
-		}
-		// Let the backend (and only it) read the advertisement.
-		if err := f.XS.SetPerms(advs[i].path, xenstore.Perms{Owner: f.Guest, Read: []xtypes.DomID{back.Dom}}); err != nil {
-			return err
-		}
-	}
-	f.XS.Write(xenstore.TxNone, frontPath(f.Guest)+"/state", "initialised")
-	return nil
-}
-
-// Connect performs the frontend half of the handshake against back:
-// grant the ring pages, allocate the event channels, advertise everything
-// in XenStore, then wait for the backend to flip to connected.
-func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
-	if err := f.advertise(back); err != nil {
+	if err := v.Connect(f.XS); err != nil {
 		return err
 	}
-	if err := back.AcceptConnection(p, f.Guest); err != nil {
-		return err
-	}
-	f.XS.Write(xenstore.TxNone, frontPath(f.Guest)+"/state", "connected")
+	back.startPumps(v)
 	return nil
 }
 
 // Connected reports whether the vif is currently usable.
 func (f *Frontend) Connected() bool {
-	return f.v != nil && f.v.connected && !f.v.queues[0].rx.Broken()
+	return f.v != nil && f.v.Connected && !f.v.queues[0].rx.Broken()
 }
 
 // Queues reports the vif's queue count.
@@ -171,19 +126,7 @@ func (f *Frontend) Send(p *sim.Proc, bytes int, seq int64) error {
 }
 
 // WaitReconnect blocks until the backend finishes a microreboot and the vif
-// is connected again, or the timeout expires. Frontends call this after a
-// Recv/Send error — virtual machine protocols are designed to renegotiate
-// (§3.3), which is what makes driver VMs the ideal reboot container.
+// is connected again, or the timeout expires (xenbus.WaitReconnect).
 func (f *Frontend) WaitReconnect(p *sim.Proc, timeout sim.Duration) bool {
-	deadline := f.H.Env.Now().Add(timeout)
-	for f.H.Env.Now() < deadline {
-		if f.Connected() {
-			return true
-		}
-		// Poll on the backend's serving gate; the gate reopens when Restart
-		// completes. A small poll interval stands in for the XenStore watch
-		// wakeup without registering per-wait watches.
-		p.Sleep(5 * sim.Millisecond)
-	}
-	return f.Connected()
+	return xenbus.WaitReconnect(p, timeout, f.Connected)
 }

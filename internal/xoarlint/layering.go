@@ -10,7 +10,9 @@ import (
 // domain and may talk to peers only over channels the hypervisor has
 // explicitly linked; the Go packages modelling those shards must mirror
 // that: a service package may import shared leaves (xtypes, sim, ring,
-// telemetry, hw, and the hv interface they call into) but not one another.
+// telemetry, hw, the hv interface they call into, and xenbus, the
+// split-driver core netdrv and blkdrv each link in, as every Linux backend
+// links xenbus_client) but not one another.
 // A new cross-service import is a side channel the hypervisor never
 // audited, and fails the build here.
 //
