@@ -570,10 +570,13 @@ func BenchmarkMicro_RingBatchPop(b *testing.B) {
 
 // BenchmarkMicro_AuditVerify re-verifies the audit hash chain of one
 // fuzz exec: a booted attack harness plus one generated hostile sequence,
-// close to the fuzz loop's mean of 87 records. The attack oracle re-hashes
-// the whole chain after every hypercall, so Verify must stay
-// allocation-free — allocs/op and B/op are gated at zero; records reports
-// the chain length (ungated).
+// close to the fuzz loop's mean of 87 records. Each iteration first writes
+// record 0's own Arg back with Tamper, which leaves the chain intact but
+// lowers Verify's verified prefix to 0, so Verify re-hashes every record,
+// as it does for a log LoadLog reads. The attack oracle's Verify after each
+// hypercall hashes each record once through the same loop, so Verify must
+// stay allocation-free — allocs/op and B/op are gated at zero; records
+// reports the chain length (ungated).
 func BenchmarkMicro_AuditVerify(b *testing.B) {
 	ha, err := attack.NewHarness()
 	if err != nil {
@@ -585,9 +588,11 @@ func BenchmarkMicro_AuditVerify(b *testing.B) {
 	if i := log.Verify(); i != -1 {
 		b.Fatalf("audit chain breaks at record %d", i)
 	}
+	arg0 := log.Records()[0].Arg
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		log.Tamper(0, arg0)
 		if log.Verify() != -1 {
 			b.Fatal("audit chain broke")
 		}

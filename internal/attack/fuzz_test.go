@@ -1,9 +1,12 @@
 package attack
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"xoar/internal/hv"
+	"xoar/internal/sim"
 	"xoar/internal/xtypes"
 )
 
@@ -285,6 +288,67 @@ func TestOracleCountsDenialsExactlyOnce(t *testing.T) {
 		ha.Close()
 		if len(res.Findings) != 1 || res.Findings[0].Kind != tc.kind {
 			t.Errorf("%s: findings = %v, want one %s", tc.name, res.Findings, tc.kind)
+		}
+	}
+}
+
+// TestOracleDetectsAuditFaults is the audit oracle's sensitivity check: a
+// record tampered below the verified prefix of the audit log must break
+// the next per-call Verify, and a link whose audit record never reaches
+// the log is a missing-audit finding.
+func TestOracleDetectsAuditFaults(t *testing.T) {
+	cases := []struct {
+		name string
+		rig  func(ha *Harness)
+		seq  Sequence
+		want []string // every finding, as kind@call
+	}{
+		{
+			// Record 0 was verified after call 0; the tamper lands 5 ms
+			// later, between calls 0 and 1.
+			name: "tampered record",
+			rig: func(ha *Harness) {
+				ha.Env.Spawn("tamper", func(p *sim.Proc) {
+					p.Sleep(5 * sim.Millisecond)
+					ha.Log.Tamper(0, "forged")
+				})
+			},
+			seq: Sequence{Persona: PersonaGuest, Calls: []Call{
+				{Op: OpDebugOp, Target: TSelf},
+				{Op: OpDebugOp, Target: TSelf},
+				{Op: OpDebugOp, Target: TSelf},
+			}},
+			want: []string{"audit-chain@1", "audit-chain@2", "audit-chain@-1"},
+		},
+		{
+			// The hypervisor's link-shard events never reach the log.
+			name: "dropped link record",
+			rig: func(ha *Harness) {
+				sink := ha.H.Sink
+				ha.H.Sink = func(e hv.Event) {
+					if e.Kind != "link-shard" {
+						sink(e)
+					}
+				}
+			},
+			seq:  Sequence{Persona: PersonaToolstack, Calls: []Call{{Op: OpLinkClient, Target: TNetBack, Arg: 1}}},
+			want: []string{"missing-audit@0"},
+		},
+	}
+	for _, tc := range cases {
+		ha, err := NewHarness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.rig(ha)
+		res := ha.Run(tc.seq)
+		ha.Close()
+		var got []string
+		for _, f := range res.Findings {
+			got = append(got, fmt.Sprintf("%s@%d", f.Kind, f.Index))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: findings = %v, want %v", tc.name, res.Findings, tc.want)
 		}
 	}
 }

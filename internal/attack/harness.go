@@ -449,8 +449,14 @@ func (ha *Harness) exec(p *sim.Proc, m *model, idx int, c Call, res *Result) {
 	allowed, claims := m.expectAllowed(c, target)
 
 	deniedBefore := h.DeniedCalls
-	linksBefore := ha.Log.KindCount("link-shard")
-	unlinksBefore := ha.Log.KindCount("unlink-shard")
+	// Only link and unlink are checked for their audit record below.
+	var linksBefore, unlinksBefore int
+	switch c.Op {
+	case OpLinkClient:
+		linksBefore = ha.Log.KindCount("link-shard")
+	case OpUnlinkClient:
+		unlinksBefore = ha.Log.KindCount("unlink-shard")
+	}
 	hvCall := true // ops that go through hypercall dispatch obey the denial-count invariant
 	var created xtypes.DomID
 	shardFlag := c.Arg&1 == 1

@@ -70,6 +70,11 @@ func (r *Record) hexSum() [2 * sha256.Size]byte {
 // Log is the append-only audit store.
 type Log struct {
 	records []Record
+
+	// verified is how many leading records the last Verify re-hashed and
+	// found intact. The next Verify starts there; Tamper, the only writer
+	// of an existing record, lowers it, and Append leaves it alone.
+	verified int
 }
 
 // NewLog returns an empty log.
@@ -98,28 +103,41 @@ func (l *Log) Records() []Record {
 }
 
 // Verify checks the hash chain, returning the index of the first corrupted
-// record, or -1 if intact. It re-hashes every record on every call and
-// allocates nothing for records whose hash input fits hexSum's buffer.
+// record, or -1 if intact. Each record is re-hashed by the first Verify
+// after it is appended or tampered with: Verify starts past the prefix
+// earlier calls found intact and advances it only past records that pass.
+// A Log from LoadLog has no verified prefix, so a saved image is checked
+// from record 0. Verify allocates nothing for records whose hash input fits
+// hexSum's buffer.
 func (l *Log) Verify() int {
 	prev := ""
-	for i := range l.records {
+	if l.verified > 0 {
+		prev = l.records[l.verified-1].Hash
+	}
+	for i := l.verified; i < len(l.records); i++ {
 		r := &l.records[i]
 		if r.Seq != i || r.PrevHash != prev {
+			l.verified = i
 			return i
 		}
 		if sum := r.hexSum(); string(sum[:]) != r.Hash {
+			l.verified = i
 			return i
 		}
 		prev = r.Hash
 	}
+	l.verified = len(l.records)
 	return -1
 }
 
 // Tamper overwrites a record's argument, for demonstrating Verify in tests
-// and examples. A real off-host log would not expose this.
+// and examples. A real off-host log would not expose this. It lowers the
+// verified prefix to i, so the next Verify re-hashes record i onwards; an
+// out-of-range i changes nothing.
 func (l *Log) Tamper(i int, arg string) {
 	if i >= 0 && i < len(l.records) {
 		l.records[i].Arg = arg
+		l.verified = min(l.verified, i)
 	}
 }
 
