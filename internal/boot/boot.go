@@ -18,6 +18,7 @@ package boot
 
 import (
 	"fmt"
+	"strconv"
 
 	"xoar/internal/blkdrv"
 	"xoar/internal/builder"
@@ -104,6 +105,11 @@ type Platform struct {
 	Monolithic bool
 
 	Timings Timings
+}
+
+// domainPath is dom's XenStore subtree, /local/domain/<id>.
+func domainPath(dom xtypes.DomID) string {
+	return "/local/domain/" + strconv.FormatUint(uint64(dom), 10)
 }
 
 // bootShardDirect creates and boots a component domain directly on caller's
@@ -215,10 +221,10 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		pl.XenStoreLogic.Disconnect(id)
 		// Domains without a registered tree (the Bootstrapper) make this a
 		// harmless not-found.
-		xsAdmin.Rm(xenstore.TxNone, fmt.Sprintf("/local/domain/%d", id))
+		xsAdmin.Rm(xenstore.TxNone, domainPath(id))
 	})
 	grantTree := func(dom xtypes.DomID) {
-		base := fmt.Sprintf("/local/domain/%d", dom)
+		base := domainPath(dom)
 		xsAdmin.Mkdir(xenstore.TxNone, base)
 		xsAdmin.SetPerms(base, xenstore.Perms{Owner: dom, Read: []xtypes.DomID{xtypes.DomIDNone}})
 	}

@@ -1,8 +1,6 @@
 package boot
 
 import (
-	"fmt"
-
 	"xoar/internal/blkdrv"
 	"xoar/internal/builder"
 	"xoar/internal/consolemgr"
@@ -83,7 +81,7 @@ func BootDom0(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	// dead domains regardless of how the control plane is packaged.
 	h.OnDestroy(func(id xtypes.DomID) {
 		pl.XenStoreLogic.Disconnect(id)
-		xs.Rm(xenstore.TxNone, fmt.Sprintf("/local/domain/%d", id))
+		xs.Rm(xenstore.TxNone, domainPath(id))
 	})
 
 	pl.Console = consolemgr.New(h, d0.ID, h.Machine.Serial, xs)

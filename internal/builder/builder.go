@@ -23,6 +23,7 @@ package builder
 
 import (
 	"fmt"
+	"strconv"
 
 	"xoar/internal/hv"
 	"xoar/internal/osimage"
@@ -112,8 +113,10 @@ type Builder struct {
 	// authorized lists principals allowed privileged builds (the
 	// Bootstrapper during boot; the Builder itself afterwards).
 	authorized map[xtypes.DomID]bool
-	// records remembers each build's resolved request so a failed shard
-	// can be reconstructed.
+	// records remembers the resolved request of each shard build Rebuild
+	// can replay, so a failed shard can be reconstructed after its domain
+	// is gone. Guests and device-model stubs are not recorded: a guest
+	// belongs to its toolstack, and a stub dies with its HVM guest.
 	records map[xtypes.DomID]Request
 }
 
@@ -424,7 +427,9 @@ func (b *Builder) construct(p *sim.Proc, req Request) (xtypes.DomID, sim.Duratio
 	}
 	b.Builds++
 	b.m.builds.Inc()
-	b.records[d.ID] = req
+	if req.Shard && !req.qemu() {
+		b.records[d.ID] = req
+	}
 	return d.ID, img.BootTime(), nil
 }
 
@@ -463,7 +468,7 @@ func (b *Builder) setup(id xtypes.DomID, req Request) error {
 // register creates the domain's XenStore tree and hands it over: the domain
 // owns its tree, the world may read it (device discovery).
 func (b *Builder) register(id xtypes.DomID, req Request) error {
-	base := fmt.Sprintf("/local/domain/%d", id)
+	base := "/local/domain/" + strconv.FormatUint(uint64(id), 10)
 	if err := b.xs.Mkdir(xenstore.TxNone, base); err != nil {
 		return err
 	}

@@ -128,8 +128,10 @@ func (b *Builder) Rollback(p *sim.Proc, dom xtypes.DomID) (int, error) {
 // the mechanism behind in-place driver upgrades. The replacement is built
 // through the queue like every other domain, so it waits for the job being
 // served; it is the Builder's own ward (it becomes the parent) and is
-// re-snapshotted so it can microreboot in turn. Like Submit, Rebuild must
-// not be called from the serve loop.
+// re-snapshotted so it can microreboot in turn. Only shard builds are
+// recorded: for a guest, a device-model stub or a domain the Builder did
+// not build, Rebuild returns ErrNotFound and builds nothing. Like Submit,
+// Rebuild must not be called from the serve loop.
 func (b *Builder) Rebuild(p *sim.Proc, dom xtypes.DomID) (xtypes.DomID, error) {
 	if b.Monolithic {
 		return xtypes.DomIDNone, fmt.Errorf("builder: rebuild of %v: %w", dom, xtypes.ErrNoMicroreboot)

@@ -279,3 +279,64 @@ func TestTelemetryExactUnderConcurrentHammer(t *testing.T) {
 		t.Fatalf("side histogram inexact: n=%d sum=%g", side.Count(), side.Sum())
 	}
 }
+
+// Only shard builds are recorded, so a domain the Builder handed to a
+// toolstack cannot come back through it once the toolstack destroys it:
+// Rebuild, and Recover falling through to it, refuse with ErrNotFound and
+// build nothing. That holds for a plain guest and for a device-model stub,
+// which dies with its HVM guest. A Builder that recorded every build
+// resurrected either one as its own ward.
+func TestRebuildRefusesDestroyedNonShard(t *testing.T) {
+	victims := []struct {
+		name  string
+		build func(p *sim.Proc, b *builder.Builder, ts xtypes.DomID) (xtypes.DomID, error)
+	}{
+		{"guest", func(p *sim.Proc, b *builder.Builder, ts xtypes.DomID) (xtypes.DomID, error) {
+			return b.Submit(p, builder.Request{Requester: ts, Name: "micro", Image: osimage.ImgGuestMicro})
+		}},
+		{"qemu-stub", func(p *sim.Proc, b *builder.Builder, ts xtypes.DomID) (xtypes.DomID, error) {
+			hvm, err := b.Submit(p, builder.Request{Requester: ts, Name: "hvm", Image: osimage.ImgGuestHVM})
+			if err != nil {
+				return hvm, err
+			}
+			return b.Submit(p, builder.Request{Requester: ts, Name: "qemu", QemuFor: hvm})
+		}},
+	}
+	calls := []struct {
+		name string
+		call func(*builder.Builder, *sim.Proc, xtypes.DomID) (xtypes.DomID, error)
+	}{
+		{"rebuild", (*builder.Builder).Rebuild},
+		{"recover", (*builder.Builder).Recover},
+	}
+	for _, v := range victims {
+		for _, c := range calls {
+			t.Run(v.name+"/"+c.name, func(t *testing.T) {
+				env, h, b := newRig(t)
+				defer env.Shutdown()
+				ts := newShard(t, h, "toolstack", xtypes.HyperDomctlDestroy)
+				var dom xtypes.DomID
+				run(t, env, 60*sim.Second, func(p *sim.Proc) {
+					var err error
+					if dom, err = v.build(p, b, ts); err != nil {
+						t.Errorf("build: %v", err)
+					}
+				})
+				if err := h.DestroyDomain(ts, dom, "shutdown"); err != nil {
+					t.Fatal(err)
+				}
+				builds, live := b.Builds, len(h.Domains())
+				var got xtypes.DomID
+				var err error
+				run(t, env, 60*sim.Second, func(p *sim.Proc) { got, err = c.call(b, p, dom) })
+				if got != xtypes.DomIDNone || !errors.Is(err, xtypes.ErrNotFound) {
+					t.Fatalf("%s of destroyed %v = %v, %v; want %v, ErrNotFound", c.name, dom, got, err, xtypes.DomIDNone)
+				}
+				if b.Builds != builds || b.Rebuilds != 0 || len(h.Domains()) != live {
+					t.Fatalf("built anyway: builds %d -> %d, rebuilds %d, live domains %d -> %d",
+						builds, b.Builds, b.Rebuilds, live, len(h.Domains()))
+				}
+			})
+		}
+	}
+}

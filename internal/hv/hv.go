@@ -355,18 +355,15 @@ func (h *Hypervisor) CreateDomain(caller xtypes.DomID, cfg DomainConfig) (*Domai
 		h.nextID-- // roll the ID back so failed creates don't burn IDs
 		return nil, err
 	}
+	// The privilege and relationship maps stay nil until their first
+	// write: a plain guest never writes any of them.
 	d := &Domain{
-		ID:            id,
-		Name:          cfg.Name,
-		Cfg:           cfg,
-		Mem:           dmem,
-		State:         StateCreated,
-		priv:          Privileges{Hypercalls: make(map[xtypes.Hypercall]bool)},
-		delegates:     make(map[xtypes.DomID]bool),
-		privilegedFor: make(map[xtypes.DomID]bool),
-		clients:       make(map[xtypes.DomID]bool),
-		vcpu:          sim.NewResource(h.Env, cfg.VCPUs),
-		ioPorts:       make(map[string]bool),
+		ID:    id,
+		Name:  cfg.Name,
+		Cfg:   cfg,
+		Mem:   dmem,
+		State: StateCreated,
+		vcpu:  sim.NewResource(h.Env, cfg.VCPUs),
 	}
 	if caller != SystemCaller {
 		if cd, err := h.Domain(caller); err == nil {
@@ -434,11 +431,7 @@ func (h *Hypervisor) destroy(d *Domain, reason string) error {
 	}
 	// Release passthrough devices so a replacement driver domain can claim
 	// them (in-place driver upgrade, §6.2).
-	for _, dev := range h.Machine.Bus.Devices() {
-		if h.Machine.Bus.AssignedTo(dev.Addr()) == d.ID {
-			h.Machine.Bus.Unassign(dev.Addr())
-		}
-	}
+	h.Machine.Bus.UnassignAll(d.ID)
 	// A dead guest's shard-client links would dangle: close each shard's
 	// exposure window over it exactly as an explicit unlink would, so the
 	// audit log's interval index does not report the dead domain as a

@@ -45,14 +45,23 @@ func (h *Hypervisor) AssignPrivileges(caller, target xtypes.DomID, a Assignment)
 		h.emit("assign-device", target, addr.String())
 	}
 	for _, hc := range a.Hypercalls {
+		if d.priv.Hypercalls == nil {
+			d.priv.Hypercalls = make(map[xtypes.Hypercall]bool)
+		}
 		d.priv.Hypercalls[hc] = true
 		h.emit("permit-hypercall", target, hc.String())
 	}
 	for _, g := range a.DelegateTo {
+		if d.delegates == nil {
+			d.delegates = make(map[xtypes.DomID]bool)
+		}
 		d.delegates[g] = true
 		h.emit("delegate", target, g.String())
 	}
 	for _, r := range a.IOPorts {
+		if d.ioPorts == nil {
+			d.ioPorts = make(map[string]bool)
+		}
 		d.ioPorts[r] = true
 		h.emit("grant-ioports", target, r)
 	}
@@ -72,6 +81,9 @@ func (h *Hypervisor) Delegate(caller, shard, grantee xtypes.DomID) error {
 	}
 	if !d.Cfg.Shard {
 		return h.deny(fmt.Errorf("hv: delegate non-shard %v: %w", shard, xtypes.ErrNotShard))
+	}
+	if d.delegates == nil {
+		d.delegates = make(map[xtypes.DomID]bool)
 	}
 	d.delegates[grantee] = true
 	h.emit("delegate", shard, grantee.String())
@@ -108,6 +120,9 @@ func (h *Hypervisor) SetPrivilegedFor(caller, vm, target xtypes.DomID) error {
 	if _, err := h.Domain(target); err != nil {
 		return err
 	}
+	if d.privilegedFor == nil {
+		d.privilegedFor = make(map[xtypes.DomID]bool)
+	}
 	d.privilegedFor[target] = true
 	h.emit("privileged-for", vm, target.String())
 	return nil
@@ -137,6 +152,9 @@ func (h *Hypervisor) LinkShardClient(caller, shard, guest xtypes.DomID) error {
 	}
 	if !h.controls(caller, d) {
 		return h.deny(fmt.Errorf("hv: link %v->%v by %v: %w", guest, shard, caller, xtypes.ErrNotDelegated))
+	}
+	if d.clients == nil {
+		d.clients = make(map[xtypes.DomID]bool)
 	}
 	d.clients[guest] = true
 	h.emit("link-shard", shard, guest.String())
@@ -371,6 +389,9 @@ func (h *Hypervisor) GrantIOPorts(caller, target xtypes.DomID, rangeName string)
 	d, err := h.gate(caller, xtypes.HyperIOPortAccess, target)
 	if err != nil {
 		return err
+	}
+	if d.ioPorts == nil {
+		d.ioPorts = make(map[string]bool)
 	}
 	d.ioPorts[rangeName] = true
 	h.emit("grant-ioports", target, rangeName)

@@ -217,8 +217,15 @@ func (b *PCIBus) Assign(addr xtypes.PCIAddr, dom xtypes.DomID) error {
 	return nil
 }
 
-// Unassign releases a passthrough assignment.
-func (b *PCIBus) Unassign(addr xtypes.PCIAddr) { delete(b.assigned, addr) }
+// UnassignAll releases every passthrough assignment dom holds, so a
+// replacement driver domain can claim the devices.
+func (b *PCIBus) UnassignAll(dom xtypes.DomID) {
+	for addr, d := range b.assigned {
+		if d == dom {
+			delete(b.assigned, addr)
+		}
+	}
+}
 
 // AssignedTo reports the domain holding addr, or DomIDNone.
 func (b *PCIBus) AssignedTo(addr xtypes.PCIAddr) xtypes.DomID {

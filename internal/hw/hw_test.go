@@ -76,9 +76,16 @@ func TestDeviceAssignment(t *testing.T) {
 	if err := m.Bus.CheckAccess(6, addr); !errors.Is(err, xtypes.ErrPerm) {
 		t.Fatalf("IOMMU bypass: %v", err)
 	}
-	m.Bus.Unassign(addr)
+	disk := m.Disks()[0].Addr()
+	if err := m.Bus.Assign(disk, 6); err != nil {
+		t.Fatal(err)
+	}
+	m.Bus.UnassignAll(5)
 	if m.Bus.AssignedTo(addr) != xtypes.DomIDNone {
 		t.Fatal("unassign failed")
+	}
+	if got := m.Bus.AssignedTo(disk); got != 6 {
+		t.Fatalf("UnassignAll(5) released dom6's disk: now %v", got)
 	}
 	if err := m.Bus.Assign(xtypes.PCIAddr{Bus: 9}, 5); !errors.Is(err, xtypes.ErrNotFound) {
 		t.Fatalf("assign missing device: %v", err)

@@ -154,8 +154,18 @@ func (l *Logic) Disconnect(dom xtypes.DomID) {
 // watch registry and tree (which live in State) survive. Clients see aborted
 // transactions as ErrShutdown on their next operation and retry.
 func (l *Logic) Restart() {
-	l.txs = make(map[TxID]*tx)
+	clear(l.txs)
 	l.restarts++
+}
+
+// disown drops one node from dom's quota count. A count that reaches zero is
+// deleted, so a domain that no longer owns a node leaves no entry behind.
+func (l *Logic) disown(dom xtypes.DomID) {
+	if n := l.owned[dom] - 1; n != 0 {
+		l.owned[dom] = n
+	} else {
+		delete(l.owned, dom)
+	}
 }
 
 // Restarts reports how many times the Logic has microrebooted.
@@ -270,8 +280,9 @@ func (c *Conn) TxEnd(id TxID, commit bool) error {
 	for p := range t.writes {
 		touched = append(touched, p)
 	}
+	var buf pathBuf
 	for _, p := range touched {
-		parts, err := SplitPath(p)
+		parts, err := SplitPath(buf[:0], p)
 		if err != nil {
 			continue
 		}
@@ -313,7 +324,8 @@ func (c *Conn) Read(id TxID, path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	parts, err := SplitPath(path)
+	var buf pathBuf
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
 		return "", err
 	}
@@ -339,7 +351,8 @@ func (c *Conn) Read(id TxID, path string) (string, error) {
 // writeCommitted applies a write directly to the tree, firing watches.
 func (c *Conn) writeCommitted(path, value string) error {
 	l := c.logic
-	parts, err := SplitPath(path)
+	var buf pathBuf
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -357,6 +370,9 @@ func (c *Conn) writeCommitted(path, value string) error {
 	}
 	n := anc
 	for _, p := range parts[depth:] {
+		if n.children == nil {
+			n.children = make(map[string]*node)
+		}
 		child := newNode(c.dom)
 		n.children[p] = child
 		n = child
@@ -407,7 +423,8 @@ func (c *Conn) write(id TxID, path, value string) error {
 // rmCommitted removes the subtree at path.
 func (c *Conn) rmCommitted(path string) error {
 	l := c.logic
-	parts, err := SplitPath(path)
+	var buf pathBuf
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -425,7 +442,7 @@ func (c *Conn) rmCommitted(path string) error {
 	// Account owned nodes of the removed subtree.
 	var countOwned func(n *node)
 	countOwned = func(n *node) {
-		l.owned[n.owner]--
+		l.disown(n.owner)
 		for _, ch := range n.children {
 			countOwned(ch)
 		}
@@ -465,7 +482,8 @@ func (c *Conn) Directory(id TxID, path string) ([]string, error) {
 	if t != nil {
 		t.reads[path] = true
 	}
-	parts, err := SplitPath(path)
+	var buf pathBuf
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +506,8 @@ func (c *Conn) Directory(id TxID, path string) ([]string, error) {
 // privileged connection may do so.
 func (c *Conn) SetPerms(path string, perms Perms) error {
 	c.logic.countOp("set-perms")
-	parts, err := SplitPath(path)
+	var buf pathBuf
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -500,18 +519,12 @@ func (c *Conn) SetPerms(path string, perms Perms) error {
 		return fmt.Errorf("xenstore: setperms %s by %v: %w", path, c.dom, xtypes.ErrPerm)
 	}
 	if n.owner != perms.Owner {
-		c.logic.owned[n.owner]--
+		c.logic.disown(n.owner)
 		c.logic.owned[perms.Owner]++
 	}
 	n.owner = perms.Owner
-	n.readACL = make(map[xtypes.DomID]bool)
-	n.writeACL = make(map[xtypes.DomID]bool)
-	for _, d := range perms.Read {
-		n.readACL[d] = true
-	}
-	for _, d := range perms.Write {
-		n.writeACL[d] = true
-	}
+	n.readACL = aclOf(perms.Read)
+	n.writeACL = aclOf(perms.Write)
 	return nil
 }
 
@@ -519,7 +532,8 @@ func (c *Conn) SetPerms(path string, perms Perms) error {
 // a synthetic initial event fires immediately on registration.
 func (c *Conn) Watch(path, token string) error {
 	c.logic.countOp("watch")
-	if _, err := SplitPath(path); err != nil {
+	var buf pathBuf
+	if _, err := SplitPath(buf[:0], path); err != nil {
 		return err
 	}
 	if !c.privileged && c.logic.state.WatchCount(c.dom) >= c.logic.quota.MaxWatches {
@@ -528,7 +542,8 @@ func (c *Conn) Watch(path, token string) error {
 	var canSee func(string) bool
 	if !c.privileged {
 		canSee = func(mutated string) bool {
-			parts, err := SplitPath(mutated)
+			var buf pathBuf
+			parts, err := SplitPath(buf[:0], mutated)
 			if err != nil {
 				return false
 			}

@@ -24,7 +24,8 @@ import (
 	"xoar/internal/xtypes"
 )
 
-// node is one tree node.
+// node is one tree node. Its maps stay nil until their first write: most
+// nodes are leaves, and most ACLs are empty.
 type node struct {
 	value    []byte
 	children map[string]*node
@@ -35,12 +36,19 @@ type node struct {
 }
 
 func newNode(owner xtypes.DomID) *node {
-	return &node{
-		children: make(map[string]*node),
-		owner:    owner,
-		readACL:  make(map[xtypes.DomID]bool),
-		writeACL: make(map[xtypes.DomID]bool),
+	return &node{owner: owner}
+}
+
+// aclOf returns the ACL granting doms, or nil when doms is empty.
+func aclOf(doms []xtypes.DomID) map[xtypes.DomID]bool {
+	if len(doms) == 0 {
+		return nil
 	}
+	acl := make(map[xtypes.DomID]bool, len(doms))
+	for _, d := range doms {
+		acl[d] = true
+	}
+	return acl
 }
 
 // Perms describes a node's access control state.
@@ -87,22 +95,29 @@ func NewState() *State {
 	return s
 }
 
-// SplitPath normalizes and splits a store path. Empty components are
-// rejected; the root is the empty slice.
-func SplitPath(path string) ([]string, error) {
+// pathBuf holds a split path's components on the caller's stack; SplitPath
+// appends to a slice of it and spills to the heap only past its depth.
+type pathBuf [16]string
+
+// SplitPath normalizes and splits a store path, appending its components to
+// buf and returning the extended slice. Empty components are rejected; the
+// root adds no component.
+func SplitPath(buf []string, path string) ([]string, error) {
 	if path == "" || path[0] != '/' {
 		return nil, fmt.Errorf("xenstore: path %q: %w", path, xtypes.ErrInvalid)
 	}
 	if path == "/" {
-		return nil, nil
+		return buf, nil
 	}
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if p == "" {
+	for rest, more := path[1:], true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, "/")
+		if part == "" {
 			return nil, fmt.Errorf("xenstore: path %q: %w", path, xtypes.ErrInvalid)
 		}
+		buf = append(buf, part)
 	}
-	return parts, nil
+	return buf, nil
 }
 
 // lookup walks to the node at parts, returning nil if absent.

@@ -2,6 +2,9 @@ package xenstore
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"xoar/internal/sim"
@@ -496,5 +499,103 @@ func TestWatchRespectsReadPermissions(t *testing.T) {
 	}
 	if !sawPublic {
 		t.Fatalf("readable event suppressed: %v", events)
+	}
+}
+
+// A domain that loses every node it owned keeps no quota entry, whether its
+// subtree was removed or a privileged SetPerms handed its nodes to another
+// owner; its quota then counts from zero again.
+func TestQuotaCountDroppedWithLastNode(t *testing.T) {
+	const k, guest, other = 4, xtypes.DomID(5), xtypes.DomID(6)
+	nodes := []string{"/guest/a", "/guest/a/b", "/guest/a/b/c", "/guest/a/b/c/d"}
+	for _, tc := range []struct {
+		name string
+		lose func(priv *Conn) error
+	}{
+		{"rm", func(priv *Conn) error { return priv.Rm(TxNone, "/guest/a") }},
+		{"set-perms", func(priv *Conn) error {
+			for _, n := range nodes {
+				if err := priv.SetPerms(n, Perms{Owner: other}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, l := newLogic()
+			q := DefaultQuota
+			q.MaxNodes = k
+			l.SetQuota(q)
+			priv := l.Connect(0, true)
+			if err := priv.Mkdir(TxNone, "/guest"); err != nil {
+				t.Fatal(err)
+			}
+			if err := priv.SetPerms("/guest", Perms{Owner: 0, Write: []xtypes.DomID{guest}}); err != nil {
+				t.Fatal(err)
+			}
+			g := l.Connect(guest, false)
+			if err := g.Write(TxNone, nodes[k-1], "x"); err != nil {
+				t.Fatalf("creating %d nodes: %v", k, err)
+			}
+			if got := l.owned[guest]; got != k {
+				t.Fatalf("owned[%v] = %d after creating %d nodes", guest, got, k)
+			}
+			if err := tc.lose(priv); err != nil {
+				t.Fatal(err)
+			}
+			if n, ok := l.owned[guest]; ok {
+				t.Fatalf("owned[%v] = %d kept after losing every node", guest, n)
+			}
+			if tc.name == "set-perms" && l.owned[other] != k {
+				t.Fatalf("owned[%v] = %d, want %d", other, l.owned[other], k)
+			}
+			for i := 0; i < k; i++ {
+				if err := g.Write(TxNone, fmt.Sprintf("/guest/n%d", i), "x"); err != nil {
+					t.Fatalf("node %d of %d: %v", i+1, k, err)
+				}
+			}
+			if err := g.Write(TxNone, "/guest/over", "x"); !errors.Is(err, xtypes.ErrQuota) {
+				t.Fatalf("node %d of quota %d: %v, want ErrQuota", k+1, k, err)
+			}
+		})
+	}
+}
+
+func TestSplitPath(t *testing.T) {
+	// A path deeper than the stack buffer spills to the heap intact.
+	deep := make([]string, 0, len(pathBuf{})+5)
+	for len(deep) < cap(deep) {
+		deep = append(deep, fmt.Sprint(len(deep)))
+	}
+	for _, tc := range []struct {
+		path string
+		want []string
+	}{
+		{"/", nil},
+		{"/a", []string{"a"}},
+		{"/local/domain/7/name", []string{"local", "domain", "7", "name"}},
+		{"/" + strings.Join(deep, "/"), deep},
+	} {
+		var buf pathBuf
+		got, err := SplitPath(buf[:0], tc.path)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("SplitPath(%q) = %q, %v; want %q", tc.path, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "a", "//", "/a//b", "/a/"} {
+		var buf pathBuf
+		if _, err := SplitPath(buf[:0], bad); !errors.Is(err, xtypes.ErrInvalid) {
+			t.Errorf("SplitPath(%q) accepted: %v", bad, err)
+		}
+	}
+	// The components land in the caller's stack buffer, not the heap.
+	if n := testing.AllocsPerRun(100, func() {
+		var buf pathBuf
+		if _, err := SplitPath(buf[:0], "/local/domain/7/device/vif/0/state"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SplitPath allocates %v times per call", n)
 	}
 }
