@@ -560,6 +560,52 @@ func BenchmarkMicro_SimWakeups(b *testing.B) {
 	env.Shutdown()
 }
 
+// BenchmarkMicro_SimHandoff measures the event loop on the data path's
+// shape: a frontend and a backend process hand each request and its response
+// to each other through a Chan, and each side holds its own Resource for
+// 1µs of work per request, so every wakeup is either the running process's
+// own or a handoff to the other. One round trip is four wakeups over 2µs of
+// virtual time; 160 round trips per op make 640 events/op. Like
+// SimEventsPerSec it gates allocs/op and B/op at zero and pins events/op;
+// evts/s reports raw wall-clock throughput (ungated).
+func BenchmarkMicro_SimHandoff(b *testing.B) {
+	env := sim.NewEnv(1)
+	reqs, resps := sim.NewChan[int](env), sim.NewChan[int](env)
+	front, back := sim.NewResource(env, 1), sim.NewResource(env, 1)
+	events := 0
+	env.Spawn("frontend", func(p *sim.Proc) {
+		for i := 0; ; i++ {
+			front.Use(p, sim.Microsecond)
+			events++
+			reqs.Send(i)
+			resps.Recv(p)
+			events++
+		}
+	})
+	env.Spawn("backend", func(p *sim.Proc) {
+		for {
+			v, _ := reqs.Recv(p)
+			events++
+			back.Use(p, sim.Microsecond)
+			events++
+			resps.Send(v)
+		}
+	})
+	env.RunFor(100 * sim.Microsecond)
+	events = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.RunFor(320 * sim.Microsecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(events)/secs, "evts/s")
+	}
+	env.Shutdown()
+}
+
 // BenchmarkClusterChurn runs the cluster serverless-churn artifact at full
 // scale: an 8-host fleet, 5000 micro guests at 1000 arrivals/s. Cold-start
 // percentiles, failure and migration counts, and placement spread are all

@@ -219,6 +219,15 @@ func (h *Hypervisor) emit(kind string, dom xtypes.DomID, arg string) {
 	}
 }
 
+// emitDom is emit for an event whose argument names a domain. The name is
+// formatted only when a sink is installed to read it: no experiments rig and
+// no cluster host installs one, and formatting allocates.
+func (h *Hypervisor) emitDom(kind string, dom, arg xtypes.DomID) {
+	if h.Sink != nil {
+		h.emit(kind, dom, arg.String())
+	}
+}
+
 // OnDestroy registers a teardown hook invoked after every domain destruction.
 func (h *Hypervisor) OnDestroy(f func(xtypes.DomID)) { h.onDestroy = append(h.onDestroy, f) }
 
@@ -447,7 +456,7 @@ func (h *Hypervisor) destroy(d *Domain, reason string) error {
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
 	for _, s := range shards {
 		delete(s.clients, d.ID)
-		h.emit("unlink-shard", s.ID, d.ID.String())
+		h.emitDom("unlink-shard", s.ID, d.ID)
 	}
 	h.emit("destroy", d.ID, reason)
 	for _, f := range h.onDestroy {

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"xoar/internal/hw"
@@ -438,6 +439,59 @@ func TestEventSink(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("events = %v", kinds)
 		}
+	}
+}
+
+// An event whose argument names a domain carries the domain's name when a
+// sink is installed. Without a sink, the hypercalls emitting such events
+// format nothing: once their maps exist they allocate nothing at all.
+func TestDomainArgEvents(t *testing.T) {
+	_, h := newHV(true)
+	shard := mkDom(t, h, "s", true)
+	tool := mkDom(t, h, "tool", true)
+	guest := mkDom(t, h, "g", false)
+	delegates := []xtypes.DomID{tool.ID}
+	calls := func() {
+		for _, err := range []error{
+			h.AssignPrivileges(SystemCaller, shard.ID, Assignment{DelegateTo: delegates}),
+			h.Delegate(SystemCaller, shard.ID, tool.ID),
+			h.SetParentTool(SystemCaller, guest.ID, tool.ID),
+			h.SetPrivilegedFor(SystemCaller, shard.ID, guest.ID),
+			h.LinkShardClient(SystemCaller, shard.ID, guest.ID),
+			h.UnlinkShardClient(SystemCaller, shard.ID, guest.ID),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	calls() // make every map the calls write to
+	if n := testing.AllocsPerRun(100, calls); n != 0 {
+		t.Fatalf("%v allocs per run without a sink, want 0", n)
+	}
+
+	var got []string
+	h.Sink = func(e Event) {
+		if e.Kind != "destroy" {
+			got = append(got, e.Kind+" "+e.Dom.String()+" "+e.Arg)
+		}
+	}
+	calls()
+	h.LinkShardClient(SystemCaller, shard.ID, guest.ID)
+	h.DestroyDomain(SystemCaller, guest.ID, "done")
+	s, tl, g := shard.ID.String(), tool.ID.String(), guest.ID.String()
+	want := []string{
+		"delegate " + s + " " + tl,
+		"delegate " + s + " " + tl,
+		"set-parent " + g + " " + tl,
+		"privileged-for " + s + " " + g,
+		"link-shard " + s + " " + g,
+		"unlink-shard " + s + " " + g,
+		"link-shard " + s + " " + g,
+		"unlink-shard " + s + " " + g, // destroy closes the dead guest's link
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -56,7 +56,7 @@ func (h *Hypervisor) AssignPrivileges(caller, target xtypes.DomID, a Assignment)
 			d.delegates = make(map[xtypes.DomID]bool)
 		}
 		d.delegates[g] = true
-		h.emit("delegate", target, g.String())
+		h.emitDom("delegate", target, g)
 	}
 	for _, r := range a.IOPorts {
 		if d.ioPorts == nil {
@@ -86,7 +86,7 @@ func (h *Hypervisor) Delegate(caller, shard, grantee xtypes.DomID) error {
 		d.delegates = make(map[xtypes.DomID]bool)
 	}
 	d.delegates[grantee] = true
-	h.emit("delegate", shard, grantee.String())
+	h.emitDom("delegate", shard, grantee)
 	return nil
 }
 
@@ -102,7 +102,7 @@ func (h *Hypervisor) SetParentTool(caller, guest, tool xtypes.DomID) error {
 		return err
 	}
 	d.parentTool = tool
-	h.emit("set-parent", guest, tool.String())
+	h.emitDom("set-parent", guest, tool)
 	return nil
 }
 
@@ -124,7 +124,7 @@ func (h *Hypervisor) SetPrivilegedFor(caller, vm, target xtypes.DomID) error {
 		d.privilegedFor = make(map[xtypes.DomID]bool)
 	}
 	d.privilegedFor[target] = true
-	h.emit("privileged-for", vm, target.String())
+	h.emitDom("privileged-for", vm, target)
 	return nil
 }
 
@@ -157,7 +157,7 @@ func (h *Hypervisor) LinkShardClient(caller, shard, guest xtypes.DomID) error {
 		d.clients = make(map[xtypes.DomID]bool)
 	}
 	d.clients[guest] = true
-	h.emit("link-shard", shard, guest.String())
+	h.emitDom("link-shard", shard, guest)
 	return nil
 }
 
@@ -188,7 +188,7 @@ func (h *Hypervisor) UnlinkShardClient(caller, shard, guest xtypes.DomID) error 
 	// The log's interval index keys on this record to close the guest's
 	// exposure window; without it DependentsOf kept reporting unlinked
 	// clients as dependents forever.
-	h.emit("unlink-shard", shard, guest.String())
+	h.emitDom("unlink-shard", shard, guest)
 	return nil
 }
 

@@ -4,10 +4,14 @@ package sim
 
 import "iter"
 
-// coro runs sim process bodies as an iter.Pull coroutine. The scheduler and
-// the process hand control back and forth with a direct coroutine switch —
-// Env.step resumes the process with next, Proc.block returns with yield —
-// so a resume never goes through the Go runtime's run queue.
+// coro runs sim process bodies as an iter.Pull coroutine. Env.step resumes
+// a process with next, and Proc.block hands control back with yield, so a
+// resume never goes through the Go runtime's run queue. Dispatch runs on the
+// coroutine of the process that blocked, so a process whose own wakeup comes
+// next needs no switch at all: next and yield are paid only when the
+// dispatch loop resumes another process, when that process hands an event
+// not its own back to the loop, and when the loop has nothing due and yields
+// to the caller of Env.Run.
 //
 // A coroutine outlives the process it runs. When the body returns, the
 // coroutine parks in its Env's free list, and the next Spawn hands it a new
@@ -34,9 +38,9 @@ func newCoro() *coro {
 }
 
 // loop is the coroutine body: one process per turn. After a process
-// terminates, the coroutine returns itself to the free list and yields;
-// Spawn assigns the next process and the scheduler's next resumes it here.
-// stop makes that yield report false, which ends the loop.
+// terminates, the coroutine returns itself to the free list and yields to
+// whoever resumed it; Spawn assigns the next process and a step's next
+// resumes it here. stop makes that yield report false, which ends the loop.
 func (c *coro) loop(yield func(struct{}) bool) {
 	c.yield = yield
 	for {

@@ -1,12 +1,18 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel drives cooperative processes: each process runs as a coroutine
-// (coro.go), and exactly one process runs at any moment. A process yields
+// (coro.go), and exactly one process runs at any moment. A process gives up
 // control by sleeping, waiting on a synchronization primitive, or
-// terminating; the scheduler then advances the virtual clock to the next
-// pending event and resumes its owner with a direct coroutine switch.
-// Because execution is serialized and events dispatch in (time, sequence)
-// order, every run with the same seed is bit-for-bit reproducible.
+// terminating. The process that blocks dispatches the next event itself, on
+// its own coroutine, advancing the virtual clock to it: when the event is its
+// own wakeup, it returns straight into its body without a coroutine switch.
+// The process the caller of Run resumed runs the dispatch loop: it runs
+// callbacks in place and resumes other processes with one switch each, and
+// a process it resumed hands control back to it on any event not its own.
+// Only when nothing more is due by the Run deadline does control go back to
+// the caller of Run. Because execution is serialized and events dispatch in
+// (time, sequence) order, every run with the same seed is bit-for-bit
+// reproducible, whichever coroutine dispatches.
 //
 // Pending events live in two places. Events due at a later time wait in a
 // 4-ary min-heap. Events due at the current instant — Post, Yield, Spawn,
@@ -30,6 +36,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -179,11 +186,22 @@ type Env struct {
 	now    Time
 	seq    uint64
 	queue  eventQueue
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // built from seed on the first Rand call
 	procs  map[*Proc]struct{}
 	lastEv string
 	trace  func(TraceEvent)
 	nextID int
+
+	// until is the deadline of the Run in progress: step takes no event due
+	// after it.
+	until Time
+	// disp is the process running the dispatch loop, the one the caller of
+	// Run resumed; nil while the caller of Run dispatches.
+	disp *Proc
+	// fault is a panic that disp's loop recovered from a process or
+	// callback it ran, for the caller of Run to re-raise.
+	fault any
 
 	// lane[laneHead:] are the events scheduled for the current instant since
 	// the clock reached it, in schedule order. The lane starts on laneBuf,
@@ -210,7 +228,7 @@ type Env struct {
 // NewEnv returns a fresh environment whose random source is seeded with seed.
 func NewEnv(seed int64) *Env {
 	e := &Env{
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		procs: make(map[*Proc]struct{}),
 	}
 	e.lane = e.laneBuf[:0]
@@ -220,8 +238,15 @@ func NewEnv(seed int64) *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// Rand returns the environment's deterministic random source.
-func (e *Env) Rand() *rand.Rand { return e.rng }
+// Rand returns the environment's deterministic random source. The source is
+// seeded on the first call, so an Env that never draws does not pay for
+// math/rand's 607-word state.
+func (e *Env) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // schedule enqueues an event at absolute time at — on the lane if that is
 // the current instant, else on the heap — reusing a recycled event struct
@@ -437,12 +462,14 @@ func (p *Proc) Now() Time { return p.env.now }
 // Done reports whether the process has terminated.
 func (p *Proc) Done() bool { return p.done }
 
-// block suspends the calling process until the scheduler resumes it.
-// Must only be called from within the process's own body. A yield that
-// reports false means the coroutine was stopped; the body unwinds as if
-// killed.
+// block suspends the calling process until its next wakeup, which step
+// hands it without a coroutine switch when no other event comes first.
+// Otherwise block yields: to the dispatch loop that resumed the process, or
+// to the caller of Run once nothing more is due by the deadline. Must only
+// be called from within the process's own body. A yield that reports false
+// means the coroutine was stopped; the body unwinds as if killed.
 func (p *Proc) block() {
-	if !p.co.yield(struct{}{}) || p.killed {
+	if (!p.env.step(p) && !p.co.yield(struct{}{})) || p.killed {
 		panic(procKilled{})
 	}
 }
@@ -488,9 +515,9 @@ func (p *Proc) WaitDone(target *Proc) {
 // processes — from the front of the queue and returns the next live event
 // without removing it, or nil when the queue is drained. The front is the
 // lane head, unless the heap root is due at the same instant with a smaller
-// seq. Run and step must agree on the live front: skipping stale events only
-// at pop time once let a deadline-bounded Run execute an event beyond its
-// deadline.
+// seq. step tests the deadline against the same live front it then
+// removes: skipping stale events only at pop time once let a
+// deadline-bounded Run execute an event beyond its deadline.
 func (e *Env) peekLive() *event {
 	for {
 		var ev *event
@@ -517,39 +544,82 @@ func (e *Env) remove(ev *event) {
 	}
 }
 
-// step runs the next live event from the queue. It reports false when the
-// queue is exhausted. This is the dispatch loop every simulated nanosecond
-// flows through, so it must stay allocation-free in steady state.
+// step is the dispatch loop: it runs the live events due by the current
+// Run's deadline in (at, seq) order on the calling goroutine, and it is the
+// only place an event is taken off the queue. self is the process whose
+// block called it, nil when the caller of Run dispatches. self's own wakeup
+// ends the loop with true, so block returns straight into the body.
+// Otherwise step reports false once nothing more is due by the deadline.
+//
+// A process the caller of Run resumed runs the loop as disp whenever it
+// blocks. Like the caller of Run, disp runs a callback in place and resumes
+// another process with one coroutine switch; that process hands control back
+// when it blocks or ends. A process disp resumed takes only its own wakeup
+// here and reports false on any other event, so its block yields back to
+// disp's loop.
+//
+// In disp's loop, a panic from a process or callback it ran would unwind
+// disp's body as well; endLoop recovers it instead, disp yields, and the
+// step on the caller of Run re-raises it with its original value.
+//
+// This is the loop every simulated nanosecond flows through, so it must stay
+// allocation-free in steady state.
 //
 //xoarlint:hot
-func (e *Env) step() bool {
-	ev := e.peekLive()
-	if ev == nil {
-		return false
+func (e *Env) step(self *Proc) bool {
+	resumed := self != nil && e.disp != nil
+	if self != nil && !resumed {
+		e.disp = self
+		defer e.endLoop()
 	}
-	e.remove(ev)
-	if ev.at > e.now {
-		e.now = ev.at
-	}
-	if ev.fn != nil {
-		fn := ev.fn
+	for {
+		ev := e.peekLive()
+		if ev == nil || ev.at > e.until || (resumed && ev.proc != self) {
+			return false
+		}
+		e.remove(ev)
+		if ev.at > e.now {
+			e.now = ev.at
+		}
+		if ev.fn != nil {
+			fn := ev.fn
+			e.recycle(ev)
+			e.lastEv = "fn-callback"
+			e.emitTrace("callback", "")
+			//xoarlint:allow(hotpath) scheduled callback bodies are charged to their own hot roots (evtchn upcalls, driver pumps); the dispatcher only invokes them
+			fn()
+			continue
+		}
+		p := ev.proc
+		if p.pending == ev {
+			p.pending = nil
+		}
 		e.recycle(ev)
-		e.lastEv = "fn-callback"
-		e.emitTrace("callback", "")
-		//xoarlint:allow(hotpath) scheduled callback bodies are charged to their own hot roots (evtchn upcalls, driver pumps); the dispatcher only invokes them
-		fn()
-		return true
+		e.lastEv = p.name
+		e.emitTrace("resume", p.name)
+		if p == self {
+			return true
+		}
+		p.co.next()
+		if r := e.fault; r != nil {
+			e.fault = nil
+			panic(r)
+		}
 	}
-	p := ev.proc
-	if p.pending == ev {
-		p.pending = nil
-	}
-	e.recycle(ev)
-	e.lastEv = p.name
-	e.emitTrace("resume", p.name)
-	p.co.next()
-	return true
 }
+
+// endLoop ends disp's dispatch loop, keeping a panic from a process or
+// callback the loop ran for the caller of Run.
+func (e *Env) endLoop() {
+	e.disp = nil
+	if r := recover(); r != nil {
+		e.fault = r
+	}
+}
+
+// maxTime is the deadline of RunAll and Shutdown, which run until the queue
+// drains.
+const maxTime = Time(math.MaxInt64)
 
 // Run processes events until the queue is empty or the virtual clock would
 // pass until. It returns the virtual time at which it stopped. A deadline
@@ -561,23 +631,12 @@ func (e *Env) Run(until Time) Time {
 	if until < e.now {
 		return e.now
 	}
-	for {
-		ev := e.peekLive()
-		if ev == nil {
-			break
-		}
-		if ev.at > until {
-			e.now = until
-			return e.now
-		}
-		e.step()
-		if e.now > until {
-			panic(fmt.Sprintf("sim: clock overran Run(until=%d): now=%d lastEv=%q", until, e.now, e.lastEv))
-		}
+	e.until = until
+	e.step(nil)
+	if e.now > until {
+		panic(fmt.Sprintf("sim: clock overran Run(until=%d): now=%d lastEv=%q", until, e.now, e.lastEv))
 	}
-	if e.now < until {
-		e.now = until
-	}
+	e.now = until
 	return e.now
 }
 
@@ -605,8 +664,8 @@ func (e *Env) Await(name string, limit Duration, fn func(p *Proc)) bool {
 // RunAll processes events until no more remain. Processes blocked forever on
 // empty channels stay blocked; Shutdown unwinds them.
 func (e *Env) RunAll() Time {
-	for e.step() {
-	}
+	e.until = maxTime
+	e.step(nil)
 	return e.now
 }
 
@@ -624,8 +683,8 @@ func (e *Env) Shutdown() {
 	for _, p := range procs {
 		p.Kill()
 	}
-	for e.step() {
-	}
+	e.until = maxTime
+	e.step(nil)
 	for _, c := range e.coros {
 		c.stop()
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -373,6 +374,20 @@ func TestDeterministicRand(t *testing.T) {
 	b := NewEnv(7).Rand().Int63()
 	if a != b {
 		t.Fatal("same seed produced different values")
+	}
+	// The source is seeded on first use, after the Env has run, and draws
+	// exactly the sequence of a source seeded with the Env's seed.
+	env := NewEnv(7)
+	env.Spawn("idle", func(p *Proc) { p.Sleep(Second) })
+	env.RunAll()
+	got, want := env.Rand(), rand.New(rand.NewSource(7))
+	for i := 0; i < 64; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d = %d, want %d", i, g, w)
+		}
+	}
+	if env.Rand() != got {
+		t.Fatal("Rand returned a second source")
 	}
 }
 
