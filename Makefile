@@ -86,7 +86,7 @@ bench:
 # performance change, refresh the baseline with:
 #   go run ./cmd/benchdiff -baseline BENCH_baseline.json -update bench.out
 bench-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkBootPipeline|BenchmarkTable61_Memory|BenchmarkTable62_Boot|BenchmarkFig61_Postmark|BenchmarkDataPath_TxBatching|BenchmarkDataPath_Saturation10G|BenchmarkMicro_GrantMap|BenchmarkMicro_GuestLifecycle|BenchmarkMicro_DeviceLifecycle|BenchmarkMicro_XenStoreWrite|BenchmarkMicro_RingBatchPop|BenchmarkMicro_AuditVerify|BenchmarkMicro_SimEventsPerSec|BenchmarkMicro_SimWakeups|BenchmarkMicro_SimHandoff|BenchmarkClusterChurn|BenchmarkSec_AttackTaxonomy|BenchmarkFig62_Wget|BenchmarkFig63_Restarts|BenchmarkFig64_KernelBuild|BenchmarkFig65_Apache|BenchmarkSec_TCB|BenchmarkSec_Attacks|BenchmarkAblations' -benchtime=1x -benchmem . | tee bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBootPipeline|BenchmarkTable61_Memory|BenchmarkTable62_Boot|BenchmarkFig61_Postmark|BenchmarkDataPath_TxBatching|BenchmarkDataPath_Saturation10G|BenchmarkMicro_GrantMap|BenchmarkMicro_GuestLifecycle|BenchmarkMicro_DeviceLifecycle|BenchmarkMicro_XenStoreWrite|BenchmarkMicro_RingBatchPop|BenchmarkMicro_AuditVerify|BenchmarkMicro_SimEventsPerSec|BenchmarkMicro_SimWakeups|BenchmarkMicro_SimHandoff|BenchmarkMicro_SimContention|BenchmarkClusterChurn|BenchmarkSec_AttackTaxonomy|BenchmarkFig62_Wget|BenchmarkFig63_Restarts|BenchmarkFig64_KernelBuild|BenchmarkFig65_Apache|BenchmarkSec_TCB|BenchmarkSec_Attacks|BenchmarkAblations' -benchtime=1x -benchmem . | tee bench.out
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -hotpath HOTPATH.json bench.out
 
 # fuzz runs the hypercall-sequence fuzzer against the manifest oracle. CI

@@ -606,6 +606,63 @@ func BenchmarkMicro_SimHandoff(b *testing.B) {
 	env.Shutdown()
 }
 
+// BenchmarkMicro_SimContention measures the event loop under the contention
+// of web's HTTP run, where a release or a send wakes waiters that find the
+// slot or the item already taken. In a closed loop, 5 clients share a
+// Resource of capacity 2, as the ab clients share the NIC and the httpd
+// processes the guest's vCPUs: each holds a slot for 1µs, then sends a
+// request on a Chan shared by 4 workers, as httpd's workers share its work
+// queue, and waits for the response on its own Chan. A worker takes a
+// request, works 1µs and responds. events/op counts what the process bodies
+// see, 4 per request (the slot acquired, the request taken, the work done,
+// the response received), pinned exactly; the wakeups that only wait again
+// are not among them. Like SimHandoff it gates allocs/op and B/op at zero;
+// evts/s reports raw wall-clock throughput (ungated).
+func BenchmarkMicro_SimContention(b *testing.B) {
+	env := sim.NewEnv(1)
+	const clients, workers = 5, 4
+	slots := sim.NewResource(env, 2)
+	work := sim.NewChan[int](env)
+	var resps [clients]*sim.Chan[int]
+	events := 0
+	for i := range resps {
+		resps[i] = sim.NewChan[int](env)
+		env.Spawn("client", func(p *sim.Proc) {
+			for {
+				slots.Use(p, sim.Microsecond)
+				events++
+				work.Send(i)
+				resps[i].Recv(p)
+				events++
+			}
+		})
+	}
+	for w := 0; w < workers; w++ {
+		env.Spawn("worker", func(p *sim.Proc) {
+			for {
+				i, _ := work.Recv(p)
+				events++
+				p.Sleep(sim.Microsecond)
+				events++
+				resps[i].Send(i)
+			}
+		})
+	}
+	env.RunFor(100 * sim.Microsecond)
+	events = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.RunFor(100 * sim.Microsecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(events)/secs, "evts/s")
+	}
+	env.Shutdown()
+}
+
 // BenchmarkClusterChurn runs the cluster serverless-churn artifact at full
 // scale: an 8-host fleet, 5000 micro guests at 1000 arrivals/s. Cold-start
 // percentiles, failure and migration counts, and placement spread are all

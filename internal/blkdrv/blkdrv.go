@@ -327,7 +327,7 @@ func (b *Backend) runWorker(q *vbdQueue, p *sim.Proc, buf []Req) {
 func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
 	b.Gate.Reset()
-	for _, v := range b.vbds {
+	for _, v := range xenbus.InGuestOrder(b.vbds) {
 		for _, q := range v.queues {
 			if q.proc != nil {
 				q.proc.Kill()
@@ -338,7 +338,7 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 		v.Disconnect()
 	}
 	snapshot.Reconnect(p, fast)
-	for _, v := range b.vbds {
+	for _, v := range xenbus.InGuestOrder(b.vbds) {
 		for _, q := range v.queues {
 			q.ring.Reset()
 		}

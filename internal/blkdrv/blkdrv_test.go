@@ -3,6 +3,8 @@ package blkdrv
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"xoar/internal/hv"
@@ -405,5 +407,50 @@ func TestBlkBatchingAmortizesNotifies(t *testing.T) {
 	}
 	if ratio := float64(st.ReqDescs) / float64(st.ReqNotifies); ratio < 4 {
 		t.Fatalf("%.1f request descs per notify, want >= 4", ratio)
+	}
+}
+
+// A microreboot kills and respawns the workers of every vbd in DomID order,
+// not in the order Go's map iteration happens to pick, so each restart
+// spawns the same sequence of processes.
+func TestRestartRespawnsWorkersInDomIDOrder(t *testing.T) {
+	hn := newHarness(t)
+	const restarts = 20
+	var spawned []string
+	hn.env.SetTrace(func(ev sim.TraceEvent) {
+		if ev.Kind == "spawn" && strings.HasPrefix(ev.Proc, "blkback-") {
+			spawned = append(spawned, ev.Proc)
+		}
+	})
+	hn.env.Spawn("restarter", func(p *sim.Proc) {
+		hn.back.Start(p)
+		for _, g := range []xtypes.DomID{9, 3, 6} {
+			image := fmt.Sprintf("disk-%v", g)
+			if err := hn.back.CreateImage(image, 64); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := hn.back.CreateVbd(g, image); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for i := 0; i < restarts; i++ {
+			hn.back.Restart(p, true)
+		}
+	})
+	hn.env.RunFor(20 * sim.Second)
+	hn.env.Shutdown()
+	var want []string
+	for _, g := range []xtypes.DomID{3, 6, 9} {
+		want = append(want, fmt.Sprintf("blkback-%v-q0", g))
+	}
+	if len(spawned) != restarts*len(want) {
+		t.Fatalf("%d worker spawns over %d restarts, want %d", len(spawned), restarts, restarts*len(want))
+	}
+	for i := 0; i < restarts; i++ {
+		if got := spawned[i*len(want) : (i+1)*len(want)]; !slices.Equal(got, want) {
+			t.Fatalf("restart %d spawned %v, want %v", i, got, want)
+		}
 	}
 }

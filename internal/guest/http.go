@@ -145,11 +145,21 @@ func (vm *VM) RunHTTPBench(p *sim.Proc, totalRequests, concurrency, pageBytes in
 	const synLossFraction = 0.8
 
 	client := func(cp *sim.Proc) {
+		// One response channel serves all of the client's requests. A
+		// duplicate response (the server answering a retransmit too) can
+		// still sit in it after its request completed; draining it before
+		// the next request registers makes it as empty as a fresh one, and
+		// no response reaches it for a seq already removed from waiters.
+		respCh := sim.NewChan[int](env)
 		for remaining > 0 {
 			remaining--
 			nextSeq++
 			seq := nextSeq
-			respCh := sim.NewChan[int](env)
+			for {
+				if _, ok := respCh.TryRecv(); !ok {
+					break
+				}
+			}
 			waiters[seq] = respCh
 			start := cp.Now()
 			dataRTO := rtoInitial

@@ -405,7 +405,7 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
 	b.Gate.Reset()
 	// Break every ring: frontends observe the disconnect.
-	for _, v := range b.vifs {
+	for _, v := range xenbus.InGuestOrder(b.vifs) {
 		b.stopPumps(v)
 		for _, q := range v.queues {
 			q.rx.Break()
@@ -423,7 +423,7 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	// Re-attach to live hardware (device state was left intact), then
 	// restore vif configuration from the recovery box or renegotiate it.
 	snapshot.Reconnect(p, fast)
-	for _, v := range b.vifs {
+	for _, v := range xenbus.InGuestOrder(b.vifs) {
 		for _, q := range v.queues {
 			q.rx.Reset()
 			q.tx.Reset()

@@ -2,7 +2,9 @@ package netdrv
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -515,5 +517,42 @@ func TestTxBatchingAmortizesNotifies(t *testing.T) {
 	baseDescs, baseNotifies := run(true)
 	if baseDescs != baseNotifies {
 		t.Fatalf("ablated run: %d descs vs %d notifies, want 1:1", baseDescs, baseNotifies)
+	}
+}
+
+// A microreboot kills and respawns the pumps of every vif in DomID order,
+// not in the order Go's map iteration happens to pick, so each restart
+// spawns the same sequence of processes.
+func TestRestartRespawnsPumpsInDomIDOrder(t *testing.T) {
+	hn := newHarness(t, true)
+	const restarts = 20
+	var spawned []string
+	hn.env.SetTrace(func(ev sim.TraceEvent) {
+		if ev.Kind == "spawn" && strings.HasPrefix(ev.Proc, "netback-") {
+			spawned = append(spawned, ev.Proc)
+		}
+	})
+	hn.env.Spawn("restarter", func(p *sim.Proc) {
+		hn.back.Start(p)
+		for _, g := range []xtypes.DomID{9, 3, 6} {
+			hn.back.CreateVif(g)
+		}
+		for i := 0; i < restarts; i++ {
+			hn.back.Restart(p, true)
+		}
+	})
+	hn.env.RunFor(20 * sim.Second)
+	hn.env.Shutdown()
+	var want []string
+	for _, g := range []xtypes.DomID{3, 6, 9} {
+		want = append(want, fmt.Sprintf("netback-rx-%v-q0", g), fmt.Sprintf("netback-tx-%v-q0", g))
+	}
+	if len(spawned) != restarts*len(want) {
+		t.Fatalf("%d pump spawns over %d restarts, want %d", len(spawned), restarts, restarts*len(want))
+	}
+	for i := 0; i < restarts; i++ {
+		if got := spawned[i*len(want) : (i+1)*len(want)]; !slices.Equal(got, want) {
+			t.Fatalf("restart %d spawned %v, want %v", i, got, want)
+		}
 	}
 }

@@ -23,7 +23,8 @@ import "iter"
 // one, declares go 1.22 and builds with -mod=readonly, so a higher go line
 // here would break its build.
 type coro struct {
-	proc  *Proc // process to run on the next turn, nil while parked
+	proc  *Proc         // process to run on the next turn, nil while parked
+	body  func(p *Proc) // proc's body, handed over by Spawn
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -44,8 +45,9 @@ func newCoro() *coro {
 func (c *coro) loop(yield func(struct{}) bool) {
 	c.yield = yield
 	for {
-		p := c.proc
-		p.run()
+		p, body := c.proc, c.body
+		c.body = nil
+		p.run(body)
 		c.proc, p.co = nil, nil
 		p.env.coros = append(p.env.coros, c)
 		if !yield(struct{}{}) {

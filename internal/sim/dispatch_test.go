@@ -151,6 +151,9 @@ func TestDispatchOrderProperty(t *testing.T) {
 	}
 }
 
+// cancelChurn is how many timers a churn burst arms and cancels at once.
+const cancelChurn = 128
+
 func dispatchScenario(seed int64) string {
 	env := NewEnv(seed)
 	defer env.Shutdown()
@@ -190,7 +193,7 @@ func dispatchScenario(seed int64) string {
 			case 7:
 				l.after(0, act)()
 			case 8:
-				for j := 0; j < compactMinQueue; j++ {
+				for j := 0; j < cancelChurn; j++ {
 					env.After(Second, func() {})()
 				}
 			case 9:
@@ -241,7 +244,7 @@ func dispatchScenario(seed int64) string {
 	// C churns cancels until the queue compacts, with A's work pending.
 	l.after(T, func() {
 		before := env.Compactions()
-		for j := 0; j < 4*compactMinQueue; j++ {
+		for j := 0; j < 4*cancelChurn; j++ {
 			env.After(Second, func() {})()
 		}
 		compacted = env.Compactions() > before

@@ -2,6 +2,12 @@ package sim
 
 import "testing"
 
+// deadQueueBound is the most entries a queue with no live event may hold
+// once a cancel or a dispatch has run: a canceled timer with nothing live
+// beside it is more than half the queue, so it is compacted at once, and
+// the dispatch loop discards dead entries at the front.
+const deadQueueBound = 1
+
 // TestScheduleCancelBoundedQueue is the regression test for stale-event
 // compaction: a workload that arms and immediately cancels timers in a loop
 // (the shape left behind by short-lived guests tearing down their watchdogs)
@@ -12,9 +18,9 @@ func TestScheduleCancelBoundedQueue(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		cancel := env.After(Second, func() {})
 		cancel()
-	}
-	if n := env.QueueLen(); n > 4*compactMinQueue {
-		t.Fatalf("queue holds %d entries after %d schedule-and-cancel rounds; compaction should bound it near %d", n, rounds, compactMinQueue)
+		if n := env.QueueLen(); n > deadQueueBound {
+			t.Fatalf("queue holds %d entries after %d schedule-and-cancel rounds; compaction should bound it at %d", n, i+1, deadQueueBound)
+		}
 	}
 	if env.Compactions() == 0 {
 		t.Fatalf("no compaction passes ran under pure cancel churn")
@@ -38,8 +44,8 @@ func TestKilledProcWakeupsCompacted(t *testing.T) {
 		p.Kill()
 	}
 	env.RunFor(Millisecond) // unwind the kills
-	if n := env.QueueLen(); n > 4*compactMinQueue {
-		t.Fatalf("queue holds %d entries after killing %d sleepers; orphaned wakeups were not compacted", n, len(procs))
+	if n := env.QueueLen(); n > deadQueueBound {
+		t.Fatalf("queue holds %d entries after killing %d sleepers; orphaned wakeups were not reclaimed", n, len(procs))
 	}
 	if got := env.LiveProcs(); got != 0 {
 		t.Fatalf("%d processes still live after kill", got)

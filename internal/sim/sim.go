@@ -14,6 +14,15 @@
 // (time, sequence) order, every run with the same seed is bit-for-bit
 // reproducible, whichever coroutine dispatches.
 //
+// A Signal.Broadcast wakes every waiter, and a waiter in Resource.Acquire or
+// Chan.Recv often finds the slot or the item already taken by one woken
+// before it, and waits again. Such a process records its wait condition
+// while it waits, and the dispatch loop checks it when the wakeup comes up:
+// if it still holds, the loop re-queues the process on the signal itself,
+// exactly where the process's own Wait would, and does not resume it. The
+// wakeup is still dispatched and traced, so the event order and the trace
+// are those of resuming the process.
+//
 // Pending events live in two places. Events due at a later time wait in a
 // 4-ary min-heap. Events due at the current instant — Post, Yield, Spawn,
 // Kill and Signal.Broadcast wakeups, about half of what a data-path run
@@ -331,14 +340,20 @@ func (e *Env) discard(ev *event) {
 func (e *Env) After(d Duration, fn func()) (cancel func()) {
 	ev := e.schedule(e.now.Add(d), nil, fn)
 	gen := ev.gen
-	return func() {
-		if ev.gen != gen || ev.canceled {
-			return
-		}
-		ev.canceled = true
-		e.stale++
-		e.maybeCompact()
+	return func() { e.cancel(ev, gen) }
+}
+
+// cancel removes the callback ev if it has not fired yet. gen is ev's
+// generation when it was scheduled: once ev fires it is recycled with a new
+// generation, so a late cancel leaves alone whatever timer reuses the
+// struct.
+func (e *Env) cancel(ev *event, gen uint64) {
+	if ev.gen != gen || ev.canceled {
+		return
 	}
+	ev.canceled = true
+	e.stale++
+	e.maybeCompact()
 }
 
 // Post schedules fn to run at the current instant, after already-queued
@@ -352,19 +367,17 @@ func (e *Env) Post(fn func()) {
 	e.schedule(e.now, nil, fn)
 }
 
-// compactMinQueue is the queue size below which compaction is never worth it;
-// peekLive already discards stale events at the front lazily.
-const compactMinQueue = 128
-
-// maybeCompact drops the stale entries from the heap and the lane once more
-// than half of a non-trivial queue is dead weight — canceled timers and
-// wakeups owned by finished processes. Without this, a workload that arms
-// and cancels timers per guest (churn at fleet scale) grows the heap without
-// bound. The rebuild cannot perturb determinism: the heap's pop order is the
-// strict total order (at, seq), independent of its internal layout, and the
-// lane keeps its order.
+// maybeCompact drops the stale entries from the heap and the lane once
+// canceled events are more than half the queue. Without this, a workload
+// that arms and cancels timers per guest (churn at fleet scale) grows the
+// heap without bound, and one that arms and cancels a timer per request
+// sifts every push and pop through dead entries. A pass over n entries
+// removes more than n/2 of them, each canceled once, so compaction costs
+// amortized O(1) per cancel at any queue size. The rebuild cannot perturb
+// determinism: the heap's pop order is the strict total order (at, seq),
+// independent of its internal layout, and the lane keeps its order.
 func (e *Env) maybeCompact() {
-	if n := e.QueueLen(); n < compactMinQueue || e.stale*2 <= n {
+	if e.stale*2 <= e.QueueLen() {
 		return
 	}
 	e.queue = e.queue[:e.sweep(e.queue)]
@@ -390,12 +403,12 @@ func (e *Env) sweep(evs []*event) int {
 	return n
 }
 
-// Proc is a cooperative simulation process.
+// Proc is a cooperative simulation process. It fits the 80-byte size class:
+// its body travels to the coroutine with the process instead of living here.
 type Proc struct {
 	env    *Env
 	name   string
 	id     int
-	body   func(p *Proc)
 	co     *coro // coroutine running the body, nil once terminated
 	done   bool
 	killed bool
@@ -403,15 +416,27 @@ type Proc struct {
 	// has at most one (it is blocked on exactly one thing); tracking it lets
 	// Kill cancel the orphaned wakeup instead of leaving it to bloat the heap.
 	pending *event
+	// cond is the wait condition of the Resource.Acquire or Chan.Recv the
+	// process is waiting in, nil otherwise. step checks it before resuming
+	// the process.
+	cond waitCond
 	// doneWatchers are signalled when the process terminates.
 	doneSig *Signal
+}
+
+// waitCond is the loop condition of a call that waits on a Signal until it
+// can proceed: Resource.Acquire and Chan.Recv.
+type waitCond interface {
+	// rewait returns the Signal to wait on again while the condition holds,
+	// nil once the call can proceed.
+	rewait() *Signal
 }
 
 // Spawn starts a new process running fn. fn begins executing at the current
 // virtual time, after the currently running process next yields.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{env: e, name: name, id: e.nextID, body: fn}
+	p := &Proc{env: e, name: name, id: e.nextID}
 	if n := len(e.coros); n > 0 {
 		p.co = e.coros[n-1]
 		e.coros[n-1] = nil
@@ -419,7 +444,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	} else {
 		p.co = newCoro()
 	}
-	p.co.proc = p
+	p.co.proc, p.co.body = p, fn
 	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	e.emitTrace("spawn", name)
@@ -430,7 +455,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 // run executes the process body on its coroutine and marks the process
 // terminated. A Kill unwinds the body through the procKilled panic, so its
 // deferred releases run; any other panic propagates to the scheduler.
-func (p *Proc) run() {
+func (p *Proc) run(body func(p *Proc)) {
 	if !p.killed {
 		func() {
 			defer func() {
@@ -441,10 +466,10 @@ func (p *Proc) run() {
 					panic(r)
 				}
 			}()
-			p.body(p)
+			body(p)
 		}()
 	}
-	p.body = nil
+	p.cond = nil // a Kill unwinds a waiting body without clearing it
 	p.done = true
 	delete(p.env.procs, p)
 	p.doneSig.Broadcast()
@@ -551,6 +576,11 @@ func (e *Env) remove(ev *event) {
 // ends the loop with true, so block returns straight into the body.
 // Otherwise step reports false once nothing more is due by the deadline.
 //
+// A wakeup of a live process whose wait condition still holds does not
+// resume it: the loop puts the process back on its signal's waiter list, as
+// the Wait in the process's own loop would, and goes on. That holds for self
+// too, which then keeps dispatching as if its body had waited again.
+//
 // A process the caller of Run resumed runs the loop as disp whenever it
 // blocks. Like the caller of Run, disp runs a callback in place and resumes
 // another process with one coroutine switch; that process hands control back
@@ -597,6 +627,9 @@ func (e *Env) step(self *Proc) bool {
 		e.recycle(ev)
 		e.lastEv = p.name
 		e.emitTrace("resume", p.name)
+		if p.cond != nil && p.requeue() {
+			continue
+		}
 		if p == self {
 			return true
 		}
@@ -606,6 +639,24 @@ func (e *Env) step(self *Proc) bool {
 			panic(r)
 		}
 	}
+}
+
+// requeue puts p, whose wakeup step just dispatched, back on the signal it
+// waits on when p is live and its wait condition still holds, as the Wait
+// in p's own loop would, and reports whether it did. Only the wakeups of
+// waiters in Resource.Acquire and Chan.Recv get here; it is a call of its
+// own so that the loop in step, which every event runs, stays short.
+func (p *Proc) requeue() bool {
+	if p.killed {
+		return false
+	}
+	//xoarlint:allow(hotpath) cond is a *Resource or a *Chan[T]; (*Resource).rewait and (*Chan[T]).rewait only compare fields and return one
+	s := p.cond.rewait()
+	if s == nil {
+		return false
+	}
+	s.enqueue(p)
+	return true
 }
 
 // endLoop ends disp's dispatch loop, keeping a panic from a process or

@@ -13,11 +13,25 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Wait blocks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
+	s.enqueue(p)
+	p.block()
+}
+
+// waitWhile is Wait for a caller that loops on c: it records c on p while p
+// waits, so the dispatch loop can re-queue p itself instead of resuming it
+// while c still holds.
+func (s *Signal) waitWhile(p *Proc, c waitCond) {
+	p.cond = c
+	s.Wait(p)
+	p.cond = nil
+}
+
+// enqueue adds p to the back of the waiter list.
+func (s *Signal) enqueue(p *Proc) {
 	// The waiter list retains its capacity across Broadcast, so in steady
 	// state (bounded concurrent waiters) this append never grows the slice.
 	//xoarlint:allow(hotpath) waiter list growth is bounded by concurrent waiters; steady state reuses capacity retained by Broadcast
 	s.waiters = append(s.waiters, p)
-	p.block()
 }
 
 // Broadcast wakes every process currently waiting. The wakeups are scheduled
@@ -53,6 +67,9 @@ type Chan[T any] struct {
 	head   int
 	sig    *Signal
 	closed bool
+	// wake is sig.Broadcast, bound by the first RecvTimeout: the timeout
+	// callback of every RecvTimeout, so none allocates one.
+	wake func()
 }
 
 // NewChan returns an empty queue bound to env.
@@ -114,9 +131,18 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 			var zero T
 			return zero, false
 		}
-		c.sig.Wait(p)
+		c.sig.waitWhile(p, c)
 	}
 	return c.pop(), true
+}
+
+// rewait implements waitCond for Recv: a waiter waits again while the queue
+// is empty and open.
+func (c *Chan[T]) rewait() *Signal {
+	if c.Len() == 0 && !c.closed {
+		return c.sig
+	}
+	return nil
 }
 
 // TryRecv dequeues the next value without blocking. ok is false when the
@@ -130,21 +156,19 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 }
 
 // RecvTimeout dequeues the next value, giving up after d. ok is false on
-// timeout or close.
+// timeout or close. The timeout is a Broadcast at the deadline, which wakes
+// the waiter to find the clock there; it is canceled on return, and it
+// allocates nothing after the channel's first RecvTimeout.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := p.env.now.Add(d)
-	timedOut := false
-	cancel := p.env.After(d, func() {
-		timedOut = true
-		c.sig.Broadcast() // wake the waiter so it re-checks
-	})
-	defer cancel()
+	env := p.env
+	deadline := env.now.Add(d)
+	if c.wake == nil {
+		c.wake = c.sig.Broadcast
+	}
+	ev := env.schedule(deadline, nil, c.wake)
+	defer env.cancel(ev, ev.gen)
 	for c.Len() == 0 {
-		if c.closed {
-			var zero T
-			return zero, false
-		}
-		if timedOut || p.env.now >= deadline {
+		if c.closed || env.now >= deadline {
 			var zero T
 			return zero, false
 		}
@@ -157,8 +181,11 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
 func (c *Chan[T]) Len() int { return len(c.items) - c.head }
 
 // Resource models a server with fixed capacity (a CPU, a disk arm, a bus).
-// Acquire blocks while all slots are busy; requests are served FIFO, which
-// under small work quanta approximates processor sharing closely enough for
+// Acquire blocks while all slots are busy. Release wakes every waiter: the
+// first to run while a slot is free takes it, and the rest go back to the
+// end of the waiter list, behind any process that started waiting after the
+// release (the dispatch loop re-queues them without resuming them). Under
+// small work quanta this approximates processor sharing closely enough for
 // the throughput experiments.
 type Resource struct {
 	env      *Env
@@ -188,10 +215,19 @@ func (r *Resource) account() {
 // Acquire blocks p until a slot is free, then claims it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.capacity {
-		r.sig.Wait(p)
+		r.sig.waitWhile(p, r)
 	}
 	r.account()
 	r.inUse++
+}
+
+// rewait implements waitCond for Acquire: a waiter waits again while every
+// slot is busy.
+func (r *Resource) rewait() *Signal {
+	if r.inUse >= r.capacity {
+		return r.sig
+	}
+	return nil
 }
 
 // Release frees a slot claimed by Acquire.

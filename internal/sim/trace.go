@@ -6,7 +6,11 @@ import "fmt"
 type TraceEvent struct {
 	At Time
 	// Kind is "resume" for process resumptions, "callback" for After
-	// callbacks, "spawn" and "kill" for lifecycle actions.
+	// callbacks, "spawn" and "kill" for lifecycle actions. A wakeup the
+	// dispatch loop re-queues on its signal without resuming the process,
+	// because the process's Resource.Acquire or Chan.Recv would only wait
+	// again, is a "resume" too: the trace is the one the process's own
+	// wait loop would give.
 	Kind string
 	// Proc is the affected process's name ("" for callbacks).
 	Proc string

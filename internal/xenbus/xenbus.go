@@ -16,6 +16,7 @@ package xenbus
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -233,6 +234,23 @@ func (d *Device) Remove() {
 	d.release()
 	d.Connected = false
 	d.back.XS.Rm(xenstore.TxNone, d.backPath)
+}
+
+// InGuestOrder returns the devices of m, a backend's devices by guest, in
+// DomID order. A microreboot kills and respawns each device's processes in
+// this order instead of the map's, which Go randomizes per range, so the
+// processes' IDs and the trace of a restart are the same on every run.
+func InGuestOrder[D any](m map[xtypes.DomID]D) []D {
+	guests := make([]xtypes.DomID, 0, len(m))
+	for g := range m {
+		guests = append(guests, g)
+	}
+	slices.Sort(guests)
+	ds := make([]D, len(guests))
+	for i, g := range guests {
+		ds[i] = m[g]
+	}
+	return ds
 }
 
 // WaitReconnect blocks until connected reports true or timeout passes,
