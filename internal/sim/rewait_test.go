@@ -454,3 +454,12 @@ func TestProcFitsSizeClass(t *testing.T) {
 		t.Fatalf("Proc is %d bytes, past the 80-byte size class", size)
 	}
 }
+
+// TestCoroFitsSizeClass keeps coro within Go's 32-byte size class on 64-bit
+// platforms: every coroutine a Spawn starts allocates one, and a fifth word
+// would move it into the 48-byte class.
+func TestCoroFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(coro{}); size > 32 {
+		t.Fatalf("coro is %d bytes, past the 32-byte size class", size)
+	}
+}

@@ -491,10 +491,12 @@ func (p *Proc) Done() bool { return p.done }
 // hands it without a coroutine switch when no other event comes first.
 // Otherwise block yields: to the dispatch loop that resumed the process, or
 // to the caller of Run once nothing more is due by the deadline. Must only
-// be called from within the process's own body. A yield that reports false
-// means the coroutine was stopped; the body unwinds as if killed.
+// be called from within the process's own body.
 func (p *Proc) block() {
-	if (!p.env.step(p) && !p.co.yield(struct{}{})) || p.killed {
+	if !p.env.step(p) {
+		p.co.yield(struct{}{})
+	}
+	if p.killed {
 		panic(procKilled{})
 	}
 }
@@ -720,7 +722,7 @@ func (e *Env) RunAll() Time {
 	return e.now
 }
 
-// Shutdown kills every live process and stops the parked coroutines, so no
+// Shutdown kills every live process and ends the parked coroutines, so no
 // goroutine outlives the Env. Call when a simulation ends with processes
 // still blocked (e.g. servers in accept loops); it keeps long test runs from
 // accumulating goroutines.
@@ -737,7 +739,7 @@ func (e *Env) Shutdown() {
 	e.until = maxTime
 	e.step(nil)
 	for _, c := range e.coros {
-		c.stop()
+		c.next() // resumed with no process, the coroutine's loop returns
 	}
 	e.coros = nil
 	e.stopped = true

@@ -46,17 +46,15 @@ type PrivMatrix struct {
 // pkgs and returns the privilege matrix. Diagnostics are not reported here;
 // RunAll owns enforcement, this owns the artifact.
 func BuildPrivMatrix(pkgs []*Package) (*PrivMatrix, error) {
-	for _, p := range pkgs {
-		if p.Path != hvPath {
-			continue
-		}
-		_, entries := privflowPackage(p)
-		if len(entries) == 0 {
-			continue // external-test unit of hv: no methods
-		}
-		return &PrivMatrix{Source: hvPath, Entrypoints: entries}, nil
+	flows := hvFlows(pkgs)
+	if len(flows) == 0 {
+		return nil, fmt.Errorf("xoarlint: %s not among the loaded packages", hvPath)
 	}
-	return nil, fmt.Errorf("xoarlint: %s not among the loaded packages", hvPath)
+	m := &PrivMatrix{Source: hvPath}
+	for _, c := range flows {
+		m.Entrypoints = append(m.Entrypoints, c.row)
+	}
+	return m, nil
 }
 
 // EncodeJSON renders the matrix in its canonical checked-in form:

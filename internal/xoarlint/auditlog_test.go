@@ -28,6 +28,7 @@ type Hypervisor struct {
 	domains    map[xtypes.DomID]*Domain
 	virqRoutes map[int]xtypes.DomID
 	Sink       func(Event)
+	Fault      func(op string) error
 }
 
 func (h *Hypervisor) emit(kind string, dom xtypes.DomID, arg string) {
@@ -71,6 +72,33 @@ func (h *Hypervisor) DropRoute(caller xtypes.DomID, virq int) error {
 func (h *Hypervisor) Lookup(caller, target xtypes.DomID) *Domain {
 	return h.domains[target]
 }
+
+func (h *Hypervisor) setParent(guest, tool xtypes.DomID) {
+	h.domains[guest].parentTool = tool
+}
+
+// Lifecycle mutation through a bound method value, no emit: flagged.
+func (h *Hypervisor) ReparentBound(caller, guest, tool xtypes.DomID) error {
+	f := h.setParent
+	f(guest, tool)
+	return nil
+}
+
+// Lifecycle mutation through a pointer alias, no emit: flagged.
+func (h *Hypervisor) ReparentPtr(caller, guest, tool xtypes.DomID) error {
+	p := &h.domains[guest].parentTool
+	*p = tool
+	return nil
+}
+
+// A func-typed field that takes no Event is not an audit sink: flagged.
+func (h *Hypervisor) RouteWithFault(caller xtypes.DomID, virq int) error {
+	if err := h.Fault("route"); err != nil {
+		return err
+	}
+	h.virqRoutes[virq] = caller
+	return nil
+}
 `
 
 func TestAuditlogGaps(t *testing.T) {
@@ -78,6 +106,9 @@ func TestAuditlogGaps(t *testing.T) {
 	wantDiags(t, diagsOf(t, "auditlog", p),
 		"hv.SetParent mutates lifecycle/privilege state (Domain.parentTool) without appending an audit event through h's Event sink",
 		"hv.DropRoute mutates lifecycle/privilege state (virqRoutes) without appending an audit event through h's Event sink",
+		"hv.ReparentBound mutates lifecycle/privilege state (Domain.parentTool)",
+		"hv.ReparentPtr mutates lifecycle/privilege state (Domain.parentTool)",
+		"hv.RouteWithFault mutates lifecycle/privilege state (virqRoutes)",
 	)
 }
 

@@ -22,9 +22,9 @@ type Domain struct {
 	State int
 }
 
-type Evtchn struct{}
+type Evtchn struct{ handlers map[xtypes.DomID]func() }
 
-func (e *Evtchn) SetHandler(dom xtypes.DomID, fn func()) {}
+func (e *Evtchn) SetHandler(dom xtypes.DomID, fn func()) { e.handlers[dom] = fn }
 
 type Hypervisor struct {
 	domains   map[xtypes.DomID]*Domain
@@ -212,6 +212,9 @@ func TestFuncflowMatrixRows(t *testing.T) {
 	}
 	if got := rows["SneakyDeferred"].Mutates; len(got) != 2 || got[0] != "domains" || got[1] != "onDestroy" {
 		t.Errorf("SneakyDeferred mutates = %v, want [domains onDestroy]", got)
+	}
+	if got := rows["MethodValueStored"].Mutates; len(got) != 2 || got[0] != "Evtchn" || got[1] != "domains" {
+		t.Errorf("MethodValueStored mutates = %v, want [Evtchn domains] (SetHandler writes its registry)", got)
 	}
 	if got := rows["Notify"].Mutates; len(got) != 0 {
 		t.Errorf("Notify mutates = %v, want none (Sink calls are external wiring)", got)

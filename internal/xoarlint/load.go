@@ -33,34 +33,31 @@ func LoadModule(dir string) ([]*Package, error) {
 // import path from the enclosing module. Its module imports are type-checked
 // from source, and a type error fails the load, as in LoadModule.
 func LoadModuleDir(dir string) ([]*Package, error) {
-	l, err := loadModuleTree(dir)
-	if err != nil {
-		return nil, err
-	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	path := importPathFor(l.root, l.module, abs)
-	if l.dirs[path] == nil {
-		if err := l.parseDir(abs, path); err != nil {
-			return nil, err
-		}
+	root, module, err := findModule(abs)
+	if err != nil {
+		return nil, err
 	}
-	return l.load(path)
+	return newLoader(module, root).loadDir(abs, importPathFor(root, module, abs))
 }
 
 // LoadDir loads the package units in a single directory under the given
 // import path. The path override lets tests present synthetic sources as any
 // package identity ("xoar/internal/hv") without living in the module tree.
-// Standard-library imports resolve; any other import is an empty package,
-// and the type errors that follow are ignored.
+// Imports of the module containing the working directory are type-checked
+// from its source, as in LoadModuleDir; any other import outside the standard
+// library is an empty package. Type errors are ignored.
 func LoadDir(dir, importPath string) ([]*Package, error) {
-	l := newLoader("", "")
-	if err := l.parseDir(dir, importPath); err != nil {
+	root, module, err := findModule(".")
+	if err != nil {
 		return nil, err
 	}
-	return l.load(importPath)
+	l := newLoader(module, root)
+	l.tolerant = true
+	return l.loadDir(dir, importPath)
 }
 
 // findModule locates go.mod upward from dir and returns the module root and
@@ -101,9 +98,11 @@ func importPathFor(root, modName, dir string) string {
 // comes from the toolchain's export data, and anything else is an empty
 // package.
 type loader struct {
-	fset *token.FileSet
-	// module and root are empty when loading fixtures outside any module.
+	fset         *token.FileSet
 	module, root string
+	// tolerant ignores type errors, for fixtures that import what does not
+	// exist.
+	tolerant bool
 	// dirs holds the parsed units of each directory by import path, sorted
 	// by package name; order lists the import paths in walk order.
 	dirs  map[string][]*Package
@@ -113,7 +112,7 @@ type loader struct {
 	// exports maps each imported standard-library path to its export data.
 	exports map[string]string
 	std     types.Importer
-	// err is the first type error in a module package.
+	// err is the first type error, unless the loader is tolerant.
 	err error
 }
 
@@ -194,6 +193,50 @@ func (l *loader) parseDir(dir, importPath string) error {
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Name < pkgs[j].Name })
 	l.dirs[importPath] = pkgs
 	l.order = append(l.order, importPath)
+	return nil
+}
+
+// loadDir parses one directory under the given import path, then the module
+// packages it imports, and loads its units.
+func (l *loader) loadDir(dir, importPath string) ([]*Package, error) {
+	if err := l.parseDir(dir, importPath); err != nil {
+		return nil, err
+	}
+	if err := l.parseImports(importPath); err != nil {
+		return nil, err
+	}
+	return l.load(importPath)
+}
+
+// parseImports parses, from the module source, the module packages that the
+// units of path import, and theirs in turn. An imported package is checked
+// without its tests, so only path's own test files add imports.
+func (l *loader) parseImports(path string) error {
+	seen := map[string]bool{path: true}
+	for queue := []string{path}; len(queue) > 0; queue = queue[1:] {
+		for _, u := range l.dirs[queue[0]] {
+			for _, f := range u.Files {
+				if u.Test[f] && queue[0] != path {
+					continue
+				}
+				for _, imp := range f.Imports {
+					dep, _ := strconv.Unquote(imp.Path.Value)
+					if seen[dep] || !strings.HasPrefix(dep+"/", l.module+"/") {
+						continue
+					}
+					seen[dep] = true
+					dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(dep, l.module)))
+					if _, err := os.Stat(dir); err != nil {
+						continue // not in the module: an empty package
+					}
+					if err := l.parseDir(dir, dep); err != nil {
+						return err
+					}
+					queue = append(queue, dep)
+				}
+			}
+		}
+	}
 	return nil
 }
 
@@ -336,16 +379,15 @@ func (l *loader) checkUnit(u *Package) {
 	l.check(checkPath, u.Files, u.Info)
 }
 
-// check type-checks one set of files. In a module the first error is kept
-// as the load error; fixtures outside a module import packages that do not
-// exist, so their errors are ignored.
+// check type-checks one set of files. The first error is kept as the load
+// error, unless the loader is tolerant.
 func (l *loader) check(path string, files []*ast.File, info *types.Info) *types.Package {
 	conf := types.Config{Importer: l}
-	if l.module == "" {
+	if l.tolerant {
 		conf.Error = func(error) {}
 	}
 	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil && l.module != "" && l.err == nil {
+	if err != nil && !l.tolerant && l.err == nil {
 		l.err = fmt.Errorf("xoarlint: %s does not type-check: %w", path, err)
 	}
 	return pkg

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -19,11 +22,28 @@ import (
 //     of hypervisor state. An audit after the mutation, on one branch only,
 //     or whose error is dropped fails it.
 //
-// The analysis is interprocedural over the *Hypervisor method graph: helper
-// calls are inlined under the caller's fact set (so a mutation buried in
-// h.destroy is checked against the audits its callers performed), and a
-// helper that performs and enforces an audit itself, like h.gate, credits
-// its callers once *they* enforce its result.
+// The walk runs on the loader's go/types information, through the resolvers
+// hotpath uses (calleeObj, funcFieldKey, namedOf): every callee, field,
+// parameter, xtypes.Hypercall constant and local is the object the type
+// checker resolved, never a name. It is interprocedural over the hv
+// package's own code: a call to a *Hypervisor method or a package function
+// is inlined under the caller's fact set (so a mutation buried in h.destroy
+// is checked against the audits its callers performed), and a helper that
+// performs and enforces an audit itself, like h.gate, credits its callers
+// once *they* enforce its result.
+//
+// State. A write mutates when the location it stores to is reached through
+// a field of the Hypervisor struct (other than exemptCounterFields) or
+// through one of the Domain fields in domainStateFields. Locals are keyed by
+// types.Object, so an alias carries its root: after g := h.Grants, st :=
+// &d.State or d := h.domains[id], a store through the local is a store
+// through its right-hand side. A method call whose receiver is reached the
+// same way (h.MM.SetMaxMem, d.Mem.Rollback, g.Revoke) mutates when the
+// callee's computed summary says so: the method, or a function of its own
+// package it calls, writes state of a type that package declares. A callee
+// whose body is not loaded counts as writing. A write is labelled by the
+// field it roots in ("domains", "Domain.State"), a call by the fields up to
+// the object whose method runs ("Machine.Bus", "Domain.Mem").
 //
 // Facts and enforcement. Calling h.check(caller, xtypes.HyperX) or
 // h.controls(caller, d) establishes nothing by itself: the result must be
@@ -32,9 +52,9 @@ import (
 // { return err }` guard); a bool audit becomes a fact on the edge where it
 // is true (`if !h.controls(...) { return ... }`). Branches merge by
 // intersection, loops keep only entry facts, and a fact only satisfies
-// dominance when the audited identifier is (bound to) one of the entry
-// point's own DomID parameters — auditing a constant is still a forgotten
-// audit.
+// dominance when the audited variable is (bound to) one of the entry
+// point's own DomID parameters — auditing a constant, or a local that
+// shadows the parameter, is still a forgotten audit.
 //
 // Function values (funcflow). Privilege also flows through functions as
 // data: closures stored into func-typed fields (h.Sink), callback
@@ -56,21 +76,26 @@ import (
 // A privileged mutation hidden behind a stored closure is therefore flagged
 // unless the closure re-audits for itself.
 //
-// The same walk powers the PRIVMATRIX.json artifact (see artifact.go): per
-// entry point, the specific xtypes.Hyper* privileges checked, whether
-// management rights are consulted, and which state roots are mutated — the
-// Go analogue of the paper's Table 3.1 per-shard whitelist surface.
+// The same walk powers the PRIVMATRIX.json artifact (see artifact.go) and
+// the auditlog pass: per entry point, the specific xtypes.Hyper* privileges
+// checked, whether management rights are consulted, which state roots are
+// mutated — the Go analogue of the paper's Table 3.1 per-shard whitelist
+// surface — and, for auditlog, which topology changes it makes and whether
+// it emits an audit event.
 
 func init() {
 	Register(&Analyzer{
-		Name: "privflow",
-		Doc:  "every hv entry point taking a DomID must audit the caller, and every hv state mutation must be dominated by an enforced h.check/h.controls audit on it (flow-sensitive, interprocedural)",
-		Run:  runPrivflow,
+		Name:      "privflow",
+		Doc:       "every hv entry point taking a DomID must audit the caller, and every hv state mutation must be dominated by an enforced h.check/h.controls audit on it (flow-sensitive, interprocedural)",
+		RunModule: runPrivflow,
 	})
 }
 
-func runPrivflow(p *Package) []Diagnostic {
-	diags, _ := privflowPackage(p)
+func runPrivflow(pkgs []*Package) []Diagnostic {
+	var diags []Diagnostic
+	for _, c := range hvFlows(pkgs) {
+		diags = append(diags, c.diags...)
+	}
 	return diags
 }
 
@@ -104,27 +129,6 @@ var exemptCounterFields = map[string]bool{
 	"DeniedCalls":    true,
 }
 
-// hvStateObjects are *Hypervisor fields holding privileged machine state;
-// any method call through them is a mutation unless listed read-only.
-var hvStateObjects = map[string]bool{
-	"MM":      true,
-	"Grants":  true,
-	"Evtchn":  true,
-	"Machine": true,
-}
-
-// readOnlyStateCalls are query methods on state objects (and on
-// Domain.Mem) that observe without mutating.
-var readOnlyStateCalls = map[string]bool{
-	"Devices":    true,
-	"AssignedTo": true,
-	"Snapshot":   true,
-	"DirtyPages": true,
-	"Read":       true,
-	"Pages":      true,
-	"FreeMB":     true,
-}
-
 // domainStateFields are *Domain fields that carry privilege, lifecycle or
 // memory-image state; writing them (or calling through Mem) from a
 // hypercall entry point requires a dominating audit.
@@ -141,179 +145,171 @@ var domainStateFields = map[string]bool{
 	"ExitReason":    true,
 }
 
-// hvMethod is one method on *hv.Hypervisor, with its xtypes.DomID
-// parameters.
-type hvMethod struct {
-	fn   *ast.FuncDecl
-	recv string
-	dom  map[string]bool
+// hvAnalysis binds the policy lists to the hv package's own objects and
+// holds what the walks of its entry points share.
+type hvAnalysis struct {
+	p     *Package
+	funcs map[string]*hpFunc // every loaded function, by funcKey
+	hv    *types.Named       // Hypervisor
+	// check and controls are the audit primitives.
+	check, controls *types.Func
+	// state maps each field a mutation roots in to its label prefix: "" for
+	// a Hypervisor field, "Domain." for one of domainStateFields.
+	state map[*types.Var]string
+	// topology is auditlog's subset of state, with the same prefixes.
+	topology map[*types.Var]string
+	// sinks are the func-typed Hypervisor fields taking an Event, by
+	// funcFieldKey: calling through one emits an audit event.
+	sinks map[string]bool
+	// wrote memoizes writes; busy marks the summaries being computed.
+	wrote, busy map[string]bool
+	cycles      int
 }
 
-// receiverName returns the receiver identifier of a method on *typeName (or
-// typeName), or "" if the receiver is a different type or anonymous.
-func receiverName(fn *ast.FuncDecl, typeName string) string {
-	if len(fn.Recv.List) != 1 {
-		return ""
+func newHVAnalysis(p *Package, funcs map[string]*hpFunc) *hvAnalysis {
+	if p.Path != hvPath {
+		return nil
 	}
-	field := fn.Recv.List[0]
-	t := field.Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
+	var scope *types.Scope
+	for _, obj := range p.Info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && tn.Name() == "Hypervisor" && tn.Parent() == tn.Pkg().Scope() {
+			scope = tn.Pkg().Scope()
+		}
 	}
-	id, ok := t.(*ast.Ident)
-	if !ok || id.Name != typeName {
-		return ""
+	if scope == nil {
+		return nil // the external test unit of hv
 	}
-	if len(field.Names) != 1 {
-		return ""
+	a := &hvAnalysis{p: p, funcs: funcs, state: map[*types.Var]string{}, topology: map[*types.Var]string{},
+		sinks: map[string]bool{}, wrote: map[string]bool{}, busy: map[string]bool{}}
+	a.hv = namedOf(scope.Lookup("Hypervisor").Type())
+	a.check, a.controls = method(a.hv, "check"), method(a.hv, "controls")
+	event := scope.Lookup("Event")
+	for _, f := range structFields(a.hv) {
+		if !exemptCounterFields[f.Name()] {
+			a.state[f] = ""
+		}
+		if auditlogHVFields[f.Name()] {
+			a.topology[f] = ""
+		}
+		if sig, ok := under(f.Type()).(*types.Signature); ok && event != nil &&
+			slices.ContainsFunc(params(sig), func(v *types.Var) bool { return types.Identical(v.Type(), event.Type()) }) {
+			a.sinks[typeKey(a.hv)+"."+f.Name()] = true
+		}
 	}
-	return field.Names[0].Name
+	if dom, ok := scope.Lookup("Domain").(*types.TypeName); ok {
+		for _, f := range structFields(namedOf(dom.Type())) {
+			if domainStateFields[f.Name()] {
+				a.state[f] = "Domain."
+			}
+			if auditlogDomainFields[f.Name()] {
+				a.topology[f] = "Domain."
+			}
+		}
+	}
+	return a
 }
 
-// domIDParams returns the names of the parameters in params typed
-// xtypes.DomID.
-func domIDParams(p *Package, params *ast.FieldList) map[string]bool {
-	out := map[string]bool{}
-	if params == nil {
+func method(named *types.Named, name string) *types.Func {
+	obj, _, _ := types.LookupFieldOrMethod(named, true, named.Obj().Pkg(), name)
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+func structFields(named *types.Named) []*types.Var {
+	var out []*types.Var
+	if named == nil {
 		return out
 	}
-	for _, field := range params.List {
-		sel, ok := field.Type.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "DomID" {
-			continue
-		}
-		x, ok := sel.X.(*ast.Ident)
-		if !ok || p.pkgPathOf(x) != "xoar/internal/xtypes" {
-			continue
-		}
-		for _, n := range field.Names {
-			out[n.Name] = true
+	if st, ok := named.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			out = append(out, st.Field(i))
 		}
 	}
 	return out
 }
 
-// hypervisorMethods collects every non-test *Hypervisor method of the
-// package, keyed by name — the node set of the privilege-flow call graph.
-func hypervisorMethods(p *Package) map[string]*hvMethod {
-	out := map[string]*hvMethod{}
-	for _, f := range p.Files {
-		if p.Test[f] {
+// isXtype reports whether t is the named type xtypes.<name>.
+func isXtype(t types.Type, name string) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == xtypesPath && n.Obj().Name() == name
+}
+
+// hvFlows walks every hypercall entry point of the hv package among pkgs,
+// sorted by name: each exported *Hypervisor method taking a DomID. Exempt
+// entry points are walked too, for auditlog; their privflow findings are
+// dropped and their matrix row carries the rationale.
+func hvFlows(pkgs []*Package) []*flow {
+	funcs := moduleFuncs(pkgs)
+	var out []*flow
+	for _, p := range pkgs {
+		a := newHVAnalysis(p, funcs)
+		if a == nil {
 			continue
 		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Body == nil {
+		var entries []*hpFunc
+		for _, fn := range funcs {
+			if fn.pkg != p || !fn.decl.Name.IsExported() {
 				continue
 			}
-			recv := receiverName(fn, "Hypervisor")
-			if recv == "" {
-				continue
+			sig := p.Info.Defs[fn.decl.Name].Type().(*types.Signature)
+			if sig.Recv() != nil && namedOf(sig.Recv().Type()) == a.hv &&
+				slices.ContainsFunc(params(sig), func(v *types.Var) bool { return isXtype(v.Type(), "DomID") }) {
+				entries = append(entries, fn)
 			}
-			out[fn.Name.Name] = &hvMethod{fn: fn, recv: recv, dom: domIDParams(p, fn.Type.Params)}
+		}
+		sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+		for _, fn := range entries {
+			out = append(out, a.walk(fn))
 		}
 	}
 	return out
 }
 
-// privflowPackage analyzes every hypercall entry point of the hv package,
-// returning the diagnostics and the privilege-matrix rows. Entry points are
-// exported *Hypervisor methods taking at least one caller DomID; the exempt
-// ones get a matrix row carrying their rationale and no analysis.
-func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
-	if p.Path != hvPath {
-		return nil, nil
+func params(sig *types.Signature) []*types.Var {
+	out := make([]*types.Var, sig.Params().Len())
+	for i := range out {
+		out[i] = sig.Params().At(i)
 	}
-	methods := hypervisorMethods(p)
-	var names []string
-	for name, m := range methods {
-		if m.fn.Name.IsExported() && len(m.dom) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var diags []Diagnostic
-	var entries []PrivEntry
-	for _, name := range names {
-		if why, ok := exemptEntries[name]; ok {
-			entries = append(entries, PrivEntry{Method: name, Exempt: why})
-			continue
-		}
-		m := methods[name]
-		c := &flow{
-			p:        p,
-			methods:  methods,
-			entry:    name,
-			reported: map[string]bool{},
-			privs:    map[string]bool{},
-			mutates:  map[string]bool{},
-		}
-		fr := &frame{m: m, binding: map[string]bool{}, hc: map[string]string{}, fns: map[string]fnVal{}}
-		for pn := range m.dom {
-			fr.binding[pn] = true
-		}
-		c.stmts(fr, newFlowState(), m.fn.Body.List)
-		if len(c.privs) == 0 && !c.controls {
-			c.report(m.fn.Name.Pos(), fmt.Sprintf("hv.%s takes a caller DomID but never audits it with %s.check or %s.controls",
-				name, m.recv, m.recv))
-		}
-		diags = append(diags, c.diags...)
-		entries = append(entries, PrivEntry{
-			Method:     name,
-			Privileges: sortedKeys(c.privs),
-			Controls:   c.controls,
-			Mutates:    sortedKeys(c.mutates),
-		})
-	}
-	return diags, entries
+	return out
 }
 
 // fact is one established audit: past this program point the caller has
-// been verified against a specific privilege (kind "priv") or against
-// management rights over a target (kind "controls"). entry records whether
-// the audited identifier is bound to one of the entry point's own DomID
-// parameters; only entry facts satisfy dominance.
+// been verified against a specific privilege, or (priv == "") against
+// management rights over a target. entry records whether the audited
+// variable is bound to one of the entry point's own DomID parameters; only
+// entry facts satisfy dominance.
 type fact struct {
-	kind  string // "priv" or "controls"
-	priv  string // xtypes constant name, kind=="priv" only
-	dom   string // audited identifier, frame-local
+	priv  string
+	dom   types.Object
 	entry bool
 }
 
-func (f fact) key() string { return f.kind + ":" + f.priv + ":" + f.dom }
-
-// pend holds audit facts awaiting enforcement, bound to the variable the
-// audit's verdict was assigned to. boolPol facts hold where the variable is
-// true (h.controls); otherwise where it is nil (error results).
-type pend struct {
+// verdict is the facts an audit result carries until it is enforced: where
+// it is true for a bool audit (boolPol, h.controls), where it is nil for an
+// error result.
+type verdict struct {
 	facts   []fact
 	boolPol bool
 }
 
-// flowState is the dataflow value: established facts plus pending audits.
+// flowState is the dataflow value: established facts plus pending audits,
+// keyed by the variable the verdict was assigned to.
 type flowState struct {
-	facts   map[string]fact
-	pending map[string]pend
+	facts   map[fact]bool
+	pending map[types.Object]verdict
 }
 
 func newFlowState() *flowState {
-	return &flowState{facts: map[string]fact{}, pending: map[string]pend{}}
+	return &flowState{facts: map[fact]bool{}, pending: map[types.Object]verdict{}}
 }
 
 func (s *flowState) clone() *flowState {
-	out := newFlowState()
-	for k, f := range s.facts {
-		out.facts[k] = f
-	}
-	for k, p := range s.pending {
-		out.pending[k] = p
-	}
-	return out
+	return &flowState{facts: maps.Clone(s.facts), pending: maps.Clone(s.pending)}
 }
 
 func (s *flowState) add(fs ...fact) *flowState {
 	for _, f := range fs {
-		s.facts[f.key()] = f
+		s.facts[f] = true
 	}
 	return s
 }
@@ -322,9 +318,9 @@ func (s *flowState) add(fs ...fact) *flowState {
 // both paths survive.
 func intersectStates(a, b *flowState) *flowState {
 	out := newFlowState()
-	for k, f := range a.facts {
-		if _, ok := b.facts[k]; ok {
-			out.facts[k] = f
+	for f := range a.facts {
+		if b.facts[f] {
+			out.facts[f] = true
 		}
 	}
 	for k, p := range a.pending {
@@ -335,44 +331,65 @@ func intersectStates(a, b *flowState) *flowState {
 	return out
 }
 
-// evalRes is the audit outcome of evaluating an expression: facts that
-// become pending on whatever variable the result lands in.
-type evalRes struct {
-	facts   []fact
-	boolPol bool
+// binding is what the walk knows of a parameter or local.
+type binding struct {
+	entry bool         // a DomID carrying the entry point's caller
+	hyper string       // the xtypes.Hypercall constant the call chain bound it to
+	fn    *fnValue     // the function value it holds
+	root  []*types.Var // the path of fields to the state it aliases
 }
 
-// frame is one (possibly inlined) method activation: binding maps the
-// method's DomID parameters to whether they carry an entry-point caller;
-// hc maps parameters through which the call site passed a specific
-// xtypes.Hyper* constant (so h.gate(caller, xtypes.HyperX, target) audits
-// a statically known privilege inside the helper too); fns maps local
-// variables bound to function values (literals or method values), so a
-// later f() is analyzed at its call site.
-type frame struct {
-	m       *hvMethod
-	binding map[string]bool
-	hc      map[string]string
-	fns     map[string]fnVal
+// fnValue is a function the walk can run: a literal, or a function or
+// method the analyzed package declares.
+type fnValue struct {
+	lit  *ast.FuncLit
+	decl *hpFunc
 }
 
-// fnVal is a function value a local variable is bound to.
-type fnVal struct {
-	lit    *ast.FuncLit // f := func(...){...}
-	method *hvMethod    // f := h.reap
-}
-
-// flow analyzes one entry point.
+// flow walks one entry point. env and the fact keys are types.Objects, so
+// one map serves the entry point, its inlined helpers and its closures.
 type flow struct {
+	a        *hvAnalysis
 	p        *Package
-	methods  map[string]*hvMethod
-	entry    string
+	decl     *ast.FuncDecl
+	recv     string
+	env      map[types.Object]binding
+	stack    []walkFrame // inlined chain, for the recursion guard and messages
 	diags    []Diagnostic
-	reported map[string]bool
+	reported map[token.Pos]bool
+	row      PrivEntry
 	privs    map[string]bool
 	controls bool
 	mutates  map[string]bool
-	stack    []string // inlined helper chain, for cycle guard and messages
+	// topology and emits are auditlog's view of the same walk.
+	topology map[string]bool
+	emits    bool
+}
+
+type walkFrame struct {
+	node ast.Node
+	name string
+}
+
+func (a *hvAnalysis) walk(fn *hpFunc) *flow {
+	sig := a.p.Info.Defs[fn.decl.Name].Type().(*types.Signature)
+	c := &flow{a: a, p: a.p, decl: fn.decl, recv: sig.Recv().Name(), env: map[types.Object]binding{},
+		reported: map[token.Pos]bool{}, privs: map[string]bool{}, mutates: map[string]bool{}, topology: map[string]bool{}}
+	for _, v := range params(sig) {
+		c.env[v] = binding{entry: isXtype(v.Type(), "DomID")}
+	}
+	c.stmts(newFlowState(), fn.decl.Body.List)
+	name := fn.decl.Name.Name
+	if why, ok := exemptEntries[name]; ok {
+		c.diags, c.row = nil, PrivEntry{Method: name, Exempt: why}
+		return c
+	}
+	if len(c.privs) == 0 && !c.controls {
+		c.report(fn.decl.Name.Pos(), fmt.Sprintf("hv.%s takes a caller DomID but never audits it with %s.check or %s.controls",
+			name, c.recv, c.recv))
+	}
+	c.row = PrivEntry{Method: name, Privileges: sortedKeys(c.privs), Controls: c.controls, Mutates: sortedKeys(c.mutates)}
+	return c
 }
 
 // --- statement walk ----------------------------------------------------------
@@ -380,10 +397,10 @@ type flow struct {
 // stmts walks a statement list, threading the dataflow state; the bool
 // reports whether the list terminates (return/panic/branch) on every path
 // that reaches its end.
-func (c *flow) stmts(fr *frame, st *flowState, list []ast.Stmt) (*flowState, bool) {
+func (c *flow) stmts(st *flowState, list []ast.Stmt) (*flowState, bool) {
 	for _, s := range list {
 		var term bool
-		st, term = c.stmt(fr, st, s)
+		st, term = c.stmt(st, s)
 		if term {
 			return st, true
 		}
@@ -391,124 +408,88 @@ func (c *flow) stmts(fr *frame, st *flowState, list []ast.Stmt) (*flowState, boo
 	return st, false
 }
 
-func (c *flow) stmt(fr *frame, st *flowState, s ast.Stmt) (*flowState, bool) {
+func (c *flow) stmt(st *flowState, s ast.Stmt) (*flowState, bool) {
 	switch v := s.(type) {
 	case *ast.ReturnStmt:
 		for _, r := range v.Results {
-			c.expr(fr, st, r)
+			c.expr(st, r)
 		}
 		return st, true
 	case *ast.BranchStmt:
 		return st, true
 	case *ast.ExprStmt:
-		if call, ok := v.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				for _, a := range call.Args {
-					c.expr(fr, st, a)
-				}
+		// An audit whose result is discarded establishes nothing.
+		c.expr(st, v.X)
+		if call, ok := ast.Unparen(v.X).(*ast.CallExpr); ok {
+			if b, ok := calleeObj(c.p, call).(*types.Builtin); ok && b.Name() == "panic" {
 				return st, true
 			}
 		}
-		// An audit whose result is discarded establishes nothing.
-		c.expr(fr, st, v.X)
-		return st, false
 	case *ast.AssignStmt:
-		return c.assign(fr, st, v), false
+		c.assign(st, v.Lhs, v.Rhs)
 	case *ast.IncDecStmt:
-		c.lvalue(fr, st, v.X)
-		return st, false
+		c.store(st, v.X, nil)
 	case *ast.DeclStmt:
 		if gd, ok := v.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if len(vs.Names) == len(vs.Values) && c.bindFns(fr, vs.Names, vs.Values) {
-					continue
-				}
-				var res *evalRes
-				for _, val := range vs.Values {
-					if r := c.expr(fr, st, val); r != nil {
-						res = r
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					lhs := make([]ast.Expr, len(vs.Names))
+					for i, n := range vs.Names {
+						lhs[i] = n
 					}
+					c.assign(st, lhs, vs.Values)
 				}
-				var names []string
-				for _, n := range vs.Names {
-					delete(st.pending, n.Name)
-					names = append(names, n.Name)
-				}
-				c.attach(st, names, res)
 			}
 		}
-		return st, false
 	case *ast.IfStmt:
-		return c.ifStmt(fr, st, v)
+		return c.ifStmt(st, v)
 	case *ast.BlockStmt:
-		return c.stmts(fr, st, v.List)
+		return c.stmts(st, v.List)
 	case *ast.ForStmt:
-		if v.Init != nil {
-			st, _ = c.stmt(fr, st, v.Init)
-		}
+		st, _ = c.stmt(st, v.Init)
 		body := st.clone()
-		if v.Cond != nil {
-			pos, _ := c.cond(fr, body, v.Cond)
-			body.add(pos...)
-		}
-		out, _ := c.stmts(fr, body, v.Body.List)
-		if v.Post != nil {
-			c.stmt(fr, out, v.Post)
-		}
+		pos, _ := c.cond(body, v.Cond)
+		out, _ := c.stmts(body.add(pos...), v.Body.List)
+		c.stmt(out, v.Post)
 		return st, false // the body may run zero times: keep entry facts only
 	case *ast.RangeStmt:
-		c.expr(fr, st, v.X)
+		c.expr(st, v.X)
 		body := st.clone()
 		for _, e := range []ast.Expr{v.Key, v.Value} {
-			if id, ok := e.(*ast.Ident); ok {
-				delete(body.pending, id.Name)
+			if e != nil {
+				c.store(body, e, nil) // range variables take values the walk does not trace
 			}
 		}
-		c.stmts(fr, body, v.Body.List)
-		return st, false
+		c.stmts(body, v.Body.List)
 	case *ast.SwitchStmt:
-		if v.Init != nil {
-			st, _ = c.stmt(fr, st, v.Init)
-		}
-		if v.Tag != nil {
-			c.expr(fr, st, v.Tag)
-		}
-		return c.caseClauses(fr, st, v.Body.List)
+		st, _ = c.stmt(st, v.Init)
+		c.expr(st, v.Tag)
+		return c.caseClauses(st, v.Body.List)
 	case *ast.TypeSwitchStmt:
-		if v.Init != nil {
-			st, _ = c.stmt(fr, st, v.Init)
-		}
-		return c.caseClauses(fr, st, v.Body.List)
+		st, _ = c.stmt(st, v.Init)
+		return c.caseClauses(st, v.Body.List)
 	case *ast.SelectStmt:
 		for _, cl := range v.Body.List {
 			if comm, ok := cl.(*ast.CommClause); ok {
-				c.stmts(fr, st.clone(), comm.Body)
+				c.stmts(st.clone(), comm.Body)
 			}
 		}
-		return st, false
 	case *ast.DeferStmt:
-		c.expr(fr, st, v.Call)
-		return st, false
+		c.expr(st, v.Call)
 	case *ast.GoStmt:
-		c.expr(fr, st, v.Call)
-		return st, false
+		c.expr(st, v.Call)
 	case *ast.SendStmt:
-		c.expr(fr, st, v.Chan)
-		c.expr(fr, st, v.Value)
-		return st, false
+		c.expr(st, v.Chan)
+		c.expr(st, v.Value)
 	case *ast.LabeledStmt:
-		return c.stmt(fr, st, v.Stmt)
+		return c.stmt(st, v.Stmt)
 	}
 	return st, false
 }
 
 // caseClauses walks switch bodies: each case starts from the pre-switch
 // state and none of its facts escape (the matched case is unknown).
-func (c *flow) caseClauses(fr *frame, st *flowState, clauses []ast.Stmt) (*flowState, bool) {
+func (c *flow) caseClauses(st *flowState, clauses []ast.Stmt) (*flowState, bool) {
 	hasDefault := false
 	allTerm := len(clauses) > 0
 	for _, cs := range clauses {
@@ -520,74 +501,96 @@ func (c *flow) caseClauses(fr *frame, st *flowState, clauses []ast.Stmt) (*flowS
 			hasDefault = true
 		}
 		for _, e := range cl.List {
-			c.expr(fr, st, e)
+			c.expr(st, e)
 		}
-		if _, term := c.stmts(fr, st.clone(), cl.Body); !term {
+		if _, term := c.stmts(st.clone(), cl.Body); !term {
 			allTerm = false
 		}
 	}
 	return st, hasDefault && allTerm
 }
 
-// assign processes RHS audits/mutations, LHS mutations, and rebinds pending
-// audits to the variables their verdicts were assigned to. A function value
-// assigned to a plain local is *bound*, not escaped — its body is analyzed
-// when (and where) the local is invoked.
-func (c *flow) assign(fr *frame, st *flowState, v *ast.AssignStmt) *flowState {
-	if len(v.Lhs) == len(v.Rhs) && c.bindFnsExpr(fr, v.Lhs, v.Rhs) {
-		for _, l := range v.Lhs {
-			if id, ok := l.(*ast.Ident); ok {
-				delete(st.pending, id.Name)
-			}
+// assign walks the right-hand sides for audits and mutations, then stores
+// into each left-hand side and binds a pending audit to the variable its
+// verdict lands in. A function value assigned to a local is *bound*, not
+// escaped: its body is analyzed when (and where) the local is invoked.
+func (c *flow) assign(st *flowState, lhs, rhs []ast.Expr) {
+	pair := len(lhs) == len(rhs)
+	var res *verdict
+	for i, r := range rhs {
+		if _, ok := c.fnOf(r); ok && pair && c.varOf(lhs[i]) != nil {
+			continue
 		}
-		return st
-	}
-	var res *evalRes
-	for _, r := range v.Rhs {
-		if rr := c.expr(fr, st, r); rr != nil {
-			res = rr
+		if v := c.expr(st, r); v != nil {
+			res = v
 		}
 	}
-	var names []string
-	for _, l := range v.Lhs {
-		if id, ok := l.(*ast.Ident); ok {
-			delete(st.pending, id.Name) // reassignment invalidates the old verdict
-			names = append(names, id.Name)
-		} else {
-			c.lvalue(fr, st, l)
-			names = append(names, "")
+	for i, l := range lhs {
+		var r ast.Expr
+		if pair {
+			r = rhs[i]
 		}
+		c.store(st, l, r)
 	}
-	c.attach(st, names, res)
-	return st
+	// The verdict lands in the sole variable for bool audits, the last one
+	// for error-style results (Go's error-last convention).
+	if res == nil || (res.boolPol && len(lhs) != 1) {
+		return
+	}
+	if obj := c.varOf(lhs[len(lhs)-1]); obj != nil {
+		st.pending[obj] = *res
+	}
 }
 
-// attach binds an audit result to its destination variable: the sole
-// variable for bool audits, the last one for error-style results (Go's
-// error-last convention).
-func (c *flow) attach(st *flowState, names []string, res *evalRes) {
-	if res == nil || len(res.facts) == 0 || len(names) == 0 {
-		return
+// varOf is the variable e names, or nil when e is not a variable or is the
+// blank identifier.
+func (c *flow) varOf(e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
+		return c.p.Info.ObjectOf(id)
 	}
-	target := names[len(names)-1]
-	if res.boolPol && len(names) != 1 {
-		return
+	return nil
+}
+
+// store records a store of rhs (nil when untraced) into lhs: a variable is
+// rebound, which invalidates its old verdict; anything else is a write.
+func (c *flow) store(st *flowState, lhs, rhs ast.Expr) {
+	if _, ok := ast.Unparen(lhs).(*ast.Ident); !ok {
+		c.write(st, lhs)
+	} else if obj := c.varOf(lhs); obj != nil {
+		delete(st.pending, obj)
+		c.env[obj] = c.valueOf(rhs)
 	}
-	if target == "" || target == "_" {
-		return
+}
+
+// valueOf is what a variable assigned e holds: a function value, and an
+// alias of state when e is an address, or a pointer, map or slice reached
+// through a field.
+func (c *flow) valueOf(e ast.Expr) binding {
+	var b binding
+	if e == nil {
+		return b
 	}
-	st.pending[target] = pend{facts: res.facts, boolPol: res.boolPol}
+	if fv, ok := c.fnOf(e); ok {
+		b.fn = &fv
+	}
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
+		b.root = c.path(u.X)
+	} else {
+		switch under(c.p.Info.TypeOf(e)).(type) {
+		case *types.Pointer, *types.Map, *types.Slice:
+			b.root = c.path(e)
+		}
+	}
+	return b
 }
 
 // ifStmt is where pending audits become facts: on the branch edge that
 // proves enforcement (err == nil, controls == true), and on the
 // fall-through edge when the failure branch terminates.
-func (c *flow) ifStmt(fr *frame, st *flowState, v *ast.IfStmt) (*flowState, bool) {
-	if v.Init != nil {
-		st, _ = c.stmt(fr, st, v.Init)
-	}
-	pos, neg := c.cond(fr, st, v.Cond)
-	bOut, bTerm := c.stmts(fr, st.clone().add(pos...), v.Body.List)
+func (c *flow) ifStmt(st *flowState, v *ast.IfStmt) (*flowState, bool) {
+	st, _ = c.stmt(st, v.Init)
+	pos, neg := c.cond(st, v.Cond)
+	bOut, bTerm := c.stmts(st.clone().add(pos...), v.Body.List)
 	if v.Else == nil {
 		skip := st.clone().add(neg...)
 		if bTerm {
@@ -595,17 +598,7 @@ func (c *flow) ifStmt(fr *frame, st *flowState, v *ast.IfStmt) (*flowState, bool
 		}
 		return intersectStates(bOut, skip), false
 	}
-	elseSt := st.clone().add(neg...)
-	var eOut *flowState
-	var eTerm bool
-	switch e := v.Else.(type) {
-	case *ast.BlockStmt:
-		eOut, eTerm = c.stmts(fr, elseSt, e.List)
-	case *ast.IfStmt:
-		eOut, eTerm = c.ifStmt(fr, elseSt, e)
-	default:
-		eOut = elseSt
-	}
+	eOut, eTerm := c.stmt(st.clone().add(neg...), v.Else)
 	switch {
 	case bTerm && eTerm:
 		return st, true
@@ -620,28 +613,28 @@ func (c *flow) ifStmt(fr *frame, st *flowState, v *ast.IfStmt) (*flowState, bool
 
 // cond evaluates a branch condition and returns the facts established on
 // its true and false edges.
-func (c *flow) cond(fr *frame, st *flowState, e ast.Expr) (pos, neg []fact) {
+func (c *flow) cond(st *flowState, e ast.Expr) (pos, neg []fact) {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
-		return c.cond(fr, st, v.X)
+		return c.cond(st, v.X)
 	case *ast.UnaryExpr:
 		if v.Op == token.NOT {
-			p, n := c.cond(fr, st, v.X)
+			p, n := c.cond(st, v.X)
 			return n, p
 		}
 	case *ast.BinaryExpr:
 		switch v.Op {
 		case token.LAND:
-			p1, _ := c.cond(fr, st, v.X)
-			p2, _ := c.cond(fr, st, v.Y)
+			p1, _ := c.cond(st, v.X)
+			p2, _ := c.cond(st, v.Y)
 			return append(p1, p2...), nil // which conjunct failed is unknown
 		case token.LOR:
-			_, n1 := c.cond(fr, st, v.X)
-			_, n2 := c.cond(fr, st, v.Y)
+			_, n1 := c.cond(st, v.X)
+			_, n2 := c.cond(st, v.Y)
 			return nil, append(n1, n2...)
 		case token.EQL, token.NEQ:
-			if isNilExpr(v.Y) {
-				if res := c.valueRes(fr, st, v.X); res != nil && !res.boolPol {
+			if c.p.Info.Types[v.Y].IsNil() {
+				if res := c.valueRes(st, v.X); res != nil && !res.boolPol {
 					if v.Op == token.EQL {
 						return res.facts, nil // err == nil: audit passed
 					}
@@ -649,492 +642,286 @@ func (c *flow) cond(fr *frame, st *flowState, e ast.Expr) (pos, neg []fact) {
 				}
 				return nil, nil
 			}
-			c.expr(fr, st, v.X)
-			c.expr(fr, st, v.Y)
-			return nil, nil
 		}
 	case *ast.Ident:
-		if pe, ok := st.pending[v.Name]; ok && pe.boolPol {
+		if pe, ok := st.pending[c.p.Info.Uses[v]]; ok && pe.boolPol {
 			return pe.facts, nil
 		}
 		return nil, nil
 	case *ast.CallExpr:
-		if res := c.expr(fr, st, v); res != nil && res.boolPol {
+		if res := c.expr(st, v); res != nil && res.boolPol {
 			return res.facts, nil
 		}
 		return nil, nil
 	}
-	c.expr(fr, st, e)
+	c.expr(st, e)
 	return nil, nil
 }
 
 // valueRes resolves a condition operand to its pending audit, evaluating
 // calls in place (`if h.requirePriv(caller, X) != nil`).
-func (c *flow) valueRes(fr *frame, st *flowState, e ast.Expr) *evalRes {
+func (c *flow) valueRes(st *flowState, e ast.Expr) *verdict {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
-		return c.valueRes(fr, st, v.X)
+		return c.valueRes(st, v.X)
 	case *ast.Ident:
-		if pe, ok := st.pending[v.Name]; ok {
-			return &evalRes{facts: pe.facts, boolPol: pe.boolPol}
+		if pe, ok := st.pending[c.p.Info.Uses[v]]; ok {
+			return &pe
 		}
 	case *ast.CallExpr:
-		return c.expr(fr, st, v)
+		return c.expr(st, v)
 	}
 	return nil
-}
-
-func isNilExpr(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // --- expression walk ---------------------------------------------------------
 
 // expr walks an expression for audits, helper calls and mutations,
-// returning the audit result of the outermost call, if any.
-func (c *flow) expr(fr *frame, st *flowState, e ast.Expr) *evalRes {
+// returning the audit verdict of the outermost call, if any.
+func (c *flow) expr(st *flowState, e ast.Expr) *verdict {
 	switch v := e.(type) {
-	case nil:
-		return nil
 	case *ast.CallExpr:
 		for _, a := range v.Args {
-			c.expr(fr, st, a)
+			c.expr(st, a)
 		}
-		return c.call(fr, st, v)
+		return c.call(st, v)
 	case *ast.ParenExpr:
-		return c.expr(fr, st, v.X)
+		return c.expr(st, v.X)
 	case *ast.UnaryExpr:
-		return c.expr(fr, st, v.X)
+		return c.expr(st, v.X)
 	case *ast.StarExpr:
-		return c.expr(fr, st, v.X)
+		return c.expr(st, v.X)
 	case *ast.BinaryExpr:
-		c.expr(fr, st, v.X)
-		c.expr(fr, st, v.Y)
+		c.expr(st, v.X)
+		c.expr(st, v.Y)
 	case *ast.KeyValueExpr:
-		c.expr(fr, st, v.Value)
+		c.expr(st, v.Value)
 	case *ast.CompositeLit:
 		for _, el := range v.Elts {
-			c.expr(fr, st, el)
+			c.expr(st, el)
 		}
 	case *ast.IndexExpr:
-		c.expr(fr, st, v.X)
-		c.expr(fr, st, v.Index)
+		c.expr(st, v.X)
+		c.expr(st, v.Index)
 	case *ast.SliceExpr:
-		c.expr(fr, st, v.X)
-		c.expr(fr, st, v.Low)
-		c.expr(fr, st, v.High)
-		c.expr(fr, st, v.Max)
-	case *ast.SelectorExpr:
-		// A method read as a value (h.reap passed to a registry) escapes:
-		// it runs later, outside the facts established here.
-		if m := c.methodValue(fr, v); m != nil {
-			c.escapedMethod(fr, m)
-			return nil
-		}
-		c.expr(fr, st, v.X)
+		c.expr(st, v.X)
+		c.expr(st, v.Low)
+		c.expr(st, v.High)
+		c.expr(st, v.Max)
 	case *ast.TypeAssertExpr:
-		c.expr(fr, st, v.X)
-	case *ast.FuncLit:
-		// A literal in value position escapes (stored into a field or
-		// registry, passed along, returned).
-		c.escapedLit(fr, v)
-	case *ast.Ident:
-		// A bound function value escaping by name: analyze its target as
-		// deferred, like the direct escape forms above.
-		if fn, ok := fr.fns[v.Name]; ok {
-			if fn.lit != nil {
-				c.escapedLit(fr, fn.lit)
-			} else if fn.method != nil {
-				c.escapedMethod(fr, fn.method)
-			}
+		c.expr(st, v.X)
+	case *ast.FuncLit, *ast.Ident, *ast.SelectorExpr:
+		// A function value read as data escapes (stored into a field or
+		// registry, passed along, returned): it runs later, outside the
+		// facts established here.
+		if fv, ok := c.fnOf(e); ok {
+			c.run(fv, nil, nil)
+		} else if sel, ok := e.(*ast.SelectorExpr); ok {
+			c.expr(st, sel.X)
 		}
 	}
 	return nil
 }
 
-// methodValue resolves a selector in value position to a *Hypervisor method
-// it names (h.reap without the call), or nil.
-func (c *flow) methodValue(fr *frame, sel *ast.SelectorExpr) *hvMethod {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != fr.m.recv {
-		return nil
-	}
-	return c.methods[sel.Sel.Name]
-}
-
-// bindFns records function-value bindings for a declaration's name/value
-// pairs; true when every pair bound (so the caller skips the normal walk).
-func (c *flow) bindFns(fr *frame, names []*ast.Ident, values []ast.Expr) bool {
-	vals := make([]fnVal, len(values))
-	for i, val := range values {
-		fn, ok := c.fnValue(fr, val)
-		if !ok {
-			return false
-		}
-		vals[i] = fn
-	}
-	for i, n := range names {
-		if n.Name != "_" {
-			fr.fns[n.Name] = vals[i]
-		}
-	}
-	return true
-}
-
-// bindFnsExpr is bindFns for assignment statements.
-func (c *flow) bindFnsExpr(fr *frame, lhs, rhs []ast.Expr) bool {
-	names := make([]*ast.Ident, len(lhs))
-	for i, l := range lhs {
-		id, ok := l.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		names[i] = id
-	}
-	return c.bindFns(fr, names, rhs)
-}
-
-// fnValue resolves an expression to a bindable function value.
-func (c *flow) fnValue(fr *frame, e ast.Expr) (fnVal, bool) {
-	switch v := e.(type) {
+// fnOf resolves e to a function value the walk can run: a literal, a
+// function or method of the analyzed package (named, or as a method value),
+// or a variable bound to one of these.
+func (c *flow) fnOf(e ast.Expr) (fnValue, bool) {
+	var obj types.Object
+	switch v := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
-		return fnVal{lit: v}, true
-	case *ast.SelectorExpr:
-		if m := c.methodValue(fr, v); m != nil {
-			return fnVal{method: m}, true
-		}
+		return fnValue{lit: v}, true
 	case *ast.Ident:
-		if fn, ok := fr.fns[v.Name]; ok {
-			return fn, true
+		obj = c.p.Info.Uses[v]
+		if fv := c.env[obj].fn; fv != nil {
+			return *fv, true
+		}
+	case *ast.SelectorExpr:
+		obj = c.p.Info.Uses[v.Sel]
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		if decl := c.local(fn); decl != nil {
+			return fnValue{decl: decl}, true
 		}
 	}
-	return fnVal{}, false
+	return fnValue{}, false
 }
 
-// call dispatches one call expression: audit primitives, helper methods
-// (inlined), bound function values and immediately invoked literals
-// (analyzed at the call site), builtin delete, and mutating calls through
-// state objects.
-func (c *flow) call(fr *frame, st *flowState, v *ast.CallExpr) *evalRes {
-	switch fun := v.Fun.(type) {
-	case *ast.FuncLit:
-		// Immediately invoked literal: runs here, under the current facts.
-		return c.inlineLit(fr, st, fun, v.Args)
-	case *ast.Ident:
-		if fn, ok := fr.fns[fun.Name]; ok {
-			if fn.lit != nil {
-				return c.inlineLit(fr, st, fn.lit, v.Args)
-			}
-			return c.inline(fr, st, fn.method, v.Args)
-		}
-		if fun.Name == "delete" && len(v.Args) > 0 {
-			c.lvalue(fr, st, v.Args[0])
-		}
-		return nil
-	case *ast.SelectorExpr:
-		chain, ok := flattenChain(fun)
-		if !ok {
-			// Call on a computed receiver (d.Mem.Snapshot().Pages()):
-			// the inner chain was already walked via the args/X recursion.
-			c.expr(fr, st, fun.X)
-			return nil
-		}
-		if chain[0] == fr.m.recv {
-			return c.recvCall(fr, st, v, chain)
-		}
-		if len(chain) >= 3 && chain[1] == "Mem" && !readOnlyStateCalls[chain[len(chain)-1]] {
-			c.mutation(v.Pos(), "Domain.Mem", st)
-		}
-		return nil
+// local is fn's declaration when the analyzed package declares it.
+func (c *flow) local(fn *types.Func) *hpFunc {
+	if d := c.a.funcs[funcKey(fn)]; d != nil && d.pkg == c.p && d.decl.Body != nil {
+		return d
 	}
 	return nil
 }
 
-// recvCall handles calls rooted at the Hypervisor receiver.
-func (c *flow) recvCall(fr *frame, st *flowState, v *ast.CallExpr, chain []string) *evalRes {
-	if len(chain) == 2 {
-		switch chain[1] {
-		case "check":
-			return c.auditCheck(fr, v)
-		case "controls":
-			return c.auditControls(fr, v)
-		}
-		if m, ok := c.methods[chain[1]]; ok {
-			return c.inline(fr, st, m, v.Args)
-		}
-		return nil // func-typed field (h.Sink, h.Fault)
+// call dispatches one call expression: audit primitives, helpers of the hv
+// package (inlined), bound function values and immediately invoked literals
+// (analyzed at the call site), builtin delete, calls through a state object
+// (mutations when the callee writes) and calls through an Event sink.
+func (c *flow) call(st *flowState, v *ast.CallExpr) *verdict {
+	fun := ast.Unparen(v.Fun)
+	if lit, ok := fun.(*ast.FuncLit); ok {
+		return c.run(fnValue{lit: lit}, st, v.Args) // immediately invoked: runs here
 	}
-	root := chain[1]
-	if hvStateObjects[root] && !readOnlyStateCalls[chain[len(chain)-1]] {
-		label := root
-		if root == "Machine" {
-			label = "Machine.Bus"
+	sel, _ := fun.(*ast.SelectorExpr)
+	switch obj := calleeObj(c.p, v).(type) {
+	case *types.Builtin:
+		if obj.Name() == "delete" && len(v.Args) > 0 {
+			c.write(st, v.Args[0])
 		}
-		c.mutation(v.Pos(), label, st)
+		return nil
+	case *types.Func:
+		if (obj == c.a.check || obj == c.a.controls) && len(v.Args) == 2 {
+			if obj == c.a.controls {
+				return c.audit("", v.Args[0], true)
+			}
+			return c.auditCheck(v)
+		}
+		if sel != nil {
+			c.expr(st, sel.X)
+		}
+		recv := obj.Type().(*types.Signature).Recv()
+		if fn := c.local(obj); fn != nil && (recv == nil || namedOf(recv.Type()) == c.a.hv) {
+			return c.run(fnValue{decl: fn}, st, v.Args)
+		}
+		if recv != nil && sel != nil {
+			path := c.path(sel.X)
+			if label := c.a.label(path, true); label != "" && c.a.writes(obj) {
+				c.mutation(v.Pos(), st, label, path)
+			}
+		}
+		return nil
+	case *types.Var:
+		if fv := c.env[obj].fn; fv != nil {
+			return c.run(*fv, st, v.Args) // a bound function value runs here
+		}
+		if sel != nil && c.a.sinks[funcFieldKey(c.p, sel)] {
+			c.emits = true
+		}
+		return nil
 	}
+	c.expr(st, fun) // a conversion, or a call of a computed function
 	return nil
 }
 
 // auditCheck models h.check(caller, xtypes.HyperX): a pending privilege
 // fact, error polarity. A privilege argument that is not a specific
-// xtypes.Hyper* constant defeats static whitelist review and is flagged.
-func (c *flow) auditCheck(fr *frame, v *ast.CallExpr) *evalRes {
-	if len(v.Args) != 2 {
-		return nil
-	}
-	priv := c.hyperConstOrBound(fr, v.Args[1])
+// xtypes.Hypercall constant defeats static whitelist review and is flagged.
+func (c *flow) auditCheck(v *ast.CallExpr) *verdict {
+	priv := c.hyper(v.Args[1])
 	if priv == "" {
 		c.report(v.Pos(), fmt.Sprintf(
 			"hv.%s: %s.check must name a specific xtypes.Hyper* constant so the whitelist surface stays statically auditable",
-			c.entry, fr.m.recv))
+			c.decl.Name.Name, c.recv))
 		return nil
 	}
-	dom, entry := c.domArg(fr, v.Args[0])
-	if entry {
+	return c.audit(priv, v.Args[0], false)
+}
+
+// audit is the pending fact an audit primitive establishes on the DomID
+// variable arg names: a privilege (priv) or, with priv "", management
+// rights (h.controls, bool polarity).
+func (c *flow) audit(priv string, arg ast.Expr, boolPol bool) *verdict {
+	dom := c.varOf(arg)
+	entry := dom != nil && c.env[dom].entry
+	if entry && priv == "" {
+		c.controls = true
+	} else if entry {
 		c.privs[priv] = true
 	}
-	return &evalRes{facts: []fact{{kind: "priv", priv: priv, dom: dom, entry: entry}}}
+	return &verdict{facts: []fact{{priv: priv, dom: dom, entry: entry}}, boolPol: boolPol}
 }
 
-// auditControls models h.controls(caller, target): a pending management
-// fact, bool polarity.
-func (c *flow) auditControls(fr *frame, v *ast.CallExpr) *evalRes {
-	if len(v.Args) != 2 {
-		return nil
+// hyper resolves e to the name of an xtypes.Hypercall constant: named
+// directly, or through a parameter the call chain bound one to.
+func (c *flow) hyper(e ast.Expr) string {
+	var obj types.Object
+	switch v := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj = c.p.Info.Uses[v]
+	case *ast.SelectorExpr:
+		obj = c.p.Info.Uses[v.Sel]
 	}
-	dom, entry := c.domArg(fr, v.Args[0])
-	if entry {
-		c.controls = true
+	if k, ok := obj.(*types.Const); ok && isXtype(k.Type(), "Hypercall") {
+		return k.Name()
 	}
-	return &evalRes{facts: []fact{{kind: "controls", dom: dom, entry: entry}}, boolPol: true}
+	return c.env[obj].hyper
 }
 
-// hyperConstOrBound resolves an expression to the name of an
-// xtypes.Hyper* constant — directly, or through a helper parameter the
-// current call chain bound a constant to.
-func (c *flow) hyperConstOrBound(fr *frame, e ast.Expr) string {
-	if pc := c.hyperConst(fr, e); pc != "" {
-		return pc
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		return fr.hc[id.Name]
-	}
-	return ""
-}
-
-// hyperConst resolves an expression to the name of an xtypes.Hyper*
-// constant, or "".
-func (c *flow) hyperConst(fr *frame, e ast.Expr) string {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok || c.p.pkgPathOf(x) != "xoar/internal/xtypes" {
-		return ""
-	}
-	if !strings.HasPrefix(sel.Sel.Name, "Hyper") {
-		return ""
-	}
-	return sel.Sel.Name
-}
-
-func (c *flow) domArg(fr *frame, e ast.Expr) (string, bool) {
-	if id, ok := e.(*ast.Ident); ok {
-		return id.Name, fr.binding[id.Name]
-	}
-	return "", false
-}
-
-// inline analyzes a helper method at this call site: its mutations are
-// checked under the caller's current facts (context sensitivity), and any
-// facts the helper itself establishes and enforces internally are handed
-// back as a pending audit for the caller to enforce — this is what credits
+// run walks a function body: at this program point under st's facts (an
+// inlined helper, a bound or immediately invoked literal), or, when st is
+// nil, as escaped code that runs at some later, unknown point, so no fact
+// established here dominates it. An escaped function's own DomID parameters
+// are entry-bound: they are the caller identity the callback receives, and
+// an audit inside it against them is the legitimate deferred guard. The
+// facts an inlined body establishes come back as a verdict for the caller
+// to enforce when its result is an error or a bool: this is what credits
 // audit helpers like h.gate.
-func (c *flow) inline(fr *frame, st *flowState, m *hvMethod, args []ast.Expr) *evalRes {
-	name := m.fn.Name.Name
-	for _, s := range c.stack {
-		if s == name {
-			return nil // recursion: stop, keep caller facts
+func (c *flow) run(fv fnValue, st *flowState, args []ast.Expr) *verdict {
+	var node ast.Node
+	var body *ast.BlockStmt
+	var sig *types.Signature
+	var name string
+	if fv.lit != nil {
+		node, body = fv.lit, fv.lit.Body
+		sig, _ = c.p.Info.TypeOf(fv.lit).(*types.Signature)
+		name = fmt.Sprintf("func literal (line %d)", c.p.Fset.Position(fv.lit.Pos()).Line)
+		if st == nil {
+			name = "stored " + name
 		}
+	} else {
+		node, body = fv.decl.decl, fv.decl.decl.Body
+		sig = c.p.Info.Defs[fv.decl.decl.Name].Type().(*types.Signature)
+		name = fv.decl.decl.Name.Name
 	}
-	if len(c.stack) >= 8 {
-		return nil
+	if sig == nil || len(c.stack) >= 8 || slices.ContainsFunc(c.stack, func(f walkFrame) bool { return f.node == node }) {
+		return nil // recursion: stop, keep the caller's facts
 	}
-	c.stack = append(c.stack, name)
+	c.stack = append(c.stack, walkFrame{node, name})
 	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
 
-	binding := map[string]bool{}
-	hcb := map[string]string{}
-	i := 0
-	for _, field := range m.fn.Type.Params.List {
-		for _, pname := range field.Names {
-			if i < len(args) {
-				if m.dom[pname.Name] {
-					if id, ok := args[i].(*ast.Ident); ok {
-						binding[pname.Name] = fr.binding[id.Name]
-					}
-				}
-				if pc := c.hyperConstOrBound(fr, args[i]); pc != "" {
-					hcb[pname.Name] = pc
-				}
+	in := newFlowState()
+	if st != nil {
+		in = st.clone()
+	}
+	for i, p := range params(sig) {
+		b := binding{entry: st == nil && isXtype(p.Type(), "DomID")}
+		if st != nil && i < len(args) {
+			b.hyper = c.hyper(args[i])
+			if dom := c.varOf(args[i]); dom != nil && isXtype(p.Type(), "DomID") {
+				b.entry = c.env[dom].entry
 			}
-			i++
 		}
+		c.env[p] = b
 	}
-	sub := newFlowState()
-	for k, f := range st.facts {
-		sub.facts[k] = f
+	out, _ := c.stmts(in, body.List)
+	if st == nil {
+		return nil
 	}
-	out, _ := c.stmts(&frame{m: m, binding: binding, hc: hcb, fns: map[string]fnVal{}}, sub, m.fn.Body.List)
 	var fs []fact
-	for k, f := range out.facts {
-		if _, had := st.facts[k]; !had {
+	for f := range out.facts {
+		if !st.facts[f] {
 			fs = append(fs, f)
 		}
 	}
-	if len(fs) == 0 {
-		return nil
+	boolPol, ok := polarity(sig)
+	if len(fs) == 0 || !ok {
+		return nil // nothing new, or no error/bool result the caller could enforce
 	}
-	boolPol, ok := resultPolarity(m.fn)
-	if !ok {
-		return nil // no error/bool result: the caller cannot enforce it
-	}
-	return &evalRes{facts: fs, boolPol: boolPol}
+	return &verdict{facts: fs, boolPol: boolPol}
 }
 
-// inlineLit analyzes a function literal invoked at this program point
-// (immediately invoked, or called through the local it was bound to): its
-// body runs here, so mutations are checked under the caller's current
-// facts. Captured bindings carry over; the literal's own DomID parameters
-// bind to whatever the call site passed.
-func (c *flow) inlineLit(fr *frame, st *flowState, lit *ast.FuncLit, args []ast.Expr) *evalRes {
-	marker := c.litMarker(lit)
-	for _, s := range c.stack {
-		if s == marker || s == "stored "+marker {
-			return nil // self-recursive bound literal: stop
-		}
-	}
-	if len(c.stack) >= 8 {
-		return nil
-	}
-	c.stack = append(c.stack, marker)
-	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
-
-	sub := c.litFrame(fr, lit)
-	i := 0
-	if lit.Type.Params != nil {
-		dom := domIDParams(c.p, lit.Type.Params)
-		for _, field := range lit.Type.Params.List {
-			for _, pname := range field.Names {
-				if i < len(args) {
-					if dom[pname.Name] {
-						if id, ok := args[i].(*ast.Ident); ok {
-							sub.binding[pname.Name] = fr.binding[id.Name]
-						} else {
-							sub.binding[pname.Name] = false
-						}
-					}
-					if pc := c.hyperConstOrBound(fr, args[i]); pc != "" {
-						sub.hc[pname.Name] = pc
-					}
-				}
-				i++
-			}
-		}
-	}
-	c.stmts(sub, st.clone(), lit.Body.List)
-	return nil
-}
-
-// escapedLit analyzes a function literal that escapes the current flow: it
-// will run at some later, unknown point, so no fact established here
-// dominates its body. Its own DomID parameters are entry-bound — they are
-// the caller identity the callback receives, and an audit inside the
-// closure against them is the legitimate deferred guard.
-func (c *flow) escapedLit(fr *frame, lit *ast.FuncLit) {
-	marker := c.litMarker(lit)
-	for _, s := range c.stack {
-		if s == marker || s == "stored "+marker {
-			return
-		}
-	}
-	if len(c.stack) >= 8 {
-		return
-	}
-	c.stack = append(c.stack, "stored "+marker)
-	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
-
-	sub := c.litFrame(fr, lit)
-	for pn := range domIDParams(c.p, lit.Type.Params) {
-		sub.binding[pn] = true
-	}
-	c.stmts(sub, newFlowState(), lit.Body.List)
-}
-
-// escapedMethod analyzes a method value that escapes (h.reap handed to a
-// registry): like escapedLit, under empty facts with its own DomID
-// parameters entry-bound.
-func (c *flow) escapedMethod(fr *frame, m *hvMethod) {
-	name := m.fn.Name.Name
-	for _, s := range c.stack {
-		if s == name {
-			return
-		}
-	}
-	if len(c.stack) >= 8 {
-		return
-	}
-	c.stack = append(c.stack, name)
-	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
-
-	binding := map[string]bool{}
-	for pn := range m.dom {
-		binding[pn] = true
-	}
-	c.stmts(&frame{m: m, binding: binding, hc: map[string]string{}, fns: map[string]fnVal{}}, newFlowState(), m.fn.Body.List)
-}
-
-// litFrame builds the activation frame for a function literal: same method
-// context (receiver name, file), captured bindings and function values
-// copied from the enclosing frame.
-func (c *flow) litFrame(fr *frame, lit *ast.FuncLit) *frame {
-	sub := &frame{m: fr.m, binding: map[string]bool{}, hc: map[string]string{}, fns: map[string]fnVal{}}
-	for k, v := range fr.binding {
-		sub.binding[k] = v
-	}
-	for k, v := range fr.hc {
-		sub.hc[k] = v
-	}
-	for k, v := range fr.fns {
-		sub.fns[k] = v
-	}
-	return sub
-}
-
-// litMarker names a literal for the inline stack (recursion guard and the
-// "reached via" chain in diagnostics).
-func (c *flow) litMarker(lit *ast.FuncLit) string {
-	return fmt.Sprintf("func literal (line %d)", c.p.Fset.Position(lit.Pos()).Line)
-}
-
-// resultPolarity classifies a helper's enforceable result: error-last or
-// single bool.
-func resultPolarity(fn *ast.FuncDecl) (boolPol, ok bool) {
-	rs := fn.Type.Results
-	if rs == nil || len(rs.List) == 0 {
+// polarity classifies a helper's enforceable result: error-last or bool.
+func polarity(sig *types.Signature) (boolPol, ok bool) {
+	rs := sig.Results()
+	if rs.Len() == 0 {
 		return false, false
 	}
-	last := rs.List[len(rs.List)-1].Type
-	id, isIdent := last.(*ast.Ident)
-	if !isIdent {
-		return false, false
-	}
-	switch id.Name {
-	case "error":
+	switch last := rs.At(rs.Len() - 1).Type(); {
+	case types.Identical(last, types.Universe.Lookup("error").Type()):
 		return false, true
-	case "bool":
+	case types.Identical(last, types.Typ[types.Bool]):
 		return true, true
 	}
 	return false, false
@@ -1142,78 +929,181 @@ func resultPolarity(fn *ast.FuncDecl) (boolPol, ok bool) {
 
 // --- mutation detection ------------------------------------------------------
 
-// lvalue inspects an assignment, delete or ++/-- target and records a
-// mutation when it roots in hypervisor or domain privilege state.
-func (c *flow) lvalue(fr *frame, st *flowState, e ast.Expr) {
-	chain, ok := flattenChain(e)
-	if !ok || len(chain) < 2 {
-		return
-	}
-	if chain[0] == fr.m.recv {
-		if exemptCounterFields[chain[1]] {
-			return
+// path returns the fields e is reached through, innermost first, starting
+// from the root an alias carries: h.Machine.Bus -> [Machine Bus];
+// d.priv.Hypercalls[hc] -> [priv Hypercalls]. It is nil when e is reached
+// through neither a field nor an alias.
+func (c *flow) path(e ast.Expr) []*types.Var {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return c.env[c.p.Info.Uses[v]].root
+	case *ast.SelectorExpr:
+		if s := c.p.Info.Selections[v]; s != nil && s.Kind() == types.FieldVal {
+			return append(slices.Clip(c.path(v.X)), s.Obj().(*types.Var))
 		}
-		c.mutation(e.Pos(), chain[1], st)
-		return
+	case *ast.IndexExpr:
+		return c.path(v.X)
+	case *ast.StarExpr:
+		return c.path(v.X)
 	}
-	if domainStateFields[chain[1]] {
-		c.mutation(e.Pos(), "Domain."+chain[1], st)
+	return nil
+}
+
+// label names the state a path reaches: its first state field, followed,
+// for a call (whole), by the fields up to the object whose method runs. It
+// is "" when no state field is on the path.
+func (a *hvAnalysis) label(path []*types.Var, whole bool) string {
+	for i, f := range path {
+		prefix, ok := a.state[f]
+		if !ok {
+			continue
+		}
+		names := []string{f.Name()}
+		if whole {
+			for _, g := range path[i+1:] {
+				names = append(names, g.Name())
+			}
+		}
+		return prefix + strings.Join(names, ".")
+	}
+	return ""
+}
+
+// write records a store into the location e denotes, when that is state.
+func (c *flow) write(st *flowState, e ast.Expr) {
+	path := c.path(e)
+	if label := c.a.label(path, false); label != "" {
+		c.mutation(e.Pos(), st, label, path)
 	}
 }
 
-// mutation records a state mutation for the matrix and flags it unless an
-// entry-bound audit fact dominates this program point.
-func (c *flow) mutation(pos token.Pos, root string, st *flowState) {
-	c.mutates[root] = true
-	for _, f := range st.facts {
+// mutation records a state mutation for the matrix and for auditlog (the
+// last topology field on its path), and flags it unless an entry-bound
+// audit fact dominates this program point.
+func (c *flow) mutation(pos token.Pos, st *flowState, label string, path []*types.Var) {
+	c.mutates[label] = true
+	topo := ""
+	for _, f := range path {
+		if prefix, ok := c.a.topology[f]; ok {
+			topo = prefix + f.Name()
+		}
+	}
+	if topo != "" {
+		c.topology[topo] = true
+	}
+	for f := range st.facts {
 		if f.entry {
 			return
 		}
 	}
-	msg := fmt.Sprintf("hv.%s: mutation of %s is not dominated by an enforced h.check/h.controls audit on the caller", c.entry, root)
+	msg := fmt.Sprintf("hv.%s: mutation of %s is not dominated by an enforced h.check/h.controls audit on the caller", c.decl.Name.Name, label)
 	if len(c.stack) > 0 {
-		msg += " (reached via " + strings.Join(c.stack, " -> ") + ")"
+		names := make([]string, len(c.stack))
+		for i, f := range c.stack {
+			names[i] = f.name
+		}
+		msg += " (reached via " + strings.Join(names, " -> ") + ")"
 	}
 	c.report(pos, msg)
 }
 
 func (c *flow) report(pos token.Pos, msg string) {
-	key := fmt.Sprintf("%d:%s", pos, c.entry)
-	if c.reported[key] {
+	if c.reported[pos] {
 		return
 	}
-	c.reported[key] = true
+	c.reported[pos] = true
 	c.diags = append(c.diags, Diagnostic{Pos: c.p.Fset.Position(pos), Analyzer: "privflow", Message: msg})
 }
 
-// flattenChain reduces a selector/index chain to its identifier path:
-// h.Machine.Bus -> [h Machine Bus]; d.priv.Hypercalls[hc] -> [d priv
-// Hypercalls]. It fails when the chain roots in something other than a
-// plain identifier (a call result, a composite literal).
-func flattenChain(e ast.Expr) ([]string, bool) {
-	var rev []string
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			rev = append(rev, v.Name)
-			out := make([]string, len(rev))
-			for i, s := range rev {
-				out[len(rev)-1-i] = s
-			}
-			return out, true
-		case *ast.SelectorExpr:
-			rev = append(rev, v.Sel.Name)
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil, false
-		}
+// writes is the computed summary of a method called through a state object:
+// whether it, or a function of its own package it calls, writes state of a
+// type that package declares. A body the walk cannot see (a package that is
+// not loaded, an interface method) counts as writing.
+func (a *hvAnalysis) writes(fn *types.Func) bool {
+	key := funcKey(fn)
+	if w, ok := a.wrote[key]; ok {
+		return w
 	}
+	if a.busy[key] {
+		a.cycles++ // recursion: the rest of the cycle decides
+		return false
+	}
+	f := a.funcs[key]
+	if f == nil || f.decl.Body == nil {
+		return true
+	}
+	a.busy[key] = true
+	cycles, w := a.cycles, false
+	pkg := fn.Pkg().Path()
+	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range v.Lhs {
+				w = w || writesState(f.pkg, l, pkg)
+			}
+		case *ast.IncDecStmt:
+			w = w || writesState(f.pkg, v.X, pkg)
+		case *ast.CallExpr:
+			switch callee := calleeObj(f.pkg, v).(type) {
+			case *types.Builtin:
+				w = w || callee.Name() == "delete" && len(v.Args) > 0 && writesState(f.pkg, v.Args[0], pkg)
+			case *types.Func:
+				w = w || callee.Pkg() != nil && callee.Pkg().Path() == pkg && a.writes(callee)
+			}
+		}
+		return !w
+	})
+	delete(a.busy, key)
+	if w || a.cycles == cycles {
+		a.wrote[key] = w // a "no" that leaned on a cycle is recomputed
+	}
+	return w
+}
+
+// writesState reports whether a store into lhs writes state of a type
+// declared in package pkg: a package-level variable, or a location reached
+// through a selector, index or dereference of a value of such a type that
+// is not a local copy.
+func writesState(p *Package, lhs ast.Expr, pkg string) bool {
+	for {
+		var x ast.Expr
+		switch v := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			obj, ok := p.Info.Uses[v].(*types.Var)
+			return ok && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
+		case *ast.SelectorExpr:
+			x = v.X
+		case *ast.IndexExpr:
+			x = v.X
+		case *ast.StarExpr:
+			x = v.X
+		default:
+			return false
+		}
+		named := namedOf(p.Info.TypeOf(x))
+		if named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkg && !heldByValue(p, x) {
+			return true
+		}
+		lhs = x
+	}
+}
+
+// heldByValue reports whether e is a local variable holding its own copy of
+// a value, not a pointer, map or slice into shared state.
+func heldByValue(p *Package, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	v, ok := p.Info.Uses[id].(*types.Var)
+	if !ok || v.Parent() == v.Pkg().Scope() {
+		return false
+	}
+	switch under(v.Type()).(type) {
+	case *types.Pointer, *types.Map, *types.Slice:
+		return false
+	}
+	return true
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -1,6 +1,8 @@
 package xoarlint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -21,8 +23,27 @@ type Domain struct {
 	clients map[xtypes.DomID]bool
 }
 
+// GrantTable and Disk are state objects: a call through one is a mutation
+// when the method's body writes.
+type GrantTable struct{ revoked map[xtypes.DomID]bool }
+
+func (g *GrantTable) Revoke(dom xtypes.DomID) { g.revoked[dom] = true }
+
+type Disk struct{ ReadBytes int }
+
+// Read bumps the disk's counters, as hw.(*Disk).Read does; Size only reads.
+func (d *Disk) Read(n int) { d.ReadBytes += n }
+func (d *Disk) Size() int  { return d.ReadBytes }
+
+type Machine struct{ Disk *Disk }
+
+// Order has a State field too, but it is not a Domain's.
+type Order struct{ State int }
+
 type Hypervisor struct {
 	domains     map[xtypes.DomID]*Domain
+	Grants      *GrantTable
+	Machine     *Machine
 	DeniedCalls int
 }
 
@@ -139,6 +160,60 @@ func (h *Hypervisor) Dynamic(caller xtypes.DomID, hc xtypes.Hypercall) error {
 
 // Allowlisted entry point: exempt row in the matrix.
 func (h *Hypervisor) Compute(caller xtypes.DomID) {}
+
+// A local alias of a state object carries its root: the revoke before the
+// audit is flagged.
+func (h *Hypervisor) AliasRevoke(caller xtypes.DomID) error {
+	g := h.Grants
+	g.Revoke(caller)
+	if _, err := h.check(caller, xtypes.HyperGrantTableOp); err != nil {
+		return err
+	}
+	return nil
+}
+
+// Disk.Read writes its receiver, so the read before the audit is flagged;
+// Disk.Size does not.
+func (h *Hypervisor) DiskRead(caller xtypes.DomID) error {
+	_ = h.Machine.Disk.Size()
+	h.Machine.Disk.Read(1)
+	if _, err := h.check(caller, xtypes.HyperDebugOp); err != nil {
+		return err
+	}
+	return nil
+}
+
+// The audited caller is a local shadowing the entry's parameter: the
+// mutation is flagged, and so is the missing audit.
+func (h *Hypervisor) Shadowed(caller, target xtypes.DomID) error {
+	if caller := xtypes.DomID(0); caller != target {
+		if _, err := h.check(caller, xtypes.HyperDomctlPause); err != nil {
+			return err
+		}
+		h.domains[target].State = 6
+	}
+	return nil
+}
+
+// A pointer into a Domain field carries its root: the store through it
+// before the audit is flagged.
+func (h *Hypervisor) PointerStore(caller xtypes.DomID, d *Domain) error {
+	st := &d.State
+	*st = 7
+	if _, err := h.check(caller, xtypes.HyperDomctlPause); err != nil {
+		return err
+	}
+	return nil
+}
+
+// Order.State is not Domain.State: clean.
+func (h *Hypervisor) OtherState(caller xtypes.DomID, o *Order) error {
+	o.State = 3
+	if _, err := h.check(caller, xtypes.HyperDebugOp); err != nil {
+		return err
+	}
+	return nil
+}
 `
 
 func TestPrivflowDominance(t *testing.T) {
@@ -152,6 +227,11 @@ func TestPrivflowDominance(t *testing.T) {
 		"hv.BadViaHelper takes a caller DomID but never audits it",
 		"hv.Dynamic takes a caller DomID but never audits it",
 		"must name a specific xtypes.Hyper* constant",
+		"hv.AliasRevoke: mutation of Grants is not dominated",
+		"hv.DiskRead: mutation of Machine.Disk is not dominated",
+		"hv.Shadowed takes a caller DomID but never audits it",
+		"hv.Shadowed: mutation of domains is not dominated",
+		"hv.PointerStore: mutation of Domain.State is not dominated",
 	)
 	if !strings.Contains(diags[0].Message, "reached via reap") {
 		t.Errorf("helper-path diagnostic lacks the inline chain: %q", diags[0].Message)
@@ -291,8 +371,18 @@ func TestPrivMatrixRows(t *testing.T) {
 	if rows["Compute"].Exempt == "" {
 		t.Errorf("Compute should carry its exemption rationale")
 	}
-	if len(rows) != 10 {
-		t.Errorf("matrix has %d rows, want 10: %v", len(rows), sortedMatrixMethods(m))
+	for method, want := range map[string]string{
+		"AliasRevoke":  "Grants",
+		"DiskRead":     "Machine.Disk", // not Size, which only reads
+		"PointerStore": "Domain.State",
+		"OtherState":   "", // Order.State is not Domain state
+	} {
+		if got := strings.Join(rows[method].Mutates, " "); got != want {
+			t.Errorf("%s mutates = [%s], want [%s]", method, got, want)
+		}
+	}
+	if len(rows) != 15 {
+		t.Errorf("matrix has %d rows, want 15: %v", len(rows), sortedMatrixMethods(m))
 	}
 }
 
@@ -352,4 +442,118 @@ func sortedMatrixMethods(m *PrivMatrix) []string {
 		out = append(out, e.Method)
 	}
 	return out
+}
+
+// TestPrivflowSeesRealHV runs privflow on a copy of the real internal/hv,
+// unedited and with textual edits, and requires exactly the findings each
+// edit makes. The matrix drift test compares only rows, so it would not
+// notice privflow going blind to ordering on the real package. The rest of
+// the module is loaded beside the copy, so calls into mm, grant and evtchn
+// are judged by their real bodies, as in a run over ./... .
+func TestPrivflowSeesRealHV(t *testing.T) {
+	module, err := LoadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rest []*Package
+	for _, p := range module {
+		if p.Path != hvPath {
+			rest = append(rest, p)
+		}
+	}
+	type edit struct{ file, old, new string }
+	for _, tc := range []struct {
+		name  string
+		edits []edit
+		want  []string
+	}{
+		{name: "unedited"},
+		{
+			name: "Pause writes its state before its gate",
+			edits: []edit{{"hv.go", `	d, err := h.gate(caller, xtypes.HyperDomctlPause, target)
+	if err != nil {
+		return err
+	}
+	d.State = StatePaused
+`, `	d, err := h.Domain(target)
+	if err != nil {
+		return err
+	}
+	d.State = StatePaused
+	if _, err := h.gate(caller, xtypes.HyperDomctlPause, target); err != nil {
+		return err
+	}
+`}},
+			want: []string{"hv.Pause: mutation of Domain.State is not dominated"},
+		},
+		{
+			name: "Grant goes through an alias of h.Grants before its check",
+			edits: []edit{{"priv.go", `	if _, err := h.check(caller, xtypes.HyperGrantTableOp); err != nil {
+		return xtypes.GrantRefInvalid, err
+	}
+	if err := h.ivcAllowed(caller, grantee); err != nil {
+		return xtypes.GrantRefInvalid, err
+	}
+	ref, err := h.Grants.Grant(caller, grantee, pfn, readOnly)
+	return ref, h.deny(err)
+`, `	g := h.Grants
+	ref, gerr := g.Grant(caller, grantee, pfn, readOnly)
+	if _, err := h.check(caller, xtypes.HyperGrantTableOp); err != nil {
+		return xtypes.GrantRefInvalid, err
+	}
+	if err := h.ivcAllowed(caller, grantee); err != nil {
+		return xtypes.GrantRefInvalid, err
+	}
+	return ref, h.deny(gerr)
+`}},
+			want: []string{"hv.Grant: mutation of Grants is not dominated"},
+		},
+		{
+			// mm.(*DomainMem).Snapshot only reads, so asking for it before
+			// the check is no mutation.
+			name: "VMSnapshot reads its snapshot before its check",
+			edits: []edit{{"priv.go", `	if _, err := h.check(caller, xtypes.HyperVMSnapshot); err != nil {
+		return err
+	}
+	// Snapshots`, `	_ = d.Mem.Snapshot()
+	if _, err := h.check(caller, xtypes.HyperVMSnapshot); err != nil {
+		return err
+	}
+	// Snapshots`}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files, err := filepath.Glob(filepath.Join("..", "hv", "*.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, file := range files {
+				name := filepath.Base(file)
+				if strings.HasSuffix(name, "_test.go") {
+					continue
+				}
+				src, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range tc.edits {
+					if e.file == name {
+						if !strings.Contains(string(src), e.old) {
+							t.Fatalf("edit does not apply to %s", name)
+						}
+						src = []byte(strings.Replace(string(src), e.old, e.new, 1))
+					}
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), src, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hv, err := LoadDir(dir, hvPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDiags(t, runPrivflow(append(hv, rest...)), tc.want...)
+		})
+	}
 }

@@ -67,7 +67,8 @@ type Package struct {
 	// Selections. Module imports are checked from source and the standard
 	// library comes from export data, so it is complete for module code,
 	// whose type errors fail the load. Fixtures loaded with LoadDir see
-	// their other imports as empty packages.
+	// imports from outside the module and the standard library as empty
+	// packages, and their type errors are ignored.
 	Info *types.Info
 	// Src holds the raw source by filename, used to classify suppression
 	// comments as standalone or trailing.
