@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,17 +26,44 @@ import (
 )
 
 func main() {
-	profileName := flag.String("profile", "both", "profile to audit: xoar, dom0, or both")
-	dot := flag.Bool("dot", false, "also print the shard dependency graph in Graphviz format")
-	fuzzN := flag.Int("fuzz", 0, "replay this many generated hypercall sequences (seeds 1..N) and exit")
-	replay := flag.Bool("replay", false, "run the attack-taxonomy scenarios and exit")
-	flag.Parse()
+	switch err := run(os.Stdout, os.Args[1:]); {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case errors.Is(err, errFindings):
+		os.Exit(1)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "attackaudit:", err)
+		os.Exit(1)
+	}
+}
+
+var (
+	// errUsage is run's error for a command line it refused.
+	errUsage = errors.New("usage")
+	// errFindings is run's error when -fuzz or -replay found something,
+	// after the report said so.
+	errFindings = errors.New("findings")
+)
+
+// run parses args (without the program name) and writes the report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("attackaudit", flag.ContinueOnError)
+	profileName := fs.String("profile", "both", "profile to audit: xoar, dom0, or both")
+	dot := fs.Bool("dot", false, "also print the shard dependency graph in Graphviz format")
+	fuzzN := fs.Int("fuzz", 0, "replay this many generated hypercall sequences (seeds 1..N) and exit")
+	replay := fs.Bool("replay", false, "run the attack-taxonomy scenarios and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *fuzzN > 0 {
-		os.Exit(runFuzz(*fuzzN))
+		return runFuzz(w, *fuzzN)
 	}
 	if *replay {
-		os.Exit(runReplay())
+		return runReplay(w)
 	}
 
 	profiles := []xoar.Profile{xoar.XoarShards, xoar.MonolithicDom0}
@@ -46,62 +74,62 @@ func main() {
 		profiles = profiles[1:]
 	case "both":
 	default:
-		fmt.Fprintln(os.Stderr, "attackaudit: unknown profile", *profileName)
-		os.Exit(2)
+		fmt.Fprintln(fs.Output(), "attackaudit: unknown profile", *profileName)
+		return errUsage
 	}
 
 	for _, profile := range profiles {
 		pl, err := xoar.New(profile, xoar.Config{Seed: 1})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		attacker, err := pl.CreateGuest(xoar.GuestSpec{Name: "attacker", Net: true, Disk: true})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		victim, err := pl.CreateGuest(xoar.GuestSpec{Name: "victim", Net: true, Disk: true})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 
-		fmt.Printf("=== %s ===\n", profile)
+		fmt.Fprintf(w, "=== %s ===\n", profile)
 		tcb := pl.TCB()
-		fmt.Printf("%s\n", tcb.String())
+		fmt.Fprintf(w, "%s\n", tcb.String())
 		for _, c := range tcb.Components {
-			fmt.Printf("  trusted component: %s (%s) — %d source LoC\n", c.Name, c.Image, c.SrcLoC)
+			fmt.Fprintf(w, "  trusted component: %s (%s) — %d source LoC\n", c.Name, c.Image, c.SrcLoC)
 		}
 
 		rep := pl.SecurityReport(attacker.Dom)
-		fmt.Printf("\nguest-sourced CVE containment (attacker=%v, co-tenant=%v):\n", attacker.Dom, victim.Dom)
+		fmt.Fprintf(w, "\nguest-sourced CVE containment (attacker=%v, co-tenant=%v):\n", attacker.Dom, victim.Dom)
 		for _, f := range rep.Findings {
 			extra := ""
 			if len(f.Reached) > 0 {
 				extra = fmt.Sprintf(" reaches=%v", f.Reached)
 			}
-			fmt.Printf("  %-8s %-18s %-17s -> %-18s%s\n",
+			fmt.Fprintf(w, "  %-8s %-18s %-17s -> %-18s%s\n",
 				f.Vuln.ID, f.Vuln.Vector, f.Vuln.Class, f.Outcome, extra)
 		}
-		fmt.Println("\nsummary:")
-		printSummary(os.Stdout, rep.ByOutcome)
+		fmt.Fprintln(w, "\nsummary:")
+		printSummary(w, rep.ByOutcome)
 
 		// Dynamic capability probes: assume each control component is fully
 		// compromised and actually attempt hostile operations.
-		fmt.Println("\ndynamic capability probes (compromised component -> capabilities actually obtained):")
+		fmt.Fprintln(w, "\ndynamic capability probes (compromised component -> capabilities actually obtained):")
 		for _, c := range pl.Components() {
 			probe := pl.ProbeCompromise(c.Dom, victim.Dom)
 			got := probe.Obtained()
 			if len(got) == 0 {
-				fmt.Printf("  %-16s clean (nothing beyond its own service)\n", c.Name)
+				fmt.Fprintf(w, "  %-16s clean (nothing beyond its own service)\n", c.Name)
 			} else {
-				fmt.Printf("  %-16s %v\n", c.Name, got)
+				fmt.Fprintf(w, "  %-16s %v\n", c.Name, got)
 			}
 		}
 
 		if *dot && profile == xoar.XoarShards {
-			fmt.Println("\ndependency graph:")
-			fmt.Print(pl.Log.Dot())
+			fmt.Fprintln(w, "\ndependency graph:")
+			fmt.Fprint(w, pl.Log.Dot())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		pl.Shutdown()
 	}
 
@@ -109,27 +137,28 @@ func main() {
 	{
 		pl, err := xoar.New(xoar.XoarShards, xoar.Config{Seed: 1})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if _, err := pl.CreateGuest(xoar.GuestSpec{Name: "g", Net: true, Disk: true}); err != nil {
-			fatal(err)
+			return err
 		}
 		rep := seceval.HVSplit(pl.HV.HypercallCount)
-		fmt.Println("=== hypervisor split (§7.1 future work) ===")
-		fmt.Printf("ring-0 hypercalls: %d; deprivilegeable: %d\n", len(rep.Ring0Calls), len(rep.DeprivilegedCalls))
-		fmt.Printf("observed traffic on a booted platform: ring-0 %d calls, deprivilegeable %d calls\n\n",
+		fmt.Fprintln(w, "=== hypervisor split (§7.1 future work) ===")
+		fmt.Fprintf(w, "ring-0 hypercalls: %d; deprivilegeable: %d\n", len(rep.Ring0Calls), len(rep.DeprivilegedCalls))
+		fmt.Fprintf(w, "observed traffic on a booted platform: ring-0 %d calls, deprivilegeable %d calls\n\n",
 			rep.Ring0Traffic, rep.DeprivilegedTraffic)
 		pl.Shutdown()
 	}
 
 	// Registry overview, independent of profile.
-	fmt.Println("=== vulnerability registry (§2.2.1) ===")
+	fmt.Fprintln(w, "=== vulnerability registry (§2.2.1) ===")
 	bySrc := map[seceval.Source]int{}
 	for _, v := range seceval.Registry() {
 		bySrc[v.Source]++
 	}
-	fmt.Printf("total studied: %d; guest-sourced: %d; admin-network: %d; host-os (excluded): %d\n",
+	fmt.Fprintf(w, "total studied: %d; guest-sourced: %d; admin-network: %d; host-os (excluded): %d\n",
 		len(seceval.Registry()), bySrc[seceval.SrcGuest], bySrc[seceval.SrcAdminNet], bySrc[seceval.SrcHost])
+	return nil
 }
 
 // printSummary writes the per-outcome tally in seceval.Outcome order, so
@@ -148,52 +177,52 @@ func printSummary(w io.Writer, byOutcome map[seceval.Outcome]int) {
 // runFuzz is the CLI face of the seeded generator: the same sequences the
 // Go fuzzer starts from, replayed one seed at a time with findings
 // minimized to a checked-in-able reproducer.
-func runFuzz(n int) int {
+func runFuzz(w io.Writer, n int) error {
 	bad := 0
 	for seed := int64(1); seed <= int64(n); seed++ {
 		seq := attack.Generate(seed)
 		res, err := attack.RunSequence(seq)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("seed %-4d persona=%-9v calls=%-2d attempted=%-2d denied=%-2d findings=%d\n",
+		fmt.Fprintf(w, "seed %-4d persona=%-9v calls=%-2d attempted=%-2d denied=%-2d findings=%d\n",
 			seed, seq.Persona, len(seq.Calls), res.Attempted, res.Denied, len(res.Findings))
 		if len(res.Findings) == 0 {
 			continue
 		}
 		bad++
 		for _, f := range res.Findings {
-			fmt.Printf("  FINDING %v\n", f)
+			fmt.Fprintf(w, "  FINDING %v\n", f)
 		}
 		min, err := attack.Minimize(seq)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  minimized reproducer (%d calls, add to testdata/fuzz): %q\n",
+		fmt.Fprintf(w, "  minimized reproducer (%d calls, add to testdata/fuzz): %q\n",
 			len(min.Calls), min.Encode())
 	}
 	if bad > 0 {
-		fmt.Printf("\n%d of %d sequences produced findings\n", bad, n)
-		return 1
+		fmt.Fprintf(w, "\n%d of %d sequences produced findings\n", bad, n)
+		return errFindings
 	}
-	fmt.Printf("\nall %d sequences clean\n", n)
-	return 0
+	fmt.Fprintf(w, "\nall %d sequences clean\n", n)
+	return nil
 }
 
 // runReplay prints the §2.3 taxonomy artifact — the same table the drift
 // test and the benchmark gate pin.
-func runReplay() int {
+func runReplay(w io.Writer) error {
 	tbl, err := experiments.AttackTaxonomy()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("=== %s ===\n%s\n\n", tbl.ID, tbl.Title)
+	fmt.Fprintf(w, "=== %s ===\n%s\n\n", tbl.ID, tbl.Title)
 	for _, r := range tbl.Rows {
-		fmt.Printf("  %-55s %6g %s\n", r.Label, r.Measured, r.Unit)
+		fmt.Fprintf(w, "  %-55s %6g %s\n", r.Label, r.Measured, r.Unit)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, n := range tbl.Notes {
-		fmt.Printf("  note: %s\n", n)
+		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	escal := 0.0
 	for _, r := range tbl.Rows {
@@ -202,13 +231,8 @@ func runReplay() int {
 		}
 	}
 	if escal > 0 {
-		fmt.Printf("\n%g escalations — the manifest oracle found uncovered successes\n", escal)
-		return 1
+		fmt.Fprintf(w, "\n%g escalations — the manifest oracle found uncovered successes\n", escal)
+		return errFindings
 	}
-	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "attackaudit:", err)
-	os.Exit(1)
+	return nil
 }

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,17 +24,37 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids: table6.1,table6.2,fig6.1,fig6.2,fig6.3,fig6.4,fig6.5,sec-tcb,sec-attacks,ablations,telemetry,boot-pipeline,cluster-churn")
-	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = the paper's sizes)")
-	markdown := flag.Bool("markdown", false, "emit markdown instead of text tables")
-	metrics := flag.Bool("metrics", false, "boot the Xoar profile, run a workload, and print the telemetry snapshot")
-	jsonOut := flag.Bool("json", false, "with -metrics: emit the snapshot as JSON")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON (telemetry-enabled boot + batched fleet build) to this file")
-	clusterRun := flag.Bool("cluster", false, "run the cluster serverless-churn study (cold-start percentiles, placement, rebalancing)")
-	hosts := flag.Int("hosts", 0, "with -cluster: fleet size (default 8)")
-	rate := flag.Float64("rate", 0, "with -cluster: fleet-wide guest arrivals per second (default 1000)")
-	guests := flag.Int("guests", 0, "with -cluster: total short-lived guests to submit (default 5000)")
-	flag.Parse()
+	switch err := run(os.Stdout, os.Args[1:]); {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "xoarbench:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage is run's error for a command line it refused.
+var errUsage = errors.New("usage")
+
+// run parses args (without the program name) and writes the report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("xoarbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "comma-separated experiment ids: table6.1,table6.2,fig6.1,fig6.2,fig6.3,fig6.4,fig6.5,sec-tcb,sec-attacks,ablations,telemetry,boot-pipeline,cluster-churn")
+	scale := fs.Float64("scale", 1.0, "workload scale factor (1.0 = the paper's sizes)")
+	markdown := fs.Bool("markdown", false, "emit markdown instead of text tables")
+	metrics := fs.Bool("metrics", false, "boot the Xoar profile, run a workload, and print the telemetry snapshot")
+	jsonOut := fs.Bool("json", false, "with -metrics: emit the snapshot as JSON")
+	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON (telemetry-enabled boot + batched fleet build) to this file")
+	clusterRun := fs.Bool("cluster", false, "run the cluster serverless-churn study (cold-start percentiles, placement, rebalancing)")
+	hosts := fs.Int("hosts", 0, "with -cluster: fleet size (default 8)")
+	rate := fs.Float64("rate", 0, "with -cluster: fleet-wide guest arrivals per second (default 1000)")
+	guests := fs.Int("guests", 0, "with -cluster: total short-lived guests to submit (default 5000)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *clusterRun {
 		cfg := experiments.DefaultClusterChurnConfig()
@@ -47,55 +69,50 @@ func main() {
 		}
 		t, err := experiments.ClusterChurn(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarbench: cluster: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("cluster: %w", err)
 		}
 		if *markdown {
-			fmt.Print(experiments.Markdown(t))
+			fmt.Fprint(w, experiments.Markdown(t))
 		} else {
-			fmt.Print(experiments.Render(t))
+			fmt.Fprint(w, experiments.Render(t))
 		}
-		if !*metrics && !expFlagSet() {
-			return
+		if !*metrics && !expFlagSet(fs) {
+			return nil
 		}
 	}
 
 	if *traceOut != "" {
 		data, err := experiments.TraceJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarbench: trace: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("trace: %w", err)
 		}
 		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "xoarbench: trace: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Printf("wrote %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-		if !*metrics && !expFlagSet() {
-			return
+		fmt.Fprintf(w, "wrote %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
+		if !*metrics && !expFlagSet(fs) {
+			return nil
 		}
 	}
 
 	if *metrics {
 		snap, err := experiments.MetricsSnapshot()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarbench: metrics: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("metrics: %w", err)
 		}
 		if *jsonOut {
 			out, err := snap.JSON()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "xoarbench: metrics: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("metrics: %w", err)
 			}
-			fmt.Println(string(out))
+			fmt.Fprintln(w, string(out))
 		} else {
-			fmt.Print(snap.Text())
+			fmt.Fprint(w, snap.Text())
 		}
 		// -metrics alone is a snapshot dump; run experiments only when the
 		// user asked for some explicitly.
-		if !expFlagSet() {
-			return
+		if !expFlagSet(fs) {
+			return nil
 		}
 	}
 
@@ -149,27 +166,27 @@ func main() {
 		}
 		t, err := r.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarbench: %s: %v\n", r.id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", r.id, err)
 		}
 		if *markdown {
-			fmt.Print(experiments.Markdown(t))
+			fmt.Fprint(w, experiments.Markdown(t))
 		} else {
-			fmt.Print(experiments.Render(t))
-			fmt.Println()
+			fmt.Fprint(w, experiments.Render(t))
+			fmt.Fprintln(w)
 		}
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "xoarbench: no experiment matches %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(fs.Output(), "xoarbench: no experiment matches %q\n", *exp)
+		return errUsage
 	}
+	return nil
 }
 
 // expFlagSet reports whether -exp was passed explicitly.
-func expFlagSet() bool {
+func expFlagSet(fs *flag.FlagSet) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "exp" {
 			set = true
 		}
