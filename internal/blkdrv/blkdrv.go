@@ -327,7 +327,8 @@ func (b *Backend) runWorker(q *vbdQueue, p *sim.Proc, buf []Req) {
 func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
 	b.Gate.Reset()
-	for _, v := range xenbus.InGuestOrder(b.vbds) {
+	var order [8]*vbd
+	for _, v := range xenbus.InGuestOrder(b.vbds, order[:0]) {
 		for _, q := range v.queues {
 			if q.proc != nil {
 				q.proc.Kill()
@@ -338,7 +339,7 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 		v.Disconnect()
 	}
 	snapshot.Reconnect(p, fast)
-	for _, v := range xenbus.InGuestOrder(b.vbds) {
+	for _, v := range xenbus.InGuestOrder(b.vbds, order[:0]) {
 		for _, q := range v.queues {
 			q.ring.Reset()
 		}
@@ -407,7 +408,14 @@ func (f *Frontend) io(p *sim.Proc, op Op, bytes int, sequential bool) error {
 	queues := f.v.queues
 	remaining := bytes
 	segIdx := 0
-	inflight := make([]int, len(queues))
+	// Per-ring in-flight counts, on the stack for up to 8 rings.
+	var counts [8]int
+	var inflight []int
+	if len(queues) <= len(counts) {
+		inflight = counts[:len(queues)]
+	} else {
+		inflight = make([]int, len(queues))
+	}
 	totalInflight := 0
 	// A flush carries no payload but still issues one barrier request.
 	pending := 1

@@ -44,7 +44,10 @@ func newHarness(t *testing.T) *harness {
 	return &harness{env: env, h: h, back: back, front: front, guest: guest}
 }
 
-func (hn *harness) boot(t *testing.T) {
+func (hn *harness) boot(t *testing.T) { hn.bootQueues(t, 1) }
+
+// bootQueues starts the backend and connects a vbd with n request rings.
+func (hn *harness) bootQueues(t *testing.T, n int) {
 	t.Helper()
 	ok := false
 	hn.env.Spawn("boot", func(p *sim.Proc) {
@@ -53,7 +56,7 @@ func (hn *harness) boot(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := hn.back.CreateVbd(hn.guest.ID, "guest-disk"); err != nil {
+		if err := hn.back.CreateVbdQueues(hn.guest.ID, "guest-disk", n); err != nil {
 			t.Error(err)
 			return
 		}
@@ -381,6 +384,37 @@ func TestMultiQueueVbdStriping(t *testing.T) {
 		if q.ring.Stats().ReqPushed == 0 {
 			t.Fatalf("queue %d idle", qi)
 		}
+	}
+}
+
+// A write allocates nothing once the vbd is connected, on one ring and on
+// several: the frontend keeps its per-ring in-flight counts on the stack.
+func TestWriteAllocatesNothing(t *testing.T) {
+	for _, queues := range []int{1, 4} {
+		hn := newHarness(t)
+		hn.bootQueues(t, queues)
+		start := sim.NewChan[int](hn.env)
+		writes := 0
+		hn.env.Spawn("writer", func(p *sim.Proc) {
+			for {
+				start.Recv(p)
+				if err := hn.front.Write(p, 256*1024, true); err != nil {
+					t.Error(err)
+				}
+				writes++
+			}
+		})
+		write := func() {
+			start.Send(0)
+			for n := writes; writes == n; {
+				hn.env.RunFor(sim.Millisecond)
+			}
+		}
+		write()
+		if allocs := testing.AllocsPerRun(20, write); allocs != 0 {
+			t.Errorf("%d queues: a 256 KB write allocates %.1f times, want 0", queues, allocs)
+		}
+		hn.env.Shutdown()
 	}
 }
 
