@@ -405,7 +405,8 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	b.RestartCount++
 	b.Gate.Reset()
 	// Break every ring: frontends observe the disconnect.
-	for _, v := range xenbus.InGuestOrder(b.vifs) {
+	var order [8]*vif
+	for _, v := range xenbus.InGuestOrder(b.vifs, order[:0]) {
 		b.stopPumps(v)
 		for _, q := range v.queues {
 			q.rx.Break()
@@ -423,7 +424,7 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 	// Re-attach to live hardware (device state was left intact), then
 	// restore vif configuration from the recovery box or renegotiate it.
 	snapshot.Reconnect(p, fast)
-	for _, v := range xenbus.InGuestOrder(b.vifs) {
+	for _, v := range xenbus.InGuestOrder(b.vifs, order[:0]) {
 		for _, q := range v.queues {
 			q.rx.Reset()
 			q.tx.Reset()

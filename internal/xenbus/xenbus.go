@@ -236,21 +236,23 @@ func (d *Device) Remove() {
 	d.back.XS.Rm(xenstore.TxNone, d.backPath)
 }
 
-// InGuestOrder returns the devices of m, a backend's devices by guest, in
-// DomID order. A microreboot kills and respawns each device's processes in
-// this order instead of the map's, which Go randomizes per range, so the
-// processes' IDs and the trace of a restart are the same on every run.
-func InGuestOrder[D any](m map[xtypes.DomID]D) []D {
-	guests := make([]xtypes.DomID, 0, len(m))
+// InGuestOrder appends the devices of m, a backend's devices by guest, to
+// buf in DomID order and returns the extended slice. A microreboot kills and
+// respawns each device's processes in this order instead of the map's,
+// which Go randomizes per range, so the processes' IDs and the trace of a
+// restart are the same on every run. It sorts the keys on its own stack, so
+// with buf on the caller's stack it allocates nothing for up to 8 devices.
+func InGuestOrder[D any](m map[xtypes.DomID]D, buf []D) []D {
+	var keys [8]xtypes.DomID
+	guests := keys[:0]
 	for g := range m {
 		guests = append(guests, g)
 	}
 	slices.Sort(guests)
-	ds := make([]D, len(guests))
-	for i, g := range guests {
-		ds[i] = m[g]
+	for _, g := range guests {
+		buf = append(buf, m[g])
 	}
-	return ds
+	return buf
 }
 
 // WaitReconnect blocks until connected reports true or timeout passes,

@@ -1,6 +1,7 @@
 package xenbus
 
 import (
+	"slices"
 	"testing"
 
 	"xoar/internal/xtypes"
@@ -48,5 +49,22 @@ func TestParseRingRef(t *testing.T) {
 				t.Errorf("parseRingRef(%q) ref %d = %d, want %d", tc.adv, i, refs[i], want)
 			}
 		}
+	}
+}
+
+// InGuestOrder lists a backend's devices in DomID order without allocating,
+// given a stack buffer, for as many devices as a backend serves here.
+func TestInGuestOrderAllocatesNothing(t *testing.T) {
+	m := map[xtypes.DomID]string{9: "c", 3: "a", 7: "b", 12: "d"}
+	var got []string
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [8]string
+		got = append(got[:0], InGuestOrder(m, buf[:0])...)
+	})
+	if want := []string{"a", "b", "c", "d"}; !slices.Equal(got, want) {
+		t.Fatalf("InGuestOrder = %q, want %q", got, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("InGuestOrder allocates %.1f times per call, want 0", allocs)
 	}
 }
