@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // LoadModule walks the module rooted at (or above) dir and loads every
@@ -258,10 +259,22 @@ func (l *loader) load(paths ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// stdExports memoizes, for the whole process, what listStd found out: the
+// export data file of each standard-library package (unsafe has none), and
+// which import paths it looked up. The standard library does not change
+// while xoarlint runs, so each path costs at most one go list run per
+// process, not one per load. lists counts those runs.
+var stdExports = struct {
+	sync.Mutex
+	files  map[string]string
+	listed map[string]bool
+	lists  int
+}{files: map[string]string{}, listed: map[string]bool{}}
+
 // listStd finds the export data of every standard-library package the
-// parsed files import, with one `go list` run in GOROOT/src (where
-// go/importer runs its own per-package lookup), so no module path is ever
-// built.
+// parsed files import. Paths no earlier load looked up take one go list run
+// in GOROOT/src (where go/importer runs its own per-package lookup), so no
+// module path is ever built.
 func (l *loader) listStd() error {
 	l.exports = map[string]string{}
 	seen := map[string]bool{}
@@ -282,12 +295,41 @@ func (l *loader) listStd() error {
 	if len(paths) == 0 {
 		return nil
 	}
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	var missing []string
+	for _, path := range paths {
+		if !stdExports.listed[path] {
+			missing = append(missing, path)
+		}
+	}
+	if len(missing) > 0 {
+		if err := listExports(missing); err != nil {
+			return err
+		}
+	}
+	for _, path := range paths {
+		if export, ok := stdExports.files[path]; ok {
+			l.exports[path] = export
+		}
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(l.exports[path])
+	})
+	return nil
+}
+
+// listExports records in stdExports the export data of those of the given
+// import paths that are standard-library packages, with one go list run.
+// The caller holds stdExports.
+func listExports(paths []string) error {
 	sort.Strings(paths)
 	goroot := build.Default.GOROOT
 	cmd := exec.Command(filepath.Join(goroot, "bin", "go"), append([]string{"list", "-e", "-export",
 		"-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}"}, paths...)...)
 	cmd.Dir = filepath.Join(goroot, "src")
 	cmd.Env = append(os.Environ(), "PWD="+cmd.Dir, "GOROOT="+goroot)
+	stdExports.lists++
 	out, err := cmd.Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
@@ -295,14 +337,14 @@ func (l *loader) listStd() error {
 		}
 		return fmt.Errorf("xoarlint: listing standard-library export data: %w", err)
 	}
+	for _, path := range paths {
+		stdExports.listed[path] = true
+	}
 	for _, line := range strings.Split(string(out), "\n") {
 		if path, export, ok := strings.Cut(line, " "); ok {
-			l.exports[path] = export
+			stdExports.files[path] = export
 		}
 	}
-	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(l.exports[path])
-	})
 	return nil
 }
 

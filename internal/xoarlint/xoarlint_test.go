@@ -35,6 +35,35 @@ func loadSrcFile(t *testing.T, importPath, filename, src string) *Package {
 	return pkgs[0]
 }
 
+// The standard library's export data is looked up once per process: a
+// second load with the same imports runs no go list, and still resolves
+// them.
+func TestSecondLoadListsNoStdlib(t *testing.T) {
+	const src = "package p\n\nimport \"hash/adler32\"\n\nvar _ = adler32.Checksum\n"
+	lists := func() int {
+		stdExports.Lock()
+		defer stdExports.Unlock()
+		return stdExports.lists
+	}
+	first := loadSrc(t, "example.com/p", src)
+	before := lists()
+	second := loadSrc(t, "example.com/q", src)
+	if n := lists() - before; n != 0 {
+		t.Fatalf("the second load ran go list %d times, want 0", n)
+	}
+	for i, pkg := range []*Package{first, second} {
+		resolved := false
+		for id, obj := range pkg.Info.Uses {
+			if id.Name == "Checksum" && obj.Pkg() != nil && obj.Pkg().Path() == "hash/adler32" {
+				resolved = true
+			}
+		}
+		if !resolved {
+			t.Errorf("load %d: adler32.Checksum does not resolve to the standard library", i+1)
+		}
+	}
+}
+
 // diagsOf runs a single analyzer by name over pkgs with suppressions applied.
 func diagsOf(t *testing.T, name string, pkgs ...*Package) []Diagnostic {
 	t.Helper()
