@@ -4,56 +4,97 @@ package sim
 
 import "iter"
 
-// coro runs sim process bodies as an iter.Pull coroutine. Env.step resumes
-// a process with next, and Proc.block hands control back with yield, so a
-// resume never goes through the Go runtime's run queue. Dispatch runs on the
-// coroutine of the process that blocked, so a process whose own wakeup comes
-// next needs no switch at all: next and yield are paid only when the
-// dispatch loop resumes another process, when that process hands an event
-// not its own back to the loop, and when the loop has nothing due and yields
-// to the caller of Env.Run.
+// coro runs sim process bodies on an iter.Pull coroutine, one process after
+// another. A finished process leaves its coroutine in its Env's free list,
+// and the next Spawn hands it a new process, so steady-state spawning starts
+// no goroutine.
 //
-// A coroutine outlives the process it runs. When the body returns, the
-// coroutine parks in its Env's free list, and the next Spawn hands it a new
-// process, so steady-state spawning starts no goroutine. Env.Shutdown
-// resumes each parked coroutine with no process, which ends it.
+// The goroutine of each coroutine, and the caller of Env.Run, is a strand:
+// it gives up control only by switching through a Pull. A Pull is one
+// runtime coroutine: a switch through it parks the calling goroutine there
+// and resumes the one parked there, whichever goroutines those are, as long
+// as the Pull's next and yield calls alternate. iter.Pull's yield checks
+// only that alternation, not which goroutine calls it, so any strand may
+// call any Pull's yield, not just the Pull's own goroutine.
+// TestPullSwitchesFromAnyGoroutine fails if a Go release stops allowing it.
+// So each strand records the Pull it is parked in (park here, Env.park for
+// the caller of Run), and the strand whose process blocks runs Env.step and
+// switches straight to the strand that runs the next wakeup, through the
+// Pull that strand is parked in, with whichever of next and yield is due
+// there. A change of running process costs one switch, a process's own next
+// wakeup none, and "nothing due by the deadline" one switch back to the
+// caller of Run. (runtime.coroswitch, which both calls wrap, is not
+// available outside package iter.)
+//
+// A coroutine that ends resumes whoever is parked in its own Pull. Shutdown
+// ends the idle coroutines that way: it resumes one with no process to
+// run, the coroutine returns, whoever was parked in its Pull ends in turn,
+// and so on along the chain of parks until control is back with Shutdown.
 //
 // The file needs go1.23 for package iter. The build tag sets its language
 // version, so go.mod can stay at go 1.22: hostbench's module requires this
 // one, declares go 1.22 and builds with -mod=readonly, so a higher go line
 // here would break its build.
 //
-// Four words keep a coro in the 32-byte size class.
+// Four words keep a coro in the 32-byte size class: the process it runs
+// reaches it through Env.start, and the body travels on the Proc.
 type coro struct {
-	proc  *Proc         // process to run on the next turn, nil while parked
-	body  func(p *Proc) // proc's body, handed over by Spawn
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	// park is the coroutine whose Pull this coroutine's goroutine is parked
+	// in, nil while it runs or once it has ended. A new coroutine is parked
+	// in its own.
+	park *coro
+	// yieldDue is set when the next switch through this Pull is a yield.
+	yieldDue bool
 }
 
-// newCoro returns an idle coroutine. Its body does not start until the
-// first next. It needs no stop: the loop ends when resumed while parked.
-func newCoro() *coro {
+// newCoro returns an idle coroutine. Its goroutine does not start until the
+// first switch through its Pull, a next.
+func newCoro(e *Env) *coro {
 	c := &coro{}
-	c.next, _ = iter.Pull(c.loop)
+	c.park = c
+	c.next, _ = iter.Pull(e.loop)
 	return c
 }
 
-// loop is the coroutine body: one process per turn. After a process
-// terminates, the coroutine returns itself to the free list and yields to
-// whoever resumed it; Spawn assigns the next process and a step's next
-// resumes it here. Resumed with no process, by Env.Shutdown, the loop ends.
-func (c *coro) loop(yield func(struct{}) bool) {
-	c.yield = yield
-	for {
-		p, body := c.proc, c.body
-		c.body = nil
-		p.run(body)
-		c.proc, p.co = nil, nil
-		p.env.coros = append(p.env.coros, c)
-		yield(struct{}{})
-		if c.proc == nil {
+// pass switches through q's Pull with whichever of next and yield is due. It
+// returns true when a later switch through q resumes the caller, false when
+// q's coroutine has ended, at once if it already had.
+func (q *coro) pass() bool {
+	if q.yieldDue {
+		q.yieldDue = false
+		return q.yield(struct{}{})
+	}
+	q.yieldDue = true
+	_, ok := q.next()
+	return ok
+}
+
+// loop is the coroutine body. It runs the process it was started for, then
+// each process Spawn hands it, and returns when resumed with none: that is
+// Shutdown ending it. After each process it joins the free list and, as the
+// strand that gave up control, dispatches: step switches to the strand the
+// next wakeup belongs to, or returns at once when Spawn handed this
+// coroutine that process meanwhile. After a process that panicked it hands
+// control straight to the caller of Run instead, which re-raises the panic.
+func (e *Env) loop(yield func(struct{}) bool) {
+	c := e.start.co
+	c.yield, c.park = yield, nil
+	// A coroutine ended by a runtime.Goexit may have been parked; once
+	// ended, it has no park, so wakeups of its processes resume nothing.
+	defer func() { c.park = nil }()
+	for p := e.start; p != nil; p = e.start {
+		p.run()
+		p.co = nil
+		if e.stopped {
 			return
+		}
+		e.coros = append(e.coros, c)
+		if e.fault != nil {
+			e.handoff(&c.park, e.park)
+		} else {
+			e.step(c)
 		}
 	}
 }

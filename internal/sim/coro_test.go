@@ -1,8 +1,12 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,14 +57,17 @@ func TestPanicInDispatchLoopSurfacesFromRun(t *testing.T) {
 				p.Sleep(Second)
 			}
 		})
+		var faulty *Proc
 		raise := func() {
-			if env.disp != sleeper {
+			// The sleeper's coroutine runs the loop that runs the callback,
+			// or its loop switched straight to the faulty process's.
+			if fault == "callback" && sleeper.co.park != nil || fault == "process" && sleeper.co.park != faulty.co {
 				t.Errorf("%s: the fault ran outside the sleeper's dispatch loop", fault)
 			}
 			panic(boom{7})
 		}
 		if fault == "process" {
-			env.Spawn("faulty", func(p *Proc) {
+			faulty = env.Spawn("faulty", func(p *Proc) {
 				p.Sleep(500 * Millisecond)
 				raise()
 			})
@@ -93,9 +100,9 @@ func TestPanicInDispatchLoopSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// A process that another process's dispatch loop resumed may kill the
+// A process that another process's dispatch loop switched to may kill the
 // dispatching process: the killed body unwinds once, through its deferred
-// calls, when its kill wakeup comes up in the loop.
+// calls, when its kill wakeup comes up.
 func TestKillDispatchingProcess(t *testing.T) {
 	env := NewEnv(1)
 	var unwoundAt []Time
@@ -105,9 +112,10 @@ func TestKillDispatchingProcess(t *testing.T) {
 			p.Sleep(Second)
 		}
 	})
-	env.Spawn("killer", func(p *Proc) {
+	var killer *Proc
+	killer = env.Spawn("killer", func(p *Proc) {
 		p.Sleep(1500 * Millisecond)
-		if env.disp != victim {
+		if victim.co.park != killer.co {
 			t.Error("the killer runs outside the victim's dispatch loop")
 		}
 		victim.Kill()
@@ -125,33 +133,45 @@ func TestKillDispatchingProcess(t *testing.T) {
 	}
 }
 
-// A process whose own wakeup comes next takes it without a coroutine switch,
-// whether it runs the dispatch loop or was resumed by it: a ticker that a
-// sleeping process's loop resumed sleeps 100 times on two resumes in all,
-// one from the caller of Run and one from the loop.
+// A process whose own wakeup comes next takes it without a coroutine switch:
+// once both coroutines have started, a ticker sleeps 99 more times on three
+// switches in all, from the caller of Run to the ticker, from the ticker's
+// coroutine to the idle process when the ticker ends, and back to the
+// caller of Run.
 func TestOwnWakeupNeedsNoSwitch(t *testing.T) {
 	env := NewEnv(1)
-	resumes := 0
-	countResumes := func(p *Proc) {
-		next := p.co.next
-		p.co.next = func() (struct{}, bool) {
-			resumes++
-			return next()
-		}
-	}
-	countResumes(env.Spawn("idle", func(p *Proc) { p.Sleep(Minute) }))
+	idle := env.Spawn("idle", func(p *Proc) { p.Sleep(Minute) })
 	ticks := 0
-	countResumes(env.Spawn("ticker", func(p *Proc) {
+	ticker := env.Spawn("ticker", func(p *Proc) {
 		for ; ticks < 100; ticks++ {
 			p.Sleep(Millisecond)
 		}
-	}))
+	})
+	env.Run(0)
+	switches := 0
+	countSwitches(&switches, idle.co, ticker.co)
 	env.RunAll()
 	if ticks != 100 || env.Now() != Time(Minute) {
 		t.Fatalf("%d ticks, clock at %vs; want 100 ticks, 60s", ticks, env.Now().Seconds())
 	}
-	if resumes != 2 {
-		t.Fatalf("%d coroutine resumes, want 2", resumes)
+	if switches != 3 {
+		t.Fatalf("%d coroutine switches, want 3", switches)
+	}
+}
+
+// countSwitches counts into *n every switch through the Pulls of cs, whose
+// goroutines must have started.
+func countSwitches(n *int, cs ...*coro) {
+	for _, c := range cs {
+		next, yield := c.next, c.yield
+		c.next = func() (struct{}, bool) {
+			*n++
+			return next()
+		}
+		c.yield = func(v struct{}) bool {
+			*n++
+			return yield(v)
+		}
 	}
 }
 
@@ -167,19 +187,22 @@ func TestDispatchLoopStopsAtRunDeadline(t *testing.T) {
 			log = append(log, fmt.Sprintf("a@%v", p.Now().Seconds()))
 		}
 	})
-	env.Spawn("b", func(p *Proc) {
+	b := env.Spawn("b", func(p *Proc) {
 		for {
 			p.Sleep(Second)
-			if env.disp != a {
-				t.Error("b runs outside a's dispatch loop")
-			}
 			log = append(log, fmt.Sprintf("b@%v", p.Now().Seconds()))
+		}
+	})
+	// b's wakeups come up right after a's, so a's coroutine dispatches them.
+	env.SetTrace(func(ev TraceEvent) {
+		if ev.Kind == "resume" && ev.Proc == "b" && a.co.park != nil {
+			t.Error("b runs outside a's dispatch loop")
 		}
 	})
 	if got := env.Run(Time(2500 * Millisecond)); got != Time(2500*Millisecond) {
 		t.Fatalf("Run returned %v, want 2.5s", got.Seconds())
 	}
-	if env.disp != nil {
+	if a.co.park == nil || b.co.park == nil {
 		t.Fatal("a dispatch loop is still running after Run returned")
 	}
 	if got, want := strings.Join(log, " "), "a@1 b@1 a@2 b@2"; got != want {
@@ -189,6 +212,7 @@ func TestDispatchLoopStopsAtRunDeadline(t *testing.T) {
 	if got, want := strings.Join(log, " "), "a@1 b@1 a@2 b@2 a@3 b@3"; got != want {
 		t.Fatalf("log after Run(3s) = %q, want %q", got, want)
 	}
+	env.SetTrace(nil)
 	env.Shutdown()
 }
 
@@ -266,4 +290,162 @@ func TestSpawnReusesCoroutines(t *testing.T) {
 		t.Fatalf("%d coroutines for a peak of %d live processes", n, peak)
 	}
 	env.Shutdown()
+}
+
+// Three processes pass a token around a ring: each change of running
+// process is one coroutine switch, straight from the process that blocks
+// to the one it woke, plus one from the caller of Run in and one back.
+// (With a dispatcher to return to, a change took two.)
+func TestRingSwitchesOncePerChange(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Shutdown()
+	var ring [3]*Chan[int]
+	for i := range ring {
+		ring[i] = NewChan[int](env)
+	}
+	var procs [3]*Proc
+	for i := range procs {
+		in, out := ring[i], ring[(i+1)%len(ring)]
+		procs[i] = env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for {
+				n, _ := in.Recv(p)
+				p.Sleep(Microsecond)
+				out.Send(n + 1)
+			}
+		})
+	}
+	ring[0].Send(0)
+	env.RunFor(10 * Microsecond) // every coroutine has started
+	switches := 0
+	countSwitches(&switches, procs[0].co, procs[1].co, procs[2].co)
+	var resumed []string
+	env.SetTrace(func(ev TraceEvent) {
+		if ev.Kind == "resume" {
+			resumed = append(resumed, ev.Proc)
+		}
+	})
+	env.RunFor(300 * Microsecond)
+	env.SetTrace(nil)
+	changes := 2
+	for i := 1; i < len(resumed); i++ {
+		if resumed[i] != resumed[i-1] {
+			changes++
+		}
+	}
+	if changes < 200 {
+		t.Fatalf("%d changes of running process, want a busy ring", changes)
+	}
+	if switches != changes {
+		t.Fatalf("%d coroutine switches for %d changes of running process, want one each", switches, changes)
+	}
+}
+
+// A runtime.Goexit in a body ends the goroutine of the caller of Run, as it
+// would a goroutine that called the body itself, also when the body's
+// process was switched to by another's; Shutdown from another goroutine
+// then leaves no coroutine behind.
+func TestGoexitEndsRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	env.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(Second)
+		}
+	})
+	env.Spawn("quitter", func(p *Proc) {
+		p.Sleep(1500 * Millisecond)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		env.Run(Time(5 * Second))
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned after a body called runtime.Goexit")
+	}
+	if env.Now() != Time(1500*Millisecond) {
+		t.Fatalf("clock at %vs, want 1.5s", env.Now().Seconds())
+	}
+	env.Shutdown()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before NewEnv", after, before)
+	}
+}
+
+// A coroutine whose process ended dispatches from the free list. When a
+// callback it runs spawns a process, Spawn hands that process this very
+// coroutine, which then runs it itself, without a switch.
+func TestIdleCoroutineRunsSpawnedProcess(t *testing.T) {
+	env := NewEnv(1)
+	switches := 0
+	var child *Proc
+	childRan := false
+	parent := env.Spawn("parent", func(p *Proc) {
+		countSwitches(&switches, p.co)
+		env.Post(func() {
+			child = env.Spawn("child", func(c *Proc) {
+				childRan = true
+				c.Sleep(Millisecond)
+			})
+			if child.co == nil || len(env.coros) != 0 {
+				t.Error("Spawn did not hand the child the idle coroutine")
+			}
+		})
+	})
+	env.RunAll()
+	if !parent.Done() || !childRan || !child.Done() {
+		t.Fatalf("parent done %v, child ran %v, child done %v", parent.Done(), childRan, child.Done())
+	}
+	// The one switch is back to the caller of Run, once nothing is due.
+	if switches != 1 || len(env.coros) != 1 {
+		t.Fatalf("%d switches and %d coroutines, want 1 and 1", switches, len(env.coros))
+	}
+	env.Shutdown()
+}
+
+// The hand-off rests on a property of iter.Pull that its documentation does
+// not promise: next and yield may each be called from any goroutine, as
+// long as the calls on one Pull alternate, and a switch through a Pull
+// resumes whichever goroutine is parked there. If a Go release adds a check
+// that yield runs on the Pull's own goroutine, this fails first.
+func TestPullSwitchesFromAnyGoroutine(t *testing.T) {
+	var log []string
+	var aNext, bNext func() (struct{}, bool)
+	var aYield, bYield func(struct{}) bool
+	aNext, _ = iter.Pull(func(yield func(struct{}) bool) {
+		aYield = yield
+		log = append(log, "a starts")
+		bNext() // a parks in b's Pull; b starts
+		log = append(log, "a resumed by the test")
+		aNext() // a parks in its own Pull, resuming b parked there
+		log = append(log, "a resumed by the test again")
+	})
+	bNext, _ = iter.Pull(func(yield func(struct{}) bool) {
+		bYield = yield
+		log = append(log, "b starts")
+		aYield(struct{}{}) // b parks in a's Pull, resuming the test
+		log = append(log, "b resumed by a")
+	})
+	aNext() // the test parks in a's Pull; a starts
+	log = append(log, "test resumed by b")
+	if ok := bYield(struct{}{}); ok { // the test parks in b's Pull, resuming a
+		t.Error("the switch through b's Pull returned true, want false once b ended")
+	}
+	log = append(log, "test resumed as b ends")
+	if ok := aYield(struct{}{}); ok { // the test parks in a's Pull, resuming a
+		t.Error("the switch through a's Pull returned true, want false once a ended")
+	}
+	log = append(log, "test resumed as a ends")
+	want := []string{
+		"a starts", "b starts", "test resumed by b", "a resumed by the test",
+		"b resumed by a", "test resumed as b ends", "a resumed by the test again",
+		"test resumed as a ends",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("switch order:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
 }

@@ -3,16 +3,16 @@
 // The kernel drives cooperative processes: each process runs as a coroutine
 // (coro.go), and exactly one process runs at any moment. A process gives up
 // control by sleeping, waiting on a synchronization primitive, or
-// terminating. The process that blocks dispatches the next event itself, on
-// its own coroutine, advancing the virtual clock to it: when the event is its
-// own wakeup, it returns straight into its body without a coroutine switch.
-// The process the caller of Run resumed runs the dispatch loop: it runs
-// callbacks in place and resumes other processes with one switch each, and
-// a process it resumed hands control back to it on any event not its own.
-// Only when nothing more is due by the Run deadline does control go back to
-// the caller of Run. Because execution is serialized and events dispatch in
-// (time, sequence) order, every run with the same seed is bit-for-bit
-// reproducible, whichever coroutine dispatches.
+// terminating. The process that blocks dispatches the next events itself,
+// on its own coroutine, advancing the virtual clock: it runs callbacks in
+// place, returns straight into its body when the event is its own wakeup,
+// and otherwise switches directly to the coroutine of the process the event
+// wakes, which dispatches in turn when it blocks. Each change of running
+// process is one coroutine switch, and there is no dispatcher to return to:
+// only when nothing more is due by the Run deadline does control go back to
+// the caller of Run, with one switch. Because execution is serialized and
+// events dispatch in (time, sequence) order, every run with the same seed is
+// bit-for-bit reproducible, whichever coroutine dispatches.
 //
 // A Signal.Broadcast wakes every waiter, and a waiter in Resource.Acquire or
 // Chan.Recv often finds the slot or the item already taken by one woken
@@ -33,9 +33,12 @@
 // strict (time, sequence) order. The lane is always empty when the clock
 // advances.
 //
-// A panic in a process body unwinds that process and reaches the caller of
-// Run, RunFor or RunAll with its original value. The process is left
-// unfinished, so afterwards the Env should only be shut down.
+// A panic in a process body or a callback reaches the caller of Run, RunFor
+// or RunAll with its original value, and a runtime.Goexit in a body ends the
+// caller's goroutine. A panic unwinds only the process it was raised in:
+// not the process whose coroutine ran the callback. The faulty process is
+// left unfinished (LiveProcs still counts it), so afterwards the Env should
+// only be shut down.
 //
 // The rest of the repository models a virtualization platform on top of this
 // kernel: virtual machines, device backends, and workloads are all sim
@@ -47,6 +50,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 )
 
@@ -200,16 +204,22 @@ type Env struct {
 	procs  map[*Proc]struct{}
 	lastEv string
 	trace  func(TraceEvent)
-	nextID int
+	nextID int32
+
+	// stopped is set once Shutdown starts ending the coroutines.
+	stopped bool
 
 	// until is the deadline of the Run in progress: step takes no event due
 	// after it.
 	until Time
-	// disp is the process running the dispatch loop, the one the caller of
-	// Run resumed; nil while the caller of Run dispatches.
-	disp *Proc
-	// fault is a panic that disp's loop recovered from a process or
-	// callback it ran, for the caller of Run to re-raise.
+	// park is the coroutine whose Pull the caller of Run is parked in while
+	// a process runs (coro.go).
+	park *coro
+	// start is the process whose wakeup step dispatched last: the one a
+	// coroutine it resumes in its free-list loop starts.
+	start *Proc
+	// fault is a panic from a process body or a callback on a process
+	// coroutine, for the caller of Run to re-raise.
 	fault any
 
 	// lane[laneHead:] are the events scheduled for the current instant since
@@ -227,11 +237,9 @@ type Env struct {
 	stale       int
 	compactions int
 
-	// coros holds parked coroutines whose process terminated, for reuse by
+	// coros holds idle coroutines, whose process terminated, for reuse by
 	// Spawn.
 	coros []*coro
-
-	stopped bool
 }
 
 // NewEnv returns a fresh environment whose random source is seeded with seed.
@@ -403,13 +411,14 @@ func (e *Env) sweep(evs []*event) int {
 	return n
 }
 
-// Proc is a cooperative simulation process. It fits the 80-byte size class:
-// its body travels to the coroutine with the process instead of living here.
+// Proc is a cooperative simulation process. It fits the 80-byte size class
+// with id packed beside the flags.
 type Proc struct {
 	env    *Env
 	name   string
-	id     int
-	co     *coro // coroutine running the body, nil once terminated
+	body   func(p *Proc) // nil once the body has run
+	co     *coro         // coroutine running the body, nil once terminated
+	id     int32
 	done   bool
 	killed bool
 	// pending is the queued wakeup for this process, if any. A live process
@@ -436,15 +445,14 @@ type waitCond interface {
 // virtual time, after the currently running process next yields.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{env: e, name: name, id: e.nextID}
+	p := &Proc{env: e, name: name, id: e.nextID, body: fn}
 	if n := len(e.coros); n > 0 {
 		p.co = e.coros[n-1]
 		e.coros[n-1] = nil
 		e.coros = e.coros[:n-1]
 	} else {
-		p.co = newCoro()
+		p.co = newCoro(e)
 	}
-	p.co.proc, p.co.body = p, fn
 	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	e.emitTrace("spawn", name)
@@ -453,26 +461,45 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // run executes the process body on its coroutine and marks the process
-// terminated. A Kill unwinds the body through the procKilled panic, so its
-// deferred releases run; any other panic propagates to the scheduler.
-func (p *Proc) run(body func(p *Proc)) {
-	if !p.killed {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); ok {
-						return // normal termination via Kill
-					}
-					panic(r)
-				}
-			}()
-			body(p)
-		}()
+// terminated, unless the body faulted (see exec).
+func (p *Proc) run() {
+	if !p.killed && !p.exec() {
+		return
 	}
 	p.cond = nil // a Kill unwinds a waiting body without clearing it
 	p.done = true
 	delete(p.env.procs, p)
 	p.doneSig.Broadcast()
+}
+
+// exec runs the body and reports whether it returned or was unwound by
+// Kill, through the procKilled panic, so its deferred releases ran. A body
+// that panics or calls runtime.Goexit faults: the panic is kept for the
+// caller of Run, a Goexit goes on to end the coroutine, and the process is
+// marked killed, so nothing schedules it again, but stays unfinished.
+func (p *Proc) exec() (ok bool) {
+	defer func() {
+		if !ok {
+			ok = p.unwound(recover())
+		}
+	}()
+	body := p.body
+	p.body = nil
+	body(p)
+	return true
+}
+
+// unwound classifies what unwound a body that did not return: r is the
+// recovered panic value, nil for runtime.Goexit.
+func (p *Proc) unwound(r any) bool {
+	if _, ok := r.(procKilled); ok {
+		return true
+	}
+	p.killed = true
+	if r != nil {
+		p.env.fault = r
+	}
+	return false
 }
 
 // procKilled is the panic payload used to unwind a killed process.
@@ -487,15 +514,12 @@ func (p *Proc) Now() Time { return p.env.now }
 // Done reports whether the process has terminated.
 func (p *Proc) Done() bool { return p.done }
 
-// block suspends the calling process until its next wakeup, which step
-// hands it without a coroutine switch when no other event comes first.
-// Otherwise block yields: to the dispatch loop that resumed the process, or
-// to the caller of Run once nothing more is due by the deadline. Must only
-// be called from within the process's own body.
+// block suspends the calling process until its next wakeup: its own step
+// dispatches until then, switching away when another process's wakeup comes
+// first, and returns when that wakeup is dispatched, on this coroutine or by
+// another. Must only be called from within the process's own body.
 func (p *Proc) block() {
-	if !p.env.step(p) {
-		p.co.yield(struct{}{})
-	}
+	p.env.step(p.co)
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -572,42 +596,46 @@ func (e *Env) remove(ev *event) {
 }
 
 // step is the dispatch loop: it runs the live events due by the current
-// Run's deadline in (at, seq) order on the calling goroutine, and it is the
-// only place an event is taken off the queue. self is the process whose
-// block called it, nil when the caller of Run dispatches. self's own wakeup
-// ends the loop with true, so block returns straight into the body.
-// Otherwise step reports false once nothing more is due by the deadline.
+// Run's deadline in (at, seq) order on the calling strand, and it is the
+// only place an event is taken off the queue. self is the coroutine calling
+// it: the one whose process blocks or ended, nil for the caller of Run.
+//
+// step runs callbacks in place. A wakeup of a process self runs ends the
+// loop, so block returns straight into the body without a coroutine switch.
+// Any other wakeup hands control straight to the strand of the woken
+// process with one switch (coro.go), and step returns when another strand's
+// step hands control back, for a wakeup of self's process. So does nothing
+// left due by the deadline, when the strand handed control to is the caller
+// of Run, whose own step returns there instead.
 //
 // A wakeup of a live process whose wait condition still holds does not
 // resume it: the loop puts the process back on its signal's waiter list, as
-// the Wait in the process's own loop would, and goes on. That holds for self
-// too, which then keeps dispatching as if its body had waited again.
+// the Wait in the process's own loop would, and goes on. That holds for
+// self's process too, which then keeps dispatching as if its body had waited
+// again.
 //
-// A process the caller of Run resumed runs the loop as disp whenever it
-// blocks. Like the caller of Run, disp runs a callback in place and resumes
-// another process with one coroutine switch; that process hands control back
-// when it blocks or ends. A process disp resumed takes only its own wakeup
-// here and reports false on any other event, so its block yields back to
-// disp's loop.
-//
-// In disp's loop, a panic from a process or callback it ran would unwind
-// disp's body as well; endLoop recovers it instead, disp yields, and the
-// step on the caller of Run re-raises it with its original value.
+// A panic from a callback would unwind the body of the process whose
+// coroutine runs the loop; call catches it and hands it to the caller of Run
+// instead. On the caller of Run, the panic goes straight up.
 //
 // This is the loop every simulated nanosecond flows through, so it must stay
 // allocation-free in steady state.
 //
 //xoarlint:hot
-func (e *Env) step(self *Proc) bool {
-	resumed := self != nil && e.disp != nil
-	if self != nil && !resumed {
-		e.disp = self
-		defer e.endLoop()
+func (e *Env) step(self *coro) {
+	park := &e.park
+	if self != nil {
+		park = &self.park
 	}
-	for {
+	var to *coro
+	for to == nil {
 		ev := e.peekLive()
-		if ev == nil || ev.at > e.until || (resumed && ev.proc != self) {
-			return false
+		if ev == nil || ev.at > e.until {
+			if self == nil {
+				return
+			}
+			to = e.park
+			break
 		}
 		e.remove(ev)
 		if ev.at > e.now {
@@ -618,8 +646,9 @@ func (e *Env) step(self *Proc) bool {
 			e.recycle(ev)
 			e.lastEv = "fn-callback"
 			e.emitTrace("callback", "")
-			//xoarlint:allow(hotpath) scheduled callback bodies are charged to their own hot roots (evtchn upcalls, driver pumps); the dispatcher only invokes them
-			fn()
+			if e.call(self, fn) {
+				return
+			}
 			continue
 		}
 		p := ev.proc
@@ -632,14 +661,52 @@ func (e *Env) step(self *Proc) bool {
 		if p.cond != nil && p.requeue() {
 			continue
 		}
-		if p == self {
-			return true
+		e.start = p
+		if p.co == self {
+			return
 		}
-		p.co.next()
-		if r := e.fault; r != nil {
-			e.fault = nil
-			panic(r)
-		}
+		// A coroutine that ended with a runtime.Goexit has no park, and its
+		// processes' wakeups resume nothing.
+		to = p.co.park
+	}
+	e.handoff(park, to)
+}
+
+// handoff parks the running strand, whose park slot is park, in the Pull of
+// coroutine to and resumes the strand parked there. It returns when a later
+// switch through that Pull resumes this strand, or when to's coroutine ends:
+// outside Shutdown, only a runtime.Goexit ends one, and handoff passes it on
+// toward the caller of Run.
+func (e *Env) handoff(park **coro, to *coro) {
+	*park = to
+	ok := to.pass()
+	*park = nil
+	if !ok && !e.stopped {
+		runtime.Goexit()
+	}
+}
+
+// call runs callback fn for the step of strand self. On a process coroutine
+// it traps a panic from fn and reports whether it did, once a later step
+// resumes self.
+func (e *Env) call(self *coro, fn func()) (trapped bool) {
+	if self != nil {
+		defer e.trap(self, &trapped)
+	}
+	//xoarlint:allow(hotpath) scheduled callback bodies are charged to their own hot roots (evtchn upcalls, driver pumps); the dispatcher only invokes them
+	fn()
+	return false
+}
+
+// trap recovers a panic that a callback raised in self's dispatch loop,
+// keeps it for the caller of Run and hands control there, leaving the body
+// of self's process blocked where it was. It returns when a later step
+// resumes self, for its process's wakeup, and sets *trapped so step returns.
+func (e *Env) trap(self *coro, trapped *bool) {
+	if r := recover(); r != nil {
+		e.fault = r
+		e.handoff(&self.park, e.park)
+		*trapped = true
 	}
 }
 
@@ -661,15 +728,6 @@ func (p *Proc) requeue() bool {
 	return true
 }
 
-// endLoop ends disp's dispatch loop, keeping a panic from a process or
-// callback the loop ran for the caller of Run.
-func (e *Env) endLoop() {
-	e.disp = nil
-	if r := recover(); r != nil {
-		e.fault = r
-	}
-}
-
 // maxTime is the deadline of RunAll and Shutdown, which run until the queue
 // drains.
 const maxTime = Time(math.MaxInt64)
@@ -686,6 +744,7 @@ func (e *Env) Run(until Time) Time {
 	}
 	e.until = until
 	e.step(nil)
+	e.raise()
 	if e.now > until {
 		panic(fmt.Sprintf("sim: clock overran Run(until=%d): now=%d lastEv=%q", until, e.now, e.lastEv))
 	}
@@ -719,7 +778,17 @@ func (e *Env) Await(name string, limit Duration, fn func(p *Proc)) bool {
 func (e *Env) RunAll() Time {
 	e.until = maxTime
 	e.step(nil)
+	e.raise()
 	return e.now
+}
+
+// raise re-raises, on the caller of Run, a panic that a process body or a
+// callback raised on a process coroutine.
+func (e *Env) raise() {
+	if r := e.fault; r != nil {
+		e.fault = nil
+		panic(r)
+	}
 }
 
 // Shutdown kills every live process and ends the parked coroutines, so no
@@ -738,11 +807,22 @@ func (e *Env) Shutdown() {
 	}
 	e.until = maxTime
 	e.step(nil)
+	e.raise()
+	// End the idle coroutines: each resumed with no process returns, and so
+	// does every coroutine parked behind it (coro.go). A process still live
+	// here was spawned while the killed ones unwound and waits for good;
+	// marked killed, it unwinds if the chain resumes its coroutine.
+	e.stopped = true
+	for p := range e.procs {
+		p.killed = true
+	}
+	e.start = nil
 	for _, c := range e.coros {
-		c.next() // resumed with no process, the coroutine's loop returns
+		if c.park != nil { // else ended already, along another's chain
+			e.handoff(&e.park, c.park)
+		}
 	}
 	e.coros = nil
-	e.stopped = true
 }
 
 // LiveProcs returns the number of processes that have started but not
