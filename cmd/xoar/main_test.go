@@ -1,17 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"errors"
-	"flag"
+	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"xoar"
+	"xoar/internal/golden"
 )
 
 func TestParseProfile(t *testing.T) {
@@ -62,57 +60,9 @@ func TestUnknownProfileExitsWithUsage(t *testing.T) {
 func TestGolden(t *testing.T) {
 	for _, profile := range []string{"xoar", "dom0"} {
 		t.Run(profile, func(t *testing.T) {
-			checkGolden(t, profile+".txt", "-profile", profile)
+			golden.Check(t, profile+".txt", func(w io.Writer) error {
+				return run(w, []string{"-profile", profile})
+			})
 		})
-	}
-}
-
-var update = flag.Bool("update", false, "rewrite the goldens under testdata/golden")
-
-// checkGolden runs the command with args twice at once and compares the
-// output with testdata/golden/<name>. Two runs that differ mean
-// package-level mutable state.
-func checkGolden(t *testing.T, name string, args ...string) {
-	t.Helper()
-	var outs [2]bytes.Buffer
-	var errs [2]error
-	var wg sync.WaitGroup
-	for i := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = run(&outs[i], args)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs[:]...); err != nil {
-		t.Fatal(err)
-	}
-	got := outs[0].Bytes()
-	if !bytes.Equal(got, outs[1].Bytes()) {
-		t.Fatalf("two runs at once differ; first:\n%s\nsecond:\n%s", got, outs[1].Bytes())
-	}
-	path := filepath.Join("testdata", "golden", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s: line %d is\n\t%s\nwant\n\t%s", path, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
