@@ -2,7 +2,10 @@
 
 package sim
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // coro runs sim process bodies on an iter.Pull coroutine, one process after
 // another. A finished process leaves its coroutine in its Env's free list,
@@ -30,6 +33,8 @@ import "iter"
 // ends the idle coroutines that way: it resumes one with no process to
 // run, the coroutine returns, whoever was parked in its Pull ends in turn,
 // and so on along the chain of parks until control is back with Shutdown.
+// A runtime.Goexit in a body ends its coroutine too, and every strand it
+// resumes that way exits in turn (Env.handoff), up to the caller of Run.
 //
 // The file needs go1.23 for package iter. The build tag sets its language
 // version, so go.mod can stay at go 1.22: hostbench's module requires this
@@ -81,9 +86,7 @@ func (q *coro) pass() bool {
 func (e *Env) loop(yield func(struct{}) bool) {
 	c := e.start.co
 	c.yield, c.park = yield, nil
-	// A coroutine ended by a runtime.Goexit may have been parked; once
-	// ended, it has no park, so wakeups of its processes resume nothing.
-	defer func() { c.park = nil }()
+	defer e.retire(c)
 	for p := e.start; p != nil; p = e.start {
 		p.run()
 		p.co = nil
@@ -95,6 +98,19 @@ func (e *Env) loop(yield func(struct{}) bool) {
 			e.handoff(&c.park, e.park)
 		} else {
 			e.step(c)
+		}
+	}
+}
+
+// retire runs as c's goroutine ends. Outside Shutdown, only a runtime.Goexit
+// ends one, possibly while it was parked or idle: retire leaves it no park,
+// so wakeups of its processes resume nothing, and takes it out of the free
+// list, so Spawn hands it no process.
+func (e *Env) retire(c *coro) {
+	c.park = nil
+	if !e.stopped {
+		if i := slices.Index(e.coros, c); i >= 0 {
+			e.coros = slices.Delete(e.coros, i, i+1)
 		}
 	}
 }

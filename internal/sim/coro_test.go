@@ -267,6 +267,30 @@ func TestNoGoroutineOutlivesShutdown(t *testing.T) {
 	}
 }
 
+// A process that a killed body's deferred call spawns during Shutdown, and
+// that then waits for good, is unwound too, and its coroutine ends.
+func TestShutdownUnwindsProcessSpawnedWhileUnwinding(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	ch := NewChan[int](env)
+	unwound := false
+	env.Spawn("parent", func(p *Proc) {
+		defer env.Spawn("orphan", func(q *Proc) {
+			defer func() { unwound = true }()
+			ch.Recv(q)
+		})
+		ch.Recv(p)
+	})
+	env.RunFor(Second)
+	env.Shutdown()
+	if !unwound || env.LiveProcs() != 0 {
+		t.Fatalf("orphan unwound %v, %d processes live after Shutdown; want true, 0", unwound, env.LiveProcs())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before NewEnv", after, before)
+	}
+}
+
 // Finished processes hand their coroutine to the next Spawn: 10k sequential
 // short-lived children need no more coroutines than the peak number of live
 // processes.
@@ -374,6 +398,32 @@ func TestGoexitEndsRunCaller(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines after Shutdown, %d before NewEnv", after, before)
 	}
+}
+
+// A runtime.Goexit also ends every coroutine between the body's and the
+// caller of Run, as it unwinds. One of them may be idle, dispatching from
+// the free list: it leaves the list, so Spawn hands it no process.
+func TestGoexitRetiresIdleCoroutine(t *testing.T) {
+	env := NewEnv(1)
+	env.Spawn("first", func(p *Proc) {
+		env.Spawn("quitter", func(q *Proc) { runtime.Goexit() })
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		env.RunAll()
+	}()
+	<-done
+	if n := len(env.coros); n != 0 {
+		t.Fatalf("%d coroutines in the free list after the Goexit, want 0", n)
+	}
+	ran := false
+	env.Spawn("after", func(p *Proc) { ran = true })
+	env.RunAll()
+	if !ran {
+		t.Fatal("a process spawned after the Goexit never ran")
+	}
+	env.Shutdown()
 }
 
 // A coroutine whose process ended dispatches from the free list. When a

@@ -479,27 +479,21 @@ func (p *Proc) run() {
 // marked killed, so nothing schedules it again, but stays unfinished.
 func (p *Proc) exec() (ok bool) {
 	defer func() {
-		if !ok {
-			ok = p.unwound(recover())
+		if ok {
+			return
+		}
+		r := recover() // nil for runtime.Goexit
+		if _, ok = r.(procKilled); !ok {
+			p.killed = true
+			if r != nil {
+				p.env.fault = r
+			}
 		}
 	}()
 	body := p.body
 	p.body = nil
 	body(p)
 	return true
-}
-
-// unwound classifies what unwound a body that did not return: r is the
-// recovered panic value, nil for runtime.Goexit.
-func (p *Proc) unwound(r any) bool {
-	if _, ok := r.(procKilled); ok {
-		return true
-	}
-	p.killed = true
-	if r != nil {
-		p.env.fault = r
-	}
-	return false
 }
 
 // procKilled is the panic payload used to unwind a killed process.
