@@ -90,7 +90,7 @@ func (e *Env) loop(yield func(struct{}) bool) {
 	for p := e.start; p != nil; p = e.start {
 		p.run()
 		p.co = nil
-		if e.stopped {
+		if e.ending {
 			return
 		}
 		e.coros = append(e.coros, c)
@@ -108,7 +108,7 @@ func (e *Env) loop(yield func(struct{}) bool) {
 // list, so Spawn hands it no process.
 func (e *Env) retire(c *coro) {
 	c.park = nil
-	if !e.stopped {
+	if !e.ending {
 		if i := slices.Index(e.coros, c); i >= 0 {
 			e.coros = slices.Delete(e.coros, i, i+1)
 		}

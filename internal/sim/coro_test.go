@@ -291,6 +291,31 @@ func TestShutdownUnwindsProcessSpawnedWhileUnwinding(t *testing.T) {
 	}
 }
 
+// An Env runs on after Shutdown: new processes get new coroutines, and
+// their switches and endings work as before.
+func TestRunAfterShutdown(t *testing.T) {
+	env := NewEnv(1)
+	ticks := 0
+	ticker := func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(Millisecond)
+			ticks++
+		}
+	}
+	env.Spawn("a", ticker)
+	env.Spawn("b", ticker)
+	env.RunFor(5 * Millisecond)
+	env.Shutdown()
+	ticks = 0
+	env.Spawn("c", ticker)
+	env.Spawn("d", ticker)
+	env.RunAll()
+	if ticks != 20 || env.LiveProcs() != 0 {
+		t.Fatalf("%d ticks and %d live processes after Shutdown and RunAll, want 20 and 0", ticks, env.LiveProcs())
+	}
+	env.Shutdown()
+}
+
 // Finished processes hand their coroutine to the next Spawn: 10k sequential
 // short-lived children need no more coroutines than the peak number of live
 // processes.

@@ -206,8 +206,8 @@ type Env struct {
 	trace  func(TraceEvent)
 	nextID int32
 
-	// stopped is set once Shutdown starts ending the coroutines.
-	stopped bool
+	// ending is set while Shutdown ends the idle coroutines.
+	ending bool
 
 	// until is the deadline of the Run in progress: step takes no event due
 	// after it.
@@ -675,7 +675,7 @@ func (e *Env) handoff(park **coro, to *coro) {
 	*park = to
 	ok := to.pass()
 	*park = nil
-	if !ok && !e.stopped {
+	if !ok && !e.ending {
 		runtime.Goexit()
 	}
 }
@@ -806,7 +806,7 @@ func (e *Env) Shutdown() {
 	// does every coroutine parked behind it (coro.go). A process still live
 	// here was spawned while the killed ones unwound and waits for good;
 	// marked killed, it unwinds if the chain resumes its coroutine.
-	e.stopped = true
+	e.ending = true
 	for p := range e.procs {
 		p.killed = true
 	}
@@ -817,6 +817,7 @@ func (e *Env) Shutdown() {
 		}
 	}
 	e.coros = nil
+	e.ending = false
 }
 
 // LiveProcs returns the number of processes that have started but not
