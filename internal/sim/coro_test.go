@@ -344,7 +344,6 @@ func TestSpawnReusesCoroutines(t *testing.T) {
 // Three processes pass a token around a ring: each change of running
 // process is one coroutine switch, straight from the process that blocks
 // to the one it woke, plus one from the caller of Run in and one back.
-// (With a dispatcher to return to, a change took two.)
 func TestRingSwitchesOncePerChange(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Shutdown()

@@ -594,13 +594,13 @@ func (e *Env) remove(ev *event) {
 // only place an event is taken off the queue. self is the coroutine calling
 // it: the one whose process blocks or ended, nil for the caller of Run.
 //
-// step runs callbacks in place. A wakeup of a process self runs ends the
-// loop, so block returns straight into the body without a coroutine switch.
-// Any other wakeup hands control straight to the strand of the woken
-// process with one switch (coro.go), and step returns when another strand's
-// step hands control back, for a wakeup of self's process. So does nothing
-// left due by the deadline, when the strand handed control to is the caller
-// of Run, whose own step returns there instead.
+// step runs callbacks in place. A wakeup of a process on self ends the
+// loop at once: block returns straight into the body without a coroutine
+// switch, and an idle self starts the process Spawn handed it. Any other
+// wakeup hands control to the strand of the woken process with one switch
+// (coro.go), and so does nothing left due by the deadline, to the caller of
+// Run; step returns when a later switch resumes self. On the caller of Run,
+// nothing left due ends the loop at once.
 //
 // A wakeup of a live process whose wait condition still holds does not
 // resume it: the loop puts the process back on its signal's waiter list, as
