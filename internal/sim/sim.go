@@ -663,7 +663,23 @@ func (e *Env) step(self *coro) {
 		// processes' wakeups resume nothing.
 		to = p.co.park
 	}
-	e.handoff(park, to)
+	// This is handoff and coro.pass written out: a resumed strand returns
+	// through every frame between its switch and its body, and each costs
+	// a mispredicted return after the stack change, so the switch nearly
+	// every resume comes back through sits in step itself.
+	*park = to
+	var ok bool
+	if to.yieldDue {
+		to.yieldDue = false
+		ok = to.yield(struct{}{})
+	} else {
+		to.yieldDue = true
+		_, ok = to.next()
+	}
+	*park = nil
+	if !ok && !e.ending {
+		runtime.Goexit()
+	}
 }
 
 // handoff parks the running strand, whose park slot is park, in the Pull of
