@@ -35,10 +35,10 @@
 //
 // A panic in a process body or a callback reaches the caller of Run, RunFor
 // or RunAll with its original value, and a runtime.Goexit in a body ends the
-// caller's goroutine. A panic unwinds only the process it was raised in:
-// not the process whose coroutine ran the callback. The faulty process is
-// left unfinished (LiveProcs still counts it), so afterwards the Env should
-// only be shut down.
+// caller's goroutine. A panic in a callback unwinds no process, not even the
+// one whose coroutine ran the callback. A faulty process is left unfinished
+// (LiveProcs still counts it), so afterwards the Env should only be shut
+// down.
 //
 // The rest of the repository models a virtualization platform on top of this
 // kernel: virtual machines, device backends, and workloads are all sim
@@ -215,8 +215,8 @@ type Env struct {
 	// park is the coroutine whose Pull the caller of Run is parked in while
 	// a process runs (coro.go).
 	park *coro
-	// start is the process whose wakeup step dispatched last: the one a
-	// coroutine it resumes in its free-list loop starts.
+	// start is the process whose wakeup step dispatched last. An idle
+	// coroutine that step hands control to starts it (coro.go).
 	start *Proc
 	// fault is a panic from a process body or a callback on a process
 	// coroutine, for the caller of Run to re-raise.
