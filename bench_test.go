@@ -307,6 +307,12 @@ func benchGuestLifecycle(b *testing.B, cfg toolstack.GuestConfig) {
 // guestLifecycleRig boots a Xoar host, runs 300 warm-up cycles of creating
 // and destroying a guest of cfg through its first toolstack, and returns the
 // loop that runs n more cycles. The host is shut down at tb's cleanup.
+//
+// The warm-up ends with a GC and 10 more cycles. A GC inside the one timed
+// op at -benchtime=1x empties the standard library's sync.Pools (fmt's
+// printer cache among them), and the op then refills them, so its
+// allocs/op would depend on when the last GC ran; after a GC of our own and
+// a refill, the next GC is a whole heap's growth away.
 func guestLifecycleRig(tb testing.TB, cfg toolstack.GuestConfig) (cycles func(n int)) {
 	rig, err := experiments.BootRig(experiments.Xoar, 1)
 	if err != nil {
@@ -330,6 +336,8 @@ func guestLifecycleRig(tb testing.TB, cfg toolstack.GuestConfig) (cycles func(n 
 		}
 	}
 	cycles(300)
+	runtime.GC()
+	cycles(10)
 	return cycles
 }
 
@@ -363,28 +371,21 @@ func TestGuestLifecycleRetainsNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkMicro_XenStoreWrite measures the XenStore write path including
-// watch fan-out. Steady-state allocs/op is gated exactly in
-// BENCH_baseline.json; the warm-up loop creates the node and grows the
-// event queue before the timed region so the gate holds at -benchtime=1x.
+// BenchmarkMicro_XenStoreWrite measures the XenStore write path.
+// Steady-state allocs/op is gated exactly in BENCH_baseline.json; the
+// warm-up write creates the node before the timed region so the gate holds
+// at -benchtime=1x.
 func BenchmarkMicro_XenStoreWrite(b *testing.B) {
-	env := sim.NewEnv(1)
-	logic := xenstore.NewLogic(env, xenstore.NewState())
-	c := logic.Connect(0, true)
-	c.Watch("/bench", "tok")
-	for i := 0; i < 64; i++ {
-		if err := c.Write(xenstore.TxNone, "/bench/key", "v"); err != nil {
-			b.Fatal(err)
-		}
-		c.Events.TryRecv()
+	c := xenstore.NewLogic(xenstore.NewState()).Connect(0, true)
+	if err := c.Write("/bench/key", "v"); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Write(xenstore.TxNone, "/bench/key", "v"); err != nil {
+		if err := c.Write("/bench/key", "v"); err != nil {
 			b.Fatal(err)
 		}
-		c.Events.TryRecv()
 	}
 }
 

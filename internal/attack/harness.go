@@ -432,7 +432,7 @@ func (ha *Harness) Run(seq Sequence) Result {
 	}
 	for _, id := range ha.destroyed {
 		path := fmt.Sprintf("/local/domain/%d", id)
-		if _, err := ha.probe.Directory(xenstore.TxNone, path); err == nil {
+		if _, err := ha.probe.Directory(path); err == nil {
 			res.Findings = append(res.Findings, Finding{
 				Index: -1, Kind: KindOrphanedTree,
 				Detail: path + " survived its domain's destruction",
@@ -550,7 +550,7 @@ func (ha *Harness) exec(p *sim.Proc, m *model, idx int, c Call, res *Result) {
 			return
 		}
 		conn := ha.PL.XenStoreLogic.Connect(m.dom, false)
-		err = conn.Write(xenstore.TxNone, fmt.Sprintf("/local/domain/%d/attack", target), "owned")
+		err = conn.Write(fmt.Sprintf("/local/domain/%d/attack", target), "owned")
 	case OpSelfExit:
 		err = h.SelfExit(m.dom)
 	case OpMicroreboot:

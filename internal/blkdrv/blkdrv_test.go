@@ -38,7 +38,7 @@ func newHarness(t *testing.T) *harness {
 	h.Unpause(hv.SystemCaller, guest.ID)
 	h.LinkShardClient(hv.SystemCaller, bb.ID, guest.ID)
 
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	back := NewBackend(h, bb.ID, machine.Disks()[0], logic.Connect(bb.ID, true))
 	front := NewFrontend(h, guest.ID, logic.Connect(guest.ID, true))
 	return &harness{env: env, h: h, back: back, front: front, guest: guest}
@@ -133,7 +133,7 @@ func TestFailedHandshakeUnmapsRing(t *testing.T) {
 			return
 		}
 		v := hn.back.vbds[hn.guest.ID]
-		hn.front.XS.Write(xenstore.TxNone, v.RingRefPath(0), fmt.Sprintf("%d/4242", ref))
+		hn.front.XS.Write(v.RingRefPath(0), fmt.Sprintf("%d/4242", ref))
 		acceptErr = v.Accept()
 	})
 	hn.env.RunFor(10 * sim.Second)
@@ -173,7 +173,7 @@ func TestTrailingRingRefRejected(t *testing.T) {
 			return
 		}
 		v := hn.back.vbds[hn.guest.ID]
-		hn.front.XS.Write(xenstore.TxNone, v.RingRefPath(0), fmt.Sprintf("%d/%d/99", ref, port))
+		hn.front.XS.Write(v.RingRefPath(0), fmt.Sprintf("%d/%d/99", ref, port))
 		acceptErr = v.Accept()
 	})
 	hn.env.RunFor(10 * sim.Second)
@@ -273,11 +273,11 @@ func TestRestartRepublishesVbdState(t *testing.T) {
 	hn.env.Spawn("restarter", func(p *sim.Proc) { hn.back.Restart(p, false) })
 	hn.env.Spawn("observer", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Millisecond) // inside the 260ms slow restart
-		during, _ = hn.back.XS.Read(xenstore.TxNone, path)
+		during, _ = hn.back.XS.Read(path)
 	})
 	hn.env.RunFor(sim.Second)
 	hn.env.Shutdown()
-	after, _ := hn.back.XS.Read(xenstore.TxNone, path)
+	after, _ := hn.back.XS.Read(path)
 	if during != "init" || after != "connected" {
 		t.Fatalf("vbd state = %q during the restart, %q after; want init, connected", during, after)
 	}

@@ -204,28 +204,26 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		return nil, err
 	}
 	pl.XenStoreState = xenstore.NewState()
-	pl.XenStoreLogic = xenstore.NewLogic(h.Env, pl.XenStoreState)
+	pl.XenStoreLogic = xenstore.NewLogic(pl.XenStoreState)
 	pl.XenStoreLogic.SetMetrics(opts.Telemetry)
-	// Figure 5.1: XenStore-Logic is restarted on each request; contents and
-	// watches live in XenStore-State, so the policy costs nothing.
+	// Figure 5.1: XenStore-Logic is restarted on each request; the contents
+	// live in XenStore-State, so the policy costs nothing.
 	pl.XenStoreLogic.RestartPerRequest = true
 	// xenstored's internal connection, used to hand each directly-booted
 	// shard ownership of its /local/domain/<id> subtree (the Builder does
 	// the same for domains it builds).
 	xsAdmin := pl.XenStoreLogic.Connect(pl.XSLogicDom, true)
-	// Reap a destroyed domain's XenStore footprint: its connection (watches,
-	// in-flight transactions, event queue) and its /local/domain/<id>
-	// subtree. Disconnect must come first — removing the subtree fires watch
-	// events, and the dead domain's own event queue is already closed.
+	// Reap a destroyed domain's XenStore footprint: its connection and its
+	// /local/domain/<id> subtree.
 	h.OnDestroy(func(id xtypes.DomID) {
 		pl.XenStoreLogic.Disconnect(id)
 		// Domains without a registered tree (the Bootstrapper) make this a
 		// harmless not-found.
-		xsAdmin.Rm(xenstore.TxNone, domainPath(id))
+		xsAdmin.Rm(domainPath(id))
 	})
 	grantTree := func(dom xtypes.DomID) {
 		base := domainPath(dom)
-		xsAdmin.Mkdir(xenstore.TxNone, base)
+		xsAdmin.Mkdir(base)
 		xsAdmin.SetPerms(base, xenstore.Perms{Owner: dom, Read: []xtypes.DomID{xtypes.DomIDNone}})
 	}
 

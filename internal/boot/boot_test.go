@@ -12,7 +12,6 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
-	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
 
@@ -287,7 +286,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 
 	base := fmt.Sprintf("/local/domain/%d", g1.Dom)
 	admin := pl.XenStoreLogic.Connect(pl.XSLogicDom, true)
-	if _, rerr := admin.Read(xenstore.TxNone, base+"/name"); rerr != nil {
+	if _, rerr := admin.Read(base + "/name"); rerr != nil {
 		t.Fatalf("guest tree missing before destroy: %v", rerr)
 	}
 	env.Spawn("destroy", func(p *sim.Proc) { err = ts.DestroyVM(p, g1.Dom) })
@@ -295,7 +294,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("destroy: %v", err)
 	}
-	if _, rerr := admin.Read(xenstore.TxNone, base+"/name"); !errors.Is(rerr, xtypes.ErrNotFound) {
+	if _, rerr := admin.Read(base + "/name"); !errors.Is(rerr, xtypes.ErrNotFound) {
 		t.Fatalf("guest tree survived destroy: %v", rerr)
 	}
 

@@ -74,14 +74,14 @@ func BootDom0(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	// Userspace services: xenstored, xenconsoled, udev, the toolstack, and
 	// the distribution's init scripts.
 	pl.XenStoreState = xenstore.NewState()
-	pl.XenStoreLogic = xenstore.NewLogic(h.Env, pl.XenStoreState)
+	pl.XenStoreLogic = xenstore.NewLogic(pl.XenStoreState)
 	pl.XenStoreLogic.SetMetrics(opts.Telemetry)
 	xs := pl.XenStoreLogic.Connect(d0.ID, true)
 	// Same XenStore reaping as the Xoar profile: xenstored cleans up after
 	// dead domains regardless of how the control plane is packaged.
 	h.OnDestroy(func(id xtypes.DomID) {
 		pl.XenStoreLogic.Disconnect(id)
-		xs.Rm(xenstore.TxNone, domainPath(id))
+		xs.Rm(domainPath(id))
 	})
 
 	pl.Console = consolemgr.New(h, d0.ID, h.Machine.Serial, xs)

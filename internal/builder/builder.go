@@ -469,10 +469,10 @@ func (b *Builder) setup(id xtypes.DomID, req Request) error {
 // owns its tree, the world may read it (device discovery).
 func (b *Builder) register(id xtypes.DomID, req Request) error {
 	base := "/local/domain/" + strconv.FormatUint(uint64(id), 10)
-	if err := b.xs.Mkdir(xenstore.TxNone, base); err != nil {
+	if err := b.xs.Mkdir(base); err != nil {
 		return err
 	}
-	if err := b.xs.Write(xenstore.TxNone, base+"/name", req.Name); err != nil {
+	if err := b.xs.Write(base+"/name", req.Name); err != nil {
 		return err
 	}
 	return b.xs.SetPerms(base, xenstore.Perms{Owner: id, Read: []xtypes.DomID{xtypes.DomIDNone}})

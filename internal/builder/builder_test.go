@@ -23,7 +23,7 @@ func newRig(t *testing.T) (*sim.Env, *hv.Hypervisor, *builder.Builder) {
 	env := sim.NewEnv(42)
 	h := hv.New(env, hw.NewMachine(env))
 	h.EnforceShardIVC = true
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 
 	bd, err := h.CreateDomain(hv.SystemCaller, hv.DomainConfig{
 		Name: "builder", MemMB: 64, Shard: true, OSImage: osimage.ImgBuilder,

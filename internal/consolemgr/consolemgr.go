@@ -25,10 +25,14 @@ const perLineCPU = 5 * sim.Microsecond
 
 // vconsole is one guest's virtual console.
 type vconsole struct {
-	guest  xtypes.DomID
-	lines  *sim.Chan[string]
 	buffer []string
-	pump   *sim.Proc
+}
+
+// queuedLine is one console line waiting for the daemon.
+type queuedLine struct {
+	guest xtypes.DomID
+	vc    *vconsole
+	line  string
 }
 
 // Manager is the Console Manager component.
@@ -39,7 +43,10 @@ type Manager struct {
 	XS     *xenstore.Conn
 
 	consoles map[xtypes.DomID]*vconsole
-	serving  *sim.Gate
+	// lines is the daemon's one queue: like xenconsoled, a single process
+	// serves every guest's console.
+	lines   *sim.Chan[queuedLine]
+	serving *sim.Gate
 
 	LinesHandled int64
 }
@@ -52,12 +59,14 @@ func New(h *hv.Hypervisor, dom xtypes.DomID, serial *hwpkg.Serial, xs *xenstore.
 		Serial:   serial,
 		XS:       xs,
 		consoles: make(map[xtypes.DomID]*vconsole),
+		lines:    sim.NewChan[queuedLine](h.Env),
 		serving:  sim.NewGate(h.Env),
 	}
 }
 
-// Start binds the console VIRQ and opens for service. The hypervisor must
-// have routed VIRQConsole and the console I/O ports to this domain (§5.8).
+// Start binds the console VIRQ, starts the console daemon and opens for
+// service. The hypervisor must have routed VIRQConsole and the console I/O
+// ports to this domain (§5.8).
 func (m *Manager) Start(p *sim.Proc) error {
 	if !m.H.HasIOPorts(m.Dom, "console") {
 		return fmt.Errorf("consolemgr: no console I/O-port access: %w", xtypes.ErrPerm)
@@ -65,7 +74,19 @@ func (m *Manager) Start(p *sim.Proc) error {
 	if _, err := m.H.Evtchn.BindVIRQ(m.Dom, xtypes.VIRQConsole); err != nil {
 		return err
 	}
-	m.XS.Write(xenstore.TxNone, fmt.Sprintf("/local/domain/%d/console-daemon", m.Dom), "running")
+	m.XS.Write(fmt.Sprintf("/local/domain/%d/console-daemon", m.Dom), "running")
+	m.H.Env.Spawn("console-daemon", func(p *sim.Proc) {
+		for {
+			ql, ok := m.lines.Recv(p)
+			if !ok {
+				return
+			}
+			m.H.Compute(p, m.Dom, perLineCPU)
+			ql.vc.buffer = append(ql.vc.buffer, ql.line)
+			m.Serial.WriteLine(fmt.Sprintf("[%v] %s", ql.guest, ql.line))
+			m.LinesHandled++
+		}
+	})
 	m.serving.Open()
 	return nil
 }
@@ -73,34 +94,16 @@ func (m *Manager) Start(p *sim.Proc) error {
 // Serving reports whether the daemon is up.
 func (m *Manager) Serving() bool { return !m.serving.Closed() }
 
-// CreateConsole provisions a virtual console for guest and starts its pump.
+// CreateConsole provisions a virtual console for guest.
 func (m *Manager) CreateConsole(guest xtypes.DomID) {
-	if _, ok := m.consoles[guest]; ok {
-		return
+	if _, ok := m.consoles[guest]; !ok {
+		m.consoles[guest] = &vconsole{}
 	}
-	vc := &vconsole{guest: guest, lines: sim.NewChan[string](m.H.Env)}
-	m.consoles[guest] = vc
-	vc.pump = m.H.Env.Spawn(fmt.Sprintf("console-%v", guest), func(p *sim.Proc) {
-		for {
-			line, ok := vc.lines.Recv(p)
-			if !ok {
-				return
-			}
-			m.H.Compute(p, m.Dom, perLineCPU)
-			vc.buffer = append(vc.buffer, line)
-			m.Serial.WriteLine(fmt.Sprintf("[%v] %s", guest, line))
-			m.LinesHandled++
-		}
-	})
 }
 
-// RemoveConsole tears down a guest's console.
+// RemoveConsole tears down a guest's console. Lines it already queued are
+// still written to the serial port.
 func (m *Manager) RemoveConsole(guest xtypes.DomID) {
-	vc, ok := m.consoles[guest]
-	if !ok {
-		return
-	}
-	vc.lines.Close()
 	delete(m.consoles, guest)
 }
 
@@ -114,7 +117,7 @@ func (m *Manager) GuestWrite(guest xtypes.DomID, line string) error {
 	if !ok {
 		return fmt.Errorf("consolemgr: no console for %v: %w", guest, xtypes.ErrNotFound)
 	}
-	vc.lines.Send(line)
+	m.lines.Send(queuedLine{guest: guest, vc: vc, line: line})
 	return nil
 }
 

@@ -25,7 +25,7 @@ func setup(t *testing.T, grantPorts bool) (*sim.Env, *hv.Hypervisor, *Manager, *
 			t.Fatal(err)
 		}
 	}
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	m := New(h, cm.ID, machine.Serial, logic.Connect(cm.ID, true))
 	return env, h, m, guest
 }

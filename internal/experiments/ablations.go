@@ -89,15 +89,14 @@ func Ablations() (Table, error) {
 
 	// 4. XenStore Logic/State split: mutations preserved across N Logic
 	// microreboots (a monolithic XenStore would lose or have to re-load them).
-	envXS := sim.NewEnv(1)
-	logic := xenstore.NewLogic(envXS, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	conn := logic.Connect(0, true)
 	for i := 0; i < 200; i++ {
-		conn.Write(xenstore.TxNone, "/persist/key", "v")
+		conn.Write("/persist/key", "v")
 		logic.Restart()
 	}
 	survived := 0.0
-	if v, err := conn.Read(xenstore.TxNone, "/persist/key"); err == nil && v == "v" {
+	if v, err := conn.Read("/persist/key"); err == nil && v == "v" {
 		survived = 1
 	}
 	t.Rows = append(t.Rows,

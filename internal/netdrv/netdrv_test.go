@@ -47,7 +47,7 @@ func newHarness(t *testing.T, link bool) *harness {
 	}
 	h.Unpause(hv.SystemCaller, guest.ID)
 
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	backXS := logic.Connect(nb.ID, true)
 	frontXS := logic.Connect(guest.ID, true)
 
@@ -97,11 +97,11 @@ func TestHandshakeRequiresShardLink(t *testing.T) {
 func TestHandshakeAndXenStoreStates(t *testing.T) {
 	hn := newHarness(t, true)
 	hn.startAndConnect(t)
-	st, err := hn.back.XS.Read(xenstore.TxNone, "/local/domain/0/backend/vif/1/state")
+	st, err := hn.back.XS.Read("/local/domain/0/backend/vif/1/state")
 	if err != nil || st != "connected" {
 		t.Fatalf("backend vif state = %q, %v", st, err)
 	}
-	st, _ = hn.front.XS.Read(xenstore.TxNone, "/local/domain/1/device/vif/0/state")
+	st, _ = hn.front.XS.Read("/local/domain/1/device/vif/0/state")
 	if st != "connected" {
 		t.Fatalf("frontend state = %q", st)
 	}
@@ -327,7 +327,7 @@ func TestRemoveVif(t *testing.T) {
 	})
 	hn.env.RunFor(sim.Second)
 	hn.env.Shutdown()
-	if _, err := hn.back.XS.Read(xenstore.TxNone, "/local/domain/0/backend/vif/1/state"); err == nil {
+	if _, err := hn.back.XS.Read("/local/domain/0/backend/vif/1/state"); err == nil {
 		t.Fatal("vif xenstore node survived removal")
 	}
 }
@@ -399,13 +399,13 @@ func TestFailedQueueHandshakeUnmapsEarlierQueues(t *testing.T) {
 			return
 		}
 		path := v.RingRefPath(1)
-		adv, err := hn.front.XS.Read(xenstore.TxNone, path)
+		adv, err := hn.front.XS.Read(path)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// Keep queue 1's grants and replace its port.
-		hn.front.XS.Write(xenstore.TxNone, path, adv[:strings.LastIndexByte(adv, '/')]+"/4242")
+		hn.front.XS.Write(path, adv[:strings.LastIndexByte(adv, '/')]+"/4242")
 		acceptErr = v.Accept()
 	})
 	hn.env.RunFor(10 * sim.Second)

@@ -54,8 +54,7 @@ func (pb *PCIBack) Start(p *sim.Proc) error {
 	}
 	pb.devices = devs
 	for i, d := range devs {
-		pb.XS.Write(xenstore.TxNone,
-			fmt.Sprintf("/local/domain/%d/pci/dev-%d", pb.Dom, i),
+		pb.XS.Write(fmt.Sprintf("/local/domain/%d/pci/dev-%d", pb.Dom, i),
 			fmt.Sprintf("%s %s %s", d.Addr(), d.Class(), d.Name()))
 	}
 	return nil

@@ -21,7 +21,7 @@ func setup(t *testing.T) (*sim.Env, *hv.Hypervisor, *PCIBack, *hv.Domain) {
 	h.GrantIOPorts(hv.SystemCaller, pb.ID, "pci")
 	nb, _ := h.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: "netback", MemMB: 128, Shard: true})
 	h.Unpause(hv.SystemCaller, nb.ID)
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	p := New(h, pb.ID, machine.Bus, logic.Connect(pb.ID, true))
 	return env, h, p, nb
 }
@@ -44,7 +44,7 @@ func TestStartEnumerates(t *testing.T) {
 		t.Fatal("NIC not classified")
 	}
 	// Inventory published in XenStore.
-	if _, err := pb.XS.Read(xenstore.TxNone, "/local/domain/0/pci/dev-0"); err != nil {
+	if _, err := pb.XS.Read("/local/domain/0/pci/dev-0"); err != nil {
 		t.Fatalf("xenstore inventory: %v", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestStartRequiresPorts(t *testing.T) {
 	h := hv.New(env, machine)
 	d, _ := h.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: "pciback", MemMB: 256, Shard: true})
 	h.Unpause(hv.SystemCaller, d.ID)
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	pb := New(h, d.ID, machine.Bus, logic.Connect(d.ID, true))
 	var err error
 	env.Spawn("boot", func(p *sim.Proc) { err = pb.Start(p) })

@@ -44,7 +44,7 @@ func setup(t *testing.T) *harness {
 	bbDom, _ := h.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: "blkback", MemMB: 128, Shard: true})
 	h.Unpause(hv.SystemCaller, bbDom.ID)
 	h.LinkShardClient(hv.SystemCaller, bbDom.ID, qd.ID)
-	logic := xenstore.NewLogic(env, xenstore.NewState())
+	logic := xenstore.NewLogic(xenstore.NewState())
 	blk := blkdrv.NewBackend(h, bbDom.ID, machine.Disks()[0], logic.Connect(bbDom.ID, true))
 
 	q := New(h, qd.ID, guest.ID)

@@ -164,17 +164,7 @@ func (a *Analyzer) Analyze(v Vuln) Finding {
 	f.Component = comp
 	if a.PL.Monolithic {
 		// Everything lives in Dom0: ControlAll ⇒ whole host.
-		whole, _ := a.reachOf(comp)
-		if whole {
-			f.Outcome = OutWholeHost
-			return f
-		}
 		f.Outcome = OutWholeHost
-		return f
-	}
-	if v.Vector == VecDeviceEmulation && comp == xtypes.DomIDNone {
-		// Per-guest QemuVM: privileged for exactly the attacking guest.
-		f.Outcome = OutContained
 		return f
 	}
 	if comp == xtypes.DomIDNone {

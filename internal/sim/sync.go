@@ -59,8 +59,8 @@ func (s *Signal) Broadcast() {
 // permanently strand the popped element's capacity. The backing array is
 // reused when the queue drains, and when a send finds it full with at least
 // half its slots already dequeued, so a steady-state send/receive cycle
-// (the netback rx inbox, xenstore watch events) performs no allocation even
-// if the queue never drains.
+// (the netback rx inbox) performs no allocation even if the queue never
+// drains.
 type Chan[T any] struct {
 	env    *Env
 	items  []T

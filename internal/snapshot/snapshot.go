@@ -1,7 +1,8 @@
 // Package snapshot implements the microreboot engine of §3.3: components
 // snapshot themselves once booted and initialized, and a restart controller
-// rolls them back to that image on a configurable policy — on a timer for
-// driver domains, or after every request for XenStore-Logic (Figure 5.1).
+// rolls them back to that image on a configurable policy: on a timer for
+// driver domains, or on request. XenStore-Logic, restarted after every
+// request (Figure 5.1), does not use the engine: it counts its own restarts.
 //
 // The engine separates mechanism from component knowledge: each restartable
 // component implements Restartable and performs its own device reinit and
@@ -171,8 +172,8 @@ func (e *Engine) SetPolicy(dom xtypes.DomID, policy Policy) error {
 	return nil
 }
 
-// RequestRestart triggers an immediate restart from the calling process —
-// the per-request policy hook used by XenStore-Logic.
+// RequestRestart triggers an immediate restart from the calling process:
+// the hook a component under PolicyPerRequest calls.
 func (e *Engine) RequestRestart(p *sim.Proc, dom xtypes.DomID) error {
 	ent, ok := e.entries[dom]
 	if !ok {

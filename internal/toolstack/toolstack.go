@@ -333,11 +333,11 @@ func (ts *Toolstack) Adopt(p *sim.Proc, dom xtypes.DomID, cfg GuestConfig) (*Gue
 	// subtree. Toolstacks are privileged XenStore clients, as in xenstored.
 	admin := ts.XS.Connect(ts.Dom, true)
 	base := fmt.Sprintf("/local/domain/%d", dom)
-	if err := admin.Mkdir(xenstore.TxNone, base); err != nil {
+	if err := admin.Mkdir(base); err != nil {
 		ts.unreserve(g)
 		return nil, err
 	}
-	admin.Write(xenstore.TxNone, base+"/name", cfg.Name)
+	admin.Write(base+"/name", cfg.Name)
 	if err := admin.SetPerms(base, xenstore.Perms{Owner: dom, Read: []xtypes.DomID{xtypes.DomIDNone}}); err != nil {
 		ts.unreserve(g)
 		return nil, err

@@ -47,13 +47,14 @@ type Backend struct {
 
 	class *Class
 	path  string // /local/domain/<Dom>/backend/<class>
+	state string // path + "/state"
 }
 
 // NewBackend returns the xenbus half of a backend in domain dom serving
 // devices of class.
 func NewBackend(h *hv.Hypervisor, dom xtypes.DomID, xs *xenstore.Conn, class *Class) Backend {
 	path := fmt.Sprintf("/local/domain/%d/backend/%s", dom, class.Name)
-	return Backend{H: h, Dom: dom, XS: xs, Gate: sim.NewGate(h.Env), class: class, path: path}
+	return Backend{H: h, Dom: dom, XS: xs, Gate: sim.NewGate(h.Env), class: class, path: path, state: path + "/state"}
 }
 
 // DomID implements snapshot.Restartable.
@@ -65,7 +66,7 @@ func (b *Backend) Serving() bool { return !b.Gate.Closed() }
 // Ready switches the backend's own state to connected and opens it for
 // service, when it starts and again when a microreboot completes.
 func (b *Backend) Ready() {
-	b.XS.Write(xenstore.TxNone, b.path+"/state", "connected")
+	b.XS.Write(b.state, "connected")
 	b.Gate.Open()
 }
 
@@ -80,6 +81,7 @@ type Device struct {
 	back      *Backend
 	queues    int
 	backPath  string // /local/domain/<back>/backend/<class>/<guest>
+	backState string // backPath + "/state", built once for every microreboot
 	frontPath string // /local/domain/<guest>/device/<class>/0
 	maps      []*hv.GrantMapping
 }
@@ -87,14 +89,16 @@ type Device struct {
 // Init makes d guest's device with n queues and switches its backend state
 // to init.
 func (b *Backend) Init(d *Device, guest xtypes.DomID, n int) {
+	backPath := fmt.Sprintf("%s/%d", b.path, guest)
 	*d = Device{
 		Guest:     guest,
 		back:      b,
 		queues:    n,
-		backPath:  fmt.Sprintf("%s/%d", b.path, guest),
+		backPath:  backPath,
+		backState: backPath + "/state",
 		frontPath: fmt.Sprintf("/local/domain/%d/device/%s/0", guest, b.class.Name),
 	}
-	b.XS.Write(xenstore.TxNone, d.backPath+"/state", "init")
+	b.XS.Write(d.backState, "init")
 }
 
 // RingRefPath is the XenStore key queue q advertises its ring under. Queue 0
@@ -117,7 +121,7 @@ func (d *Device) Connect(xs *xenstore.Conn) error {
 	if err := d.Accept(); err != nil {
 		return err
 	}
-	xs.Write(xenstore.TxNone, d.frontPath+"/state", "connected")
+	xs.Write(d.frontPath+"/state", "connected")
 	return nil
 }
 
@@ -144,14 +148,14 @@ func (d *Device) Advertise(xs *xenstore.Conn) error {
 	}
 	for q := len(advs) - 1; q >= 0; q-- {
 		path := d.RingRefPath(q)
-		if err := xs.Write(xenstore.TxNone, path, advs[q]); err != nil {
+		if err := xs.Write(path, advs[q]); err != nil {
 			return err
 		}
 		if err := xs.SetPerms(path, xenstore.Perms{Owner: d.Guest, Read: []xtypes.DomID{back}}); err != nil {
 			return err
 		}
 	}
-	xs.Write(xenstore.TxNone, d.frontPath+"/state", "initialised")
+	xs.Write(d.frontPath+"/state", "initialised")
 	return nil
 }
 
@@ -173,7 +177,7 @@ func (d *Device) Accept() error {
 
 func (d *Device) acceptQueue(q int, refs []xtypes.GrantRef) error {
 	b := d.back
-	adv, err := b.XS.Read(xenstore.TxNone, d.RingRefPath(q))
+	adv, err := b.XS.Read(d.RingRefPath(q))
 	if err != nil {
 		return err
 	}
@@ -219,13 +223,13 @@ func (d *Device) release() {
 // backend state to init. The ring pages stay mapped: the rings survive.
 func (d *Device) Disconnect() {
 	d.Connected = false
-	d.back.XS.Write(xenstore.TxNone, d.backPath+"/state", "init")
+	d.back.XS.Write(d.backState, "init")
 }
 
 // Reconnect marks d's rings live and switches its backend state to connected.
 func (d *Device) Reconnect() {
 	d.Connected = true
-	d.back.XS.Write(xenstore.TxNone, d.backPath+"/state", "connected")
+	d.back.XS.Write(d.backState, "connected")
 }
 
 // Remove unmaps every ring page d's backend holds, marks d down and deletes
@@ -233,7 +237,7 @@ func (d *Device) Reconnect() {
 func (d *Device) Remove() {
 	d.release()
 	d.Connected = false
-	d.back.XS.Rm(xenstore.TxNone, d.backPath)
+	d.back.XS.Rm(d.backPath)
 }
 
 // InGuestOrder appends the devices of m, a backend's devices by guest, to

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
 
@@ -66,5 +67,24 @@ func TestInGuestOrderAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("InGuestOrder allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// A backend microreboot disconnects and reconnects each device, so a pair
+// allocates only the two state values the store copies, not the state key.
+func TestDisconnectReconnectAllocs(t *testing.T) {
+	xs := xenstore.NewLogic(xenstore.NewState()).Connect(0, true)
+	b := Backend{XS: xs, class: &Class{Name: "vif"}, path: "/local/domain/0/backend/vif"}
+	var d Device
+	b.Init(&d, 5, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Disconnect()
+		d.Reconnect()
+	})
+	if v, err := xs.Read("/local/domain/0/backend/vif/5/state"); err != nil || v != "connected" {
+		t.Fatalf("backend state = %q, %v; want connected", v, err)
+	}
+	if allocs > 2 {
+		t.Fatalf("Disconnect and Reconnect allocate %.1f times, want 2", allocs)
 	}
 }

@@ -306,7 +306,7 @@ func TestErrwrapDenialSetMatchesIsDenial(t *testing.T) {
 		"ErrPerm": xtypes.ErrPerm, "ErrNoDomain": xtypes.ErrNoDomain, "ErrBadGrant": xtypes.ErrBadGrant,
 		"ErrBadPort": xtypes.ErrBadPort, "ErrInUse": xtypes.ErrInUse, "ErrNoMem": xtypes.ErrNoMem,
 		"ErrNotFound": xtypes.ErrNotFound, "ErrExists": xtypes.ErrExists, "ErrInvalid": xtypes.ErrInvalid,
-		"ErrAgain": xtypes.ErrAgain, "ErrShutdown": xtypes.ErrShutdown, "ErrConstraint": xtypes.ErrConstraint,
+		"ErrShutdown": xtypes.ErrShutdown, "ErrConstraint": xtypes.ErrConstraint,
 		"ErrNotShard": xtypes.ErrNotShard, "ErrNotDelegated": xtypes.ErrNotDelegated, "ErrQuota": xtypes.ErrQuota,
 		"ErrNoMicroreboot": xtypes.ErrNoMicroreboot, "ErrBatchAborted": xtypes.ErrBatchAborted,
 	}

@@ -35,10 +35,6 @@ var (
 	// ErrInvalid is returned for malformed arguments.
 	ErrInvalid = errors.New("xen: invalid argument")
 
-	// ErrAgain is returned when an operation would block or should be retried
-	// (e.g. a transaction conflict in XenStore).
-	ErrAgain = errors.New("xen: try again")
-
 	// ErrShutdown is returned when the target component is shutting down or
 	// mid-microreboot.
 	ErrShutdown = errors.New("xen: component shutting down")

@@ -77,7 +77,7 @@ func TestVIRQAndPCIStrings(t *testing.T) {
 func TestErrorsAreDistinct(t *testing.T) {
 	errs := []error{
 		ErrPerm, ErrNoDomain, ErrBadGrant, ErrBadPort, ErrInUse, ErrNoMem,
-		ErrNotFound, ErrExists, ErrInvalid, ErrAgain, ErrShutdown,
+		ErrNotFound, ErrExists, ErrInvalid, ErrShutdown,
 		ErrConstraint, ErrNotShard, ErrNotDelegated, ErrQuota,
 	}
 	for i, a := range errs {
