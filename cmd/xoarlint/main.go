@@ -5,10 +5,13 @@
 //
 //	xoarlint [-list] [-json | -sarif | -github] [-matrix | -capmanifest | -surface | -hotpath] [./... | dir ...]
 //
-// With no arguments (or "./..."), the whole module containing the current
-// directory is analyzed. Diagnostics print as text by default; -json emits
-// a JSON document, -sarif a SARIF 2.1.0 log, and -github GitHub Actions
-// ::error workflow commands for inline PR annotations.
+// The whole module containing the current directory (or the first dir) is
+// loaded and analyzed every time, since several passes follow calls across
+// packages. With no arguments (or "./...") every finding is reported; with
+// dirs, only the findings in the files of those directories. Diagnostics
+// print as text by default; -json emits a JSON document, -sarif a SARIF
+// 2.1.0 log, and -github GitHub Actions ::error workflow commands for inline
+// PR annotations.
 //
 // -matrix skips diagnostics and prints the privilege matrix built from
 // internal/hv (the PRIVMATRIX.json golden artifact) to stdout. -capmanifest
@@ -16,7 +19,8 @@
 // (the internal/capability/CAPMANIFEST.json golden artifact), and -surface
 // prints its human-readable attack-surface report. -hotpath prints the
 // hot-path allocation artifact built from //xoarlint:hot annotations (the
-// HOTPATH.json golden artifact).
+// HOTPATH.json golden artifact). These artifacts always cover the whole
+// module, whatever dirs are given.
 //
 // Packages are type-checked from source in import order, and code that
 // does not type-check is a load failure. The standard library is read from
@@ -29,125 +33,149 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"xoar/internal/xoarlint"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list registered analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
-	githubOut := flag.Bool("github", false, "emit diagnostics as GitHub Actions ::error annotations")
-	matrix := flag.Bool("matrix", false, "print the internal/hv privilege matrix (PRIVMATRIX.json) and exit")
-	capmanifest := flag.Bool("capmanifest", false, "print the per-shard capability manifest (CAPMANIFEST.json) and exit")
-	surface := flag.Bool("surface", false, "print the per-shard attack-surface report and exit")
-	hotpath := flag.Bool("hotpath", false, "print the hot-path allocation artifact (HOTPATH.json) and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: xoarlint [-list] [-json | -sarif | -github] [-matrix | -capmanifest | -surface | -hotpath] [./... | dir ...]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is xoarlint with the given arguments, writing to stdout and stderr;
+// it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xoarlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list registered analyzers and exit")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
+	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
+	githubOut := fs.Bool("github", false, "emit diagnostics as GitHub Actions ::error annotations")
+	matrix := fs.Bool("matrix", false, "print the internal/hv privilege matrix (PRIVMATRIX.json) and exit")
+	capmanifest := fs.Bool("capmanifest", false, "print the per-shard capability manifest (CAPMANIFEST.json) and exit")
+	surface := fs.Bool("surface", false, "print the per-shard attack-surface report and exit")
+	hotpath := fs.Bool("hotpath", false, "print the hot-path allocation artifact (HOTPATH.json) and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: xoarlint [-list] [-json | -sarif | -github] [-matrix | -capmanifest | -surface | -hotpath] [./... | dir ...]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "xoarlint: %v\n", err)
+		return 2
+	}
 
 	if *list {
 		for _, a := range xoarlint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 	if countTrue(*jsonOut, *sarifOut, *githubOut) > 1 {
-		fmt.Fprintln(os.Stderr, "xoarlint: -json, -sarif and -github are mutually exclusive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "xoarlint: -json, -sarif and -github are mutually exclusive")
+		return 2
 	}
 	if countTrue(*matrix, *capmanifest, *surface, *hotpath) > 1 {
-		fmt.Fprintln(os.Stderr, "xoarlint: -matrix, -capmanifest, -surface and -hotpath are mutually exclusive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "xoarlint: -matrix, -capmanifest, -surface and -hotpath are mutually exclusive")
+		return 2
 	}
 
-	var pkgs []*xoarlint.Package
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	for _, arg := range args {
-		var (
-			loaded []*xoarlint.Package
-			err    error
-		)
+	// dirs holds the directories whose findings are reported; nil reports
+	// the whole module's.
+	moduleDir, all := ".", false
+	var dirs map[string]bool
+	for _, arg := range fs.Args() {
 		if arg == "./..." || arg == "..." {
-			loaded, err = xoarlint.LoadModule(".")
-		} else {
-			loaded, err = xoarlint.LoadModuleDir(arg)
+			all = true
+			continue
 		}
+		abs, err := filepath.Abs(arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		pkgs = append(pkgs, loaded...)
+		if st, err := os.Stat(abs); err != nil || !st.IsDir() {
+			return fail(fmt.Errorf("%s is not a directory", arg))
+		}
+		if dirs == nil {
+			dirs, moduleDir = map[string]bool{}, abs
+		}
+		dirs[abs] = true
+	}
+	if all {
+		dirs = nil
+	}
+	pkgs, err := xoarlint.LoadModule(moduleDir)
+	if err != nil {
+		return fail(err)
 	}
 
 	if *matrix {
 		m, err := xoarlint.BuildPrivMatrix(pkgs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		b, err := m.EncodeJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		os.Stdout.Write(b)
-		return
+		stdout.Write(b)
+		return 0
 	}
 	if *capmanifest || *surface {
 		m, err := xoarlint.BuildCapManifest(pkgs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		if *surface {
-			fmt.Print(m.SurfaceReport())
-			return
+			fmt.Fprint(stdout, m.SurfaceReport())
+			return 0
 		}
 		b, err := m.EncodeJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		os.Stdout.Write(b)
-		return
+		stdout.Write(b)
+		return 0
 	}
-
 	if *hotpath {
-		os.Stdout.Write(xoarlint.BuildHotPath(pkgs).EncodeJSON())
-		return
+		stdout.Write(xoarlint.BuildHotPath(pkgs).EncodeJSON())
+		return 0
 	}
 
-	diags := xoarlint.RunAll(pkgs)
+	var diags []xoarlint.Diagnostic
+	for _, d := range xoarlint.RunAll(pkgs) {
+		if dirs == nil || dirs[filepath.Dir(d.Pos.Filename)] {
+			diags = append(diags, d)
+		}
+	}
 	cwd, _ := os.Getwd()
 	switch {
 	case *jsonOut:
-		if err := xoarlint.RenderJSON(os.Stdout, diags, cwd); err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+		if err := xoarlint.RenderJSON(stdout, diags, cwd); err != nil {
+			return fail(err)
 		}
 	case *sarifOut:
-		if err := xoarlint.RenderSARIF(os.Stdout, diags, cwd); err != nil {
-			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
-			os.Exit(2)
+		if err := xoarlint.RenderSARIF(stdout, diags, cwd); err != nil {
+			return fail(err)
 		}
 	case *githubOut:
-		xoarlint.RenderGitHub(os.Stdout, diags, cwd)
+		xoarlint.RenderGitHub(stdout, diags, cwd)
 	default:
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "xoarlint: %d violation(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xoarlint: %d violation(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
 func countTrue(bs ...bool) int {

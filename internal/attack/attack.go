@@ -195,6 +195,8 @@ func (s Sequence) Encode() []byte {
 // out-of-range personas, ops and targets wrap around, a trailing partial
 // triple is dropped, and sequences are truncated to MaxCalls. Only an empty
 // input fails to decode.
+//
+//xoarlint:allow(unused) test support: FuzzHypercallSequence decodes its corpus with it
 func DecodeSequence(data []byte) (Sequence, bool) {
 	if len(data) == 0 {
 		return Sequence{}, false

@@ -72,17 +72,6 @@ func TestShardDestroyClosesAll(t *testing.T) {
 	}
 }
 
-func TestServicedBy(t *testing.T) {
-	l := NewLog()
-	l.Append(s(0), "link-shard", 2, "dom5")
-	l.Append(s(0), "link-shard", 3, "dom5")
-	l.Append(s(0), "link-shard", 4, "dom6")
-	got := l.ServicedBy(5)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("servicedBy(5) = %v", got)
-	}
-}
-
 func TestDotExport(t *testing.T) {
 	l := NewLog()
 	l.Append(s(0), "link-shard", 2, "dom5")

@@ -45,7 +45,7 @@ func TestSavedLogLoadsAndReplays(t *testing.T) {
 	var none, dom0, high, negTime, noKind, noArg, pipe, long bool
 	for _, r := range saved {
 		none = none || r.Dom == xtypes.DomIDNone
-		dom0 = dom0 || r.Dom == xtypes.Dom0
+		dom0 = dom0 || r.Dom == 0
 		high = high || r.Dom >= 1<<31
 		negTime = negTime || r.Time < 0
 		noKind = noKind || r.Kind == ""
@@ -84,7 +84,7 @@ func TestHashMatchesSprintfFormat(t *testing.T) {
 		}
 		return b.String()
 	}
-	doms := []xtypes.DomID{xtypes.Dom0, 7, 4096, xtypes.DomIDNone - 1, xtypes.DomIDNone, xtypes.DomIDNone + 1, math.MaxUint32}
+	doms := []xtypes.DomID{0, 7, 4096, xtypes.DomIDNone - 1, xtypes.DomIDNone, xtypes.DomIDNone + 1, math.MaxUint32}
 	times := []sim.Time{0, -1, math.MinInt64, math.MaxInt64}
 
 	l := NewLog()

@@ -211,15 +211,11 @@ func (b *Backend) DeleteImage(name string) error {
 
 // --- vbd lifecycle ----------------------------------------------------------
 
-// CreateVbd provisions a single-ring vbd for guest backed by the named
-// image (the loopback mount now performed in BlkBack rather than Dom0, §5.4).
-func (b *Backend) CreateVbd(guest xtypes.DomID, image string) error {
-	return b.CreateVbdQueues(guest, image, 1)
-}
-
-// CreateVbdQueues provisions a vbd with n request rings. The frontend
-// stripes segments across them; each ring gets its own worker, so a
-// multi-queue vbd keeps an NVMe-class device's queue depth fed.
+// CreateVbdQueues provisions a vbd for guest with n request rings, backed by
+// the named image (the loopback mount now performed in BlkBack rather than
+// Dom0, §5.4). The frontend stripes segments across the rings; each ring
+// gets its own worker, so a multi-queue vbd keeps an NVMe-class device's
+// queue depth fed.
 func (b *Backend) CreateVbdQueues(guest xtypes.DomID, image string, n int) error {
 	img, ok := b.images[image]
 	if !ok {
@@ -360,7 +356,6 @@ type Frontend struct {
 	v      *vbd
 	nextID int64
 
-	BytesRead    int64
 	BytesWritten int64
 }
 
@@ -387,14 +382,6 @@ func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
 // Connected reports whether the vbd is usable.
 func (f *Frontend) Connected() bool {
 	return f.v != nil && f.v.Connected && !f.v.queues[0].ring.Broken()
-}
-
-// Queues reports the vbd's ring count.
-func (f *Frontend) Queues() int {
-	if f.v == nil {
-		return 0
-	}
-	return len(f.v.queues)
 }
 
 // io issues one segmented, pipelined block operation and waits for all
@@ -477,27 +464,16 @@ func (f *Frontend) io(p *sim.Proc, op Op, bytes int, sequential bool) error {
 		inflight[blockQI]--
 		totalInflight--
 	}
-	switch op {
-	case OpRead:
-		f.BytesRead += int64(bytes)
-	case OpWrite:
+	if op == OpWrite {
 		f.BytesWritten += int64(bytes)
 	}
 	return nil
-}
-
-// Read performs a read of the given size.
-func (f *Frontend) Read(p *sim.Proc, bytes int, sequential bool) error {
-	return f.io(p, OpRead, bytes, sequential)
 }
 
 // Write performs a write of the given size.
 func (f *Frontend) Write(p *sim.Proc, bytes int, sequential bool) error {
 	return f.io(p, OpWrite, bytes, sequential)
 }
-
-// Flush issues a write barrier.
-func (f *Frontend) Flush(p *sim.Proc) error { return f.io(p, OpFlush, 0, false) }
 
 // WaitReconnect blocks until the backend finishes a microreboot and the vbd
 // is connected again, or the timeout expires (xenbus.WaitReconnect).

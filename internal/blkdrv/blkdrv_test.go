@@ -94,7 +94,7 @@ func TestImageProxy(t *testing.T) {
 
 func TestVbdRequiresImage(t *testing.T) {
 	hn := newHarness(t)
-	if err := hn.back.CreateVbd(hn.guest.ID, "nope"); !errors.Is(err, xtypes.ErrNotFound) {
+	if err := hn.back.CreateVbdQueues(hn.guest.ID, "nope", 1); !errors.Is(err, xtypes.ErrNotFound) {
 		t.Fatalf("vbd without image: %v", err)
 	}
 	hn.env.Shutdown()
@@ -105,7 +105,7 @@ func TestImageSingleMount(t *testing.T) {
 	hn.boot(t)
 	other, _ := hn.h.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: "other", MemMB: 64})
 	hn.h.Unpause(hv.SystemCaller, other.ID)
-	if err := hn.back.CreateVbd(other.ID, "guest-disk"); !errors.Is(err, xtypes.ErrInUse) {
+	if err := hn.back.CreateVbdQueues(other.ID, "guest-disk", 1); !errors.Is(err, xtypes.ErrInUse) {
 		t.Fatalf("double mount: %v", err)
 	}
 	hn.env.Shutdown()
@@ -123,7 +123,7 @@ func TestFailedHandshakeUnmapsRing(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := hn.back.CreateVbd(hn.guest.ID, "guest-disk"); err != nil {
+		if err := hn.back.CreateVbdQueues(hn.guest.ID, "guest-disk", 1); err != nil {
 			t.Error(err)
 			return
 		}
@@ -158,7 +158,7 @@ func TestTrailingRingRefRejected(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := hn.back.CreateVbd(hn.guest.ID, "guest-disk"); err != nil {
+		if err := hn.back.CreateVbdQueues(hn.guest.ID, "guest-disk", 1); err != nil {
 			t.Error(err)
 			return
 		}
@@ -219,7 +219,7 @@ func TestRandomReadsPaySeeks(t *testing.T) {
 	hn.env.Spawn("app", func(p *sim.Proc) {
 		t0 := p.Now()
 		for i := 0; i < ops; i++ {
-			if err := hn.front.Read(p, 4096, false); err != nil {
+			if err := hn.front.io(p, OpRead, 4096, false); err != nil {
 				t.Error(err)
 				return
 			}
@@ -301,7 +301,7 @@ func TestFlushBarrier(t *testing.T) {
 	hn := newHarness(t)
 	hn.boot(t)
 	hn.env.Spawn("app", func(p *sim.Proc) {
-		if err := hn.front.Flush(p); err != nil {
+		if err := hn.front.io(p, OpFlush, 0, false); err != nil {
 			t.Error(err)
 		}
 	})
@@ -361,11 +361,11 @@ func TestMultiQueueVbdStriping(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if hn.front.Queues() != 4 {
-			t.Errorf("queues = %d", hn.front.Queues())
+		if n := len(hn.front.v.queues); n != 4 {
+			t.Errorf("queues = %d", n)
 		}
 		const bytes = 16 * 1024 * 1024
-		if err := hn.front.Read(p, bytes, true); err != nil {
+		if err := hn.front.io(p, OpRead, bytes, true); err != nil {
 			t.Error(err)
 			return
 		}
@@ -425,7 +425,7 @@ func TestBlkBatchingAmortizesNotifies(t *testing.T) {
 	hn.boot(t)
 	done := false
 	hn.env.Spawn("io", func(p *sim.Proc) {
-		if err := hn.front.Read(p, 32*1024*1024, true); err != nil {
+		if err := hn.front.io(p, OpRead, 32*1024*1024, true); err != nil {
 			t.Error(err)
 			return
 		}
@@ -464,7 +464,7 @@ func TestRestartRespawnsWorkersInDomIDOrder(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := hn.back.CreateVbd(g, image); err != nil {
+			if err := hn.back.CreateVbdQueues(g, image, 1); err != nil {
 				t.Error(err)
 				return
 			}

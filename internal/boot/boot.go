@@ -57,9 +57,6 @@ type Options struct {
 	Toolstacks int
 	// DestroyPCIBack removes PCIBack after boot (§5.3). Ignored by Dom0.
 	DestroyPCIBack bool
-	// KeepBootstrapper suppresses the Bootstrapper's self-destruction, for
-	// tests that inspect it.
-	KeepBootstrapper bool
 	// Serialize disables parallel component boot (Table 6.2 ablation).
 	Serialize bool
 	// NoConsole omits the Console Manager — "in commercial hosting
@@ -453,10 +450,8 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 			return nil, err
 		}
 	}
-	if !opts.KeepBootstrapper {
-		if err := h.SelfExit(bs); err != nil {
-			return nil, err
-		}
+	if err := h.SelfExit(bs); err != nil {
+		return nil, err
 	}
 	pl.Timings.Done = p.Now()
 	return pl, nil

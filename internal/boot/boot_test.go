@@ -54,13 +54,15 @@ func TestRunOnTooSmallMachineFailsWithNoMem(t *testing.T) {
 func TestXoarBootBringsUpAllComponents(t *testing.T) {
 	env, h, pl := bootXoar(t, Options{})
 	defer env.Shutdown()
-	if pl.Console == nil || !pl.Console.Serving() {
+	// A serving console manager refuses a line for a guest with no console
+	// as not found, not as shut down.
+	if pl.Console == nil || !errors.Is(pl.Console.GuestWrite(xtypes.DomIDNone, "x"), xtypes.ErrNotFound) {
 		t.Fatal("console not serving")
 	}
-	if len(pl.NetBacks) != 1 || !pl.NetBacks[0].Serving() {
+	if len(pl.NetBacks) != 1 || pl.NetBacks[0].Gate.Closed() {
 		t.Fatal("netback not serving")
 	}
-	if len(pl.BlkBacks) != 1 || !pl.BlkBacks[0].Serving() {
+	if len(pl.BlkBacks) != 1 || pl.BlkBacks[0].Gate.Closed() {
 		t.Fatal("blkback not serving")
 	}
 	if len(pl.Toolstacks) != 1 {
@@ -130,8 +132,9 @@ func TestDestroyPCIBackShrinksTCB(t *testing.T) {
 	if _, err := h.Domain(pl.PCIBackDom); err == nil {
 		t.Fatal("pciback survived")
 	}
-	if h.Machine.Bus.ConfigOwner() != xtypes.DomIDNone {
-		t.Fatal("config space still owned")
+	// With config space unowned, only DomIDNone passes the owner check.
+	if err := h.Machine.Bus.ConfigAccess(xtypes.DomIDNone, h.Machine.NICs()[0].Addr()); err != nil {
+		t.Fatalf("config space still owned: %v", err)
 	}
 	// Devices stay with their driver domains.
 	if h.Machine.Bus.AssignedTo(h.Machine.NICs()[0].Addr()) != pl.NetBacks[0].Dom {

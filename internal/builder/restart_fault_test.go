@@ -239,8 +239,8 @@ func TestTelemetryExactUnderConcurrentHammer(t *testing.T) {
 	// simulation-side observations.
 	base := telemetry.New()
 	bb := runSubmitScenario(t, base)
-	baseHist := base.Histogram("builder_queue_wait_ms", telemetry.LatencyMSBuckets)
-	baseCount, baseSum := baseHist.Count(), baseHist.Sum()
+	baseHist := histogram(t, base, "builder_queue_wait_ms")
+	baseCount, baseSum := baseHist.Count, baseHist.Sum
 	if baseCount == 0 || bb.Builds == 0 {
 		t.Fatalf("baseline scenario recorded nothing: count=%d builds=%d", baseCount, bb.Builds)
 	}
@@ -269,14 +269,13 @@ func TestTelemetryExactUnderConcurrentHammer(t *testing.T) {
 	if b.Builds != bb.Builds {
 		t.Fatalf("scenario diverged: builds %d vs %d", b.Builds, bb.Builds)
 	}
-	if got := shared.Count(); got != baseCount+workers*per {
-		t.Fatalf("shared count = %d, want %d (lost updates)", got, baseCount+workers*per)
+	if got := histogram(t, reg, "builder_queue_wait_ms"); got.Count != baseCount+workers*per {
+		t.Fatalf("shared count = %d, want %d (lost updates)", got.Count, baseCount+workers*per)
+	} else if got.Sum != baseSum {
+		t.Fatalf("shared sum = %g, want %g", got.Sum, baseSum)
 	}
-	if got := shared.Sum(); got != baseSum {
-		t.Fatalf("shared sum = %g, want %g", got, baseSum)
-	}
-	if side.Count() != workers*per || side.Sum() != float64(workers*per*2) {
-		t.Fatalf("side histogram inexact: n=%d sum=%g", side.Count(), side.Sum())
+	if got := histogram(t, reg, "hammer_only"); got.Count != workers*per || got.Sum != float64(workers*per*2) {
+		t.Fatalf("side histogram inexact: n=%d sum=%g", got.Count, got.Sum)
 	}
 }
 

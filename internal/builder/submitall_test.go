@@ -253,19 +253,28 @@ func TestSubmitAndSubmitAllShareJobTelemetry(t *testing.T) {
 		})
 		env.Shutdown()
 
-		if got := reg.Histogram("builder_build_latency_ms", telemetry.LatencyMSBuckets).Count(); got != 1 {
+		if got := histogram(t, reg, "builder_build_latency_ms").Count; got != 1 {
 			t.Errorf("n=%d: %d build-latency observations, want 1", n, got)
 		}
-		if got := reg.Histogram("builder_batch_size", telemetry.DepthBuckets).Count(); got != 1 {
+		if got := histogram(t, reg, "builder_batch_size").Count; got != 1 {
 			t.Errorf("n=%d: %d batch-size observations, want 1", n, got)
 		}
-		roots := reg.Tracer().Tree("builder")
+		spans := reg.Tracer().Events()
+		var roots []telemetry.SpanEvent
+		for _, ev := range spans {
+			if ev.Domain == "builder" && ev.Parent == 0 {
+				roots = append(roots, ev)
+			}
+		}
 		if want := fmt.Sprintf("build-batch[%d]", n); len(roots) != 1 || roots[0].Name != want {
 			t.Fatalf("n=%d: %d builder root spans, want one %q", n, len(roots), want)
 		}
 		constructed := make(map[string]sim.Time)
-		var boots []*telemetry.SpanNode
-		for _, c := range roots[0].Children {
+		var boots []telemetry.SpanEvent
+		for _, c := range spans {
+			if c.Parent != roots[0].ID {
+				continue
+			}
 			if name, ok := strings.CutPrefix(c.Name, "construct:"); ok {
 				constructed[name] = c.End
 			} else if strings.HasPrefix(c.Name, "boot:") {
@@ -275,7 +284,7 @@ func TestSubmitAndSubmitAllShareJobTelemetry(t *testing.T) {
 		if len(constructed) != n || len(boots) != n {
 			t.Fatalf("n=%d: %d construct and %d boot children", n, len(constructed), len(boots))
 		}
-		slices.SortFunc(boots, func(x, y *telemetry.SpanNode) int { return cmp.Compare(x.Start, y.Start) })
+		slices.SortFunc(boots, func(x, y telemetry.SpanEvent) int { return cmp.Compare(x.Start, y.Start) })
 		for i, bt := range boots {
 			end, ok := constructed[strings.TrimPrefix(bt.Name, "boot:")]
 			if !ok || bt.Start < end {
@@ -346,4 +355,16 @@ func TestRebuildOfBatchBuiltShard(t *testing.T) {
 	if b.Rebuilds != 1 {
 		t.Fatalf("rebuilds = %d", b.Rebuilds)
 	}
+}
+
+// histogram returns the snapshot of reg's histogram called name.
+func histogram(t *testing.T, reg *telemetry.Registry, name string) telemetry.HistogramSnap {
+	t.Helper()
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == name {
+			return h
+		}
+	}
+	t.Fatalf("no histogram %q", name)
+	return telemetry.HistogramSnap{}
 }

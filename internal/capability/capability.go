@@ -193,13 +193,3 @@ var Roles = []Role{
 		},
 	},
 }
-
-// RoleByName returns the declared role, if any.
-func RoleByName(name string) (Role, bool) {
-	for _, r := range Roles {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Role{}, false
-}

@@ -94,6 +94,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 
 // DiffManifests compares a checked-in manifest against a freshly built one
 // and returns human-readable difference lines, empty when identical.
+//
+//xoarlint:allow(unused) test support: TestCapManifestDrift reports drift with it
 func DiffManifests(checked, built *Manifest) []string {
 	var out []string
 	if checked.Source != built.Source {
@@ -202,9 +204,6 @@ func init() {
 	}
 }
 
-// Embedded returns the checked-in manifest the runtime consumes.
-func Embedded() *Manifest { return embedded }
-
 // Lookup returns one shard's manifest from the embedded artifact.
 func Lookup(role string) (*ShardManifest, bool) {
 	s, ok := embeddedByRole[role]
@@ -236,6 +235,8 @@ func IOPorts(role string) []string {
 // NonHVGrants returns the hypercalls the manifest grants a role without an
 // hv dispatch derivation (rationale grants) — whitelist entries the seceval
 // denial table must not expect an hv entry point for.
+//
+//xoarlint:allow(unused) test support: the seceval whitelist tests exempt rationale grants with it
 func NonHVGrants() map[xtypes.Hypercall]bool {
 	out := map[xtypes.Hypercall]bool{}
 	for _, s := range embedded.Shards {

@@ -91,9 +91,6 @@ func (m *Manager) Start(p *sim.Proc) error {
 	return nil
 }
 
-// Serving reports whether the daemon is up.
-func (m *Manager) Serving() bool { return !m.serving.Closed() }
-
 // CreateConsole provisions a virtual console for guest.
 func (m *Manager) CreateConsole(guest xtypes.DomID) {
 	if _, ok := m.consoles[guest]; !ok {
@@ -131,6 +128,3 @@ func (m *Manager) Buffer(guest xtypes.DomID) []string {
 	copy(out, vc.buffer)
 	return out
 }
-
-// Consoles reports the number of live virtual consoles.
-func (m *Manager) Consoles() int { return len(m.consoles) }

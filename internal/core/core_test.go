@@ -438,11 +438,13 @@ func TestGuestSpecMultiQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := g.VM.Net.Queues(); n != 4 {
-		t.Fatalf("net queues = %d", n)
+	// The backends map each queue's ring pages: two per vif queue (tx and
+	// rx) and one per vbd queue.
+	if n := pl.HV.MM.ForeignMapCount(pl.Boot.NetBacks[0].Dom, g.Dom); n != 2*4 {
+		t.Fatalf("netback maps %d ring pages, want 2 for each of 4 queues", n)
 	}
-	if n := g.VM.Blk.Queues(); n != 2 {
-		t.Fatalf("disk queues = %d", n)
+	if n := pl.HV.MM.ForeignMapCount(pl.Boot.BlkBacks[0].Dom, g.Dom); n != 2 {
+		t.Fatalf("blkback maps %d ring pages, want 1 for each of 2 queues", n)
 	}
 	var res workloadProbe
 	done := false

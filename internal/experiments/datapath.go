@@ -25,6 +25,8 @@ type SaturationPoint struct {
 // NetBack shard cost throughput once the wire stops being the bottleneck?
 // With batched ring transfers the shard overhead stays within noise at 10G
 // and beyond.
+//
+//xoarlint:allow(unused) backs the gated BenchmarkDataPath_Saturation10G; ROADMAP item 3 gives it an xoarbench id
 func Saturation(scale Scale, models []hw.NICModel) (Table, []SaturationPoint, error) {
 	t := Table{ID: "fig6.1-sat", Title: "Bulk transfer saturation across NIC generations (MB/s)"}
 	if len(models) == 0 {
@@ -82,6 +84,8 @@ func Saturation(scale Scale, models []hw.NICModel) (Table, []SaturationPoint, er
 // TxBatching measures how many transmit descriptors NetBack services per
 // wakeup at saturation, with notify suppression on (the req_event/rsp_event
 // protocol) and ablated (every push notifies — the per-descriptor baseline).
+//
+//xoarlint:allow(unused) backs the gated BenchmarkDataPath_TxBatching; ROADMAP item 3 gives it an xoarbench id
 func TxBatching(chunks int) (Table, error) {
 	t := Table{ID: "datapath-batch", Title: "Tx descriptors per NetBack wakeup at saturation"}
 	if chunks <= 0 {

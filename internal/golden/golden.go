@@ -19,6 +19,8 @@ var update = flag.Bool("update", false, "rewrite the files under testdata/golden
 // Check runs run twice at once, in two parallel subtests, and compares the
 // output with testdata/golden/<name>. Two runs that differ mean
 // package-level mutable state.
+//
+//xoarlint:allow(unused) test support: the command golden tests compare their output with it
 func Check(t *testing.T, name string, run func(w io.Writer) error) {
 	t.Helper()
 	var outs [2]bytes.Buffer

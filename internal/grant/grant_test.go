@@ -26,13 +26,13 @@ func TestGrantMapUnmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Entry().Active() != 1 {
-		t.Fatalf("active = %d", m.Entry().Active())
+	if m.Entry().active != 1 {
+		t.Fatalf("active = %d", m.Entry().active)
 	}
 	m.Unmap()
 	m.Unmap() // idempotent
-	if m.Entry().Active() != 0 {
-		t.Fatalf("active after unmap = %d", m.Entry().Active())
+	if m.Entry().active != 0 {
+		t.Fatalf("active after unmap = %d", m.Entry().active)
 	}
 }
 
@@ -53,12 +53,6 @@ func TestReadOnlyGrant(t *testing.T) {
 	if _, err := tbl.Map(2, 1, ref, false); err != nil {
 		t.Fatalf("ro map of ro grant: %v", err)
 	}
-	if err := tbl.Copy(2, 1, ref, true); !errors.Is(err, xtypes.ErrPerm) {
-		t.Fatalf("write copy through ro grant: %v", err)
-	}
-	if err := tbl.Copy(2, 1, ref, false); err != nil {
-		t.Fatalf("read copy: %v", err)
-	}
 }
 
 func TestEndAccessBlockedWhileMapped(t *testing.T) {
@@ -78,20 +72,6 @@ func TestEndAccessBlockedWhileMapped(t *testing.T) {
 	}
 	if err := tbl.EndAccess(1, ref); !errors.Is(err, xtypes.ErrBadGrant) {
 		t.Fatalf("double revoke: %v", err)
-	}
-}
-
-func TestCopyRequiresEndpoint(t *testing.T) {
-	tbl := newTable()
-	ref, _ := tbl.Grant(1, 2, 10, false)
-	if err := tbl.Copy(3, 1, ref, false); !errors.Is(err, xtypes.ErrPerm) {
-		t.Fatalf("third-party copy: %v", err)
-	}
-	if err := tbl.Copy(1, 1, ref, true); err != nil {
-		t.Fatalf("owner copy: %v", err)
-	}
-	if err := tbl.Copy(2, 1, ref, true); err != nil {
-		t.Fatalf("grantee copy: %v", err)
 	}
 }
 
@@ -116,15 +96,15 @@ func TestSharingEnumeration(t *testing.T) {
 	if n := tbl.GrantsBetween(1, 2); n != 2 {
 		t.Fatalf("grants 1->2 = %d", n)
 	}
-	if g := tbl.GranteesOf(1); len(g) != 2 {
-		t.Fatalf("grantees = %v", g)
-	}
-	if n := tbl.ActiveEntries(1); n != 3 {
-		t.Fatalf("active entries = %d", n)
+	if n := tbl.GrantsBetween(1, 3); n != 1 {
+		t.Fatalf("grants 1->3 = %d", n)
 	}
 	tbl.EndAccess(1, r3)
-	if g := tbl.GranteesOf(1); len(g) != 1 || g[0] != 2 {
-		t.Fatalf("grantees after revoke = %v", g)
+	if n := tbl.GrantsBetween(1, 3); n != 0 {
+		t.Fatalf("grants 1->3 after revoke = %d", n)
+	}
+	if n := tbl.GrantsBetween(1, 2); n != 2 {
+		t.Fatalf("grants 1->2 after revoking 1->3 = %d", n)
 	}
 }
 

@@ -51,10 +51,6 @@ var (
 	// DiskModelSATA7200 is the paper testbed's 7200RPM SATA disk.
 	DiskModelSATA7200 = DiskModel{Driver: "sata", Bandwidth: 110e6, SeekTime: 8 * sim.Millisecond,
 		PerOp: 60 * sim.Microsecond, InitTime: 2500 * sim.Millisecond}
-	// DiskModelNVMe is a datacenter NVMe SSD: no rotational seek, a small
-	// flash-translation penalty for random access, microsecond command cost.
-	DiskModelNVMe = DiskModel{Driver: "nvme", Bandwidth: 3.2e9, SeekTime: 20 * sim.Microsecond,
-		PerOp: 10 * sim.Microsecond, InitTime: 400 * sim.Millisecond}
 )
 
 // NewDiskModel returns a disk at addr built from a model preset.
@@ -124,7 +120,7 @@ func (d *Disk) io(p *sim.Proc, bytes int, sequential bool) {
 }
 
 // Serial is the physical serial port. Output is captured into a log so the
-// console path is observable in tests and examples. Writes are effectively
+// console path is observable in tests. Writes are effectively
 // free: the models that matter (boot, consoles) are not serial-bound.
 type Serial struct {
 	env *sim.Env
@@ -138,6 +134,3 @@ func NewSerial(env *sim.Env) *Serial { return &Serial{env: env} }
 
 // WriteLine appends a line to the captured output.
 func (s *Serial) WriteLine(line string) { s.log = append(s.log, line) }
-
-// Log returns the captured output.
-func (s *Serial) Log() []string { return s.log }

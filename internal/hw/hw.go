@@ -189,9 +189,6 @@ func (b *PCIBus) ReleaseConfigSpace(dom xtypes.DomID) {
 	}
 }
 
-// ConfigOwner reports the current config-space multiplexer.
-func (b *PCIBus) ConfigOwner() xtypes.DomID { return b.configOwner }
-
 // ConfigAccess validates a config-space read/write by dom. Only the owner
 // may touch it; everything else must proxy through the owner.
 func (b *PCIBus) ConfigAccess(dom xtypes.DomID, addr xtypes.PCIAddr) error {
@@ -233,15 +230,6 @@ func (b *PCIBus) AssignedTo(addr xtypes.PCIAddr) xtypes.DomID {
 		return d
 	}
 	return xtypes.DomIDNone
-}
-
-// CheckAccess validates a data-path device access by dom: the device must be
-// assigned to dom (IOMMU enforcement).
-func (b *PCIBus) CheckAccess(dom xtypes.DomID, addr xtypes.PCIAddr) error {
-	if b.assigned[addr] != dom {
-		return fmt.Errorf("pci: device %v access by %v: %w", addr, dom, xtypes.ErrPerm)
-	}
-	return nil
 }
 
 // Enumerate models a full bus scan; it costs EnumTime plus each unassigned

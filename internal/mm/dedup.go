@@ -81,12 +81,6 @@ func (m *Manager) recountSharedSavings() {
 	m.dedupSavedPages = saved
 }
 
-// SharedSavedPages reports frames currently reclaimed by sharing.
-func (m *Manager) SharedSavedPages() int { return m.dedupSavedPages }
-
-// CowBreaks reports how many shared pages were split by writes.
-func (m *Manager) CowBreaks() int { return m.cowBreaks }
-
 // EffectiveFreeMB is free memory including frames reclaimed by sharing —
 // the headroom dense deployments bank on.
 func (m *Manager) EffectiveFreeMB() int {
@@ -99,6 +93,5 @@ func (m *Manager) breakSharing(pg *page) {
 		return
 	}
 	pg.sharedKey = [32]byte{}
-	m.cowBreaks++
 	m.recountSharedSavings()
 }

@@ -29,8 +29,8 @@ func TestDedupMergesIdenticalPages(t *testing.T) {
 		t.Fatalf("groups = %d", st.Groups)
 	}
 	// 1800 identical pages → 1799 frames saved (~7MB).
-	if st.SavedPages != 3*per-1 || m.SharedSavedPages() != 3*per-1 {
-		t.Fatalf("saved = %d / %d", st.SavedPages, m.SharedSavedPages())
+	if st.SavedPages != 3*per-1 || m.dedupSavedPages != 3*per-1 {
+		t.Fatalf("saved = %d / %d", st.SavedPages, m.dedupSavedPages)
 	}
 	if m.EffectiveFreeMB() <= m.FreeMB() {
 		t.Fatal("sharing reclaimed no headroom")
@@ -45,17 +45,14 @@ func TestWriteBreaksSharing(t *testing.T) {
 	a.Write(0, same)
 	b.Write(0, same)
 	m.Dedup()
-	if m.SharedSavedPages() != 1 {
-		t.Fatalf("saved = %d", m.SharedSavedPages())
+	if m.dedupSavedPages != 1 {
+		t.Fatalf("saved = %d", m.dedupSavedPages)
 	}
 
 	// A writes to its copy: CoW fault, sharing broken, savings gone.
 	a.Write(0, []byte("diverged"))
-	if m.CowBreaks() != 1 {
-		t.Fatalf("cow breaks = %d", m.CowBreaks())
-	}
-	if m.SharedSavedPages() != 0 {
-		t.Fatalf("saved after break = %d", m.SharedSavedPages())
+	if m.dedupSavedPages != 0 {
+		t.Fatalf("saved after break = %d", m.dedupSavedPages)
 	}
 	// B's copy is unharmed.
 	data, _ := b.Read(0)
@@ -72,14 +69,14 @@ func TestRescanRemerges(t *testing.T) {
 	b.Write(0, []byte("v1"))
 	m.Dedup()
 	a.Write(0, []byte("v2"))
-	if m.SharedSavedPages() != 0 {
+	if m.dedupSavedPages != 0 {
 		t.Fatal("sharing should be broken")
 	}
 	// The pages converge again; the next scan re-merges them.
 	b.Write(0, []byte("v2"))
 	st := m.Dedup()
-	if st.SavedPages != 1 || m.SharedSavedPages() != 1 {
-		t.Fatalf("re-merge: %+v / %d", st, m.SharedSavedPages())
+	if st.SavedPages != 1 || m.dedupSavedPages != 1 {
+		t.Fatalf("re-merge: %+v / %d", st, m.dedupSavedPages)
 	}
 }
 
@@ -91,7 +88,7 @@ func TestDedupIdempotent(t *testing.T) {
 	b.Write(0, []byte("x"))
 	m.Dedup()
 	st := m.Dedup()
-	if st.SavedPages != 1 || m.SharedSavedPages() != 1 {
-		t.Fatalf("double scan inflated savings: %+v / %d", st, m.SharedSavedPages())
+	if st.SavedPages != 1 || m.dedupSavedPages != 1 {
+		t.Fatalf("double scan inflated savings: %+v / %d", st, m.dedupSavedPages)
 	}
 }

@@ -198,7 +198,7 @@ func TestRestartDowntimes(t *testing.T) {
 		if math.Abs(downtime.Seconds()-tc.want.Seconds()) > 0.005 {
 			t.Errorf("fast=%v downtime = %v, want %v", tc.fast, downtime, tc.want)
 		}
-		if !hn.back.Serving() {
+		if hn.back.Gate.Closed() {
 			t.Errorf("fast=%v backend not serving after restart", tc.fast)
 		}
 	}
@@ -430,8 +430,8 @@ func TestMultiQueueVifRoundTrip(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		if hn.front.Queues() != 4 {
-			t.Errorf("queues = %d", hn.front.Queues())
+		if n := len(hn.front.v.queues); n != 4 {
+			t.Errorf("queues = %d", n)
 		}
 		done = true
 	})

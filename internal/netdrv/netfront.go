@@ -49,14 +49,6 @@ func (f *Frontend) Connected() bool {
 	return f.v != nil && f.v.Connected && !f.v.queues[0].rx.Broken()
 }
 
-// Queues reports the vif's queue count.
-func (f *Frontend) Queues() int {
-	if f.v == nil {
-		return 0
-	}
-	return len(f.v.queues)
-}
-
 // recvOne charges guest CPU for a popped packet and acks its ring slot.
 func (f *Frontend) recvOne(p *sim.Proc, q *vifQueue, pkt Packet) {
 	f.H.Compute(p, f.Guest, frontChunkCPU)

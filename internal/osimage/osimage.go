@@ -82,15 +82,6 @@ func (c *Catalog) Lookup(name string) (Image, error) {
 // Register adds an image to the library.
 func (c *Catalog) Register(im Image) { c.images[im.Name] = im }
 
-// Names lists registered image names (unordered).
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.images))
-	for n := range c.images {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Component image names used throughout the platform.
 const (
 	ImgBootstrapper = "nanos-bootstrapper"

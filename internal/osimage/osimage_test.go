@@ -95,7 +95,7 @@ func TestKindString(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	c := DefaultCatalog()
-	if len(c.Names()) != 15 {
-		t.Fatalf("catalog size = %d", len(c.Names()))
+	if len(c.images) != 15 {
+		t.Fatalf("catalog size = %d", len(c.images))
 	}
 }

@@ -1,9 +1,9 @@
 // Package pciback implements the PCIBack shard (§5.3): the closest analogue
 // Xoar has to Dom0. It initializes the hardware, enumerates the PCI bus,
-// virtualizes the shared PCI configuration space for driver domains, and —
-// once every device is running and no further config-space access is needed
-// — can be destroyed entirely, removing a privileged component from the
-// system's steady-state TCB.
+// owns the shared PCI configuration space while the driver domains come up,
+// and — once every device is running and no further config-space access is
+// needed — can be destroyed entirely, removing a privileged component from
+// the system's steady-state TCB.
 package pciback
 
 import (
@@ -17,9 +17,6 @@ import (
 	hwpkg "xoar/internal/hw"
 )
 
-// perConfigOpCPU is the cost of proxying one config-space access.
-const perConfigOpCPU = 10 * sim.Microsecond
-
 // PCIBack is the PCI bus owner.
 type PCIBack struct {
 	H   *hv.Hypervisor
@@ -27,10 +24,7 @@ type PCIBack struct {
 	Bus *hwpkg.PCIBus
 	XS  *xenstore.Conn
 
-	devices   []hwpkg.Device
-	destroyed bool
-
-	ProxiedOps int64
+	devices []hwpkg.Device
 }
 
 // New constructs PCIBack in domain dom.
@@ -63,42 +57,11 @@ func (pb *PCIBack) Start(p *sim.Proc) error {
 // Devices returns the enumerated inventory.
 func (pb *PCIBack) Devices() []hwpkg.Device { return pb.devices }
 
-// DevicesOfClass filters the inventory by class.
-func (pb *PCIBack) DevicesOfClass(c xtypes.DeviceClass) []hwpkg.Device {
-	var out []hwpkg.Device
-	for _, d := range pb.devices {
-		if d.Class() == c {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// ProxyConfigAccess performs a config-space access on behalf of a driver
-// domain during its device initialization. Only the domain holding the
-// device (via passthrough assignment) may touch its config registers; the
-// shared bus is multiplexed through this single component (§5.3).
-func (pb *PCIBack) ProxyConfigAccess(p *sim.Proc, caller xtypes.DomID, addr xtypes.PCIAddr) error {
-	if pb.destroyed {
-		return fmt.Errorf("pciback: destroyed: %w", xtypes.ErrShutdown)
-	}
-	if err := pb.Bus.CheckAccess(caller, addr); err != nil {
-		return err
-	}
-	pb.H.Compute(p, pb.Dom, perConfigOpCPU)
-	if err := pb.Bus.ConfigAccess(pb.Dom, addr); err != nil {
-		return err
-	}
-	pb.ProxiedOps++
-	return nil
-}
-
 // SelfDestruct removes PCIBack once steady state is reached: config space is
 // released and the domain exits, shrinking the set of privileged components
 // (§5.3). Devices stay assigned to their driver domains; only new
 // enumeration or hotplug would need a fresh PCIBack.
 func (pb *PCIBack) SelfDestruct(p *sim.Proc) error {
-	pb.destroyed = true
 	pb.Bus.ReleaseConfigSpace(pb.Dom)
 	return pb.H.SelfExit(pb.Dom)
 }

@@ -40,7 +40,7 @@ func TestStartEnumerates(t *testing.T) {
 	if sim.Duration(end) < pb.Bus.EnumTime {
 		t.Fatalf("enumeration too fast: %v", sim.Duration(end))
 	}
-	if len(pb.DevicesOfClass(xtypes.DevNIC)) != 1 {
+	if nicOf(pb) == (xtypes.PCIAddr{}) {
 		t.Fatal("NIC not classified")
 	}
 	// Inventory published in XenStore.
@@ -49,34 +49,11 @@ func TestStartEnumerates(t *testing.T) {
 	}
 }
 
-func TestProxyConfigAccessRequiresAssignment(t *testing.T) {
-	env, h, pb, nb := setup(t)
-	env.Spawn("test", func(p *sim.Proc) {
-		if err := pb.Start(p); err != nil {
-			t.Error(err)
-			return
-		}
-		nicAddr := pb.DevicesOfClass(xtypes.DevNIC)[0].Addr()
-		// Before assignment: denied.
-		if err := pb.ProxyConfigAccess(p, nb.ID, nicAddr); !errors.Is(err, xtypes.ErrPerm) {
-			t.Errorf("unassigned config access: %v", err)
-		}
-		h.AssignPrivileges(hv.SystemCaller, nb.ID, hv.Assignment{PCIDevices: []xtypes.PCIAddr{nicAddr}})
-		if err := pb.ProxyConfigAccess(p, nb.ID, nicAddr); err != nil {
-			t.Errorf("assigned config access: %v", err)
-		}
-		if pb.ProxiedOps != 1 {
-			t.Errorf("proxied = %d", pb.ProxiedOps)
-		}
-	})
-	env.RunAll()
-}
-
 func TestSelfDestructLeavesDevicesAssigned(t *testing.T) {
 	env, h, pb, nb := setup(t)
 	env.Spawn("test", func(p *sim.Proc) {
 		pb.Start(p)
-		nicAddr := pb.DevicesOfClass(xtypes.DevNIC)[0].Addr()
+		nicAddr := nicOf(pb)
 		h.AssignPrivileges(hv.SystemCaller, nb.ID, hv.Assignment{PCIDevices: []xtypes.PCIAddr{nicAddr}})
 		if err := pb.SelfDestruct(p); err != nil {
 			t.Error(err)
@@ -92,9 +69,9 @@ func TestSelfDestructLeavesDevicesAssigned(t *testing.T) {
 		if pb.Bus.AssignedTo(nicAddr) != nb.ID {
 			t.Error("device assignment lost")
 		}
-		// Further proxying is impossible — steady state needs no config access.
-		if err := pb.ProxyConfigAccess(p, nb.ID, nicAddr); !errors.Is(err, xtypes.ErrShutdown) {
-			t.Errorf("proxy after destruct: %v", err)
+		// Config space is released — steady state needs no config access.
+		if err := pb.Bus.ConfigAccess(pb.Dom, nicAddr); !errors.Is(err, xtypes.ErrPerm) {
+			t.Errorf("config access after destruct: %v", err)
 		}
 	})
 	env.RunAll()
@@ -114,4 +91,15 @@ func TestStartRequiresPorts(t *testing.T) {
 	if !errors.Is(err, xtypes.ErrPerm) {
 		t.Fatalf("start without pci ports: %v", err)
 	}
+}
+
+// nicOf returns the address of the NIC in pb's inventory, or the zero
+// address if it has none.
+func nicOf(pb *PCIBack) xtypes.PCIAddr {
+	for _, d := range pb.Devices() {
+		if d.Class() == xtypes.DevNIC {
+			return d.Addr()
+		}
+	}
+	return xtypes.PCIAddr{}
 }

@@ -83,23 +83,3 @@ func (q *QemuVM) DiskWrite(p *sim.Proc, bytes int, sequential bool) error {
 	}
 	return q.Blk.Write(p, bytes, sequential)
 }
-
-// DiskRead emulates an IDE read.
-func (q *QemuVM) DiskRead(p *sim.Proc, bytes int, sequential bool) error {
-	if err := q.emulate(p, q.Guest, bytes); err != nil {
-		return err
-	}
-	if q.Blk == nil {
-		return fmt.Errorf("qemudm: no block path: %w", xtypes.ErrInvalid)
-	}
-	return q.Blk.Read(p, bytes, sequential)
-}
-
-// AttemptEscape models a compromised device model trying to use its DMA
-// privileges against a *different* guest. It must always fail with ErrPerm —
-// the assertion behind the device-emulation rows of §6.2.1. It returns the
-// error from the hypervisor, nil meaning the platform is misconfigured.
-func (q *QemuVM) AttemptEscape(p *sim.Proc, victim xtypes.DomID) error {
-	q.H.Compute(p, q.Dom, perEmulOpCPU)
-	return q.H.MapForeign(q.Dom, victim, 0)
-}

@@ -75,9 +75,8 @@ type Ring[Req, Resp any] struct {
 	// the final-check dance in the blocking pops.
 	reqEvent, rspEvent uint64
 
-	reqSig   *sim.Signal // new request available
-	respSig  *sim.Signal // new response available
-	spaceSig *sim.Signal // slot freed
+	reqSig  *sim.Signal // new request available
+	respSig *sim.Signal // new response available
 
 	// NotifyBack and NotifyFront, when set, are invoked after a push that
 	// crosses the peer's event threshold. No driver sets them: blocked
@@ -110,15 +109,8 @@ func New[Req, Resp any](env *sim.Env, slots int) *Ring[Req, Resp] {
 		rspEvent: 1,
 		reqSig:   sim.NewSignal(env),
 		respSig:  sim.NewSignal(env),
-		spaceSig: sim.NewSignal(env),
 	}
 }
-
-// Slots reports the ring capacity.
-func (r *Ring[Req, Resp]) Slots() int { return r.slots }
-
-// Inflight reports slots currently in use.
-func (r *Ring[Req, Resp]) Inflight() int { return r.used }
 
 // Full reports whether a request push would block.
 func (r *Ring[Req, Resp]) Full() bool { return r.used >= r.slots }
@@ -138,7 +130,6 @@ func (r *Ring[Req, Resp]) Break() {
 	r.broken = true
 	r.reqSig.Broadcast()
 	r.respSig.Broadcast()
-	r.spaceSig.Broadcast()
 }
 
 // Reset restores a broken ring to an empty connected state. The reconnection
@@ -190,27 +181,8 @@ func (r *Ring[Req, Resp]) pushedResponses(oldProd uint64) {
 	}
 }
 
-// PushRequest places a request on the ring, blocking p while the ring is
-// full. It fails if the ring breaks while waiting.
-func (r *Ring[Req, Resp]) PushRequest(p *sim.Proc, req Req) error {
-	for r.used >= r.slots {
-		if r.broken {
-			return r.errBroken("push-request")
-		}
-		r.spaceSig.Wait(p)
-	}
-	if r.broken {
-		return r.errBroken("push-request")
-	}
-	old := r.reqProd
-	r.used++
-	r.reqs[int(r.reqProd%uint64(r.slots))] = req
-	r.reqProd++
-	r.pushedRequests(old)
-	return nil
-}
-
-// TryPushRequest is PushRequest without blocking; ok is false if full/broken.
+// TryPushRequest places a request on the ring without blocking; ok is false
+// if the ring is full or broken.
 func (r *Ring[Req, Resp]) TryPushRequest(req Req) bool {
 	if r.broken || r.used >= r.slots {
 		return false
@@ -244,28 +216,6 @@ func (r *Ring[Req, Resp]) TryPushRequestBatch(reqs []Req) int {
 		r.pushedRequests(old)
 	}
 	return n
-}
-
-// PushRequestBatch pushes every request in reqs, blocking p while the ring
-// is full. Each contiguous burst that fits makes one notify decision.
-//
-//xoarlint:hot
-func (r *Ring[Req, Resp]) PushRequestBatch(p *sim.Proc, reqs []Req) error {
-	pushed := 0
-	for pushed < len(reqs) {
-		n := r.TryPushRequestBatch(reqs[pushed:])
-		pushed += n
-		if pushed == len(reqs) {
-			return nil
-		}
-		if r.broken {
-			return r.errBroken("push-request-batch")
-		}
-		if n == 0 {
-			r.spaceSig.Wait(p)
-		}
-	}
-	return nil
 }
 
 // PopRequest removes the next request, blocking p while none are queued.
@@ -403,9 +353,7 @@ func (r *Ring[Req, Resp]) PopResponse(p *sim.Proc) (Resp, error) {
 			return zero, r.errBroken("pop-response")
 		}
 		if r.respProd > r.respCons {
-			resp := r.popOneResponse()
-			r.spaceSig.Broadcast()
-			return resp, nil
+			return r.popOneResponse(), nil
 		}
 		r.rspEvent = r.respCons + 1
 		if r.respProd > r.respCons {
@@ -425,15 +373,14 @@ func (r *Ring[Req, Resp]) TryPopResponse() (Resp, bool) {
 	if r.broken || r.respProd == r.respCons {
 		return zero, false
 	}
-	resp := r.popOneResponse()
-	r.spaceSig.Broadcast()
-	return resp, true
+	return r.popOneResponse(), true
 }
 
 // TryPopResponseBatch pops up to len(buf) queued responses into buf and
 // returns the count, without blocking or arming rsp_event.
 //
 //xoarlint:hot bench=BenchmarkMicro_RingBatchPop
+//xoarlint:allow(unused) hot root bound to the gated BenchmarkMicro_RingBatchPop
 func (r *Ring[Req, Resp]) TryPopResponseBatch(buf []Resp) int {
 	if r.broken {
 		return 0
@@ -443,31 +390,5 @@ func (r *Ring[Req, Resp]) TryPopResponseBatch(buf []Resp) int {
 		buf[n] = r.popOneResponse()
 		n++
 	}
-	if n > 0 {
-		r.spaceSig.Broadcast()
-	}
 	return n
-}
-
-// PopResponseBatch blocks p until at least one response is queued, then
-// drains up to len(buf) of them into buf.
-//
-//xoarlint:hot
-func (r *Ring[Req, Resp]) PopResponseBatch(p *sim.Proc, buf []Resp) (int, error) {
-	if len(buf) == 0 {
-		return 0, fmt.Errorf("ring: pop-response-batch with empty buffer: %w", xtypes.ErrInvalid)
-	}
-	for {
-		if r.broken {
-			return 0, r.errBroken("pop-response-batch")
-		}
-		if n := r.TryPopResponseBatch(buf); n > 0 {
-			return n, nil
-		}
-		r.rspEvent = r.respCons + 1
-		if r.respProd > r.respCons {
-			continue
-		}
-		r.respSig.Wait(p)
-	}
 }

@@ -29,8 +29,8 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 	})
 	env.Spawn("frontend", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			if err := r.PushRequest(p, req{id: i}); err != nil {
-				t.Error(err)
+			if !r.TryPushRequest(req{id: i}) {
+				t.Errorf("push %d refused", i)
 				return
 			}
 		}
@@ -47,8 +47,8 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Fatalf("responses = %v", got)
 	}
-	if r.Inflight() != 0 {
-		t.Fatalf("inflight = %d", r.Inflight())
+	if r.used != 0 {
+		t.Fatalf("slots in use = %d", r.used)
 	}
 }
 
@@ -84,31 +84,6 @@ func TestSlotDiscipline(t *testing.T) {
 	env.RunAll()
 }
 
-func TestPushBlocksUntilSpace(t *testing.T) {
-	env := sim.NewEnv(1)
-	r := New[req, resp](env, 1)
-	var pushedAt sim.Time
-	env.Spawn("frontend", func(p *sim.Proc) {
-		r.PushRequest(p, req{1})
-		if err := r.PushRequest(p, req{2}); err != nil { // blocks
-			t.Error(err)
-		}
-		pushedAt = p.Now()
-	})
-	env.Spawn("backend", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Millisecond)
-		rq, _ := r.TryPopRequest()
-		r.PushResponse(resp{rq.id})
-	})
-	env.Spawn("reaper", func(p *sim.Proc) {
-		r.PopResponse(p)
-	})
-	env.RunAll()
-	if pushedAt != sim.Time(10*sim.Millisecond) {
-		t.Fatalf("second push completed at %v", pushedAt)
-	}
-}
-
 // Under req_event/rsp_event, the first push after ring init notifies (the
 // event indices start armed at 1); subsequent pushes are suppressed until
 // the consumer re-arms by blocking in PopRequest/PopResponse. TryPop does
@@ -121,7 +96,7 @@ func TestNotifyHooks(t *testing.T) {
 	r.NotifyFront = func() { frontNotified++ }
 	env.Spawn("test", func(p *sim.Proc) {
 		r.TryPushRequest(req{1}) // crosses req_event=1: notify
-		r.PushRequest(p, req{2}) // consumer never re-armed: suppressed
+		r.TryPushRequest(req{2}) // consumer never re-armed: suppressed
 		r.TryPopRequest()
 		r.TryPopRequest()
 		r.PushResponse(resp{1}) // crosses rsp_event=1: notify
@@ -148,7 +123,7 @@ func TestAlwaysNotifyAblation(t *testing.T) {
 	r.NotifyFront = func() { frontNotified++ }
 	env.Spawn("test", func(p *sim.Proc) {
 		r.TryPushRequest(req{1})
-		r.PushRequest(p, req{2})
+		r.TryPushRequest(req{2})
 		r.TryPopRequest()
 		r.TryPopRequest()
 		r.PushResponse(resp{1})
@@ -216,18 +191,20 @@ func TestBatchPushSingleNotify(t *testing.T) {
 	if backNotified != 1 || frontNotified != 1 {
 		t.Fatalf("notifies back=%d front=%d", backNotified, frontNotified)
 	}
-	if r.Inflight() != 0 {
-		t.Fatalf("inflight = %d", r.Inflight())
+	if r.used != 0 {
+		t.Fatalf("slots in use = %d", r.used)
 	}
 }
 
-// PushRequestBatch larger than the ring blocks and completes as slots free;
-// PopRequestBatch drains whole bursts per wakeup.
+// A batch larger than the ring goes out in bursts that fit, as the drivers
+// send it: the frontend pushes what fits, then blocks for a response and
+// reaps every queued one, which frees the slots for the next burst.
+// PopRequestBatch drains each burst in one wakeup.
 func TestBatchBlockingRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := New[req, resp](env, 4)
 	const total = 10
-	var served int
+	var served, wakeups int
 	env.Spawn("backend", func(p *sim.Proc) {
 		buf := make([]req, 4)
 		rsp := make([]resp, 4)
@@ -237,6 +214,7 @@ func TestBatchBlockingRoundTrip(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			wakeups++
 			for i := 0; i < n; i++ {
 				rsp[i] = resp{buf[i].id}
 			}
@@ -252,60 +230,49 @@ func TestBatchBlockingRoundTrip(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = req{i}
 		}
-		env.Spawn("reaper", func(p2 *sim.Proc) {
-			buf := make([]resp, 4)
-			got := 0
-			for got < total {
-				n, err := r.PopResponseBatch(p2, buf)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got += n
+		buf := make([]resp, 4)
+		pushed, got := 0, 0
+		for got < total {
+			pushed += r.TryPushRequestBatch(reqs[pushed:])
+			if _, err := r.PopResponse(p); err != nil {
+				t.Error(err)
+				return
 			}
-		})
-		if err := r.PushRequestBatch(p, reqs); err != nil {
-			t.Error(err)
+			got += 1 + r.TryPopResponseBatch(buf)
 		}
 	})
 	env.RunAll()
 	if served != total {
 		t.Fatalf("served = %d", served)
 	}
-	if r.Inflight() != 0 {
-		t.Fatalf("inflight = %d", r.Inflight())
+	if wakeups != 3 {
+		t.Fatalf("backend woke %d times for bursts of 4, 4 and 2, want 3", wakeups)
+	}
+	if r.used != 0 {
+		t.Fatalf("slots in use = %d", r.used)
 	}
 }
 
 func TestBreakWakesAndFailsAll(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := New[req, resp](env, 1)
-	var popErr, pushErr error
-	env.Spawn("blockedPop", func(p *sim.Proc) {
-		_, popErr = r.PopRequest(p)
+	var popReqErr, popRespErr error
+	env.Spawn("blockedPopRequest", func(p *sim.Proc) {
+		_, popReqErr = r.PopRequest(p)
 	})
-	env.Spawn("filler", func(p *sim.Proc) {
-		p.Sleep(sim.Millisecond)
-		// Fill the ring so the next push blocks. The queued request is
-		// consumed by blockedPop, but its slot stays held.
-		r.TryPushRequest(req{0})
-		r.TryPushRequest(req{0})
-	})
-	env.Spawn("blockedPush", func(p *sim.Proc) {
-		p.Sleep(2 * sim.Millisecond)
-		pushErr = r.PushRequest(p, req{1})
+	env.Spawn("blockedPopResponse", func(p *sim.Proc) {
+		_, popRespErr = r.PopResponse(p)
 	})
 	env.Spawn("breaker", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Millisecond)
 		r.Break()
 	})
 	env.RunAll()
-	// blockedPop actually received the filler's request, so it may have
-	// succeeded; the blocked push must fail.
-	if pushErr == nil || !errors.Is(pushErr, xtypes.ErrShutdown) {
-		t.Fatalf("push on broken ring: %v", pushErr)
+	for name, err := range map[string]error{"request": popReqErr, "response": popRespErr} {
+		if !errors.Is(err, xtypes.ErrShutdown) {
+			t.Errorf("blocked %s pop on broken ring: %v", name, err)
+		}
 	}
-	_ = popErr
 	if !r.Broken() {
 		t.Fatal("ring not broken")
 	}
@@ -321,7 +288,7 @@ func TestResetRestoresService(t *testing.T) {
 		r.TryPushRequest(req{1})
 		r.Break()
 		r.Reset()
-		if r.Broken() || r.Inflight() != 0 {
+		if r.Broken() || r.used != 0 {
 			t.Error("reset did not clear state")
 		}
 		if !r.TryPushRequest(req{2}) {
@@ -364,7 +331,7 @@ func TestSlotAccountingProperty(t *testing.T) {
 						consumed++
 					}
 				}
-				if r.Inflight() != pushed-consumed || r.Inflight() > r.Slots() {
+				if r.used != pushed-consumed || r.used > r.slots {
 					okAll = false
 					return
 				}
@@ -378,8 +345,8 @@ func TestSlotAccountingProperty(t *testing.T) {
 	}
 }
 
-// Satellite regression: every push/pop variant — try, blocking, and batch,
-// both directions — must refuse service on a broken ring. TryPopResponse
+// Every push/pop variant — try, blocking, and batch, both directions — must
+// refuse service on a broken ring. TryPopResponse
 // historically skipped the broken check and let a frontend consume
 // responses (freeing slots) on a ring mid-microreboot.
 func TestBrokenRingRefusesAllVariants(t *testing.T) {
@@ -390,14 +357,8 @@ func TestBrokenRingRefusesAllVariants(t *testing.T) {
 		{"TryPushRequest", func(p *sim.Proc, r *Ring[req, resp]) bool {
 			return r.TryPushRequest(req{9})
 		}},
-		{"PushRequest", func(p *sim.Proc, r *Ring[req, resp]) bool {
-			return r.PushRequest(p, req{9}) == nil
-		}},
 		{"TryPushRequestBatch", func(p *sim.Proc, r *Ring[req, resp]) bool {
 			return r.TryPushRequestBatch([]req{{9}}) > 0
-		}},
-		{"PushRequestBatch", func(p *sim.Proc, r *Ring[req, resp]) bool {
-			return r.PushRequestBatch(p, []req{{9}}) == nil
 		}},
 		{"TryPopRequest", func(p *sim.Proc, r *Ring[req, resp]) bool {
 			_, ok := r.TryPopRequest()
@@ -431,10 +392,6 @@ func TestBrokenRingRefusesAllVariants(t *testing.T) {
 		{"TryPopResponseBatch", func(p *sim.Proc, r *Ring[req, resp]) bool {
 			return r.TryPopResponseBatch(make([]resp, 2)) > 0
 		}},
-		{"PopResponseBatch", func(p *sim.Proc, r *Ring[req, resp]) bool {
-			n, err := r.PopResponseBatch(p, make([]resp, 2))
-			return err == nil && n > 0
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -447,14 +404,14 @@ func TestBrokenRingRefusesAllVariants(t *testing.T) {
 				r.TryPushRequest(req{2})
 				r.TryPopRequest()
 				r.PushResponse(resp{1})
-				before := r.Inflight()
+				before := r.used
 				r.Break()
 				if tc.op(p, r) {
 					t.Errorf("%s succeeded on broken ring", tc.name)
 				}
-				if r.Inflight() != before {
+				if r.used != before {
 					t.Errorf("%s changed slot accounting on broken ring: %d -> %d",
-						tc.name, before, r.Inflight())
+						tc.name, before, r.used)
 				}
 			})
 			env.RunAll()

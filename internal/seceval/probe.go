@@ -81,13 +81,6 @@ func containsDom(list []xtypes.DomID, d xtypes.DomID) bool {
 	return false
 }
 
-// Clean reports whether the probe obtained nothing beyond what a shard
-// legitimately holds over its linked clients.
-func (p CapabilityProbe) Clean() bool {
-	return !p.MapVictimMemory && !p.CreatedDomain && !p.DestroyedVictim &&
-		!p.GrantedToVictim && !p.RolledBackOthers && !p.TookPCIDevice && !p.EscalatedSelf
-}
-
 // Obtained lists the capabilities gained, for reports.
 func (p CapabilityProbe) Obtained() []string {
 	var out []string

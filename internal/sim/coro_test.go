@@ -236,8 +236,8 @@ func TestKillDuringUseFreesSlot(t *testing.T) {
 	if acquiredAt != Time(Second) {
 		t.Fatalf("waiter acquired the slot at %vs, want 1s", acquiredAt.Seconds())
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("%d slots still held", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("%d slots still held", r.inUse)
 	}
 }
 
@@ -326,7 +326,9 @@ func TestSpawnReusesCoroutines(t *testing.T) {
 		for i := 0; i < 10_000; i++ {
 			child := env.Spawn("child", func(c *Proc) { c.Sleep(Microsecond) })
 			peak = max(peak, env.LiveProcs())
-			p.WaitDone(child)
+			for !child.Done() {
+				p.Sleep(Microsecond)
+			}
 		}
 	})
 	env.RunAll()

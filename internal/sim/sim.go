@@ -429,8 +429,6 @@ type Proc struct {
 	// process is waiting in, nil otherwise. step checks it before resuming
 	// the process.
 	cond waitCond
-	// doneWatchers are signalled when the process terminates.
-	doneSig *Signal
 }
 
 // waitCond is the loop condition of a call that waits on a Signal until it
@@ -453,7 +451,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	} else {
 		p.co = newCoro(e)
 	}
-	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	e.emitTrace("spawn", name)
 	e.schedule(e.now, p, nil)
@@ -469,7 +466,6 @@ func (p *Proc) run() {
 	p.cond = nil // a Kill unwinds a waiting body without clearing it
 	p.done = true
 	delete(p.env.procs, p)
-	p.doneSig.Broadcast()
 }
 
 // exec runs the body and reports whether it returned or was unwound by
@@ -547,13 +543,6 @@ func (p *Proc) Kill() {
 	// Schedule a resumption so the body unwinds promptly.
 	p.env.schedule(p.env.now, p, nil)
 	p.env.maybeCompact()
-}
-
-// WaitDone blocks the calling process until target terminates.
-func (p *Proc) WaitDone(target *Proc) {
-	for !target.done {
-		target.doneSig.Wait(p)
-	}
 }
 
 // peekLive discards stale events — canceled timers and wakeups for finished
@@ -785,6 +774,8 @@ func (e *Env) Await(name string, limit Duration, fn func(p *Proc)) bool {
 
 // RunAll processes events until no more remain. Processes blocked forever on
 // empty channels stay blocked; Shutdown unwinds them.
+//
+//xoarlint:allow(unused) test support: about 80 test call sites drain an Env with it, and it needs Env's unexported state
 func (e *Env) RunAll() Time {
 	e.until = maxTime
 	e.step(nil)

@@ -160,20 +160,6 @@ func TestKillUnwindsProcess(t *testing.T) {
 	}
 }
 
-func TestWaitDone(t *testing.T) {
-	env := NewEnv(1)
-	var joinedAt Time
-	worker := env.Spawn("worker", func(p *Proc) { p.Sleep(3 * Second) })
-	env.Spawn("joiner", func(p *Proc) {
-		p.WaitDone(worker)
-		joinedAt = p.Now()
-	})
-	env.RunAll()
-	if joinedAt != Time(3*Second) {
-		t.Fatalf("joined at %vs, want 3s", joinedAt.Seconds())
-	}
-}
-
 func TestChanFIFOAndBlocking(t *testing.T) {
 	env := NewEnv(1)
 	ch := NewChan[int](env)
@@ -305,19 +291,6 @@ func TestUseChunkedInterleaves(t *testing.T) {
 	// Both should finish near 20ms (fair interleave), not one at 10ms.
 	if aDone < Time(18*Millisecond) || bDone != Time(20*Millisecond) {
 		t.Fatalf("aDone=%v bDone=%v; want both near 20ms", aDone, bDone)
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	env := NewEnv(1)
-	r := NewResource(env, 1)
-	env.Spawn("u", func(p *Proc) {
-		r.Use(p, 3*Second)
-		p.Sleep(Second)
-	})
-	env.RunAll()
-	if r.BusyTime() != 3*Second {
-		t.Fatalf("busy = %v, want 3s", r.BusyTime())
 	}
 }
 

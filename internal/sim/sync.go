@@ -188,14 +188,9 @@ func (c *Chan[T]) Len() int { return len(c.items) - c.head }
 // small work quanta this approximates processor sharing closely enough for
 // the throughput experiments.
 type Resource struct {
-	env      *Env
 	capacity int
 	inUse    int
 	sig      *Signal
-
-	// busy accumulates total busy slot-time for utilization reporting.
-	busy      Duration
-	lastCheck Time
 }
 
 // NewResource returns a resource with the given number of slots.
@@ -203,13 +198,7 @@ func NewResource(env *Env, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{env: env, capacity: capacity, sig: NewSignal(env)}
-}
-
-func (r *Resource) account() {
-	now := r.env.now
-	r.busy += Duration(int64(now-r.lastCheck) * int64(r.inUse))
-	r.lastCheck = now
+	return &Resource{capacity: capacity, sig: NewSignal(env)}
 }
 
 // Acquire blocks p until a slot is free, then claims it.
@@ -217,7 +206,6 @@ func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.capacity {
 		r.sig.waitWhile(p, r)
 	}
-	r.account()
 	r.inUse++
 }
 
@@ -235,7 +223,6 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		panic("sim: release of idle resource")
 	}
-	r.account()
 	r.inUse--
 	r.sig.Broadcast()
 }
@@ -269,15 +256,6 @@ func (r *Resource) UseChunked(p *Proc, d, quantum Duration) {
 			p.Yield()
 		}
 	}
-}
-
-// InUse reports the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
-// BusyTime reports accumulated busy slot-time.
-func (r *Resource) BusyTime() Duration {
-	r.account()
-	return r.busy
 }
 
 // Gate is a binary latch: processes wait until it opens. Once opened it stays

@@ -78,8 +78,8 @@ func TestRollbackRestoresMemoryEachCycle(t *testing.T) {
 	if string(data) != "init" {
 		t.Fatalf("memory after microreboot = %q", data)
 	}
-	if comp.dom.Mem.SnapEpoch() != 1 {
-		t.Fatalf("epoch = %d", comp.dom.Mem.SnapEpoch())
+	if st, _ := eng.Stats(comp.DomID()); st.Restarts != 1 {
+		t.Fatalf("rollbacks = %d, want 1", st.Restarts)
 	}
 }
 

@@ -145,46 +145,6 @@ func (t *Tracer) Events() []SpanEvent {
 	return out
 }
 
-// SpanNode is one node of the per-domain span tree.
-type SpanNode struct {
-	Name     string       `json:"name"`
-	Start    sim.Time     `json:"start_ns"`
-	End      sim.Time     `json:"end_ns"`
-	Duration sim.Duration `json:"duration_ns"`
-	Children []*SpanNode  `json:"children,omitempty"`
-}
-
-// Tree reassembles the recorded spans for one domain into parent/child
-// trees, returning the roots in start order. A child whose parent belongs
-// to another domain (or was dropped) becomes a root.
-func (t *Tracer) Tree(domain string) []*SpanNode {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nodes := make(map[SpanID]*SpanNode)
-	var roots []*SpanNode
-	for _, s := range t.spans {
-		if s.domain != domain {
-			continue
-		}
-		n := &SpanNode{
-			Name:     s.name,
-			Start:    s.start,
-			End:      s.end,
-			Duration: s.end.Sub(s.start),
-		}
-		nodes[s.id] = n
-		if parent, ok := nodes[s.parent]; ok {
-			parent.Children = append(parent.Children, n)
-		} else {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
 // Tracer returns the registry's span tracer (nil on a nil registry).
 func (r *Registry) Tracer() *Tracer {
 	if r == nil {

@@ -100,6 +100,8 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 
 // Gauge returns the gauge for name+labels, creating it on first use.
 // Returns nil on a nil registry.
+//
+//xoarlint:allow(unused) ROADMAP item 9 adds the first production gauges
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
@@ -173,6 +175,7 @@ type Gauge struct {
 // Set replaces the value (no-op on nil).
 //
 //xoarlint:hot
+//xoarlint:allow(unused) ROADMAP item 9 adds the first production gauges
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -183,6 +186,8 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add shifts the value by d (no-op on nil).
+//
+//xoarlint:allow(unused) ROADMAP item 9 adds the first production gauges
 func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
@@ -248,37 +253,6 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// Count returns the exact number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the exact sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1). Returns 0 when the
-// histogram is nil or empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
 }
 
 func (h *Histogram) quantileLocked(q float64) float64 {

@@ -123,17 +123,6 @@ func New(h *hv.Hypervisor, dom xtypes.DomID, xs *xenstore.Logic, b *builder.Buil
 // SetQuota replaces the toolstack's resource quota.
 func (ts *Toolstack) SetQuota(q Quota) { ts.quota = q }
 
-// Guests lists managed guests in creation order (by DomID).
-func (ts *Toolstack) Guests() []*Guest {
-	var out []*Guest
-	for id := xtypes.DomID(0); int(id) < 1<<20 && len(out) < len(ts.guests); id++ {
-		if g, ok := ts.guests[id]; ok {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // Manages reports whether dom is a guest this toolstack manages.
 func (ts *Toolstack) Manages(dom xtypes.DomID) bool {
 	_, ok := ts.guests[dom]
@@ -468,9 +457,3 @@ func (ts *Toolstack) MigrateTo(p *sim.Proc, dom xtypes.DomID, dst *Toolstack, li
 	}
 	return rec, res, nil
 }
-
-// Pause pauses a managed guest.
-func (ts *Toolstack) Pause(dom xtypes.DomID) error { return ts.H.Pause(ts.Dom, dom) }
-
-// Unpause resumes a managed guest.
-func (ts *Toolstack) Unpause(dom xtypes.DomID) error { return ts.H.Unpause(ts.Dom, dom) }

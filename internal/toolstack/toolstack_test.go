@@ -66,7 +66,7 @@ func TestCreateWiresDevicesAndConsole(t *testing.T) {
 	if g.Blk == nil || !g.Blk.Connected() {
 		t.Fatal("vbd not connected")
 	}
-	if r.pl.Console.Buffer(g.Dom) == nil && r.pl.Console.Consoles() == 0 {
+	if r.pl.Console.Buffer(g.Dom) == nil {
 		t.Fatal("console missing")
 	}
 	// The shard-client links exist in the hypervisor.
@@ -84,8 +84,8 @@ func TestCreateWiresDevicesAndConsole(t *testing.T) {
 	if err := g.BlkB.DeleteImage("g-disk"); !errors.Is(err, xtypes.ErrInUse) {
 		t.Fatalf("mounted image deletable: %v", err)
 	}
-	if len(r.ts.Guests()) != 1 {
-		t.Fatalf("guests = %d", len(r.ts.Guests()))
+	if !r.ts.Manages(g.Dom) {
+		t.Fatal("guest not managed")
 	}
 }
 
@@ -205,7 +205,7 @@ func TestFailedCreateReleasesWhatItTook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains, clients, guests := len(r.h.Domains()), len(nb.Clients()), len(r.ts.Guests())
+	domains, clients := len(r.h.Domains()), len(nb.Clients())
 
 	if _, err := r.create(t, cfg); !errors.Is(err, xtypes.ErrExists) {
 		t.Fatalf("duplicate-name create: %v", err)
@@ -215,9 +215,6 @@ func TestFailedCreateReleasesWhatItTook(t *testing.T) {
 	}
 	if got := len(nb.Clients()); got != clients {
 		t.Errorf("netback clients: %d -> %d", clients, got)
-	}
-	if got := len(r.ts.Guests()); got != guests {
-		t.Errorf("toolstack guests: %d -> %d", guests, got)
 	}
 	if !first.Net.Connected() || !first.Blk.Connected() {
 		t.Errorf("first guest lost its devices: vif %v, vbd %v", first.Net.Connected(), first.Blk.Connected())
@@ -233,6 +230,12 @@ func TestFailedCreateReleasesWhatItTook(t *testing.T) {
 	if err := first.BlkB.CreateImage("staged-disk", 1024); !errors.Is(err, xtypes.ErrExists) {
 		t.Errorf("failed create deleted the staged image: %v", err)
 	}
+	// Neither failed create left a record: with room for one more, a
+	// second guest fits under the VM quota.
+	r.ts.SetQuota(toolstack.Quota{MaxVMs: 2, MaxMemMB: 1 << 20})
+	if _, err := r.create(t, toolstack.GuestConfig{Name: "second", Image: osimage.ImgGuestPV}); err != nil {
+		t.Errorf("failed creates left a toolstack record: %v", err)
+	}
 }
 
 func TestPauseUnpause(t *testing.T) {
@@ -242,14 +245,16 @@ func TestPauseUnpause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ts.Pause(g.Dom); err != nil {
+	// The toolstack holds the privilege to pause and resume the guests it
+	// manages.
+	if err := r.h.Pause(r.ts.Dom, g.Dom); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := r.h.Domain(g.Dom)
 	if d.State != hv.StatePaused {
 		t.Fatalf("state = %v", d.State)
 	}
-	if err := r.ts.Unpause(g.Dom); err != nil {
+	if err := r.h.Unpause(r.ts.Dom, g.Dom); err != nil {
 		t.Fatal(err)
 	}
 	if d.State != hv.StateRunning {
@@ -314,7 +319,7 @@ func TestForgetReleasesWithoutDestroy(t *testing.T) {
 	r.h.DestroyDomain(hv.SystemCaller, g.Dom, "migrated")
 	r.ts.Forget(g.Dom)
 	r.ts.Forget(g.Dom) // idempotent
-	if len(r.ts.Guests()) != 0 {
+	if r.ts.Manages(g.Dom) {
 		t.Fatal("record survived Forget")
 	}
 	// The constraint lock and the disk image were released: a different
@@ -359,7 +364,7 @@ func TestMigrateToHandsOverOrStays(t *testing.T) {
 	if _, err := move(); !errors.Is(err, xtypes.ErrNoMem) {
 		t.Fatalf("migration to a full host: %v", err)
 	}
-	if !r.ts.Manages(g.Dom) || len(dst.Guests()) != 0 {
+	if !r.ts.Manages(g.Dom) || dst.Manages(g.Dom) {
 		t.Fatal("failed pre-copy moved the guest's record")
 	}
 

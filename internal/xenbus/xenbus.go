@@ -60,9 +60,6 @@ func NewBackend(h *hv.Hypervisor, dom xtypes.DomID, xs *xenstore.Conn, class *Cl
 // DomID implements snapshot.Restartable.
 func (b *Backend) DomID() xtypes.DomID { return b.Dom }
 
-// Serving reports whether the backend is accepting traffic.
-func (b *Backend) Serving() bool { return !b.Gate.Closed() }
-
 // Ready switches the backend's own state to connected and opens it for
 // service, when it starts and again when a microreboot completes.
 func (b *Backend) Ready() {

@@ -172,7 +172,7 @@ func (c *Conn) Read(path string) (string, error) {
 	if !c.canRead(n) {
 		return "", fmt.Errorf("xenstore: read %s by %v: %w", path, c.dom, xtypes.ErrPerm)
 	}
-	return string(n.value), nil
+	return n.value, nil
 }
 
 // Write stores value at path, creating intermediate nodes as needed.
@@ -219,7 +219,7 @@ func (c *Conn) write(path, value string) error {
 		n = child
 		l.owned[c.dom]++
 	}
-	n.value = []byte(value)
+	n.value = value
 	l.state.mutations++
 	return nil
 }

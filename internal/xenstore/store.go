@@ -20,10 +20,11 @@ import (
 	"xoar/internal/xtypes"
 )
 
-// node is one tree node. Its maps stay nil until their first write: most
-// nodes are leaves, and most ACLs are empty.
+// node is one tree node. Its value shares the writer's string, so neither a
+// write nor a read copies it. Its maps stay nil until their first write:
+// most nodes are leaves, and most ACLs are empty.
 type node struct {
-	value    []byte
+	value    string
 	children map[string]*node
 	owner    xtypes.DomID
 	readACL  map[xtypes.DomID]bool

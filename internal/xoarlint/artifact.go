@@ -68,6 +68,8 @@ func (m *PrivMatrix) EncodeJSON() ([]byte, error) {
 }
 
 // DecodePrivMatrix parses a checked-in matrix.
+//
+//xoarlint:allow(unused) test support: TestPrivMatrixDrift reports drift with it
 func DecodePrivMatrix(data []byte) (*PrivMatrix, error) {
 	var m PrivMatrix
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -78,6 +80,8 @@ func DecodePrivMatrix(data []byte) (*PrivMatrix, error) {
 
 // DiffPrivMatrices compares a checked-in matrix against a freshly built
 // one and returns human-readable difference lines, empty when identical.
+//
+//xoarlint:allow(unused) test support: TestPrivMatrixDrift reports drift with it
 func DiffPrivMatrices(checked, built *PrivMatrix) []string {
 	var out []string
 	if checked.Source != built.Source {

@@ -110,6 +110,8 @@ func DecodeHotPath(data []byte) (*HotPath, error) {
 // DiffHotPath describes the drift between two artifacts, one line per
 // changed root: removed roots, new roots, and changed budgets/bench
 // bindings/reachable sets.
+//
+//xoarlint:allow(unused) test support: TestHotPathDrift reports drift with it
 func DiffHotPath(old, new *HotPath) []string {
 	oldRoots := map[string]HotPathRoot{}
 	for _, r := range old.Roots {

@@ -30,27 +30,14 @@ func LoadModule(dir string) ([]*Package, error) {
 	return l.load(l.order...)
 }
 
-// LoadModuleDir loads the package units of a single directory, deriving the
-// import path from the enclosing module. Its module imports are type-checked
-// from source, and a type error fails the load, as in LoadModule.
-func LoadModuleDir(dir string) ([]*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	root, module, err := findModule(abs)
-	if err != nil {
-		return nil, err
-	}
-	return newLoader(module, root).loadDir(abs, importPathFor(root, module, abs))
-}
-
 // LoadDir loads the package units in a single directory under the given
 // import path. The path override lets tests present synthetic sources as any
 // package identity ("xoar/internal/hv") without living in the module tree.
 // Imports of the module containing the working directory are type-checked
-// from its source, as in LoadModuleDir; any other import outside the standard
-// library is an empty package. Type errors are ignored.
+// from its source; any other import outside the standard library is an empty
+// package. Type errors are ignored.
+//
+//xoarlint:allow(unused) test support: the analyzer tests load their fixtures with it
 func LoadDir(dir, importPath string) ([]*Package, error) {
 	root, module, err := findModule(".")
 	if err != nil {

@@ -10,24 +10,26 @@ import (
 
 // unused keeps code that nothing runs from accumulating: every package-level
 // func, method, type, var and const declared in a non-test file must be
-// referenced by some identifier in the module. Tests count as uses, and so
-// does hostbench, which the loader walks with the rest of the tree. Code
-// kept alive only by its own tests passes: deleting that is a judgement.
+// referenced by some identifier in a non-test file of the module. hostbench
+// counts, since the loader walks it with the rest of the tree; uses in
+// _test.go files do not, so code that only its own tests reach is reported.
+// A declaration kept for a test, a gated benchmark or an open ROADMAP item
+// carries //xoarlint:allow(unused) <reason> instead.
 //
 // Exempt: main, init and _; the exported declarations of the root package,
 // which are the public API, and the exported methods of the types it
-// aliases; and methods that implement an interface declared in the module,
-// in a standard-library package the module imports, or error, since a call
-// through the interface never names them.
+// aliases; and methods that implement error or an interface declared in,
+// or imported from the standard library by, the module's non-test source,
+// since a call through the interface never names them.
 //
 // A use is matched to its declaration by position, not by object: a
 // package with in-package tests is type-checked twice over the same parsed
 // files (once for its importers, once with its tests), so one declaration
 // can be two objects.
 //
-// The rule needs the whole module. Without the root package loaded
-// (xoarlint run on one directory) the pass reports nothing, rather than
-// every exported declaration whose users were not loaded.
+// The rule needs the whole module. Without the root package loaded (a
+// fixture loaded with LoadDir) the pass reports nothing, rather than every
+// exported declaration whose users were not loaded.
 
 // rootPath is the module's root package, the public API.
 const rootPath = "xoar"
@@ -35,7 +37,7 @@ const rootPath = "xoar"
 func init() {
 	Register(&Analyzer{
 		Name:      "unused",
-		Doc:       "every package-level declaration in non-test source is referenced somewhere in the module (tests and hostbench count)",
+		Doc:       "every package-level declaration in non-test source is referenced from non-test source in the module (hostbench counts, tests do not)",
 		RunModule: runUnused,
 	})
 }
@@ -52,8 +54,10 @@ func runUnused(pkgs []*Package) []Diagnostic {
 	}
 	used := exemptMethods(pkgs, root)
 	for _, p := range pkgs {
-		for _, obj := range p.Info.Uses {
-			used[obj.Pos()] = true
+		for id, obj := range p.Info.Uses {
+			if !inTestFile(p.Fset, id.Pos()) {
+				used[obj.Pos()] = true
+			}
 		}
 	}
 
@@ -69,7 +73,7 @@ func runUnused(pkgs []*Package) []Diagnostic {
 		diags = append(diags, Diagnostic{
 			Pos:      p.Fset.Position(id.Pos()),
 			Analyzer: "unused",
-			Message:  fmt.Sprintf("%s %s is referenced nowhere in the module, tests included; delete it", kind, name),
+			Message:  fmt.Sprintf("%s %s is referenced nowhere outside tests; delete it, or keep it with //xoarlint:allow(unused) <reason>", kind, name),
 		})
 	}
 	for _, p := range pkgs {
@@ -111,8 +115,7 @@ func exemptMethods(pkgs []*Package, root *Package) map[token.Pos]bool {
 	exempt := map[token.Pos]bool{}
 	for id, obj := range root.Info.Defs {
 		tn, ok := obj.(*types.TypeName)
-		if !ok || !tn.IsAlias() || tn.Parent() != tn.Pkg().Scope() ||
-			strings.HasSuffix(root.Fset.Position(id.Pos()).Filename, "_test.go") {
+		if !ok || !tn.IsAlias() || tn.Parent() != tn.Pkg().Scope() || inTestFile(root.Fset, id.Pos()) {
 			continue
 		}
 		if named := namedOf(tn.Type()); named != nil {
@@ -152,8 +155,9 @@ func exemptMethods(pkgs []*Package, root *Package) map[token.Pos]bool {
 }
 
 // knownInterfaces collects the interfaces whose implementations count as
-// used: the package-level interfaces declared in the module, the exported
-// ones of every standard-library package a module file imports, and error.
+// used: the package-level interfaces declared in the module's non-test
+// files, the exported ones of every standard-library package a non-test
+// module file imports, and error.
 func knownInterfaces(pkgs []*Package) []*types.Interface {
 	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	module := map[string]bool{}
@@ -161,14 +165,14 @@ func knownInterfaces(pkgs []*Package) []*types.Interface {
 		module[p.Path] = true
 	}
 	seen := map[*types.Package]bool{}
-	add := func(pkg *types.Package, exportedOnly bool) {
+	add := func(fset *token.FileSet, pkg *types.Package, exportedOnly bool) {
 		if seen[pkg] {
 			return
 		}
 		seen[pkg] = true
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || (exportedOnly && !tn.Exported()) {
+			if !ok || (exportedOnly && !tn.Exported()) || inTestFile(fset, tn.Pos()) {
 				continue
 			}
 			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
@@ -182,17 +186,22 @@ func knownInterfaces(pkgs []*Package) []*types.Interface {
 	for _, p := range pkgs {
 		for _, obj := range p.Info.Defs {
 			if obj != nil && obj.Pkg() != nil {
-				add(obj.Pkg(), false) // the unit's own package
+				add(p.Fset, obj.Pkg(), false) // the unit's own package
 				break
 			}
 		}
-		for _, obj := range p.Info.Uses {
-			if pn, ok := obj.(*types.PkgName); ok && !module[pn.Imported().Path()] {
-				add(pn.Imported(), true)
+		for id, obj := range p.Info.Uses {
+			if pn, ok := obj.(*types.PkgName); ok && !module[pn.Imported().Path()] && !inTestFile(p.Fset, id.Pos()) {
+				add(p.Fset, pn.Imported(), true)
 			}
 		}
 	}
 	return out
+}
+
+// inTestFile reports whether pos lies in a _test.go file.
+func inTestFile(fset *token.FileSet, pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // supplies reports whether methods, keyed by methodID, has every method of

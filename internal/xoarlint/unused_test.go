@@ -78,22 +78,128 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// The pass flags the unreferenced func and const and nothing else: not the
-// func only a test calls, the String method, the interface implementation
-// or the exported method of a root alias.
+// withFiles returns the files of base with extra added or replaced.
+func withFiles(base, extra map[string]string) map[string]string {
+	out := map[string]string{}
+	for name, src := range base {
+		out[name] = src
+	}
+	for name, src := range extra {
+		out[name] = src
+	}
+	return out
+}
+
+// The pass flags the unreferenced func and const and the func only a test
+// calls, since a use in a _test.go file does not count, and nothing else:
+// not the String method, the interface implementation or the exported
+// method of a root alias.
 func TestUnusedFlagsOnlyUnreferenced(t *testing.T) {
 	pkgs, err := LoadModule(writeModule(t, unusedModule))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDiags(t, diagsOf(t, "unused", pkgs...), "func xoar/internal/widget.orphan", "const limit")
+	wantDiags(t, diagsOf(t, "unused", pkgs...),
+		"func xoar/internal/widget.total", "func xoar/internal/widget.orphan", "const limit")
 }
 
-// Loaded without the root package, as on a single-directory run, the pass
-// reports nothing: the unloaded packages may use any exported declaration.
+// A declaration only a test uses is kept with an allow comment that says
+// why; the same declaration without one is reported.
+func TestUnusedAllowKeepsTestOnlyDeclaration(t *testing.T) {
+	pkgs, err := LoadModule(writeModule(t, withFiles(unusedModule, map[string]string{
+		"internal/widget/spare.go": `package widget
+
+// spare is called only from the test.
+//
+//xoarlint:allow(unused) test support: the widget test counts with it
+func spare() int { return 1 }
+`,
+		"internal/widget/spare_test.go": `package widget
+
+import "testing"
+
+func TestSpare(t *testing.T) {
+	if spare() != 1 {
+		t.Fatal(spare())
+	}
+}
+`,
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDiags(t, diagsOf(t, "unused", pkgs...),
+		"func xoar/internal/widget.total", "func xoar/internal/widget.orphan", "const limit")
+}
+
+// hostbench is part of the module tree: a use in its non-test files counts,
+// one in its tests does not.
+func TestUnusedCountsHostbenchButNotItsTests(t *testing.T) {
+	pkgs, err := LoadModule(writeModule(t, withFiles(unusedModule, map[string]string{
+		"internal/widget/bench.go": `package widget
+
+// Bench is run by hostbench.
+func Bench() int { return 1 }
+
+// BenchCheck is called only from hostbench's tests.
+func BenchCheck() bool { return true }
+`,
+		"hostbench/main.go": `package main
+
+import "xoar/internal/widget"
+
+func main() { _ = widget.Bench() }
+`,
+		"hostbench/main_test.go": `package main
+
+import (
+	"testing"
+
+	"xoar/internal/widget"
+)
+
+func TestBenchCheck(t *testing.T) {
+	if !widget.BenchCheck() {
+		t.Fatal("check failed")
+	}
+}
+`,
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDiags(t, diagsOf(t, "unused", pkgs...), "func xoar/internal/widget.BenchCheck",
+		"func xoar/internal/widget.total", "func xoar/internal/widget.orphan", "const limit")
+}
+
+// An interface only a test declares exempts none of its implementations.
+func TestUnusedIgnoresTestInterfaces(t *testing.T) {
+	pkgs, err := LoadModule(writeModule(t, withFiles(unusedModule, map[string]string{
+		"internal/widget/len.go": `package widget
+
+// Len implements only an interface the test declares.
+func (s square) Len() int { return s.side }
+`,
+		"internal/widget/len_test.go": `package widget
+
+type lener interface{ Len() int }
+
+var _ lener = square{}
+`,
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDiags(t, diagsOf(t, "unused", pkgs...), "method (xoar/internal/widget.square).Len",
+		"func xoar/internal/widget.total", "func xoar/internal/widget.orphan", "const limit")
+}
+
+// Loaded without the root package, as a fixture loaded with LoadDir is, the
+// pass reports nothing: the unloaded packages may use any exported
+// declaration.
 func TestUnusedNeedsRootPackage(t *testing.T) {
 	dir := writeModule(t, unusedModule)
-	pkgs, err := LoadModuleDir(filepath.Join(dir, "internal", "widget"))
+	pkgs, err := LoadDir(filepath.Join(dir, "internal", "widget"), "xoar/internal/widget")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,7 +310,7 @@ func TestErrwrapDenialSetMatchesIsDenial(t *testing.T) {
 		"ErrNotShard": xtypes.ErrNotShard, "ErrNotDelegated": xtypes.ErrNotDelegated, "ErrQuota": xtypes.ErrQuota,
 		"ErrNoMicroreboot": xtypes.ErrNoMicroreboot, "ErrBatchAborted": xtypes.ErrBatchAborted,
 	}
-	pkgs, err := LoadModuleDir("../xtypes")
+	pkgs, err := LoadDir("../xtypes", "xoar/internal/xtypes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,17 +406,12 @@ func TestLoadModuleFailsOnTypeError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, load := range map[string]func(string) ([]*Package, error){
-		"LoadModule": LoadModule, "LoadModuleDir": LoadModuleDir,
-	} {
-		pkgs, err := load(dir)
-		if err == nil {
-			t.Errorf("%s loaded %d units of a module that does not type-check", name, len(pkgs))
-			continue
-		}
-		if !strings.Contains(err.Error(), "bad.go:3:") {
-			t.Errorf("%s error %q does not name bad.go:3", name, err)
-		}
+	pkgs, err := LoadModule(dir)
+	if err == nil {
+		t.Fatalf("loaded %d units of a module that does not type-check", len(pkgs))
+	}
+	if !strings.Contains(err.Error(), "bad.go:3:") {
+		t.Errorf("error %q does not name bad.go:3", err)
 	}
 }
 

@@ -18,9 +18,6 @@ type DomID uint32
 // DomIDNone is the sentinel "no domain" value, used where Xen uses DOMID_INVALID.
 const DomIDNone DomID = 0x7FFFFFFF
 
-// Dom0 is the well-known ID of the monolithic control VM.
-const Dom0 DomID = 0
-
 func (d DomID) String() string {
 	var buf [len("dom4294967295")]byte
 	return string(d.AppendTo(buf[:0]))
@@ -148,17 +145,6 @@ func HypercallByName(name string) (Hypercall, bool) {
 // entry. The first eight calls are the default unprivileged set available to
 // all guests (§3.1: "in addition to the default unprivileged ones").
 func (h Hypercall) Privileged() bool { return h >= HyperDomctlCreate && h < NumHypercalls }
-
-// UnprivilegedSet returns the hypercalls available to every guest.
-func UnprivilegedSet() []Hypercall {
-	var out []Hypercall
-	for h := Hypercall(0); h < NumHypercalls; h++ {
-		if !h.Privileged() {
-			out = append(out, h)
-		}
-	}
-	return out
-}
 
 // VIRQ enumerates virtual interrupt lines delivered by the hypervisor.
 type VIRQ uint32
