@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint matrix capmanifest hotpath experiments check bench bench-diff fuzz cover
+.PHONY: build test race vet fmt lint hostbench-test matrix capmanifest hotpath experiments check bench bench-diff fuzz cover
 
 build:
 	$(GO) build ./...
@@ -113,6 +113,13 @@ cover:
 		echo "internal/hv coverage $$total% is below the $(HV_COVER_FLOOR)% floor"; exit 1; \
 	fi
 
-# check is the tier-1 gate: build + tests, plus vet, gofmt and xoarlint as
-# guards.
-check: build test vet fmt lint
+# hostbench-test runs hostbench's own tests: every workload passes its
+# checks and repeats its digest (TestSeedCheck), and the module table names
+# every sim process (TestModuleTableCoversWorkloads). hostbench is its own Go
+# module, so the root `go test ./...` does not run them.
+hostbench-test:
+	cd hostbench && $(GO) test ./...
+
+# check is the tier-1 gate: build + tests, plus vet, gofmt, xoarlint and
+# hostbench's tests as guards.
+check: build test vet fmt lint hostbench-test

@@ -122,23 +122,14 @@ func BenchmarkFig62_Wget(b *testing.B) {
 // restart interval, slow and fast modes.
 func BenchmarkFig63_Restarts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, pts, err := experiments.RestartThroughput(1, []int{1, 5, 10})
+		t, err := experiments.RestartThroughput(1, []int{1, 5, 10})
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := findRow(b, t, "baseline (no restarts)").Measured
-		b.ReportMetric(base, "MB/s-baseline")
-		for _, p := range pts {
-			if p.IntervalSec == 1 && !p.Fast {
-				b.ReportMetric(p.MBps, "MB/s-slow-1s")
-			}
-			if p.IntervalSec == 10 && !p.Fast {
-				b.ReportMetric(p.MBps, "MB/s-slow-10s")
-			}
-			if p.IntervalSec == 1 && p.Fast {
-				b.ReportMetric(p.MBps, "MB/s-fast-1s")
-			}
-		}
+		b.ReportMetric(findRow(b, t, "baseline (no restarts)").Measured, "MB/s-baseline")
+		b.ReportMetric(findRow(b, t, "slow (260ms) @ 1s").Measured, "MB/s-slow-1s")
+		b.ReportMetric(findRow(b, t, "slow (260ms) @ 10s").Measured, "MB/s-slow-10s")
+		b.ReportMetric(findRow(b, t, "fast (140ms) @ 1s").Measured, "MB/s-fast-1s")
 	}
 }
 
@@ -292,7 +283,7 @@ func BenchmarkMicro_GuestLifecycle(b *testing.B) {
 // teardown to the micro guest's create and destroy. allocs/op and B/op are
 // gated exactly, like the lifecycle without devices.
 func BenchmarkMicro_DeviceLifecycle(b *testing.B) {
-	benchGuestLifecycle(b, toolstack.GuestConfig{Name: "micro", Image: osimage.ImgGuestMicro, MemMB: 64, Net: true, Disk: true, DiskMB: 64})
+	benchGuestLifecycle(b, toolstack.GuestConfig{Name: "micro", Image: osimage.ImgGuestMicro, MemMB: 64, Net: true, Disk: true})
 }
 
 // benchGuestLifecycle creates and destroys a guest of cfg once per op, after
@@ -438,8 +429,7 @@ func BenchmarkFeature_PageSharing(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := pl.DedupScan()
-		b.ReportMetric(float64(st.SavedPages), "pages-saved")
+		b.ReportMetric(float64(pl.DedupScan()), "pages-saved")
 	}
 }
 
@@ -468,7 +458,7 @@ func BenchmarkDataPath_TxBatching(b *testing.B) {
 // faster wire just like dom0 (overhead within noise).
 func BenchmarkDataPath_Saturation10G(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Saturation(experiments.Scale(0.1), []hw.NICModel{hw.NICModel10G})
+		t, err := experiments.Saturation(experiments.Scale(0.1), []hw.NICModel{hw.NICModel10G})
 		if err != nil {
 			b.Fatal(err)
 		}

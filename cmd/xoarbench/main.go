@@ -133,7 +133,7 @@ func run(w io.Writer, args []string) error {
 		{"fig6.1", func() (experiments.Table, error) { return experiments.Postmark(s) }},
 		{"fig6.2", func() (experiments.Table, error) { return experiments.Wget(s) }},
 		{"fig6.3", func() (experiments.Table, error) {
-			t, _, err := experiments.RestartThroughput(s, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+			t, err := experiments.RestartThroughput(s, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 			return t, err
 		}},
 		{"fig6.4", func() (experiments.Table, error) { return experiments.KernelBuild(s) }},

@@ -48,7 +48,6 @@ func (f Finding) String() string {
 
 // Result is the outcome of running one sequence.
 type Result struct {
-	Seq       Sequence
 	Findings  []Finding
 	Attempted int // hv calls issued
 	Denied    int // hv calls refused with a permission-class error
@@ -112,7 +111,7 @@ func NewHarness() (*Harness, error) {
 	ha.VictimA = ha.Guests[0].Dom
 	ha.VictimB = ha.Guests[1].Dom
 	ha.Mallory = ha.Guests[2].Dom
-	ha.Engine = ha.PL.Engine
+	ha.Engine = ha.PL.Builder.Engine()
 	for _, r := range []snapshot.Restartable{ha.PL.NetBacks[0], ha.PL.BlkBacks[0]} {
 		if err := ha.PL.Builder.SetRestartPolicy(r, snapshot.Policy{Kind: snapshot.PolicyPerRequest}); err != nil {
 			env.Shutdown()
@@ -402,7 +401,7 @@ func (ha *Harness) guestArg(m *model, arg uint8) xtypes.DomID {
 // let restarts settle before end-of-run invariants are checked.
 func (ha *Harness) Run(seq Sequence) Result {
 	m := ha.newModel(seq.Persona)
-	res := Result{Seq: seq}
+	var res Result
 	ha.Env.Spawn("attack-seq", func(p *sim.Proc) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -29,7 +29,6 @@ type ScenarioResult struct {
 	Attempted   int
 	Denied      int
 	Escalations int
-	Findings    int
 	// ExposedWithMR counts guests dependent on the shard during
 	// [compromise, microreboot] — the §3.2.2 notification set when the
 	// component is restored from its clean snapshot.
@@ -226,7 +225,6 @@ func runScenario(sc Scenario) (ScenarioResult, error) {
 		Scenario:         sc,
 		Attempted:        res.Attempted,
 		Denied:           res.Denied,
-		Findings:         len(res.Findings),
 		ExposedWithMR:    len(ha.Log.DependentsOf(shard, start, mrTime)),
 		ExposedWithoutMR: len(ha.Log.DependentsOf(shard, start, end)),
 	}

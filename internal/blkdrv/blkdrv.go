@@ -46,14 +46,10 @@ type Req struct {
 	Op         Op
 	Bytes      int
 	Sequential bool
-	ID         int64
 }
 
 // Resp completes a request.
-type Resp struct {
-	ID  int64
-	Err bool
-}
+type Resp struct{}
 
 // SegmentBytes is the largest single request (11 pages ≈ Xen's 44KB rounded
 // to a power of two for modelling).
@@ -67,13 +63,6 @@ const (
 	perBatchCPU = 2 * sim.Microsecond
 	perDescCPU  = 18 * sim.Microsecond
 )
-
-// Image is a guest disk image held by BlkBack's proxy daemon.
-type Image struct {
-	Name   string
-	SizeMB int
-	InUse  bool
-}
 
 // vbdQueue is one request ring of a vbd.
 type vbdQueue struct {
@@ -98,8 +87,10 @@ type Backend struct {
 	xenbus.Backend
 	Disk *hwpkg.Disk
 
-	vbds   map[xtypes.DomID]*vbd
-	images map[string]*Image
+	vbds map[xtypes.DomID]*vbd
+	// images holds the guest disk images of BlkBack's proxy daemon, by
+	// name: true while a vbd mounts the image.
+	images map[string]bool
 
 	// CoLocated marks a backend sharing its domain with other busy services
 	// (monolithic Dom0). Scheduling jitter between co-located services
@@ -107,9 +98,6 @@ type Backend struct {
 	// pay a seek — the performance-isolation effect behind Figure 6.2's
 	// combined net→disk result (§6.1.2).
 	CoLocated bool
-
-	CompletedReqs int64
-	RestartCount  int
 
 	// Pre-resolved telemetry handles indexed by Op; nil when disabled.
 	rtt [3]*telemetry.Histogram
@@ -123,8 +111,8 @@ type Backend struct {
 // across every vbd queue. Req counts the frontends' request pushes, Resp
 // the backend's completion pushes.
 type DataPathStats struct {
-	ReqDescs, ReqNotifies, ReqSuppressed    int64
-	RespDescs, RespNotifies, RespSuppressed int64
+	ReqDescs, ReqNotifies int64
+	RespNotifies          int64
 }
 
 // DataPathStats snapshots the aggregate ring counters.
@@ -135,10 +123,7 @@ func (b *Backend) DataPathStats() DataPathStats {
 			st := q.ring.Stats()
 			s.ReqDescs += st.ReqPushed
 			s.ReqNotifies += st.NotifiesToBack
-			s.ReqSuppressed += st.SuppressedToBack
-			s.RespDescs += st.RespPushed
 			s.RespNotifies += st.NotifiesToFront
-			s.RespSuppressed += st.SuppressedToFront
 		}
 	}
 	return s
@@ -169,7 +154,7 @@ func NewBackend(h *hv.Hypervisor, dom xtypes.DomID, disk *hwpkg.Disk, xs *xensto
 		Backend: xenbus.NewBackend(h, dom, xs, &vbdClass),
 		Disk:    disk,
 		vbds:    make(map[xtypes.DomID]*vbd),
-		images:  make(map[string]*Image),
+		images:  make(map[string]bool),
 	}
 }
 
@@ -188,21 +173,21 @@ func (b *Backend) Name() string { return "blkback" }
 
 // CreateImage provisions a new disk image for a guest. Called by the
 // Toolstack through its proxy channel.
-func (b *Backend) CreateImage(name string, sizeMB int) error {
+func (b *Backend) CreateImage(name string) error {
 	if _, ok := b.images[name]; ok {
 		return fmt.Errorf("blkback: image %q: %w", name, xtypes.ErrExists)
 	}
-	b.images[name] = &Image{Name: name, SizeMB: sizeMB}
+	b.images[name] = false
 	return nil
 }
 
 // DeleteImage removes an image not currently mounted.
 func (b *Backend) DeleteImage(name string) error {
-	img, ok := b.images[name]
+	inUse, ok := b.images[name]
 	if !ok {
 		return fmt.Errorf("blkback: image %q: %w", name, xtypes.ErrNotFound)
 	}
-	if img.InUse {
+	if inUse {
 		return fmt.Errorf("blkback: image %q mounted: %w", name, xtypes.ErrInUse)
 	}
 	delete(b.images, name)
@@ -217,15 +202,15 @@ func (b *Backend) DeleteImage(name string) error {
 // gets its own worker, so a multi-queue vbd keeps an NVMe-class device's
 // queue depth fed.
 func (b *Backend) CreateVbdQueues(guest xtypes.DomID, image string, n int) error {
-	img, ok := b.images[image]
+	inUse, ok := b.images[image]
 	if !ok {
 		return fmt.Errorf("blkback: vbd for %v: image %q: %w", guest, image, xtypes.ErrNotFound)
 	}
-	if img.InUse {
+	if inUse {
 		return fmt.Errorf("blkback: image %q: %w", image, xtypes.ErrInUse)
 	}
 	n = max(n, 1)
-	img.InUse = true
+	b.images[image] = true
 	v := &vbd{image: image}
 	b.Init(&v.Device, guest, n)
 	for qi := 0; qi < n; qi++ {
@@ -251,8 +236,8 @@ func (b *Backend) RemoveVbd(guest xtypes.DomID) {
 		}
 		q.ring.Break()
 	}
-	if img, ok := b.images[v.image]; ok {
-		img.InUse = false
+	if _, ok := b.images[v.image]; ok {
+		b.images[v.image] = false
 	}
 	delete(b.vbds, guest)
 	v.Remove()
@@ -304,8 +289,7 @@ func (b *Backend) runWorker(q *vbdQueue, p *sim.Proc, buf []Req) {
 			if q.ring.Broken() {
 				return
 			}
-			q.ring.PushResponse(Resp{ID: req.ID})
-			b.CompletedReqs++
+			q.ring.PushResponse(Resp{})
 			if int(req.Op) < len(b.rtt) {
 				b.rtt[req.Op].Observe(float64(p.Now().Sub(start)) / float64(sim.Microsecond))
 			}
@@ -321,7 +305,6 @@ func (b *Backend) runWorker(q *vbdQueue, p *sim.Proc, buf []Req) {
 
 // Restart implements snapshot.Restartable: the microreboot recovery path.
 func (b *Backend) Restart(p *sim.Proc, fast bool) {
-	b.RestartCount++
 	b.Gate.Reset()
 	var order [8]*vbd
 	for _, v := range xenbus.InGuestOrder(b.vbds, order[:0]) {
@@ -349,19 +332,15 @@ func (b *Backend) Restart(p *sim.Proc, fast bool) {
 
 // Frontend is BlkFront: the guest-side virtual disk.
 type Frontend struct {
-	H     *hv.Hypervisor
 	Guest xtypes.DomID
 	XS    *xenstore.Conn
 
-	v      *vbd
-	nextID int64
-
-	BytesWritten int64
+	v *vbd
 }
 
 // NewFrontend constructs the guest-side driver.
-func NewFrontend(h *hv.Hypervisor, guest xtypes.DomID, xs *xenstore.Conn) *Frontend {
-	return &Frontend{H: h, Guest: guest, XS: xs}
+func NewFrontend(guest xtypes.DomID, xs *xenstore.Conn) *Frontend {
+	return &Frontend{Guest: guest, XS: xs}
 }
 
 // Connect performs the frontend half of the handshake against back (see
@@ -418,8 +397,7 @@ func (f *Frontend) io(p *sim.Proc, op Op, bytes int, sequential bool) error {
 				if seg > SegmentBytes {
 					seg = SegmentBytes
 				}
-				f.nextID++
-				if !q.ring.TryPushRequest(Req{Op: op, Bytes: seg, Sequential: sequential, ID: f.nextID}) {
+				if !q.ring.TryPushRequest(Req{Op: op, Bytes: seg, Sequential: sequential}) {
 					return fmt.Errorf("blkfront: push failed: %w", xtypes.ErrShutdown)
 				}
 				remaining -= seg
@@ -463,9 +441,6 @@ func (f *Frontend) io(p *sim.Proc, op Op, bytes int, sequential bool) error {
 		}
 		inflight[blockQI]--
 		totalInflight--
-	}
-	if op == OpWrite {
-		f.BytesWritten += int64(bytes)
 	}
 	return nil
 }

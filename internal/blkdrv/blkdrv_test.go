@@ -40,7 +40,7 @@ func newHarness(t *testing.T) *harness {
 
 	logic := xenstore.NewLogic(xenstore.NewState())
 	back := NewBackend(h, bb.ID, machine.Disks()[0], logic.Connect(bb.ID, true))
-	front := NewFrontend(h, guest.ID, logic.Connect(guest.ID, true))
+	front := NewFrontend(guest.ID, logic.Connect(guest.ID, true))
 	return &harness{env: env, h: h, back: back, front: front, guest: guest}
 }
 
@@ -52,7 +52,7 @@ func (hn *harness) bootQueues(t *testing.T, n int) {
 	ok := false
 	hn.env.Spawn("boot", func(p *sim.Proc) {
 		hn.back.Start(p)
-		if err := hn.back.CreateImage("guest-disk", 15*1024); err != nil {
+		if err := hn.back.CreateImage("guest-disk"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -75,14 +75,14 @@ func (hn *harness) bootQueues(t *testing.T, n int) {
 func TestImageProxy(t *testing.T) {
 	hn := newHarness(t)
 	hn.boot(t)
-	if err := hn.back.CreateImage("guest-disk", 10); !errors.Is(err, xtypes.ErrExists) {
+	if err := hn.back.CreateImage("guest-disk"); !errors.Is(err, xtypes.ErrExists) {
 		t.Fatalf("duplicate image: %v", err)
 	}
 	// Mounted image cannot be deleted.
 	if err := hn.back.DeleteImage("guest-disk"); !errors.Is(err, xtypes.ErrInUse) {
 		t.Fatalf("delete mounted: %v", err)
 	}
-	hn.back.CreateImage("spare", 10)
+	hn.back.CreateImage("spare")
 	if err := hn.back.DeleteImage("spare"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFailedHandshakeUnmapsRing(t *testing.T) {
 	var acceptErr error
 	hn.env.Spawn("boot", func(p *sim.Proc) {
 		hn.back.Start(p)
-		if err := hn.back.CreateImage("guest-disk", 1024); err != nil {
+		if err := hn.back.CreateImage("guest-disk"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -154,7 +154,7 @@ func TestTrailingRingRefRejected(t *testing.T) {
 	var acceptErr error
 	hn.env.Spawn("boot", func(p *sim.Proc) {
 		hn.back.Start(p)
-		if err := hn.back.CreateImage("guest-disk", 1024); err != nil {
+		if err := hn.back.CreateImage("guest-disk"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -206,8 +206,8 @@ func TestSequentialWriteBandwidth(t *testing.T) {
 	if tput < 95 || tput > 115 {
 		t.Fatalf("throughput = %.1f MB/s", tput)
 	}
-	if hn.front.BytesWritten != size {
-		t.Fatalf("bytes written = %d", hn.front.BytesWritten)
+	if got, want := hn.back.DataPathStats().ReqDescs, int64((size+SegmentBytes-1)/SegmentBytes); got != want {
+		t.Fatalf("requests = %d, want %d segments", got, want)
 	}
 }
 
@@ -258,9 +258,6 @@ func TestRestartBreaksAndRecovers(t *testing.T) {
 	if !recovered {
 		t.Fatal("frontend never saw the restart")
 	}
-	if hn.back.RestartCount != 1 {
-		t.Fatalf("restarts = %d", hn.back.RestartCount)
-	}
 }
 
 // A microreboot republishes the vbd's backend state: init while the
@@ -307,8 +304,8 @@ func TestFlushBarrier(t *testing.T) {
 	})
 	hn.env.RunFor(5 * sim.Second)
 	hn.env.Shutdown()
-	if hn.back.CompletedReqs != 1 {
-		t.Fatalf("completed = %d", hn.back.CompletedReqs)
+	if n := hn.back.DataPathStats().ReqDescs; n != 1 {
+		t.Fatalf("requests = %d, want the one barrier", n)
 	}
 }
 
@@ -349,7 +346,7 @@ func TestMultiQueueVbdStriping(t *testing.T) {
 	ok := false
 	hn.env.Spawn("boot", func(p *sim.Proc) {
 		hn.back.Start(p)
-		if err := hn.back.CreateImage("guest-disk", 15*1024); err != nil {
+		if err := hn.back.CreateImage("guest-disk"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -376,8 +373,8 @@ func TestMultiQueueVbdStriping(t *testing.T) {
 		t.Fatal("striped read did not complete")
 	}
 	want := int64(16 * 1024 * 1024 / SegmentBytes)
-	if hn.back.CompletedReqs != want {
-		t.Fatalf("completed %d/%d", hn.back.CompletedReqs, want)
+	if n := hn.back.DataPathStats().ReqDescs; n != want {
+		t.Fatalf("requests %d/%d", n, want)
 	}
 	// Every ring must have carried descriptors.
 	for qi, q := range hn.back.vbds[hn.guest.ID].queues {
@@ -460,7 +457,7 @@ func TestRestartRespawnsWorkersInDomIDOrder(t *testing.T) {
 		hn.back.Start(p)
 		for _, g := range []xtypes.DomID{9, 3, 6} {
 			image := fmt.Sprintf("disk-%v", g)
-			if err := hn.back.CreateImage(image, 64); err != nil {
+			if err := hn.back.CreateImage(image); err != nil {
 				t.Error(err)
 				return
 			}

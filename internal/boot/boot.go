@@ -30,7 +30,6 @@ import (
 	"xoar/internal/osimage"
 	"xoar/internal/pciback"
 	"xoar/internal/sim"
-	"xoar/internal/snapshot"
 	"xoar/internal/telemetry"
 	"xoar/internal/toolstack"
 	"xoar/internal/xenstore"
@@ -87,16 +86,12 @@ type Platform struct {
 	NetBacks      []*netdrv.Backend
 	BlkBacks      []*blkdrv.Backend
 	Toolstacks    []*toolstack.Toolstack
-	Engine        *snapshot.Engine // the Builder's restart engine (Xoar profile only)
 
 	// Domain IDs of the control-plane components, for the security graph.
-	BootstrapperDom xtypes.DomID
-	XSStateDom      xtypes.DomID
-	XSLogicDom      xtypes.DomID
-	ConsoleDom      xtypes.DomID
-	BuilderDom      xtypes.DomID
-	PCIBackDom      xtypes.DomID
-	Dom0            xtypes.DomID // monolithic profile only
+	XSLogicDom xtypes.DomID
+	BuilderDom xtypes.DomID
+	PCIBackDom xtypes.DomID
+	Dom0       xtypes.DomID // monolithic profile only
 
 	// Monolithic reports which profile booted.
 	Monolithic bool
@@ -189,10 +184,9 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	pl.BootstrapperDom = bs
 
 	// --- XenStore first: everything else depends on it (§5.2). -------------
-	pl.XSStateDom, err = bootShardDirect(p, h, bs, cat, "xenstore-state", osimage.ImgXenStoreS, hv.Assignment{})
+	_, err = bootShardDirect(p, h, bs, cat, "xenstore-state", osimage.ImgXenStoreS, hv.Assignment{})
 	if err != nil {
 		return nil, err
 	}
@@ -237,10 +231,9 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 			consoleDone.Open()
 			return
 		}
-		pl.ConsoleDom = dom
 		grantTree(dom)
 		h.RouteHardwareVIRQ(dom, xtypes.VIRQConsole, dom)
-		pl.Console = consolemgr.New(h, dom, h.Machine.Serial, pl.XenStoreLogic.Connect(dom, false))
+		pl.Console = consolemgr.New(h, dom, pl.XenStoreLogic.Connect(dom, false))
 		if cerr := pl.Console.Start(cp); cerr != nil {
 			err = cerr
 			consoleDone.Open()
@@ -268,7 +261,6 @@ func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	pl.Builder.Authorize(bs)
 	pl.Builder.SetMetrics(opts.Telemetry)
 	h.Env.Spawn("builder-serve", pl.Builder.Serve)
-	pl.Engine = pl.Builder.Engine()
 
 	// --- PCIBack: hardware init and enumeration. ----------------------------
 	pl.PCIBackDom, err = bootShardDirect(p, h, bs, cat, "pciback", osimage.ImgPCIBack, shardAssignment(capability.RolePCIBack))

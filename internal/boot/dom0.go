@@ -48,11 +48,8 @@ func BootDom0(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 	}
 	pl.Dom0 = d0.ID
 	pl.BuilderDom = d0.ID
-	pl.ConsoleDom = d0.ID
 	pl.PCIBackDom = d0.ID
 	pl.XSLogicDom = d0.ID
-	pl.XSStateDom = d0.ID
-	pl.BootstrapperDom = d0.ID
 	h.RouteHardwareVIRQ(d0.ID, xtypes.VIRQConsole, d0.ID)
 
 	// Kernel boot, then in-kernel hardware bring-up: PCI enumeration plus
@@ -84,7 +81,7 @@ func BootDom0(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options)
 		xs.Rm(domainPath(id))
 	})
 
-	pl.Console = consolemgr.New(h, d0.ID, h.Machine.Serial, xs)
+	pl.Console = consolemgr.New(h, d0.ID, xs)
 	if err := pl.Console.Start(p); err != nil {
 		return nil, err
 	}

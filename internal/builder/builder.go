@@ -87,12 +87,6 @@ type Builder struct {
 	// without foreign-mapping privilege (§5.4). DomIDNone disables it.
 	XenStoreDom xtypes.DomID
 
-	// Builds counts completed constructions; Denied counts refused
-	// requests; Rebuilds counts shard replacements by the restart engine.
-	Builds   int
-	Denied   int
-	Rebuilds int
-
 	// Monolithic marks the stock-Xen Dom0 profile: the Builder identity is
 	// Dom0 itself and there is no microreboot machinery, so Rollback and
 	// Rebuild refuse with xtypes.ErrNoMicroreboot (§3.3 is Xoar-only).
@@ -183,6 +177,11 @@ func (b *Builder) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
+// deny counts one refused request in builder_denied_total. Every refusal
+// the Builder counts goes through it: an invalid build request and a
+// refused restart-policy change alike.
+func (b *Builder) deny() { b.m.denied.Inc() }
+
 // Authorize allows dom to request privileged builds (shards, device
 // passthrough, hypercall whitelists).
 func (b *Builder) Authorize(dom xtypes.DomID) { b.authorized[dom] = true }
@@ -234,8 +233,7 @@ func (b *Builder) buildAll(p *sim.Proc, slots []slot) {
 		s.dom = xtypes.DomIDNone
 		if s.req, s.err = b.resolve(s.req); s.err != nil {
 			invalid = true
-			b.Denied++
-			b.m.denied.Inc()
+			b.deny()
 		}
 	}
 	if invalid {
@@ -425,7 +423,6 @@ func (b *Builder) construct(p *sim.Proc, req Request) (xtypes.DomID, sim.Duratio
 		b.hv.DestroyDomain(b.dom, d.ID, "builder: aborted build")
 		return xtypes.DomIDNone, 0, err
 	}
-	b.Builds++
 	b.m.builds.Inc()
 	if req.Shard && !req.qemu() {
 		b.records[d.ID] = req

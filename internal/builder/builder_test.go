@@ -11,6 +11,7 @@ import (
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
+	"xoar/internal/telemetry"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
@@ -52,6 +53,14 @@ func newRig(t *testing.T) (*sim.Env, *hv.Hypervisor, *builder.Builder) {
 	return env, h, b
 }
 
+// metered attaches a fresh telemetry registry to b, for tests that read
+// the Builder's counters.
+func metered(b *builder.Builder) *telemetry.Registry {
+	reg := telemetry.New()
+	b.SetMetrics(reg)
+	return reg
+}
+
 // newShard creates an unpaused shard domain outside the Builder, standing
 // in for a toolstack or the Bootstrapper.
 func newShard(t *testing.T, h *hv.Hypervisor, name string, hcs ...xtypes.Hypercall) xtypes.DomID {
@@ -90,6 +99,7 @@ func run(t *testing.T, env *sim.Env, d sim.Duration, fn func(p *sim.Proc)) {
 
 func TestQemuForForeignGuestRefused(t *testing.T) {
 	env, h, b := newRig(t)
+	reg := metered(b)
 	defer env.Shutdown()
 	ts0 := newShard(t, h, "ts0")
 	ts1 := newShard(t, h, "ts1")
@@ -104,15 +114,15 @@ func TestQemuForForeignGuestRefused(t *testing.T) {
 	})
 
 	// ts1 asks for DMA rights over ts0's guest: refused, nothing built.
-	before := b.Builds
+	before := reg.Counter("builder_builds_total").Value()
 	run(t, env, 10*sim.Second, func(p *sim.Proc) {
 		_, err := b.Submit(p, builder.Request{Requester: ts1, Name: "evil-qemu", QemuFor: g})
 		if !errors.Is(err, xtypes.ErrPerm) {
 			t.Errorf("foreign qemu build: %v", err)
 		}
 	})
-	if b.Builds != before || b.Denied == 0 {
-		t.Fatalf("denied build altered state: builds %d denied %d", b.Builds, b.Denied)
+	if builds, denied := reg.Counter("builder_builds_total").Value(), reg.Counter("builder_denied_total").Value(); builds != before || denied == 0 {
+		t.Fatalf("denied build altered state: builds %d denied %d", builds, denied)
 	}
 
 	// The parenting toolstack gets its device model, wired to exactly its
@@ -181,6 +191,7 @@ func TestPrivilegedBuildRequiresAuthorization(t *testing.T) {
 
 func TestSubmitSerializedFIFO(t *testing.T) {
 	env, h, b := newRig(t)
+	reg := metered(b)
 	defer env.Shutdown()
 	ts := newShard(t, h, "ts")
 
@@ -213,8 +224,8 @@ func TestSubmitSerializedFIFO(t *testing.T) {
 			t.Fatalf("concurrent builds overlapped: %v", times)
 		}
 	}
-	if b.Builds != n {
-		t.Fatalf("builds = %d, want %d", b.Builds, n)
+	if got := reg.Counter("builder_builds_total").Value(); got != n {
+		t.Fatalf("builds = %d, want %d", got, n)
 	}
 }
 
@@ -227,6 +238,23 @@ type fakeComp struct {
 func (c *fakeComp) DomID() xtypes.DomID            { return c.dom }
 func (c *fakeComp) Name() string                   { return "fake" }
 func (c *fakeComp) Restart(p *sim.Proc, fast bool) { c.restarts++ }
+
+// A refused SetRestartPolicy is a Builder denial, counted in
+// builder_denied_total like a refused build request.
+func TestRefusedRestartPolicyCounted(t *testing.T) {
+	env, h, b := newRig(t)
+	defer env.Shutdown()
+	reg := metered(b)
+	other := newShard(t, h, "other")
+	if err := b.SetRestartPolicy(&fakeComp{dom: other}, snapshot.Policy{
+		Kind: snapshot.PolicyTimer, Interval: sim.Second,
+	}); !errors.Is(err, xtypes.ErrPerm) {
+		t.Fatalf("policy on a shard never delegated: %v", err)
+	}
+	if denied := reg.Counter("builder_denied_total").Value(); denied != 1 {
+		t.Fatalf("builder_denied_total = %d after one refused policy, want 1", denied)
+	}
+}
 
 func TestRestartEngineRollsBackDelegatedShard(t *testing.T) {
 	env, h, b := newRig(t)
@@ -333,7 +361,4 @@ func TestRestartEngineRollsBackDelegatedShard(t *testing.T) {
 			t.Errorf("rollback of rebuilt shard: %v", rerr)
 		}
 	})
-	if b.Rebuilds != 1 {
-		t.Fatalf("rebuilds = %d", b.Rebuilds)
-	}
 }

@@ -54,11 +54,11 @@ func (b *Builder) holds(hc xtypes.Hypercall) bool {
 func (b *Builder) SetRestartPolicy(comp snapshot.Restartable, pol snapshot.Policy) error {
 	dom := comp.DomID()
 	if !b.holds(xtypes.HyperSetRestartPolicy) {
-		b.Denied++
+		b.deny()
 		return fmt.Errorf("builder: set_restart_policy not whitelisted for %v: %w", b.dom, xtypes.ErrPerm)
 	}
 	if !b.Administers(dom) {
-		b.Denied++
+		b.deny()
 		return fmt.Errorf("builder: shard %v not delegated to the Builder: %w", dom, xtypes.ErrPerm)
 	}
 	if pol.Kind == snapshot.PolicyNone {
@@ -158,7 +158,6 @@ func (b *Builder) Rebuild(p *sim.Proc, dom xtypes.DomID) (xtypes.DomID, error) {
 		b.records[dom] = rec
 		return xtypes.DomIDNone, err
 	}
-	b.Rebuilds++
 	if d, derr := b.hv.Domain(newDom); derr == nil {
 		pr := d.Priv()
 		if pr.ControlAll || pr.Hypercalls[xtypes.HyperVMSnapshot] {

@@ -68,9 +68,6 @@ func TestRecoverRebuildsWhenRollbackFaulted(t *testing.T) {
 	if _, err := h.Domain(shard); !errors.Is(err, xtypes.ErrNoDomain) {
 		t.Fatalf("old shard survived the rebuild: %v", err)
 	}
-	if b.Rebuilds != 1 {
-		t.Fatalf("rebuilds = %d, want 1", b.Rebuilds)
-	}
 }
 
 func TestRecoverRetainsRecordWhenCreateFaulted(t *testing.T) {
@@ -207,9 +204,9 @@ func TestMonolithicProfileRefusesMicroreboots(t *testing.T) {
 }
 
 // runSubmitScenario executes a fixed, seeded build workload against a fresh
-// rig with reg attached and returns the builder. Two calls with equal
-// arguments produce identical telemetry (the simulation is deterministic).
-func runSubmitScenario(t *testing.T, reg *telemetry.Registry) *builder.Builder {
+// rig with reg attached. Two calls with equal arguments produce identical
+// telemetry (the simulation is deterministic).
+func runSubmitScenario(t *testing.T, reg *telemetry.Registry) {
 	t.Helper()
 	env, h, b := newRig(t)
 	defer env.Shutdown()
@@ -227,7 +224,6 @@ func runSubmitScenario(t *testing.T, reg *telemetry.Registry) *builder.Builder {
 		})
 	}
 	env.RunFor(120 * sim.Second)
-	return b
 }
 
 // TestTelemetryExactUnderConcurrentHammer checks that histogram counts and
@@ -238,11 +234,12 @@ func TestTelemetryExactUnderConcurrentHammer(t *testing.T) {
 	// Baseline: the same scenario without the hammer gives the expected
 	// simulation-side observations.
 	base := telemetry.New()
-	bb := runSubmitScenario(t, base)
+	runSubmitScenario(t, base)
 	baseHist := histogram(t, base, "builder_queue_wait_ms")
 	baseCount, baseSum := baseHist.Count, baseHist.Sum
-	if baseCount == 0 || bb.Builds == 0 {
-		t.Fatalf("baseline scenario recorded nothing: count=%d builds=%d", baseCount, bb.Builds)
+	baseBuilds := base.Counter("builder_builds_total").Value()
+	if baseCount == 0 || baseBuilds == 0 {
+		t.Fatalf("baseline scenario recorded nothing: count=%d builds=%d", baseCount, baseBuilds)
 	}
 
 	reg := telemetry.New()
@@ -263,11 +260,11 @@ func TestTelemetryExactUnderConcurrentHammer(t *testing.T) {
 			}
 		}()
 	}
-	b := runSubmitScenario(t, reg)
+	runSubmitScenario(t, reg)
 	wg.Wait()
 
-	if b.Builds != bb.Builds {
-		t.Fatalf("scenario diverged: builds %d vs %d", b.Builds, bb.Builds)
+	if builds := reg.Counter("builder_builds_total").Value(); builds != baseBuilds {
+		t.Fatalf("scenario diverged: builds %d vs %d", builds, baseBuilds)
 	}
 	if got := histogram(t, reg, "builder_queue_wait_ms"); got.Count != baseCount+workers*per {
 		t.Fatalf("shared count = %d, want %d (lost updates)", got.Count, baseCount+workers*per)
@@ -324,16 +321,16 @@ func TestRebuildRefusesDestroyedNonShard(t *testing.T) {
 				if err := h.DestroyDomain(ts, dom, "shutdown"); err != nil {
 					t.Fatal(err)
 				}
-				builds, live := b.Builds, len(h.Domains())
+				reg := metered(b)
+				live := len(h.Domains())
 				var got xtypes.DomID
 				var err error
 				run(t, env, 60*sim.Second, func(p *sim.Proc) { got, err = c.call(b, p, dom) })
 				if got != xtypes.DomIDNone || !errors.Is(err, xtypes.ErrNotFound) {
 					t.Fatalf("%s of destroyed %v = %v, %v; want %v, ErrNotFound", c.name, dom, got, err, xtypes.DomIDNone)
 				}
-				if b.Builds != builds || b.Rebuilds != 0 || len(h.Domains()) != live {
-					t.Fatalf("built anyway: builds %d -> %d, rebuilds %d, live domains %d -> %d",
-						builds, b.Builds, b.Rebuilds, live, len(h.Domains()))
+				if builds := reg.Counter("builder_builds_total").Value(); builds != 0 || len(h.Domains()) != live {
+					t.Fatalf("built anyway: %d builds, live domains %d -> %d", builds, live, len(h.Domains()))
 				}
 			})
 		}

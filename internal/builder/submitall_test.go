@@ -23,6 +23,7 @@ import (
 
 func TestSubmitAllEmptyBatch(t *testing.T) {
 	env, _, b := newRig(t)
+	reg := metered(b)
 	defer env.Shutdown()
 	run(t, env, sim.Second, func(p *sim.Proc) {
 		doms, errs := b.SubmitAll(p, nil)
@@ -34,8 +35,8 @@ func TestSubmitAllEmptyBatch(t *testing.T) {
 			t.Errorf("zero-length batch: doms=%v errs=%v", doms, errs)
 		}
 	})
-	if b.Builds != 0 || b.Denied != 0 {
-		t.Fatalf("empty batch altered state: builds=%d denied=%d", b.Builds, b.Denied)
+	if builds, denied := reg.Counter("builder_builds_total").Value(), reg.Counter("builder_denied_total").Value(); builds != 0 || denied != 0 {
+		t.Fatalf("empty batch altered state: builds=%d denied=%d", builds, denied)
 	}
 }
 
@@ -45,6 +46,7 @@ func TestSubmitAllEmptyBatch(t *testing.T) {
 // time — nothing was scrubbed, nothing booted).
 func TestSubmitAllInvalidRejectsWholeBatch(t *testing.T) {
 	env, h, b := newRig(t)
+	reg := metered(b)
 	defer env.Shutdown()
 	ts := newShard(t, h, "ts")
 
@@ -76,11 +78,11 @@ func TestSubmitAllInvalidRejectsWholeBatch(t *testing.T) {
 			t.Errorf("rejected batch consumed %v of build time", p.Now().Sub(start))
 		}
 	})
-	if b.Builds != 0 {
-		t.Fatalf("rejected batch built %d domains", b.Builds)
+	if builds := reg.Counter("builder_builds_total").Value(); builds != 0 {
+		t.Fatalf("rejected batch built %d domains", builds)
 	}
-	if b.Denied != 1 {
-		t.Fatalf("denied = %d, want 1 (only the invalid request)", b.Denied)
+	if denied := reg.Counter("builder_denied_total").Value(); denied != 1 {
+		t.Fatalf("denied = %d, want 1 (only the invalid request)", denied)
 	}
 	if got := len(h.Domains()); got != domsBefore {
 		t.Fatalf("domain count changed: %d -> %d", domsBefore, got)
@@ -130,6 +132,7 @@ func TestSubmitAllPipelinesBoots(t *testing.T) {
 	}
 
 	env, h, b := newRig(t)
+	reg := metered(b)
 	defer env.Shutdown()
 	ts := newShard(t, h, "ts")
 	var pipelined sim.Duration
@@ -156,8 +159,8 @@ func TestSubmitAllPipelinesBoots(t *testing.T) {
 	if pipelined < bootSum {
 		t.Fatalf("pipelined makespan %v below boot sum %v: boots overlapped", pipelined, bootSum)
 	}
-	if b.Builds != n {
-		t.Fatalf("builds = %d, want %d", b.Builds, n)
+	if builds := reg.Counter("builder_builds_total").Value(); builds != n {
+		t.Fatalf("builds = %d, want %d", builds, n)
 	}
 }
 
@@ -167,6 +170,7 @@ func TestSubmitAllPipelinesBoots(t *testing.T) {
 // across the two entry points.
 func TestSubmitAllInterleavedWithSubmitFIFO(t *testing.T) {
 	env, h, b := newRig(t)
+	reg := metered(b)
 	defer env.Shutdown()
 	ts := newShard(t, h, "ts")
 
@@ -217,8 +221,8 @@ func TestSubmitAllInterleavedWithSubmitFIFO(t *testing.T) {
 			t.Fatalf("queued Submit built %v before batch member %v", afterDom, d)
 		}
 	}
-	if b.Builds != n+2 {
-		t.Fatalf("builds = %d, want %d", b.Builds, n+2)
+	if builds := reg.Counter("builder_builds_total").Value(); builds != n+2 {
+		t.Fatalf("builds = %d, want %d", builds, n+2)
 	}
 }
 
@@ -351,9 +355,6 @@ func TestRebuildOfBatchBuiltShard(t *testing.T) {
 	}
 	if !nd.IsShard() || nd.Name != "netback" || nd.ParentTool() != b.Dom() {
 		t.Fatalf("rebuilt shard=%v name=%q parent=%v", nd.IsShard(), nd.Name, nd.ParentTool())
-	}
-	if b.Rebuilds != 1 {
-		t.Fatalf("rebuilds = %d", b.Rebuilds)
 	}
 }
 

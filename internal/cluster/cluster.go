@@ -48,10 +48,9 @@ const (
 
 // Host is one machine of the fleet.
 type Host struct {
-	Index int
-	Name  string
-	HV    *hv.Hypervisor
-	PL    *boot.Platform
+	Name string
+	HV   *hv.Hypervisor
+	PL   *boot.Platform
 
 	// capacityMB is the schedulable guest memory, fixed after boot.
 	capacityMB int
@@ -69,12 +68,8 @@ type Host struct {
 // FreeMB is the scheduler's view of placeable memory on this host.
 func (h *Host) FreeMB() int { return h.capacityMB - h.committedMB }
 
-// GuestCount reports the guests currently placed on this host.
-func (h *Host) GuestCount() int { return len(h.guests) }
-
 // Guest is the cluster's record of one placed guest.
 type Guest struct {
-	Name  string
 	Dom   xtypes.DomID
 	MemMB int
 
@@ -92,10 +87,8 @@ type Cluster struct {
 	migDone *sim.Signal // broadcast after each migration completes
 
 	// Scheduler counters, all deterministic.
-	Placements        int
-	PlacementFailures int
-	Migrations        int
-	MigrationFailures int
+	Placements int
+	Migrations int
 }
 
 // New boots a fleet. Hosts come up sequentially on the shared clock — fleet
@@ -125,7 +118,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}
-		host := &Host{Index: i, Name: name, HV: h, PL: pl, guests: make(map[xtypes.DomID]*Guest)}
+		host := &Host{Name: name, HV: h, PL: pl, guests: make(map[xtypes.DomID]*Guest)}
 		host.capacityMB = h.MM.FreeMB() - headroomMB
 		c.Hosts = append(c.Hosts, host)
 	}
@@ -137,7 +130,7 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) place(memMB int) *Host {
 	loads := make([]Load, len(c.Hosts))
 	for i, h := range c.Hosts {
-		loads[i] = Load{FreeMB: h.FreeMB(), Guests: h.GuestCount()}
+		loads[i] = Load{FreeMB: h.FreeMB()}
 	}
 	i := c.policy.Choose(loads, memMB)
 	if i < 0 || i >= len(c.Hosts) {
@@ -161,7 +154,6 @@ func (c *Cluster) Launch(p *sim.Proc, name string, memMB int) (destroy func(*sim
 	}
 	host := c.place(memMB)
 	if host == nil {
-		c.PlacementFailures++
 		return nil, fmt.Errorf("cluster: no host fits %dMB guest %q: %w", memMB, name, xtypes.ErrNoMem)
 	}
 	ts := host.PL.Toolstacks[0]
@@ -170,10 +162,9 @@ func (c *Cluster) Launch(p *sim.Proc, name string, memMB int) (destroy func(*sim
 	})
 	if cerr != nil {
 		host.committedMB -= memMB
-		c.PlacementFailures++
 		return nil, cerr
 	}
-	g := &Guest{Name: name, Dom: rec.Dom, MemMB: memMB, host: host}
+	g := &Guest{Dom: rec.Dom, MemMB: memMB, host: host}
 	host.guests[g.Dom] = g
 	host.Placed++
 	c.Placements++

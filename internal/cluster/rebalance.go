@@ -61,7 +61,6 @@ func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	rec, _, err := srcTS.MigrateTo(p, g.Dom, dst.PL.Toolstacks[0], migrate.DefaultLink())
 	if srcTS.Manages(g.Dom) { // the pre-copy failed; the guest never left
 		dst.committedMB -= g.MemMB
-		c.MigrationFailures++
 		return err
 	}
 	delete(src.guests, g.Dom)

@@ -6,8 +6,6 @@ package cluster
 type Load struct {
 	// FreeMB is uncommitted schedulable memory.
 	FreeMB int
-	// Guests is the number of guests currently placed.
-	Guests int
 }
 
 // Policy chooses a host for an incoming guest.

@@ -1,7 +1,6 @@
 // Package consolemgr implements the Console Manager shard (§5.5): it hosts
 // the user-space console daemon (xenconsoled), exposing a virtual serial
-// console to every guest and multiplexing output onto the physical serial
-// port that Xen retains.
+// console to every guest.
 //
 // In Xoar the Console Manager boots before any other Linux VM, skips PCI
 // enumeration entirely (the §5.5 boot-path modification, reflected in its OS
@@ -16,8 +15,6 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
-
-	hwpkg "xoar/internal/hw"
 )
 
 // perLineCPU is daemon CPU per console line (copy out of the ring, log).
@@ -30,33 +27,28 @@ type vconsole struct {
 
 // queuedLine is one console line waiting for the daemon.
 type queuedLine struct {
-	guest xtypes.DomID
-	vc    *vconsole
-	line  string
+	vc   *vconsole
+	line string
 }
 
 // Manager is the Console Manager component.
 type Manager struct {
-	H      *hv.Hypervisor
-	Dom    xtypes.DomID
-	Serial *hwpkg.Serial
-	XS     *xenstore.Conn
+	H   *hv.Hypervisor
+	Dom xtypes.DomID
+	XS  *xenstore.Conn
 
 	consoles map[xtypes.DomID]*vconsole
 	// lines is the daemon's one queue: like xenconsoled, a single process
 	// serves every guest's console.
 	lines   *sim.Chan[queuedLine]
 	serving *sim.Gate
-
-	LinesHandled int64
 }
 
 // New constructs the Console Manager in domain dom.
-func New(h *hv.Hypervisor, dom xtypes.DomID, serial *hwpkg.Serial, xs *xenstore.Conn) *Manager {
+func New(h *hv.Hypervisor, dom xtypes.DomID, xs *xenstore.Conn) *Manager {
 	return &Manager{
 		H:        h,
 		Dom:      dom,
-		Serial:   serial,
 		XS:       xs,
 		consoles: make(map[xtypes.DomID]*vconsole),
 		lines:    sim.NewChan[queuedLine](h.Env),
@@ -83,8 +75,6 @@ func (m *Manager) Start(p *sim.Proc) error {
 			}
 			m.H.Compute(p, m.Dom, perLineCPU)
 			ql.vc.buffer = append(ql.vc.buffer, ql.line)
-			m.Serial.WriteLine(fmt.Sprintf("[%v] %s", ql.guest, ql.line))
-			m.LinesHandled++
 		}
 	})
 	m.serving.Open()
@@ -98,8 +88,8 @@ func (m *Manager) CreateConsole(guest xtypes.DomID) {
 	}
 }
 
-// RemoveConsole tears down a guest's console. Lines it already queued are
-// still written to the serial port.
+// RemoveConsole tears down a guest's console. Lines it already queued
+// still cost the daemon their CPU.
 func (m *Manager) RemoveConsole(guest xtypes.DomID) {
 	delete(m.consoles, guest)
 }
@@ -114,7 +104,7 @@ func (m *Manager) GuestWrite(guest xtypes.DomID, line string) error {
 	if !ok {
 		return fmt.Errorf("consolemgr: no console for %v: %w", guest, xtypes.ErrNotFound)
 	}
-	m.lines.Send(queuedLine{guest: guest, vc: vc, line: line})
+	m.lines.Send(queuedLine{vc: vc, line: line})
 	return nil
 }
 

@@ -19,7 +19,6 @@ import (
 	"xoar/internal/guest"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
-	"xoar/internal/mm"
 	"xoar/internal/netdrv"
 	"xoar/internal/osimage"
 	"xoar/internal/seceval"
@@ -139,7 +138,6 @@ type GuestSpec struct {
 	VCPUs        int
 	Net          bool
 	Disk         bool
-	DiskMB       int
 	// NetQueues/DiskQueues give the guest's devices N rings each (0 or 1 is
 	// the single-ring layout); vifs hash flows across rings, vbds stripe.
 	NetQueues  int
@@ -171,7 +169,7 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 	if !pl.Env.Await("create-"+spec.Name, 120*sim.Second, func(p *sim.Proc) {
 		rec, err = ts.CreateVM(p, toolstack.GuestConfig{
 			Name: spec.Name, Image: spec.Image, CustomKernel: spec.CustomKernel,
-			MemMB: spec.MemMB, VCPUs: spec.VCPUs, DiskMB: spec.DiskMB,
+			MemMB: spec.MemMB, VCPUs: spec.VCPUs,
 			Net: spec.Net, Disk: spec.Disk, ConstraintTag: spec.ConstraintTag,
 			NetQueues: spec.NetQueues, DiskQueues: spec.DiskQueues,
 			HVM: spec.HVM,
@@ -273,7 +271,6 @@ func (pl *Platform) Components() []ComponentInfo {
 			Name:       d.Name,
 			Image:      d.Cfg.OSImage,
 			MemMB:      d.Mem.MaxMB(),
-			Shard:      d.IsShard(),
 			Privileged: d.Priv().ControlAll || len(d.Priv().Hypercalls) > 0,
 			Clients:    d.Clients(),
 		})
@@ -287,7 +284,6 @@ type ComponentInfo struct {
 	Name       string
 	Image      string
 	MemMB      int
-	Shard      bool
 	Privileged bool
 	Clients    []xtypes.DomID
 }
@@ -358,9 +354,10 @@ func appendUniqueBlk(list []*blkdrv.Backend, b *blkdrv.Backend) []*blkdrv.Backen
 }
 
 // DedupScan runs one same-page-sharing pass over all domains (the memory
-// density mechanism the paper's introduction motivates) and returns its
-// statistics. EffectiveFreeMB reflects the reclaimed headroom afterwards.
-func (pl *Platform) DedupScan() mm.DedupStats { return pl.HV.MM.Dedup() }
+// density mechanism the paper's introduction motivates) and returns the
+// pages sharing reclaims. EffectiveFreeMB reflects the reclaimed headroom
+// afterwards.
+func (pl *Platform) DedupScan() int { return pl.HV.MM.Dedup() }
 
 // EffectiveFreeMB is free machine memory including frames reclaimed by
 // same-page sharing.

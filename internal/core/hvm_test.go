@@ -40,11 +40,11 @@ func TestHVMGuestThroughQemuVM(t *testing.T) {
 	pl.HV.UnmapForeign(qdom, g.Dom)
 
 	// Emulated disk I/O flows through Qemu's PV frontend to BlkBack.
-	before := pl.Boot.BlkBacks[0].CompletedReqs
+	before := pl.Boot.BlkBacks[0].DataPathStats().ReqDescs
 	if err := g.EmulatedDiskWrite(1<<20, true); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Boot.BlkBacks[0].CompletedReqs <= before {
+	if pl.Boot.BlkBacks[0].DataPathStats().ReqDescs <= before {
 		t.Fatal("emulated I/O never reached the driver shard")
 	}
 

@@ -77,9 +77,8 @@ func TestDenseDeployment(t *testing.T) {
 			d.Mem.Write(xtypes.PFN(pfn), []byte("common-kernel-text"))
 		}
 	}
-	st := pl.DedupScan()
-	if st.SavedPages < 11*2000 {
-		t.Fatalf("dedup saved %d pages across %d identical guests", st.SavedPages, n)
+	if saved := pl.DedupScan(); saved < 11*2000 {
+		t.Fatalf("dedup saved %d pages across %d identical guests", saved, n)
 	}
 }
 

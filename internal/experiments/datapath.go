@@ -12,13 +12,6 @@ import (
 
 // --- Figure 6.1/6.2-style saturation sweep across NIC generations -----------
 
-// SaturationPoint is one (NIC generation, profile) throughput measurement.
-type SaturationPoint struct {
-	NIC     string
-	Profile Profile
-	MBps    float64
-}
-
 // Saturation reruns the wget-to-/dev/null transfer on both profiles across
 // NIC generations. The question it answers is the one the paper's Figures
 // 6.1/6.2 answer for 1G: does pushing the data path out of dom0 into a
@@ -27,13 +20,12 @@ type SaturationPoint struct {
 // and beyond.
 //
 //xoarlint:allow(unused) backs the gated BenchmarkDataPath_Saturation10G; ROADMAP item 3 gives it an xoarbench id
-func Saturation(scale Scale, models []hw.NICModel) (Table, []SaturationPoint, error) {
+func Saturation(scale Scale, models []hw.NICModel) (Table, error) {
 	t := Table{ID: "fig6.1-sat", Title: "Bulk transfer saturation across NIC generations (MB/s)"}
 	if len(models) == 0 {
 		models = []hw.NICModel{hw.NICModel1G, hw.NICModel10G}
 	}
 	bytes := int64(float64(512<<20) * float64(clampScale(scale)))
-	var pts []SaturationPoint
 	for _, nm := range models {
 		var mbps [2]float64
 		for _, prof := range []Profile{Dom0, Xoar} {
@@ -41,12 +33,12 @@ func Saturation(scale Scale, models []hw.NICModel) (Table, []SaturationPoint, er
 			mcfg.NICModel = nm
 			rig, err := BootRigMachine(prof, 1, mcfg, boot.Options{})
 			if err != nil {
-				return t, nil, err
+				return t, err
 			}
 			vm, err := rig.NewGuest("sat")
 			if err != nil {
 				rig.Close()
-				return t, nil, err
+				return t, err
 			}
 			var res float64
 			err = rig.Go(3000*sim.Second, func(p *sim.Proc) {
@@ -54,10 +46,9 @@ func Saturation(scale Scale, models []hw.NICModel) (Table, []SaturationPoint, er
 			})
 			rig.Close()
 			if err != nil {
-				return t, nil, err
+				return t, err
 			}
 			mbps[prof] = res
-			pts = append(pts, SaturationPoint{NIC: nm.Driver, Profile: prof, MBps: res})
 			t.Rows = append(t.Rows, Row{
 				Label:    fmt.Sprintf("%s %s", nm.Driver, prof),
 				Measured: res,
@@ -76,7 +67,7 @@ func Saturation(scale Scale, models []hw.NICModel) (Table, []SaturationPoint, er
 	}
 	t.Notes = append(t.Notes,
 		"paper: 1-2.5% network overhead at 1G; batched rings keep the shard within noise at 10G+")
-	return t, pts, nil
+	return t, nil
 }
 
 // --- Tx batching: descriptors per backend wakeup -----------------------------

@@ -98,7 +98,7 @@ func (r *Rig) NewGuest(name string) (*guest.VM, error) {
 	if !r.Env.Await("mkguest", 60*sim.Second, func(p *sim.Proc) {
 		g, err = r.PL.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 			Name: name, Image: osimage.ImgGuestPV, MemMB: 1024, VCPUs: 2,
-			Net: true, Disk: true, DiskMB: 15 * 1024,
+			Net: true, Disk: true,
 		})
 	}) {
 		return nil, fmt.Errorf("experiments: guest creation did not complete")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestWgetShapes(t *testing.T) {
 }
 
 func TestRestartThroughputShape(t *testing.T) {
-	tbl, pts, err := RestartThroughput(0.25, []int{1, 5, 10})
+	tbl, err := RestartThroughput(0.25, []int{1, 5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +109,11 @@ func TestRestartThroughputShape(t *testing.T) {
 		t.Fatalf("baseline = %.1f", base.Measured)
 	}
 	get := func(iv int, fast bool) float64 {
-		for _, p := range pts {
-			if p.IntervalSec == iv && p.Fast == fast {
-				return p.MBps
-			}
+		mode := "slow (260ms)"
+		if fast {
+			mode = "fast (140ms)"
 		}
-		t.Fatalf("missing point %d/%v", iv, fast)
-		return 0
+		return findRow(t, tbl, fmt.Sprintf("%s @ %ds", mode, iv)).Measured
 	}
 	slow1, slow10 := get(1, false), get(10, false)
 	fast1, fast10 := get(1, true), get(10, true)
@@ -373,12 +372,13 @@ func TestTraceJSONContainsBatchSpans(t *testing.T) {
 }
 
 func TestSaturationShardWithinNoise(t *testing.T) {
-	tbl, pts, err := Saturation(0.05, []hw.NICModel{hw.NICModel10G})
+	tbl, err := Saturation(0.05, []hw.NICModel{hw.NICModel10G})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
+	// Two profiles plus the overhead row.
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	over := findRow(t, tbl, "ixgbe shard overhead")
 	if over.Measured > 1.0 {

@@ -211,16 +211,9 @@ func clampScale(s Scale) Scale {
 
 // --- Figure 6.3: throughput with a restarting NetBack ---------------------------
 
-// RestartPoint is one (interval, mode) measurement.
-type RestartPoint struct {
-	IntervalSec int
-	Fast        bool
-	MBps        float64
-}
-
 // RestartThroughput sweeps NetBack restart intervals for both restart
 // flavours, fetching 2GB to /dev/null at each point.
-func RestartThroughput(scale Scale, intervals []int) (Table, []RestartPoint, error) {
+func RestartThroughput(scale Scale, intervals []int) (Table, error) {
 	t := Table{ID: "fig6.3", Title: "Throughput with a restarting NetBack (MB/s)"}
 	// The transfer must span several restart cycles at the largest interval,
 	// so scale never shrinks it below the paper's 2GB.
@@ -229,10 +222,9 @@ func RestartThroughput(scale Scale, intervals []int) (Table, []RestartPoint, err
 
 	baseline, err := oneRestartRun(bytes, 0, false)
 	if err != nil {
-		return t, nil, err
+		return t, err
 	}
 	t.Rows = append(t.Rows, Row{Label: "baseline (no restarts)", Measured: baseline, Unit: "MB/s"})
-	var pts []RestartPoint
 	for _, fast := range []bool{false, true} {
 		mode := "slow (260ms)"
 		if fast {
@@ -241,9 +233,8 @@ func RestartThroughput(scale Scale, intervals []int) (Table, []RestartPoint, err
 		for _, iv := range intervals {
 			mbps, err := oneRestartRun(bytes, iv, fast)
 			if err != nil {
-				return t, nil, err
+				return t, err
 			}
-			pts = append(pts, RestartPoint{IntervalSec: iv, Fast: fast, MBps: mbps})
 			t.Rows = append(t.Rows, Row{
 				Label:    fmt.Sprintf("%s @ %ds", mode, iv),
 				Measured: mbps,
@@ -253,7 +244,7 @@ func RestartThroughput(scale Scale, intervals []int) (Table, []RestartPoint, err
 	}
 	t.Notes = append(t.Notes,
 		"paper: 10s restarts cost ~8%; 1s restarts cost ~58% (slow); fast restarts help most at small intervals, <1% at 10s")
-	return t, pts, nil
+	return t, nil
 }
 
 func oneRestartRun(bytes int64, intervalSec int, fast bool) (float64, error) {

@@ -16,9 +16,8 @@ import (
 	"xoar/internal/xtypes"
 )
 
-// Entry is one grant-table entry: owner shares pfn with grantee.
+// Entry is one grant-table entry: its owner shares pfn with grantee.
 type Entry struct {
-	Owner    xtypes.DomID
 	Grantee  xtypes.DomID
 	PFN      xtypes.PFN
 	ReadOnly bool
@@ -84,15 +83,13 @@ func (t *Table) Grant(owner, grantee xtypes.DomID, pfn xtypes.PFN, readOnly bool
 	}
 	ref := dt.nextRef
 	dt.nextRef++
-	dt.entries[ref] = &Entry{Owner: owner, Grantee: grantee, PFN: pfn, ReadOnly: readOnly}
+	dt.entries[ref] = &Entry{Grantee: grantee, PFN: pfn, ReadOnly: readOnly}
 	return ref, nil
 }
 
 // Mapping is a live grant mapping held by a grantee.
 type Mapping struct {
-	table *Table
 	entry *Entry
-	Ref   xtypes.GrantRef
 	ended bool
 }
 
@@ -122,7 +119,7 @@ func (t *Table) Map(mapper, owner xtypes.DomID, ref xtypes.GrantRef, write bool)
 		return nil, fmt.Errorf("grant: rw map of ro grant %v ref %d: %w", owner, ref, xtypes.ErrPerm)
 	}
 	e.active++
-	return &Mapping{table: t, entry: e, Ref: ref}, nil
+	return &Mapping{entry: e}, nil
 }
 
 // EndAccess revokes a grant. It fails with ErrInUse while mappings are live,

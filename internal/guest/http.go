@@ -20,7 +20,6 @@ const (
 
 // HTTPServer is the guest-side web server consuming requests from the vif.
 type HTTPServer struct {
-	vm        *VM
 	pageBytes int
 	workQ     *sim.Chan[int64]
 	procs     []*sim.Proc
@@ -30,7 +29,7 @@ type HTTPServer struct {
 // StartHTTPServer spawns the server processes inside the guest: an acceptor
 // that drains the vif and a worker pool that computes and responds.
 func (vm *VM) StartHTTPServer(pageBytes int) *HTTPServer {
-	s := &HTTPServer{vm: vm, pageBytes: pageBytes, workQ: sim.NewChan[int64](vm.H.Env)}
+	s := &HTTPServer{pageBytes: pageBytes, workQ: sim.NewChan[int64](vm.H.Env)}
 	acceptor := vm.H.Env.Spawn(fmt.Sprintf("httpd-accept-%v", vm.Dom), func(p *sim.Proc) {
 		for {
 			pkt, err := vm.Net.Recv(p)

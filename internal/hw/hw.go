@@ -1,5 +1,5 @@
 // Package hw models the physical machine: CPUs, the PCI bus and config
-// space, network and disk controllers, and the serial port.
+// space, and network and disk controllers.
 //
 // The models are calibrated to the paper's testbed (Dell Precision T3500:
 // quad-core Xeon W3520, Tigon 3 Gigabit NIC, 7200RPM SATA disk) closely
@@ -28,24 +28,21 @@ type Device interface {
 
 // Machine is the physical host.
 type Machine struct {
-	Env    *sim.Env
-	CPUs   []*sim.Resource // one slot each: physical cores
-	Bus    *PCIBus
-	Serial *Serial
-	RAMMB  int
+	CPUs  []*sim.Resource // one slot each: physical cores
+	Bus   *PCIBus
+	RAMMB int
 }
 
-// MachineConfig describes the physical host to model. NICModel/DiskModel
-// select hardware generations; their zero values mean the paper testbed's
-// Gigabit NIC and 7200RPM SATA disk.
+// MachineConfig describes the physical host to model. NICModel selects a
+// NIC generation; its zero value means the paper testbed's Gigabit NIC.
+// Every disk is the testbed's 7200RPM SATA disk.
 type MachineConfig struct {
 	CPUs  int
 	RAMMB int
 	NICs  int
 	Disks int
 
-	NICModel  NICModel
-	DiskModel DiskModel
+	NICModel NICModel
 }
 
 // DefaultMachineConfig is the paper's testbed: quad-core, 4GB, one NIC, one
@@ -73,25 +70,20 @@ func NewMachineWith(env *sim.Env, cfg MachineConfig) *Machine {
 	if cfg.RAMMB <= 0 {
 		cfg.RAMMB = 4096
 	}
-	m := &Machine{Env: env, RAMMB: cfg.RAMMB}
+	m := &Machine{RAMMB: cfg.RAMMB}
 	for i := 0; i < cfg.CPUs; i++ {
 		m.CPUs = append(m.CPUs, sim.NewResource(env, 1))
 	}
-	m.Bus = NewPCIBus(env)
-	m.Serial = NewSerial(env)
+	m.Bus = NewPCIBus()
 	nm := cfg.NICModel
 	if nm == (NICModel{}) {
 		nm = NICModel1G
-	}
-	dm := cfg.DiskModel
-	if dm == (DiskModel{}) {
-		dm = DiskModelSATA7200
 	}
 	for i := 0; i < cfg.NICs; i++ {
 		m.Bus.AddDevice(NewNICModel(env, fmt.Sprintf("%s-%d", nm.Driver, i), xtypes.PCIAddr{Bus: 2, Slot: uint8(i)}, nm))
 	}
 	for i := 0; i < cfg.Disks; i++ {
-		m.Bus.AddDevice(NewDiskModel(env, fmt.Sprintf("%s-%d", dm.Driver, i), xtypes.PCIAddr{Bus: 0, Slot: uint8(28 + i)}, dm))
+		m.Bus.AddDevice(NewDisk(env, fmt.Sprintf("%s-%d", sataDriver, i), xtypes.PCIAddr{Bus: 0, Slot: uint8(28 + i)}))
 	}
 	return m
 }
@@ -122,7 +114,6 @@ func (m *Machine) Disks() []*Disk {
 // IOMMU-style assignment of devices to domains. The shared config space is
 // why a single component (PCIBack) must multiplex access (§5.3).
 type PCIBus struct {
-	env     *sim.Env
 	devices map[xtypes.PCIAddr]Device
 	// assigned maps a device to the domain holding it via passthrough.
 	assigned map[xtypes.PCIAddr]xtypes.DomID
@@ -134,9 +125,8 @@ type PCIBus struct {
 }
 
 // NewPCIBus returns an empty bus.
-func NewPCIBus(env *sim.Env) *PCIBus {
+func NewPCIBus() *PCIBus {
 	return &PCIBus{
-		env:         env,
 		devices:     make(map[xtypes.PCIAddr]Device),
 		assigned:    make(map[xtypes.PCIAddr]xtypes.DomID),
 		configOwner: xtypes.DomIDNone,
@@ -163,9 +153,6 @@ func (b *PCIBus) Devices() []Device {
 }
 
 func less(a, b xtypes.PCIAddr) bool {
-	if a.Domain != b.Domain {
-		return a.Domain < b.Domain
-	}
 	if a.Bus != b.Bus {
 		return a.Bus < b.Bus
 	}

@@ -10,7 +10,6 @@ import (
 // size/line-rate. A separate LAN latency constant models the propagation and
 // switch delay to the directly connected test peer.
 type NIC struct {
-	env  *sim.Env
 	name string
 	addr xtypes.PCIAddr
 
@@ -26,10 +25,6 @@ type NIC struct {
 	initialized bool
 	// PHY autonegotiation plus driver probe dominates full bring-up.
 	initTime sim.Duration
-
-	// Counters for tests and experiment output.
-	TxBytes int64
-	RxBytes int64
 }
 
 // NICModel is a parameter preset for a NIC generation. The zero value means
@@ -63,7 +58,6 @@ func NewNICModel(env *sim.Env, name string, addr xtypes.PCIAddr, m NICModel) *NI
 		m = NICModel1G
 	}
 	return &NIC{
-		env:        env,
 		name:       name,
 		addr:       addr,
 		LineRate:   m.LineRate,
@@ -106,11 +100,9 @@ func (n *NIC) wireTime(bytes int) sim.Duration {
 // torn down by a microreboot).
 func (n *NIC) Transmit(p *sim.Proc, bytes int) {
 	n.tx.Use(p, n.wireTime(bytes))
-	n.TxBytes += int64(bytes)
 }
 
 // Receive models bytes arriving from the wire, blocking for the wire time.
 func (n *NIC) Receive(p *sim.Proc, bytes int) {
 	n.rx.Use(p, n.wireTime(bytes))
-	n.RxBytes += int64(bytes)
 }

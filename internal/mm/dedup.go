@@ -17,27 +17,16 @@ import (
 // frames return to the allocator as reclaimable headroom, reported by
 // EffectiveFreeMB.
 
-// DedupStats reports one scan's outcome.
-type DedupStats struct {
-	// Scanned is the number of written pages examined.
-	Scanned int
-	// Groups is the number of distinct shared contents.
-	Groups int
-	// SavedPages is the number of frames reclaimed (duplicates beyond the
-	// first copy in each group).
-	SavedPages int
-}
-
-// Dedup performs one full same-page-sharing scan across all domains.
-func (m *Manager) Dedup() DedupStats {
-	var st DedupStats
+// Dedup performs one full same-page-sharing scan across all domains and
+// returns the frames sharing reclaims: the duplicates beyond the first copy
+// of each shared content.
+func (m *Manager) Dedup() int {
 	groups := make(map[[32]byte][]*page)
 	for _, dm := range m.domains {
 		for _, pg := range dm.pages {
 			if len(pg.content) == 0 {
 				continue
 			}
-			st.Scanned++
 			h := sha256.Sum256(pg.content)
 			groups[h] = append(groups[h], pg)
 		}
@@ -46,20 +35,15 @@ func (m *Manager) Dedup() DedupStats {
 		if len(pages) < 2 {
 			continue
 		}
-		st.Groups++
+		// Re-marking an already-shared page is idempotent.
 		for _, pg := range pages {
-			// Re-marking an already-shared page is idempotent; only newly
-			// shared duplicates count as savings.
-			if pg.sharedKey != h {
-				pg.sharedKey = h
-			}
+			pg.sharedKey = h
 		}
-		st.SavedPages += len(pages) - 1
 	}
 	// Recompute global savings from scratch: groups shrink as writes break
 	// sharing, and scans may re-merge.
 	m.recountSharedSavings()
-	return st
+	return m.dedupSavedPages
 }
 
 // recountSharedSavings rebuilds the reclaimed-frame count from live state.

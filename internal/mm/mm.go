@@ -71,9 +71,8 @@ func (s *Snapshot) Pages() int { return s.takenPages }
 
 // Manager owns all machine memory and every domain reservation.
 type Manager struct {
-	totalPages int
-	freePages  int
-	domains    map[xtypes.DomID]*DomainMem
+	freePages int
+	domains   map[xtypes.DomID]*DomainMem
 
 	// mappings tracks every live foreign mapping for audit and teardown.
 	mappings map[mappingKey]int
@@ -90,10 +89,9 @@ type mappingKey struct {
 // NewManager returns a manager with totalMB megabytes of machine memory.
 func NewManager(totalMB int) *Manager {
 	return &Manager{
-		totalPages: totalMB * (1 << 20) / xtypes.PageSize,
-		freePages:  totalMB * (1 << 20) / xtypes.PageSize,
-		domains:    make(map[xtypes.DomID]*DomainMem),
-		mappings:   make(map[mappingKey]int),
+		freePages: totalMB * (1 << 20) / xtypes.PageSize,
+		domains:   make(map[xtypes.DomID]*DomainMem),
+		mappings:  make(map[mappingKey]int),
 	}
 }
 

@@ -18,10 +18,6 @@ type Frontend struct {
 	XS    *xenstore.Conn
 
 	v *vif
-
-	// ReceivedBytes counts payload delivered to the guest.
-	ReceivedBytes int64
-	SentBytes     int64
 }
 
 // NewFrontend constructs the guest-side driver.
@@ -50,14 +46,13 @@ func (f *Frontend) Connected() bool {
 }
 
 // recvOne charges guest CPU for a popped packet and acks its ring slot.
-func (f *Frontend) recvOne(p *sim.Proc, q *vifQueue, pkt Packet) {
+func (f *Frontend) recvOne(p *sim.Proc, q *vifQueue) {
 	f.H.Compute(p, f.Guest, frontChunkCPU)
 	// Ack may race a Break between pop and push; a failed ack is harmless
 	// (the whole ring is being reset).
 	if !q.rx.Broken() {
 		q.rx.PushResponse(ack{})
 	}
-	f.ReceivedBytes += int64(pkt.Bytes)
 }
 
 // Recv blocks until the next packet arrives on any queue, charges guest
@@ -75,7 +70,7 @@ func (f *Frontend) Recv(p *sim.Proc) (Packet, error) {
 		if err != nil {
 			return Packet{}, err
 		}
-		f.recvOne(p, q, pkt)
+		f.recvOne(p, q)
 		return pkt, nil
 	}
 	for {
@@ -84,7 +79,7 @@ func (f *Frontend) Recv(p *sim.Proc) (Packet, error) {
 				return Packet{}, fmt.Errorf("netfront: rx ring broken: %w", xtypes.ErrShutdown)
 			}
 			if pkt, ok := q.rx.TryPopRequest(); ok {
-				f.recvOne(p, q, pkt)
+				f.recvOne(p, q)
 				return pkt, nil
 			}
 		}
@@ -113,7 +108,6 @@ func (f *Frontend) Send(p *sim.Proc, bytes int, seq int64) error {
 			return err
 		}
 	}
-	f.SentBytes += int64(bytes)
 	return nil
 }
 

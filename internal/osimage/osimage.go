@@ -13,38 +13,12 @@ import (
 	"xoar/internal/xtypes"
 )
 
-// Kind classifies an image's kernel.
-type Kind uint8
-
-const (
-	// NanOS is the NSA's minimal single-threaded kernel: just enough to
-	// build VMs. Small enough for static analysis (§5.7).
-	NanOS Kind = iota
-	// MiniOS is Xen's stub-domain environment: multithreaded, still tiny.
-	MiniOS
-	// Linux is a paravirtualized Linux (pvops) with a trimmed userspace.
-	Linux
-	// LinuxFull is the stock server distribution a monolithic Dom0 runs.
-	LinuxFull
-)
-
-func (k Kind) String() string {
-	switch k {
-	case NanOS:
-		return "nanOS"
-	case MiniOS:
-		return "miniOS"
-	case Linux:
-		return "linux"
-	default:
-		return "linux-full"
-	}
-}
-
 // Image describes one bootable kernel+userspace image.
 type Image struct {
+	// Name starts with the image's kernel: nanos (the NSA's minimal
+	// single-threaded kernel, just enough to build VMs, §5.7), minios
+	// (Xen's stub-domain environment) or linux (paravirtualized pvops).
 	Name  string
-	Kind  Kind
 	MemMB int // default reservation, per Table 6.1
 
 	// KernelBoot is time from domain start to kernel init complete.
@@ -108,49 +82,49 @@ const (
 func DefaultCatalog() *Catalog {
 	c := &Catalog{images: make(map[string]Image)}
 	for _, im := range []Image{
-		{Name: ImgBootstrapper, Kind: NanOS, MemMB: 32,
+		{Name: ImgBootstrapper, MemMB: 32,
 			KernelBoot: 120 * sim.Millisecond, ServiceBoot: 80 * sim.Millisecond,
 			SourceLoC: 5_000, CompiledLoC: 3_000},
-		{Name: ImgBuilder, Kind: NanOS, MemMB: 64,
+		{Name: ImgBuilder, MemMB: 64,
 			KernelBoot: 120 * sim.Millisecond, ServiceBoot: 180 * sim.Millisecond,
 			SourceLoC: 8_000, CompiledLoC: 5_000},
-		{Name: ImgXenStoreL, Kind: MiniOS, MemMB: 32,
+		{Name: ImgXenStoreL, MemMB: 32,
 			KernelBoot: 250 * sim.Millisecond, ServiceBoot: 250 * sim.Millisecond,
 			SourceLoC: 32_000, CompiledLoC: 14_000},
-		{Name: ImgXenStoreS, Kind: MiniOS, MemMB: 32,
+		{Name: ImgXenStoreS, MemMB: 32,
 			KernelBoot: 250 * sim.Millisecond, ServiceBoot: 150 * sim.Millisecond,
 			SourceLoC: 30_000, CompiledLoC: 13_000},
-		{Name: ImgConsole, Kind: Linux, MemMB: 128,
+		{Name: ImgConsole, MemMB: 128,
 			// Skips PCI enumeration and jumps to I/O-port init (§5.5), so it
 			// reaches a login prompt quickly.
 			KernelBoot: 3500 * sim.Millisecond, ServiceBoot: 13400 * sim.Millisecond,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgPCIBack, Kind: Linux, MemMB: 256,
+		{Name: ImgPCIBack, MemMB: 256,
 			KernelBoot: 4 * sim.Second, ServiceBoot: 5 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgNetBack, Kind: Linux, MemMB: 128,
+		{Name: ImgNetBack, MemMB: 128,
 			KernelBoot: 4 * sim.Second, ServiceBoot: 3 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgBlkBack, Kind: Linux, MemMB: 128,
+		{Name: ImgBlkBack, MemMB: 128,
 			KernelBoot: 4 * sim.Second, ServiceBoot: 3 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgToolstack, Kind: Linux, MemMB: 128,
+		{Name: ImgToolstack, MemMB: 128,
 			KernelBoot: 4 * sim.Second, ServiceBoot: 4 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgQemu, Kind: MiniOS, MemMB: 64,
+		{Name: ImgQemu, MemMB: 64,
 			KernelBoot: 250 * sim.Millisecond, ServiceBoot: 400 * sim.Millisecond,
 			SourceLoC: 450_000, CompiledLoC: 180_000},
-		{Name: ImgDom0, Kind: LinuxFull, MemMB: 750,
+		{Name: ImgDom0, MemMB: 750,
 			// A full server userspace: sequential service bring-up dominates.
 			KernelBoot: 9 * sim.Second, ServiceBoot: 15 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgGuestPV, Kind: Linux, MemMB: 1024,
+		{Name: ImgGuestPV, MemMB: 1024,
 			KernelBoot: 4 * sim.Second, ServiceBoot: 9 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgGuestHVM, Kind: Linux, MemMB: 1024,
+		{Name: ImgGuestHVM, MemMB: 1024,
 			KernelBoot: 6 * sim.Second, ServiceBoot: 11 * sim.Second,
 			SourceLoC: 7_600_000, CompiledLoC: 400_000},
-		{Name: ImgGuestMicro, Kind: NanOS, MemMB: 64,
+		{Name: ImgGuestMicro, MemMB: 64,
 			// A unikernel-style serverless function image: single-purpose,
 			// no userspace bring-up to speak of. Millisecond-class boot is
 			// what makes thousands-per-second churn (Nanvix-style density)
@@ -158,7 +132,7 @@ func DefaultCatalog() *Catalog {
 			// the cold-start path.
 			KernelBoot: 2 * sim.Millisecond, ServiceBoot: 2 * sim.Millisecond,
 			SourceLoC: 15_000, CompiledLoC: 9_000},
-		{Name: ImgBootloader, Kind: MiniOS, MemMB: 32,
+		{Name: ImgBootloader, MemMB: 32,
 			KernelBoot: 250 * sim.Millisecond, ServiceBoot: 500 * sim.Millisecond,
 			SourceLoC: 20_000, CompiledLoC: 9_000},
 	} {

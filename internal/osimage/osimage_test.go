@@ -86,13 +86,6 @@ func TestBootTimeComposition(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if NanOS.String() != "nanOS" || MiniOS.String() != "miniOS" ||
-		Linux.String() != "linux" || LinuxFull.String() != "linux-full" {
-		t.Fatal("kind names wrong")
-	}
-}
-
 func TestNames(t *testing.T) {
 	c := DefaultCatalog()
 	if len(c.images) != 15 {

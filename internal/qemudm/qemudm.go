@@ -23,7 +23,6 @@ import (
 	"xoar/internal/blkdrv"
 	"xoar/internal/hv"
 	//xoarlint:allow(layering) frontend half only; traffic rides the guest's hv-audited rings
-	"xoar/internal/netdrv"
 	"xoar/internal/sim"
 	"xoar/internal/xtypes"
 )
@@ -43,12 +42,9 @@ type QemuVM struct {
 	Dom   xtypes.DomID // the stub domain
 	Guest xtypes.DomID // the single guest it emulates for
 
-	// Net and Blk are the QemuVM's own PV frontends toward the driver
-	// domains; emulated guest I/O funnels through them.
-	Net *netdrv.Frontend
+	// Blk is the QemuVM's own PV block frontend toward BlkBack; emulated
+	// guest disk I/O funnels through it.
 	Blk *blkdrv.Frontend
-
-	EmulatedOps int64
 }
 
 // New constructs the device model for guest running in stub domain dom.
@@ -67,8 +63,7 @@ func (q *QemuVM) emulate(p *sim.Proc, target xtypes.DomID, bytes int) error {
 	if err := q.H.MapForeign(q.Dom, target, 0); err != nil {
 		return fmt.Errorf("qemudm: dma map: %w", err)
 	}
-	defer q.H.UnmapForeign(q.Dom, target)
-	q.EmulatedOps++
+	q.H.UnmapForeign(q.Dom, target)
 	return nil
 }
 

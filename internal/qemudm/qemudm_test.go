@@ -48,13 +48,13 @@ func setup(t *testing.T) *harness {
 	blk := blkdrv.NewBackend(h, bbDom.ID, machine.Disks()[0], logic.Connect(bbDom.ID, true))
 
 	q := New(h, qd.ID, guest.ID)
-	q.Blk = blkdrv.NewFrontend(h, qd.ID, logic.Connect(qd.ID, true))
+	q.Blk = blkdrv.NewFrontend(qd.ID, logic.Connect(qd.ID, true))
 	hn := &harness{env: env, h: h, q: q, guest: guest, victim: victim, blk: blk}
 
 	ok := false
 	env.Spawn("boot", func(p *sim.Proc) {
 		blk.Start(p)
-		blk.CreateImage("hvm-disk", 1024)
+		blk.CreateImage("hvm-disk")
 		blk.CreateVbdQueues(qd.ID, "hvm-disk", 1)
 		if err := q.Blk.Connect(p, blk); err != nil {
 			t.Error(err)
@@ -78,11 +78,8 @@ func TestEmulatedDiskIO(t *testing.T) {
 	})
 	hn.env.RunFor(10 * sim.Second)
 	hn.env.Shutdown()
-	if hn.q.EmulatedOps != 1 {
-		t.Fatalf("emulated ops = %d", hn.q.EmulatedOps)
-	}
-	if hn.q.Blk.BytesWritten != 1<<20 {
-		t.Fatalf("written = %d", hn.q.Blk.BytesWritten)
+	if got, want := hn.blk.DataPathStats().ReqDescs, int64(1<<20/blkdrv.SegmentBytes); got != want {
+		t.Fatalf("blkback requests = %d, want %d", got, want)
 	}
 }
 

@@ -48,17 +48,14 @@ type Stats struct {
 	// response-push notifies toward the response consumer.
 	NotifiesToFront   int64
 	SuppressedToFront int64
-	// Descriptor totals, for descriptors-per-wakeup ratios.
-	ReqPushed  int64
-	ReqPopped  int64
-	RespPushed int64
-	RespPopped int64
+	// ReqPushed totals request descriptors, for descriptors-per-wakeup
+	// ratios.
+	ReqPushed int64
 }
 
 // Ring is a shared request/response ring. Req and Resp are the descriptor
 // types of the protocol spoken over the ring.
 type Ring[Req, Resp any] struct {
-	env   *sim.Env
 	slots int
 	used  int // slots held by in-flight requests or unconsumed responses
 
@@ -83,7 +80,10 @@ type Ring[Req, Resp any] struct {
 	// parties wake on the ring's own signals, the notify decision is counted
 	// in Stats, and drivers price the upcall in their per-batch CPU charge.
 	// They are where an explicit event-channel hop would attach.
-	NotifyBack  func()
+	//
+	//xoarlint:allow(unused) ROADMAP item 2 decides whether notifications go through the event channel here
+	NotifyBack func()
+	//xoarlint:allow(unused) ROADMAP item 2 decides whether notifications go through the event channel here
 	NotifyFront func()
 
 	// AlwaysNotify disables suppression and fires the notify hooks on every
@@ -101,7 +101,6 @@ func New[Req, Resp any](env *sim.Env, slots int) *Ring[Req, Resp] {
 		slots = DefaultSlots
 	}
 	return &Ring[Req, Resp]{
-		env:      env,
 		slots:    slots,
 		reqs:     make([]Req, slots),
 		resps:    make([]Resp, slots),
@@ -169,7 +168,6 @@ func (r *Ring[Req, Resp]) pushedRequests(oldProd uint64) {
 
 // pushedResponses is the response-side counterpart of pushedRequests.
 func (r *Ring[Req, Resp]) pushedResponses(oldProd uint64) {
-	r.stats.RespPushed += int64(r.respProd - oldProd)
 	r.respSig.Broadcast()
 	if r.AlwaysNotify || r.respProd-r.rspEvent < r.respProd-oldProd {
 		r.stats.NotifiesToFront++
@@ -230,7 +228,6 @@ func (r *Ring[Req, Resp]) PopRequest(p *sim.Proc) (Req, error) {
 		if r.reqProd > r.reqCons {
 			req := r.reqs[int(r.reqCons%uint64(r.slots))]
 			r.reqCons++
-			r.stats.ReqPopped++
 			return req, nil
 		}
 		r.reqEvent = r.reqCons + 1
@@ -250,7 +247,6 @@ func (r *Ring[Req, Resp]) TryPopRequest() (Req, bool) {
 	}
 	req := r.reqs[int(r.reqCons%uint64(r.slots))]
 	r.reqCons++
-	r.stats.ReqPopped++
 	return req, true
 }
 
@@ -268,7 +264,6 @@ func (r *Ring[Req, Resp]) TryPopRequestBatch(buf []Req) int {
 		r.reqCons++
 		n++
 	}
-	r.stats.ReqPopped += int64(n)
 	return n
 }
 
@@ -337,7 +332,6 @@ func (r *Ring[Req, Resp]) popOneResponse() Resp {
 	resp := r.resps[int(r.respCons%uint64(r.slots))]
 	r.respCons++
 	r.used--
-	r.stats.RespPopped++
 	return resp
 }
 

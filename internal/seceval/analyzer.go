@@ -45,9 +45,8 @@ func (o Outcome) String() string {
 
 // Finding is the analyzer's verdict for one vulnerability.
 type Finding struct {
-	Vuln      Vuln
-	Component xtypes.DomID // the domain hosting the vulnerable component
-	Outcome   Outcome
+	Vuln    Vuln
+	Outcome Outcome
 	// Reached lists guest VMs the attacker gains power over (excluding its
 	// own), for the shared-clients case.
 	Reached []xtypes.DomID
@@ -161,7 +160,6 @@ func (a *Analyzer) Analyze(v Vuln) Finding {
 		return f
 	}
 	comp := a.componentFor(v.Vector)
-	f.Component = comp
 	if a.PL.Monolithic {
 		// Everything lives in Dom0: ControlAll ⇒ whole host.
 		f.Outcome = OutWholeHost
@@ -231,11 +229,9 @@ type TCBReport struct {
 
 // TCBComponent is one privileged domain's contribution.
 type TCBComponent struct {
-	Dom     xtypes.DomID
-	Name    string
-	Image   string
-	SrcLoC  int
-	CompLoC int
+	Name   string
+	Image  string
+	SrcLoC int
 }
 
 // TCB computes the platform's trusted computing base from live privilege
@@ -257,8 +253,7 @@ func TCB(pl *boot.Platform) TCBReport {
 			continue
 		}
 		rep.Components = append(rep.Components, TCBComponent{
-			Dom: d.ID, Name: d.Name, Image: img.Name,
-			SrcLoC: img.SourceLoC, CompLoC: img.CompiledLoC,
+			Name: d.Name, Image: img.Name, SrcLoC: img.SourceLoC,
 		})
 		rep.SourceLoC += img.SourceLoC
 		rep.CompLoC += img.CompiledLoC

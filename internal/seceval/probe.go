@@ -14,9 +14,6 @@ import (
 // paths themselves, so a regression in any check shows up as a capability
 // the paper says must not exist.
 type CapabilityProbe struct {
-	// Component is the compromised domain.
-	Component xtypes.DomID
-
 	// Capabilities actually obtained:
 	MapVictimMemory  bool // mapped another guest's memory
 	CreatedDomain    bool // created a new domain
@@ -32,7 +29,7 @@ type CapabilityProbe struct {
 // perturb later experiments beyond audit-log entries.
 func Probe(pl *boot.Platform, component, victim xtypes.DomID) CapabilityProbe {
 	h := pl.HV
-	res := CapabilityProbe{Component: component}
+	var res CapabilityProbe
 
 	if err := h.MapForeign(component, victim, 0); err == nil {
 		res.MapVictimMemory = true

@@ -85,7 +85,6 @@ type Vuln struct {
 	// FixedInVersion marks bugs already patched in the platform release the
 	// paper (and this model) runs — the two XenStore write bugs (§6.2.1).
 	FixedInVersion bool
-	Note           string
 }
 
 // Registry returns all 44 studied vulnerabilities (§2.2.1). The 23
@@ -99,7 +98,7 @@ type Vuln struct {
 // section, which is what the containment results are stated against.)
 func Registry() []Vuln {
 	var vs []Vuln
-	add := func(n int, src Source, class Class, vec Vector, fixed bool, note string) {
+	add := func(n int, src Source, class Class, vec Vector, fixed bool) {
 		for i := 0; i < n; i++ {
 			vs = append(vs, Vuln{
 				ID:             fmt.Sprintf("XVR-%03d", len(vs)+1),
@@ -107,25 +106,24 @@ func Registry() []Vuln {
 				Class:          class,
 				Vector:         vec,
 				FixedInVersion: fixed,
-				Note:           note,
 			})
 		}
 	}
 	// Guest-sourced, code-execution (12):
-	add(5, SrcGuest, ClassCodeExec, VecDeviceEmulation, false, "emulated device buffer overflow")
-	add(3, SrcGuest, ClassCodeExec, VecVirtualDevice, false, "PV backend request validation")
-	add(1, SrcGuest, ClassCodeExec, VecToolstack, false, "toolstack parsing of guest data")
-	add(2, SrcGuest, ClassCodeExec, VecDebugRegs, false, "debug register state corruption")
-	add(1, SrcGuest, ClassCodeExec, VecHypervisor, false, "exploit in the security extensions")
+	add(5, SrcGuest, ClassCodeExec, VecDeviceEmulation, false) // emulated device buffer overflow
+	add(3, SrcGuest, ClassCodeExec, VecVirtualDevice, false)   // PV backend request validation
+	add(1, SrcGuest, ClassCodeExec, VecToolstack, false)       // toolstack parsing of guest data
+	add(2, SrcGuest, ClassCodeExec, VecDebugRegs, false)       // debug register state corruption
+	add(1, SrcGuest, ClassCodeExec, VecHypervisor, false)      // exploit in the security extensions
 	// Guest-sourced, denial-of-service (11):
-	add(2, SrcGuest, ClassDoS, VecDeviceEmulation, false, "emulated device crash")
-	add(3, SrcGuest, ClassDoS, VecVirtualDevice, false, "PV backend resource exhaustion")
-	add(4, SrcGuest, ClassDoS, VecManagement, false, "management component hang")
-	add(2, SrcGuest, ClassDoS, VecXenStore, true, "XenStore write-access bug (fixed in this release)")
+	add(2, SrcGuest, ClassDoS, VecDeviceEmulation, false) // emulated device crash
+	add(3, SrcGuest, ClassDoS, VecVirtualDevice, false)   // PV backend resource exhaustion
+	add(4, SrcGuest, ClassDoS, VecManagement, false)      // management component hang
+	add(2, SrcGuest, ClassDoS, VecXenStore, true)         // XenStore write-access bug (fixed in this release)
 	// Non-guest-sourced reports (21), excluded by the threat model:
-	add(12, SrcHost, ClassCodeExec, VecDeviceEmulation, false, "Type-2 host-OS path")
-	add(5, SrcAdminNet, ClassCodeExec, VecManagement, false, "administrative interface")
-	add(4, SrcAdminNet, ClassDoS, VecManagement, false, "administrative interface")
+	add(12, SrcHost, ClassCodeExec, VecDeviceEmulation, false) // Type-2 host-OS path
+	add(5, SrcAdminNet, ClassCodeExec, VecManagement, false)   // administrative interface
+	add(4, SrcAdminNet, ClassDoS, VecManagement, false)        // administrative interface
 	return vs
 }
 

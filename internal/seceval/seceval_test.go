@@ -260,10 +260,8 @@ func TestQemuVectorWithExplicitStubDomain(t *testing.T) {
 	if rep.ByOutcome[OutContained] != 7 {
 		t.Fatalf("contained = %d with explicit QemuVM (full: %v)", rep.ByOutcome[OutContained], rep.ByOutcome)
 	}
-	for _, f := range rep.Findings {
-		if f.Vuln.Vector == VecDeviceEmulation && f.Component != qemuDom {
-			t.Fatalf("device-emulation finding not anchored to the QemuVM: %+v", f)
-		}
+	if comp := an.componentFor(VecDeviceEmulation); comp != qemuDom {
+		t.Fatalf("device-emulation findings anchored to %v, not the QemuVM %v", comp, qemuDom)
 	}
 }
 

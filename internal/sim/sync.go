@@ -62,7 +62,6 @@ func (s *Signal) Broadcast() {
 // (the netback rx inbox) performs no allocation even if the queue never
 // drains.
 type Chan[T any] struct {
-	env    *Env
 	items  []T
 	head   int
 	sig    *Signal
@@ -74,7 +73,7 @@ type Chan[T any] struct {
 
 // NewChan returns an empty queue bound to env.
 func NewChan[T any](env *Env) *Chan[T] {
-	return &Chan[T]{env: env, sig: NewSignal(env)}
+	return &Chan[T]{sig: NewSignal(env)}
 }
 
 // Send enqueues v and wakes any blocked receivers. Sending on a closed

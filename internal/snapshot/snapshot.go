@@ -85,10 +85,8 @@ type Stats struct {
 	Restarts      int
 	TotalDowntime sim.Duration
 	LastDowntime  sim.Duration
+	//xoarlint:allow(unused) ROADMAP item 17 exports it as the pages restored per microreboot
 	PagesRestored int
-	// Errors counts restart attempts the hypervisor refused (no snapshot,
-	// missing privilege). A non-zero value means the policy is misconfigured.
-	Errors int
 }
 
 // Engine is the restart controller. It runs with Builder-level privileges
@@ -200,7 +198,6 @@ func (e *Engine) restart(p *sim.Proc, ent *entry) {
 	}
 	restored, err := e.Rollback(p, dom)
 	if err != nil {
-		ent.stats.Errors++
 		e.tel.Counter("restart_errors_total", telemetry.L("comp", ent.comp.Name())).Inc()
 		return
 	}

@@ -39,7 +39,6 @@ type GuestConfig struct {
 	CustomKernel bool
 	MemMB        int
 	VCPUs        int
-	DiskMB       int
 	// Net / Disk select whether to attach a vif / vbd.
 	Net  bool
 	Disk bool
@@ -101,9 +100,6 @@ type Toolstack struct {
 	quota  Quota
 	guests map[xtypes.DomID]*Guest
 	usedMB int
-
-	Created   int
-	Destroyed int
 }
 
 // New constructs a Toolstack in domain dom.
@@ -227,9 +223,8 @@ func (ts *Toolstack) CreateVM(p *sim.Proc, cfg GuestConfig) (*Guest, error) {
 			g.Qemu = qemudm.New(ts.H, g.QemuDom, g.Dom)
 			// The QemuVM — not the guest — is the driver shards' client; its
 			// PV frontends carry the emulated I/O.
-			wired := &Guest{Dom: g.QemuDom, Cfg: GuestConfig{Name: cfg.Name + "-qemu", Net: cfg.Net, Disk: cfg.Disk, DiskMB: cfg.DiskMB}, NetB: g.NetB, BlkB: g.BlkB}
+			wired := &Guest{Dom: g.QemuDom, Cfg: GuestConfig{Name: cfg.Name + "-qemu", Net: cfg.Net, Disk: cfg.Disk}, NetB: g.NetB, BlkB: g.BlkB}
 			err = ts.wireDevices(p, wired)
-			g.Qemu.Net = wired.Net
 			g.Qemu.Blk = wired.Blk
 		}
 	} else {
@@ -245,7 +240,6 @@ func (ts *Toolstack) CreateVM(p *sim.Proc, cfg GuestConfig) (*Guest, error) {
 
 	ts.guests[g.Dom] = g
 	ts.usedMB += cfg.mem()
-	ts.Created++
 	return g, nil
 }
 
@@ -275,18 +269,14 @@ func (ts *Toolstack) wireDevices(p *sim.Proc, g *Guest) error {
 		if err := ts.H.LinkShardClient(ts.Dom, g.BlkB.Dom, dom); err != nil {
 			return err
 		}
-		diskMB := cfg.DiskMB
-		if diskMB == 0 {
-			diskMB = 15 * 1024
-		}
 		imgName := fmt.Sprintf("%s-disk", cfg.Name)
-		if err := g.BlkB.CreateImage(imgName, diskMB); err != nil {
+		if err := g.BlkB.CreateImage(imgName); err != nil {
 			return err
 		}
 		// The frontend is recorded as soon as the image is this guest's:
 		// release deletes the image only for a record that holds one, so a
 		// name collision never takes another guest's disk.
-		g.Blk = blkdrv.NewFrontend(ts.H, dom, guestXS)
+		g.Blk = blkdrv.NewFrontend(dom, guestXS)
 		dq := cfg.DiskQueues
 		if dq < 1 {
 			dq = 1
@@ -353,7 +343,6 @@ func (ts *Toolstack) DestroyVM(p *sim.Proc, dom xtypes.DomID) error {
 	}
 	ts.usedMB -= g.Cfg.mem()
 	delete(ts.guests, dom)
-	ts.Destroyed++
 	return nil
 }
 

@@ -106,8 +106,8 @@ func TestDestroyCleansEverything(t *testing.T) {
 	if _, err := r.create(t, toolstack.GuestConfig{Name: "g", Image: osimage.ImgGuestPV, Disk: true}); err != nil {
 		t.Fatalf("recreate after destroy: %v", err)
 	}
-	if r.ts.Destroyed != 1 {
-		t.Fatalf("destroyed = %d", r.ts.Destroyed)
+	if r.ts.Manages(g.Dom) {
+		t.Fatal("toolstack still manages the destroyed guest")
 	}
 }
 
@@ -221,13 +221,13 @@ func TestFailedCreateReleasesWhatItTook(t *testing.T) {
 	}
 
 	// An image nobody has mounted is not the failed call's either.
-	if err := first.BlkB.CreateImage("staged-disk", 1024); err != nil {
+	if err := first.BlkB.CreateImage("staged-disk"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.create(t, toolstack.GuestConfig{Name: "staged", Image: osimage.ImgGuestPV, Disk: true}); !errors.Is(err, xtypes.ErrExists) {
 		t.Fatalf("create over a staged image: %v", err)
 	}
-	if err := first.BlkB.CreateImage("staged-disk", 1024); !errors.Is(err, xtypes.ErrExists) {
+	if err := first.BlkB.CreateImage("staged-disk"); !errors.Is(err, xtypes.ErrExists) {
 		t.Errorf("failed create deleted the staged image: %v", err)
 	}
 	// Neither failed create left a record: with room for one more, a
@@ -400,8 +400,11 @@ func TestHVMGuestViaToolstack(t *testing.T) {
 	if g.Net != nil || g.Blk != nil {
 		t.Fatal("HVM guest wired with PV frontends directly")
 	}
-	if g.Qemu.Net == nil || g.Qemu.Blk == nil {
-		t.Fatal("qemu frontends missing")
+	if g.Qemu.Blk == nil {
+		t.Fatal("qemu block frontend missing")
+	}
+	if n := r.h.MM.ForeignMapCount(g.NetB.Dom, g.QemuDom); n == 0 {
+		t.Fatal("qemu has no vif: netback maps none of its ring pages")
 	}
 	// Destroy reaps both domains and frees the image.
 	if err := r.destroy(t, g.Dom); err != nil {

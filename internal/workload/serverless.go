@@ -50,7 +50,6 @@ type ChurnStats struct {
 	ColdStartP50 sim.Duration
 	ColdStartP95 sim.Duration
 	ColdStartP99 sim.Duration
-	ColdStartMax sim.Duration
 }
 
 // ServerlessChurn drives the arrival process from p until every submitted
@@ -120,9 +119,6 @@ func ServerlessChurn(p *sim.Proc, l Launcher, cfg ChurnConfig) ChurnStats {
 	stats.ColdStartP50 = percentile(coldStarts, 50)
 	stats.ColdStartP95 = percentile(coldStarts, 95)
 	stats.ColdStartP99 = percentile(coldStarts, 99)
-	if n := len(coldStarts); n > 0 {
-		stats.ColdStartMax = coldStarts[n-1]
-	}
 	return stats
 }
 

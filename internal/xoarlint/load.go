@@ -161,7 +161,7 @@ func (l *loader) parseDir(dir, importPath string) error {
 		}
 		u := units[f.Name.Name]
 		if u == nil {
-			u = &Package{Name: f.Name.Name, Path: importPath, Dir: dir, Fset: l.fset,
+			u = &Package{Name: f.Name.Name, Path: importPath, Fset: l.fset,
 				Test: map[*ast.File]bool{}, Src: map[string][]byte{}}
 			units[f.Name.Name] = u
 		}

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -22,6 +24,20 @@ import (
 // or imported from the standard library by, the module's non-test source,
 // since a call through the interface never names them.
 //
+// The fields of named struct types follow the same rule: a field that no
+// non-test code reads is reported, and so is one that non-test code reads
+// but never sets, a knob with one value in production. A selector x.f
+// reads f, except where it only sets it: as the target of an assignment or
+// of ++ and --, in x.f[k] = v, delete(x.f, k), clear(x.f) and
+// x.f = append(x.f, …), and as the struct value whose field an assignment
+// sets (x.f.g = v). A key of a keyed composite literal sets its field, and
+// a positional literal sets them all. &x.f, slicing an array field and
+// calling a pointer-receiver method on a field value (x.mu.Lock()) both
+// read and set it, and == or != on a struct, or indexing a map by one,
+// reads every field. Exempt: embedded fields, _, every field of a struct
+// with a tag (encoding/json reads them), and the exported fields of the
+// types the root package aliases.
+//
 // A use is matched to its declaration by position, not by object: a
 // package with in-package tests is type-checked twice over the same parsed
 // files (once for its importers, once with its tests), so one declaration
@@ -37,7 +53,7 @@ const rootPath = "xoar"
 func init() {
 	Register(&Analyzer{
 		Name:      "unused",
-		Doc:       "every package-level declaration in non-test source is referenced from non-test source in the module (hostbench counts, tests do not)",
+		Doc:       "every package-level declaration in non-test source is referenced, and every struct field read and set, from non-test source in the module (hostbench counts, tests do not)",
 		RunModule: runUnused,
 	})
 }
@@ -52,7 +68,8 @@ func runUnused(pkgs []*Package) []Diagnostic {
 	if root == nil {
 		return nil
 	}
-	used := exemptMethods(pkgs, root)
+	exempt := exemptDecls(pkgs, root)
+	used := maps.Clone(exempt)
 	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
 			if !inTestFile(p.Fset, id.Pos()) {
@@ -104,14 +121,190 @@ func runUnused(pkgs []*Package) []Diagnostic {
 			}
 		}
 	}
+	return append(diags, unusedFields(pkgs, exempt)...)
+}
+
+// unusedFields reports the fields of named struct types that non-test code
+// never reads, or reads but never sets.
+func unusedFields(pkgs []*Package, exempt map[token.Pos]bool) []Diagnostic {
+	u := fieldUses{read: map[token.Pos]bool{}, set: map[token.Pos]bool{}}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			if !p.Test[f] {
+				u.scan(p, f)
+			}
+		}
+	}
+
+	var diags []Diagnostic
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			if p.Test[f] {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool { return f.Tag != nil }) {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						var problem string
+						switch pos := id.Pos(); {
+						case id.Name == "_" || exempt[pos]:
+							continue
+						case !u.read[pos]:
+							problem = "is read nowhere outside tests"
+						case !u.set[pos]:
+							problem = "is read outside tests but set only by tests, if at all"
+						default:
+							continue
+						}
+						diags = append(diags, Diagnostic{
+							Pos:      p.Fset.Position(id.Pos()),
+							Analyzer: "unused",
+							Message: fmt.Sprintf("field %s.%s.%s %s; delete it, or keep it with //xoarlint:allow(unused) <reason>",
+								p.Path, ts.Name.Name, id.Name, problem),
+						})
+					}
+				}
+				return true
+			})
+		}
+	}
 	return diags
 }
 
-// exemptMethods returns the positions of the methods no identifier needs to
-// name: the exported methods of the types the root package aliases, and
-// every method that supplies a method of a known interface to a type
-// declared in the module.
-func exemptMethods(pkgs []*Package, root *Package) map[token.Pos]bool {
+// fieldUses records, by declaration position, the fields that non-test
+// code reads and the fields it sets.
+type fieldUses struct{ read, set map[token.Pos]bool }
+
+// scan records the field reads and sets of one file of p.
+func (u fieldUses) scan(p *Package, f *ast.File) {
+	setOnly := map[*ast.SelectorExpr]bool{}
+	both := map[*ast.SelectorExpr]bool{}
+	// markSet marks the selector an assignment sets, and the struct-valued
+	// fields and indexed operands it is reached through.
+	var markSet func(e ast.Expr)
+	markSet = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			setOnly[e] = true
+			if _, ok := p.Info.TypeOf(e.X).Underlying().(*types.Struct); ok {
+				markSet(e.X)
+			}
+		case *ast.IndexExpr:
+			markSet(e.X)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				markSet(lhs)
+				if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && builtinCalled(p, n.Rhs[i]) == "append" {
+					arg, ok := ast.Unparen(n.Rhs[i].(*ast.CallExpr).Args[0]).(*ast.SelectorExpr)
+					if ok && types.ExprString(arg) == types.ExprString(ast.Unparen(lhs)) {
+						setOnly[arg] = true
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			markSet(n.X)
+		case *ast.CallExpr:
+			if b := builtinCalled(p, n); b == "delete" || b == "clear" {
+				markSet(n.Args[0])
+			}
+		case *ast.UnaryExpr:
+			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+				both[sel] = true
+			}
+		case *ast.SliceExpr:
+			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+				if _, isArray := p.Info.TypeOf(sel).Underlying().(*types.Array); isArray {
+					both[sel] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if s := p.Info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+				_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				x, ok := ast.Unparen(n.X).(*ast.SelectorExpr)
+				if _, isPtr := p.Info.TypeOf(n.X).Underlying().(*types.Pointer); ok && ptrRecv && !isPtr {
+					both[x] = true
+				}
+			}
+		case *ast.CompositeLit:
+			st, ok := deref(p.Info.TypeOf(n)).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && p.Info.Uses[id] != nil {
+						u.set[p.Info.Uses[id].Pos()] = true
+					}
+				} else {
+					u.set[st.Field(i).Pos()] = true
+				}
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				u.readAll(p.Info.TypeOf(n.X))
+			}
+		case *ast.IndexExpr:
+			if m, ok := p.Info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				u.readAll(m.Key())
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				pos := s.Obj().Pos()
+				u.set[pos] = u.set[pos] || setOnly[sel] || both[sel]
+				u.read[pos] = u.read[pos] || !setOnly[sel]
+			}
+		}
+		return true
+	})
+}
+
+// builtinCalled names the builtin function e calls, or returns "".
+func builtinCalled(p *Package, e ast.Expr) string {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && len(call.Args) > 0 {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
+				return b.Name()
+			}
+		}
+	}
+	return ""
+}
+
+// readAll marks every field of the struct type t, and of the structs it
+// holds by value, as read: comparing two values reads them all.
+func (u fieldUses) readAll(t types.Type) {
+	switch t := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			u.read[t.Field(i).Pos()] = true
+			u.readAll(t.Field(i).Type())
+		}
+	case *types.Array:
+		u.readAll(t.Elem())
+	}
+}
+
+// exemptDecls returns the positions of the methods no identifier needs to
+// name and of the fields no code needs to read or set: the exported methods
+// and fields of the types the root package aliases, and every method that
+// supplies a method of a known interface to a type declared in the module.
+func exemptDecls(pkgs []*Package, root *Package) map[token.Pos]bool {
 	exempt := map[token.Pos]bool{}
 	for id, obj := range root.Info.Defs {
 		tn, ok := obj.(*types.TypeName)
@@ -122,6 +315,13 @@ func exemptMethods(pkgs []*Package, root *Package) map[token.Pos]bool {
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
 					exempt[m.Pos()] = true
+				}
+			}
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					exempt[f.Pos()] = true
 				}
 			}
 		}

@@ -25,9 +25,13 @@ func New() *Widget { return widget.Make() }
 
 import "fmt"
 
-type Widget struct{ n int }
+// Label is public API through the root alias; nothing reads it.
+type Widget struct {
+	n     int
+	Label string
+}
 
-func Make() *Widget { return &Widget{} }
+func Make() *Widget { return &Widget{n: 1} }
 
 // Size is public API through the root alias; nothing calls it.
 func (w *Widget) Size() int { return w.n }
@@ -100,6 +104,100 @@ func TestUnusedFlagsOnlyUnreferenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDiags(t, diagsOf(t, "unused", pkgs...),
+		"func xoar/internal/widget.total", "func xoar/internal/widget.orphan", "const limit")
+}
+
+// fieldFiles add to the widget package one field of each kind the field
+// rule reports, and one of each kind it must not.
+var fieldFiles = map[string]string{
+	"internal/widget/fields.go": `package widget
+
+import "sync"
+
+// counter holds the fields the rule reports.
+type counter struct {
+	hits int // only written
+	seen int // read only by the test
+	knob int // read here, set only by the test
+}
+
+func (c *counter) bump() int {
+	c.hits++
+	c.seen = 1
+	return c.knob
+}
+
+// point is set by a positional literal and compared with ==.
+type point struct{ x, y int }
+
+// key is set by a positional literal and compared as a map key.
+type key struct{ a, b int }
+
+type inner struct{ v int }
+
+// guarded is set through a pointer-receiver method, an address and a
+// nested selector.
+type guarded struct {
+	mu sync.Mutex
+	n  int
+	in inner
+}
+
+func (g *guarded) add(d int) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := &g.n
+	*p += d
+	g.in.v = d
+	return g.n + g.in.v
+}
+
+// wire is tagged: encoding/json reads its fields.
+type wire struct {
+	ID   int ` + "`json:\"id\"`" + `
+	note string
+}
+
+type spare struct {
+	part int //xoarlint:allow(unused) test support: the fields test reads it
+}
+
+func init() {
+	var c counter
+	var g guarded
+	_ = c.bump() + g.add(1)
+	_ = point{0, 0} == point{1, 2}
+	_ = map[key]bool{}[key{1, 2}]
+	_, _ = wire{}, spare{}
+}
+`,
+	"internal/widget/fields_test.go": `package widget
+
+import "testing"
+
+func TestFields(t *testing.T) {
+	c := counter{knob: 2}
+	if c.bump() != 2 || c.seen != 1 || (spare{}).part != 0 {
+		t.Fatal("fields")
+	}
+}
+`,
+}
+
+// The field rule reports a field that is only written, one only a test
+// reads and one that only a test sets; not the fields set by a positional
+// literal, compared with == or as a map key, set through &, a
+// pointer-receiver method or a nested selector, of a tagged struct, of a
+// root-aliased type, or carrying an allow comment.
+func TestUnusedFields(t *testing.T) {
+	pkgs, err := LoadModule(writeModule(t, withFiles(unusedModule, fieldFiles)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDiags(t, diagsOf(t, "unused", pkgs...),
+		"field xoar/internal/widget.counter.hits is read nowhere outside tests",
+		"field xoar/internal/widget.counter.seen is read nowhere outside tests",
+		"field xoar/internal/widget.counter.knob is read outside tests but set only by tests",
 		"func xoar/internal/widget.total", "func xoar/internal/widget.orphan", "const limit")
 }
 

@@ -56,8 +56,6 @@ type Package struct {
 	// Path is the import path ("xoar/internal/hv"). External test packages
 	// share the path of the package under test.
 	Path string
-	// Dir is the directory the files were read from.
-	Dir  string
 	Fset *token.FileSet
 	// Files are the parsed files of the unit.
 	Files []*ast.File
@@ -128,7 +126,6 @@ func Analyzers() []*Analyzer {
 
 // suppression is one //xoarlint:allow comment.
 type suppression struct {
-	pos           token.Position
 	analyzers     map[string]bool
 	justification string
 	// standalone comments (nothing but whitespace before them on the line)
@@ -159,7 +156,6 @@ func suppressionsOf(pkgs []*Package) (map[string]suppression, []Diagnostic) {
 					}
 					pos := p.Fset.Position(c.Pos())
 					s := suppression{
-						pos:           pos,
 						analyzers:     map[string]bool{},
 						justification: strings.TrimSpace(m[2]),
 						standalone:    standaloneComment(p.Src[pos.Filename], pos),

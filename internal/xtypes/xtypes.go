@@ -173,15 +173,15 @@ func (v VIRQ) String() string {
 }
 
 // PCIAddr identifies a device on the PCI bus, mirroring the
-// assign_pci_device(PCI domain, bus, slot) API of Figure 3.1.
+// assign_pci_device(PCI domain, bus, slot) API of Figure 3.1. The modeled
+// host has one PCI domain, 0000.
 type PCIAddr struct {
-	Domain uint16
-	Bus    uint8
-	Slot   uint8
+	Bus  uint8
+	Slot uint8
 }
 
 func (a PCIAddr) String() string {
-	return fmt.Sprintf("%04x:%02x:%02x", a.Domain, a.Bus, a.Slot)
+	return fmt.Sprintf("0000:%02x:%02x", a.Bus, a.Slot)
 }
 
 // DeviceClass categorizes PCI peripherals in the hardware model.

@@ -65,7 +65,7 @@ func TestVIRQAndPCIStrings(t *testing.T) {
 	if VIRQ(99).String() != "virq(99)" {
 		t.Fatal("unknown virq format")
 	}
-	a := PCIAddr{Domain: 0, Bus: 2, Slot: 0}
+	a := PCIAddr{Bus: 2, Slot: 0}
 	if a.String() != "0000:02:00" {
 		t.Fatalf("pci addr = %q", a.String())
 	}
